@@ -40,26 +40,19 @@ from __future__ import annotations
 import enum
 import functools
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+
+from .feasibility import EmulationTier
+from .fields import Checker, keys_of
 
 SCHEMA_VERSION = 1
 
 _CONNECTIVITY_CLASSES = ("all-to-all", "grid-4", "heavy-hex", "linear")
 _CLUSTER_RE = re.compile(r"^cluster-[1-9][0-9]*$")
 
-# Must mirror the EmulationTier labels in feasibility (kept as plain strings
-# here to avoid a circular import).
-_TIER_LABELS = (
-    "laptop",
-    "server",
-    "cluster",
-    "hpc",
-    "tensor-network",
-    "beyond-classical",
-)
+_TIER_LABELS = tuple(tier.label for tier in EmulationTier)
 
 
 class CatalogError(ValueError):
@@ -161,140 +154,48 @@ class Catalog:
         raise CatalogError(f"unknown classical ref id {ref_id!r} (catalog has: {known})")
 
 
-def _require(condition: bool, record: str, message: str) -> None:
-    if not condition:
-        raise CatalogValidationError(f"{record}: {message}")
+_POWER_COMPONENT_KEYS = keys_of(PowerComponent)
+_QPU_KEYS = keys_of(QpuSpec)
+_CLASSICAL_REF_KEYS = keys_of(ClassicalRefSpec)
+_CATALOG_KEYS = frozenset({"schema_version", "qpus", "classical_refs"})
 
 
-def _finite_number(value: object, record: str, fieldname: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CatalogValidationError(f"{record}: field '{fieldname}' must be a number, got {value!r}")
-    result = float(value)
-    _require(math.isfinite(result), record, f"field '{fieldname}' must be finite, got {value!r}")
-    return result
+def _parse_power_component(raw: object, record: str, checker: Checker) -> PowerComponent:
+    fields = checker.record(raw, record, _POWER_COMPONENT_KEYS)
+    count = fields.integer("count", None, minimum=0)
+    return PowerComponent(
+        label=fields.text("label"),
+        unit_power_w=fields.number("unit_power_w", ge=0),
+        count=1 if count is None else count,
+        per_qubit=bool(fields.flag("per_qubit", None)),
+    )
 
 
-def _positive_int(value: object, record: str, fieldname: str, minimum: int = 1) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CatalogValidationError(f"{record}: field '{fieldname}' must be an integer, got {value!r}")
-    _require(value >= minimum, record, f"field '{fieldname}' must be >= {minimum}, got {value}")
-    return value
-
-
-def _string(value: object, record: str, fieldname: str) -> str:
-    if not isinstance(value, str):
-        raise CatalogValidationError(f"{record}: field '{fieldname}' must be a string, got {value!r}")
-    return value
-
-
-class _Fields:
-    """Tracks which keys of a record were consumed, for unknown-key checks."""
-
-    def __init__(self, raw: object, record: str, warnings: list[str], strict: bool):
-        if not isinstance(raw, dict):
-            raise CatalogValidationError(f"{record}: expected a JSON object, got {type(raw).__name__}")
-        self.raw = raw
-        self.record = record
-        self.warnings = warnings
-        self.strict = strict
-        self.seen: set[str] = set()
-
-    def take(self, key: str, required: bool = True):
-        self.seen.add(key)
-        if key not in self.raw:
-            if required:
-                raise CatalogValidationError(f"{self.record}: missing required field '{key}'")
-            return None
-        return self.raw[key]
-
-    def finish(self) -> None:
-        unknown = sorted(set(self.raw) - self.seen)
-        for key in unknown:
-            if self.strict:
-                raise CatalogValidationError(f"{self.record}: unknown field '{key}'")
-            self.warnings.append(f"{self.record}: ignoring unknown field '{key}'")
-
-
-def _parse_power_component(raw: object, record: str, warnings: list[str], strict: bool) -> PowerComponent:
-    fields = _Fields(raw, record, warnings, strict)
-    label = _string(fields.take("label"), record, "label")
-    unit_power = _finite_number(fields.take("unit_power_w"), record, "unit_power_w")
-    _require(unit_power >= 0.0, record, f"field 'unit_power_w' must be >= 0, got {unit_power}")
-    count_raw = fields.take("count", required=False)
-    count = 1 if count_raw is None else _positive_int(count_raw, record, "count", minimum=0)
-    per_qubit_raw = fields.take("per_qubit", required=False)
-    per_qubit = False if per_qubit_raw is None else per_qubit_raw
-    if not isinstance(per_qubit, bool):
-        raise CatalogValidationError(f"{record}: field 'per_qubit' must be a boolean, got {per_qubit!r}")
-    fields.finish()
-    return PowerComponent(label=label, unit_power_w=unit_power, count=count, per_qubit=per_qubit)
-
-
-def _parse_qpu(raw: object, warnings: list[str], strict: bool) -> QpuSpec:
+def _parse_qpu(raw: object, checker: Checker) -> QpuSpec:
     preliminary = raw.get("id", "<missing id>") if isinstance(raw, dict) else "<qpu>"
     record = f"qpu '{preliminary}'"
-    fields = _Fields(raw, record, warnings, strict)
+    fields = checker.record(raw, record, _QPU_KEYS)
 
-    qpu_id = _string(fields.take("id"), record, "id")
-    _require(bool(qpu_id), record, "field 'id' must be non-empty")
+    qpu_id = fields.text("id", nonempty=True)
+    modality = fields.choice("modality", Modality)
+    qubit_count = fields.integer("qubit_count", minimum=1)
+    error_median = fields.number("two_qubit_error_median", gt=0, lt=1)
+    stddev = fields.number("two_qubit_error_stddev", None, ge=0)
+    gate_time = fields.number("two_qubit_gate_time", gt=0)
+    readout_time = fields.number("readout_time", ge=0)
+    reset_time = fields.number("reset_time", ge=0)
 
-    modality_raw = _string(fields.take("modality"), record, "modality")
-    try:
-        modality = Modality(modality_raw)
-    except ValueError:
-        raise CatalogValidationError(
-            f"{record}: field 'modality' must be one of {[m.value for m in Modality]}, got {modality_raw!r}"
-        ) from None
-
-    qubit_count = _positive_int(fields.take("qubit_count"), record, "qubit_count")
-
-    error_median = _finite_number(fields.take("two_qubit_error_median"), record, "two_qubit_error_median")
-    _require(
-        0.0 < error_median < 1.0,
-        record,
-        f"field 'two_qubit_error_median' must be in (0, 1), got {error_median}",
-    )
-
-    stddev_raw = fields.take("two_qubit_error_stddev", required=False)
-    stddev = None
-    if stddev_raw is not None:
-        stddev = _finite_number(stddev_raw, record, "two_qubit_error_stddev")
-        _require(stddev >= 0.0, record, f"field 'two_qubit_error_stddev' must be >= 0, got {stddev}")
-
-    gate_time = _finite_number(fields.take("two_qubit_gate_time"), record, "two_qubit_gate_time")
-    _require(gate_time > 0.0, record, f"field 'two_qubit_gate_time' must be > 0, got {gate_time}")
-    readout_time = _finite_number(fields.take("readout_time"), record, "readout_time")
-    _require(readout_time >= 0.0, record, f"field 'readout_time' must be >= 0, got {readout_time}")
-    reset_time = _finite_number(fields.take("reset_time"), record, "reset_time")
-    _require(reset_time >= 0.0, record, f"field 'reset_time' must be >= 0, got {reset_time}")
-
-    connectivity = _string(fields.take("connectivity"), record, "connectivity")
-    _require(
-        connectivity in _CONNECTIVITY_CLASSES or bool(_CLUSTER_RE.match(connectivity)),
-        record,
-        f"field 'connectivity' must be one of {list(_CONNECTIVITY_CLASSES)} or 'cluster-<k>', got {connectivity!r}",
-    )
-
-    components_raw = fields.take("power_components", required=False)
-    components: tuple[PowerComponent, ...] = ()
-    if components_raw is not None:
-        if not isinstance(components_raw, list):
-            raise CatalogValidationError(f"{record}: field 'power_components' must be a list")
-        components = tuple(
-            _parse_power_component(item, f"{record} power component #{i}", warnings, strict)
-            for i, item in enumerate(components_raw)
+    connectivity = fields.text("connectivity")
+    if connectivity not in _CONNECTIVITY_CLASSES and not _CLUSTER_RE.match(connectivity):
+        fields.fail(
+            "connectivity",
+            f"must be one of {list(_CONNECTIVITY_CLASSES)} or 'cluster-<k>', got {connectivity!r}",
         )
 
-    status_raw = _string(fields.take("status"), record, "status")
-    try:
-        status = QpuStatus(status_raw)
-    except ValueError:
-        raise CatalogValidationError(
-            f"{record}: field 'status' must be one of {[s.value for s in QpuStatus]}, got {status_raw!r}"
-        ) from None
-
-    source_note = _string(fields.take("source_note"), record, "source_note")
-    fields.finish()
+    components = tuple(
+        _parse_power_component(item, f"{record} power component #{i}", checker)
+        for i, item in enumerate(fields.items("power_components", None) or ())
+    )
 
     return QpuSpec(
         id=qpu_id,
@@ -307,29 +208,21 @@ def _parse_qpu(raw: object, warnings: list[str], strict: bool) -> QpuSpec:
         reset_time=reset_time,
         connectivity=connectivity,
         power_components=components,
-        status=status,
-        source_note=source_note,
+        status=fields.choice("status", QpuStatus),
+        source_note=fields.text("source_note"),
     )
 
 
-def _parse_classical_ref(raw: object, warnings: list[str], strict: bool) -> ClassicalRefSpec:
+def _parse_classical_ref(raw: object, checker: Checker) -> ClassicalRefSpec:
     preliminary = raw.get("id", "<missing id>") if isinstance(raw, dict) else "<classical ref>"
-    record = f"classical ref '{preliminary}'"
-    fields = _Fields(raw, record, warnings, strict)
-
-    ref_id = _string(fields.take("id"), record, "id")
-    _require(bool(ref_id), record, "field 'id' must be non-empty")
-    description = _string(fields.take("description"), record, "description")
-    power = _finite_number(fields.take("power_draw"), record, "power_draw")
-    _require(power > 0.0, record, f"field 'power_draw' must be > 0, got {power}")
-    memory_raw = fields.take("memory_capacity")
-    memory = _positive_int(memory_raw, record, "memory_capacity")
-    tier_raw = fields.take("tier_hint", required=False)
-    tier = None
-    if tier_raw is not None:
-        tier = _string(tier_raw, record, "tier_hint")
-        _require(tier in _TIER_LABELS, record, f"field 'tier_hint' must be one of {list(_TIER_LABELS)}, got {tier!r}")
-    fields.finish()
+    fields = checker.record(raw, f"classical ref '{preliminary}'", _CLASSICAL_REF_KEYS)
+    ref_id = fields.text("id", nonempty=True)
+    description = fields.text("description")
+    power = fields.number("power_draw", gt=0)
+    memory = fields.integer("memory_capacity", minimum=1)
+    tier = fields.text("tier_hint", None)
+    if tier is not None and tier not in _TIER_LABELS:
+        fields.fail("tier_hint", f"must be one of {list(_TIER_LABELS)}, got {tier!r}")
     return ClassicalRefSpec(id=ref_id, description=description, power_draw=power, memory_capacity=memory, tier_hint=tier)
 
 
@@ -346,33 +239,22 @@ def parse_catalog(document: str, *, strict: bool = True) -> Catalog:
     except json.JSONDecodeError as exc:
         raise CatalogSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
 
-    warnings: list[str] = []
-    fields = _Fields(raw, "catalog", warnings, strict)
-    version = fields.take("schema_version")
-    if isinstance(version, bool) or not isinstance(version, int):
-        raise CatalogValidationError(f"catalog: field 'schema_version' must be an integer, got {version!r}")
-    _require(version == SCHEMA_VERSION, "catalog", f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
-
-    qpus_raw = fields.take("qpus")
-    if not isinstance(qpus_raw, list):
-        raise CatalogValidationError("catalog: field 'qpus' must be a list")
-    qpus = tuple(_parse_qpu(item, warnings, strict) for item in qpus_raw)
-
-    refs_raw = fields.take("classical_refs", required=False)
-    refs: tuple[ClassicalRefSpec, ...] = ()
-    if refs_raw is not None:
-        if not isinstance(refs_raw, list):
-            raise CatalogValidationError("catalog: field 'classical_refs' must be a list")
-        refs = tuple(_parse_classical_ref(item, warnings, strict) for item in refs_raw)
-    fields.finish()
+    checker = Checker(CatalogValidationError, strict)
+    fields = checker.record(raw, "catalog", _CATALOG_KEYS)
+    version = fields.integer("schema_version")
+    if version != SCHEMA_VERSION:
+        raise CatalogValidationError(f"catalog: unsupported schema_version {version} (expected {SCHEMA_VERSION})")
+    qpus = tuple(_parse_qpu(item, checker) for item in fields.items("qpus"))
+    refs = tuple(_parse_classical_ref(item, checker) for item in fields.items("classical_refs", None) or ())
 
     for label, ids in (("qpus", [q.id for q in qpus]), ("classical_refs", [r.id for r in refs])):
         seen: set[str] = set()
         for entry_id in ids:
-            _require(entry_id not in seen, "catalog", f"duplicate id {entry_id!r} in {label}")
+            if entry_id in seen:
+                raise CatalogValidationError(f"catalog: duplicate id {entry_id!r} in {label}")
             seen.add(entry_id)
 
-    return Catalog(qpus=qpus, classical_refs=refs, schema_version=version, warnings=tuple(warnings))
+    return Catalog(qpus=qpus, classical_refs=refs, schema_version=version, warnings=tuple(checker.warnings))
 
 
 def _qpu_to_dict(qpu: QpuSpec) -> dict:

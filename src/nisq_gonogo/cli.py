@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from . import feasibility as feas
 from . import runtime as runtime_mod
 from . import workload as workload_mod
 from .catalog import Catalog, QpuSpec, bundled_catalog, parse_catalog
+from .fields import Checker
 from .scatter import scatter_csv, scatter_svg
 from .units import (
     format_bytes,
@@ -71,9 +73,12 @@ class ResourceRecord:
 @dataclass(frozen=True)
 class ReportBundle:
     verdicts: tuple[VerdictRow, ...] = ()
-    estimates: tuple[ResourceRecord, ...] = ()
-    advantage: adv.AdvantageReport | None = None
-    emitted_files: tuple[str, ...] = ()
+
+
+def _warn(warnings: Sequence[str]) -> None:
+    """Print lenient-mode input warnings; every command's warnings pass here."""
+    for warning in warnings:
+        sys.stderr.write(f"warning: {warning}\n")
 
 
 def load_catalog(path: str | None, *, strict: bool) -> Catalog:
@@ -82,11 +87,15 @@ def load_catalog(path: str | None, *, strict: bool) -> Catalog:
         path = os.environ.get(ENV_CATALOG)
     if path is None:
         return bundled_catalog()
-    return parse_catalog(Path(path).read_text(encoding="utf-8"), strict=strict)
+    catalog = parse_catalog(Path(path).read_text(encoding="utf-8"), strict=strict)
+    _warn(catalog.warnings)
+    return catalog
 
 
-def load_workloads(path: str, *, strict: bool) -> tuple[workload_mod.WorkloadSpec, ...]:
-    return workload_mod.parse_workloads(Path(path).read_text(encoding="utf-8"), strict=strict)
+def load_workloads(path: str, *, strict: bool) -> workload_mod.Workloads:
+    workloads = workload_mod.parse_workloads(Path(path).read_text(encoding="utf-8"), strict=strict)
+    _warn(workloads.warnings)
+    return workloads
 
 
 def _verdict_sort_key(row: VerdictRow):
@@ -252,57 +261,36 @@ def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.
     return "\n".join(lines) + "\n"
 
 
+_PROFILE_KEYS = frozenset({"runtime_s", "energy_j", "cost", "quality", "memory_bytes", "classical_ref"})
+
+
 def _read_classical_profile(path: str, catalog: Catalog, *, strict: bool) -> tuple[adv.SolutionProfile, list[str]]:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"classical profile: {exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
-    if not isinstance(raw, dict):
-        raise ValueError("classical profile must be a JSON object")
-    known = {"runtime_s", "energy_j", "cost", "quality", "memory_bytes", "classical_ref"}
+    checker = Checker(ValueError, strict)
+    fields = checker.record(raw, "classical profile", _PROFILE_KEYS)
+    runtime_s = fields.number("runtime_s")
+    ref_id = fields.text("classical_ref", None)
+    ref = None if ref_id is None else catalog.get_classical_ref(ref_id)
+    energy_j = fields.number("energy_j", None)
+    memory = fields.integer("memory_bytes", None, floats=True)
     notes: list[str] = []
-    for key in sorted(set(raw) - known):
-        if strict:
-            raise ValueError(f"classical profile: unknown field '{key}'")
-        notes.append(f"classical profile: ignoring unknown field '{key}'")
-
-    runtime_s = raw.get("runtime_s")
-    if not isinstance(runtime_s, (int, float)) or isinstance(runtime_s, bool):
-        raise ValueError("classical profile: field 'runtime_s' (seconds) is required and must be a number")
-
-    ref = None
-    if raw.get("classical_ref") is not None:
-        ref = catalog.get_classical_ref(raw["classical_ref"])
-
-    def _opt_number(key: str) -> float | None:
-        value = raw.get(key)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"classical profile: field '{key}' must be a number")
-        return float(value)
-
-    energy_j = _opt_number("energy_j")
     if energy_j is None and ref is not None:
-        energy_j = ref.power_draw * float(runtime_s)
+        energy_j = ref.power_draw * runtime_s
         notes.append(f"classical energy derived from '{ref.id}' power draw x runtime")
-
-    memory = raw.get("memory_bytes")
-    if memory is not None:
-        if isinstance(memory, bool) or not isinstance(memory, (int, float)) or memory != int(memory):
-            raise ValueError("classical profile: field 'memory_bytes' must be an integer byte count")
-        memory = int(memory)
-    elif ref is not None:
+    if memory is None and ref is not None:
         memory = ref.memory_capacity
         notes.append(f"classical memory capacity taken from '{ref.id}'")
-
     profile = adv.SolutionProfile(
-        runtime_s=float(runtime_s),
+        runtime_s=runtime_s,
         energy_j=energy_j,
-        cost=_opt_number("cost"),
-        quality=_opt_number("quality"),
+        cost=fields.number("cost", None),
+        quality=fields.number("quality", None),
         memory_bytes=memory,
     )
+    _warn(checker.warnings)
     return profile, notes
 
 
@@ -425,11 +413,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    catalog = load_catalog(args.catalog, strict=args.strict)
-    text = render_catalog_md(catalog)
-    if catalog.warnings:
-        text += "".join(f"warning: {w}\n" for w in catalog.warnings)
-    _emit(text, args.out)
+    _emit(render_catalog_md(load_catalog(args.catalog, strict=args.strict)), args.out)
     return EXIT_OK
 
 
@@ -440,9 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, workload: bool = False, qpu: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, *, workload: bool = False, qpu: bool = False, out_required: bool = False) -> None:
         p.add_argument("--catalog", metavar="PATH", default=None, help=f"catalog file (default: ${ENV_CATALOG} or the bundled dataset)")
-        p.add_argument("--out", metavar="PATH", default=None, help="also write the report to this path")
+        p.add_argument("--out", metavar="PATH", required=out_required, help="also write the report to this path")
         p.add_argument("--strict", action="store_true", help="reject unknown input fields instead of warning")
         if workload:
             p.add_argument("--workload", metavar="PATH", required=True, help="workload file (object or list)")
@@ -473,13 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=cmd_estimate)
 
     p_scat = sub.add_parser("scatter", help="emit the catalog landscape as CSV + SVG")
-    common(p_scat)
-    p_scat.add_argument("--format", choices=("csv", "svg"), default=None, help="accepted for symmetry; both files are always written")
+    common(p_scat, out_required=True)
     p_scat.set_defaults(func=cmd_scatter)
-    # --out is required for scatter
-    for action in p_scat._actions:
-        if action.dest == "out":
-            action.required = True
 
     p_cmp = sub.add_parser("compare", help="five-axis advantage comparison against a classical profile")
     common(p_cmp, workload=True, qpu=True)

@@ -37,11 +37,10 @@ def power_draw(qpu: QpuSpec) -> float:
     return sum(watts for _, watts in power_breakdown(qpu))
 
 
-def job_energy(power: float, runtime: RuntimeEstimate | float) -> float:
+def job_energy(power: float, seconds: float) -> float:
     """Joules for a job: power x total wall-clock seconds."""
     if power < 0.0:
         raise ValueError(f"power must be >= 0, got {power}")
-    seconds = runtime.total_time if isinstance(runtime, RuntimeEstimate) else float(runtime)
     return power * seconds
 
 
@@ -50,6 +49,6 @@ def estimate_energy(qpu: QpuSpec, runtime: RuntimeEstimate) -> EnergyEstimate:
     power = sum(watts for _, watts in breakdown)
     return EnergyEstimate(
         power_draw=power,
-        job_energy=job_energy(power, runtime),
+        job_energy=job_energy(power, runtime.total_time),
         breakdown=breakdown,
     )

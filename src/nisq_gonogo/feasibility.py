@@ -12,8 +12,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .catalog import QpuSpec
+if TYPE_CHECKING:
+    from .catalog import QpuSpec
 
 #: Error rate above which compressed (tensor-network) emulation of large
 #: circuits is considered tractable: noise at sub-99.9% fidelity keeps the
@@ -22,13 +24,6 @@ TENSOR_NETWORK_ERROR_THRESHOLD = 1e-3
 
 #: Default circuit-depth cutoff under which an algorithm counts as shallow.
 DEFAULT_SHALLOW_DEPTH = 10
-
-# Upper qubit bounds for the statevector emulation tiers.  Boundaries are
-# upper-inclusive: the boundary qubit count belongs to the cheaper tier.
-_LAPTOP_MAX = 18
-_SERVER_MAX = 30
-_CLUSTER_MAX = 40
-_HPC_MAX = 55
 
 
 class CapacityError(ValueError):
@@ -87,6 +82,17 @@ class EmulationTier(enum.IntEnum):
     @property
     def label(self) -> str:
         return self.name.lower().replace("_", "-")
+
+
+#: (tier, largest qubit count) for the statevector emulation tiers, cheapest
+#: first.  Bounds are upper-inclusive: the boundary qubit count belongs to the
+#: cheaper tier.
+STATEVECTOR_TIERS = (
+    (EmulationTier.LAPTOP, 18),
+    (EmulationTier.SERVER, 30),
+    (EmulationTier.CLUSTER, 40),
+    (EmulationTier.HPC, 55),
+)
 
 
 def required_error_rate(shape: CircuitShape) -> float:
@@ -198,14 +204,9 @@ def emulation_tier(
         raise ValueError(f"depth must be >= 1, got {depth}")
     if not 0.0 <= error_rate < 1.0:
         raise ValueError(f"error_rate must be in [0, 1), got {error_rate}")
-    if qubits <= _LAPTOP_MAX:
-        return EmulationTier.LAPTOP
-    if qubits <= _SERVER_MAX:
-        return EmulationTier.SERVER
-    if qubits <= _CLUSTER_MAX:
-        return EmulationTier.CLUSTER
-    if qubits <= _HPC_MAX:
-        return EmulationTier.HPC
+    for tier, max_qubits in STATEVECTOR_TIERS:
+        if qubits <= max_qubits:
+            return tier
     if depth <= shallow_depth_threshold or error_rate > TENSOR_NETWORK_ERROR_THRESHOLD:
         return EmulationTier.TENSOR_NETWORK
     return EmulationTier.BEYOND_CLASSICAL

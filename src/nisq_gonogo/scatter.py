@@ -14,6 +14,7 @@ import io
 import math
 
 from .catalog import Catalog, QpuStatus
+from .feasibility import DEFAULT_SHALLOW_DEPTH, STATEVECTOR_TIERS, TENSOR_NETWORK_ERROR_THRESHOLD
 
 #: Comment line identifying the layout revision; the only line allowed to
 #: change between releases without being considered a rendering change.
@@ -29,12 +30,19 @@ _PY0, _PY1 = 40.0, 460.0
 _XMIN, _XMAX = 0.0, 4.0  # 1 .. 10^4 qubits
 _YMIN, _YMAX = -7.0, 0.0  # 1e-7 .. 1 error rate
 
-_TIER_BANDS = (
-    (1, 18, "laptop", "#e8f5e9"),
-    (18, 30, "server", "#e3f2fd"),
-    (30, 40, "cluster", "#fffde7"),
-    (40, 55, "HPC", "#fff3e0"),
-    (55, 10**4, "tensor network / beyond classical", "#f5f5f5"),
+# (label, fill) of each emulation-tier band: the statevector tiers, then
+# everything above the largest of them.
+_BAND_STYLES = (
+    ("laptop", "#e8f5e9"),
+    ("server", "#e3f2fd"),
+    ("cluster", "#fffde7"),
+    ("HPC", "#fff3e0"),
+    ("tensor network / beyond classical", "#f5f5f5"),
+)
+_STATEVECTOR_MAX = STATEVECTOR_TIERS[-1][1]
+_BAND_EDGES = (1, *(max_qubits for _, max_qubits in STATEVECTOR_TIERS), 10**4)
+_TIER_BANDS = tuple(
+    (lo, hi, label, fill) for lo, hi, (label, fill) in zip(_BAND_EDGES, _BAND_EDGES[1:], _BAND_STYLES)
 )
 
 _STATUS_STYLE = {
@@ -172,8 +180,10 @@ def scatter_svg(catalog: Catalog, *, depth: int = DEFAULT_FRONTIER_DEPTH) -> str
     legend = [
         f"dashed line: feasibility frontier error = 1/({depth}*n) at depth {depth}",
         "bands: cheapest classical emulation by qubit count;",
-        "  over 55 qubits tensor networks still work for shallow (depth at most 10)",
-        "  or noisy (error above 1e-3) circuits, else beyond classical",
+        f"  over {_STATEVECTOR_MAX} qubits tensor networks still work for shallow"
+        f" (depth at most {DEFAULT_SHALLOW_DEPTH})",
+        f"  or noisy (error above 1e{round(math.log10(TENSOR_NETWORK_ERROR_THRESHOLD))}) circuits,"
+        " else beyond classical",
         "markers: filled blue available, orange announced, hollow projected",
     ]
     for i, line in enumerate(legend):

@@ -25,7 +25,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .feasibility import CircuitShape
+from .feasibility import CircuitShape, _snap_to_int
+from .fields import Checker, keys_of
 
 #: Quartic-scaling coefficient for ungrouped VQE measurement bases,
 #: calibrated so a 72-qubit electronic-structure instance needs exactly
@@ -94,10 +95,13 @@ class ShotPlan:
 
 def _snap_ceil(value: float) -> int:
     """Ceiling with a relative-1e-9 snap so decimal inputs hit exact counts."""
-    nearest = round(value)
-    if nearest >= 1 and abs(value - nearest) <= 1e-9 * nearest:
-        return int(nearest)
-    return math.ceil(value)
+    snapped = _snap_to_int(value)
+    return math.ceil(value) if snapped is None else snapped
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon <= 1.0:
+        raise WorkloadError(f"target_epsilon must be in (0, 1], got {epsilon}")
 
 
 def pauli_string_count(spec: WorkloadSpec) -> int:
@@ -120,15 +124,13 @@ def pauli_string_count(spec: WorkloadSpec) -> int:
 
 def shots_per_string(epsilon: float) -> int:
     """Shots to reach standard error ``epsilon`` on one measured string: 1/eps^2."""
-    if not 0.0 < epsilon <= 1.0:
-        raise WorkloadError(f"target_epsilon must be in (0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     return _snap_ceil(1.0 / (epsilon * epsilon))
 
 
 def qaoa_aggregate_shots(epsilon: float, qubits: int) -> int:
     """Alternative whole-run QAOA budget: n^2/eps shots in total."""
-    if not 0.0 < epsilon <= 1.0:
-        raise WorkloadError(f"target_epsilon must be in (0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     if qubits < 1:
         raise WorkloadError(f"qubits must be >= 1, got {qubits}")
     return _snap_ceil(qubits * qubits / epsilon)
@@ -175,114 +177,42 @@ def shot_plan(spec: WorkloadSpec, error_rate: float, *, qaoa_aggregate: bool = F
     )
 
 
-def _as_positive_int(value: object, record: str, fieldname: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise WorkloadError(f"{record}: field '{fieldname}' must be a positive integer, got {value!r}")
-    return value
+_WORKLOAD_KEYS = keys_of(WorkloadSpec)
+_MITIGATION_KEYS = keys_of(MitigationSpec)
 
 
-def _as_number(value: object, record: str, fieldname: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(float(value)):
-        raise WorkloadError(f"{record}: field '{fieldname}' must be a finite number, got {value!r}")
-    return float(value)
+class Workloads(tuple):
+    """The parsed :class:`WorkloadSpec` tuple, with the parse's lenient-mode warnings."""
+
+    def __new__(cls, specs, warnings=()):
+        self = super().__new__(cls, specs)
+        self.warnings = tuple(warnings)
+        return self
 
 
-def _parse_one(raw: object, index: int, strict: bool, warnings: list[str]) -> WorkloadSpec:
-    record = f"workload #{index}"
-    if not isinstance(raw, dict):
-        raise WorkloadError(f"{record}: expected a JSON object, got {type(raw).__name__}")
-    known = {
-        "id",
-        "family",
-        "data_qubits",
-        "depth",
-        "qaoa_layers",
-        "target_epsilon",
-        "ansatz_iterations",
-        "classical_prep_time",
-        "pauli_grouping",
-        "mitigation",
-        "c_vqe_override",
-    }
-    unknown = sorted(set(raw) - known)
-    for key in unknown:
-        if strict:
-            raise WorkloadError(f"{record}: unknown field '{key}'")
-        warnings.append(f"{record}: ignoring unknown field '{key}'")
-
-    family_raw = raw.get("family")
-    try:
-        family = AlgorithmFamily(family_raw)
-    except ValueError:
-        raise WorkloadError(
-            f"{record}: field 'family' must be one of {[f.value for f in AlgorithmFamily]}, got {family_raw!r}"
-        ) from None
-
-    data_qubits = _as_positive_int(raw.get("data_qubits"), record, "data_qubits")
-    depth = _as_positive_int(raw.get("depth"), record, "depth")
-
-    layers = raw.get("qaoa_layers")
+def _parse_one(raw: object, index: int, checker: Checker) -> WorkloadSpec:
+    fields = checker.record(raw, f"workload #{index}", _WORKLOAD_KEYS)
+    family = fields.choice("family", AlgorithmFamily)
+    data_qubits = fields.integer("data_qubits", minimum=1)
+    depth = fields.integer("depth", minimum=1)
+    layers = fields.raw.get("qaoa_layers")
     if family is AlgorithmFamily.QAOA:
-        layers = _as_positive_int(layers, record, "qaoa_layers")
+        layers = fields.integer("qaoa_layers", minimum=1)
     elif layers is not None:
-        raise WorkloadError(f"{record}: field 'qaoa_layers' is only valid for the qaoa family")
-
-    epsilon = _as_number(raw.get("target_epsilon"), record, "target_epsilon")
-    if not 0.0 < epsilon <= 1.0:
-        raise WorkloadError(f"{record}: field 'target_epsilon' must be in (0, 1], got {epsilon}")
-
-    iterations = _as_positive_int(raw.get("ansatz_iterations"), record, "ansatz_iterations")
-
-    prep = 0.0
-    if "classical_prep_time" in raw:
-        prep = _as_number(raw["classical_prep_time"], record, "classical_prep_time")
-        if prep < 0.0:
-            raise WorkloadError(f"{record}: field 'classical_prep_time' must be >= 0, got {prep}")
-
-    grouping = PauliGrouping.NONE
-    if "pauli_grouping" in raw:
-        try:
-            grouping = PauliGrouping(raw["pauli_grouping"])
-        except ValueError:
-            raise WorkloadError(
-                f"{record}: field 'pauli_grouping' must be one of {[g.value for g in PauliGrouping]},"
-                f" got {raw['pauli_grouping']!r}"
-            ) from None
-
-    mitigation = MitigationSpec()
-    if "mitigation" in raw:
-        mraw = raw["mitigation"]
-        if not isinstance(mraw, dict):
-            raise WorkloadError(f"{record}: field 'mitigation' must be an object")
-        munknown = sorted(set(mraw) - {"enabled", "exponent_coefficient"})
-        for key in munknown:
-            if strict:
-                raise WorkloadError(f"{record}: unknown mitigation field '{key}'")
-            warnings.append(f"{record}: ignoring unknown mitigation field '{key}'")
-        enabled = mraw.get("enabled", False)
-        if not isinstance(enabled, bool):
-            raise WorkloadError(f"{record}: field 'mitigation.enabled' must be a boolean, got {enabled!r}")
-        coeff = 1.0
-        if "exponent_coefficient" in mraw:
-            coeff = _as_number(mraw["exponent_coefficient"], record, "mitigation.exponent_coefficient")
-            if coeff < 0.0:
-                raise WorkloadError(f"{record}: field 'mitigation.exponent_coefficient' must be >= 0, got {coeff}")
-        mitigation = MitigationSpec(enabled=enabled, exponent_coefficient=coeff)
-
-    override = None
-    if raw.get("c_vqe_override") is not None:
-        override = _as_number(raw["c_vqe_override"], record, "c_vqe_override")
-        if override <= 0.0:
-            raise WorkloadError(f"{record}: field 'c_vqe_override' must be > 0, got {override}")
-
-    workload_id = raw.get("id")
-    if workload_id is None:
-        workload_id = f"{family.value}-{data_qubits}q-d{depth}"
-    elif not isinstance(workload_id, str) or not workload_id:
-        raise WorkloadError(f"{record}: field 'id' must be a non-empty string, got {workload_id!r}")
-
+        fields.fail("qaoa_layers", "is only valid for the qaoa family")
+    epsilon = fields.number("target_epsilon", gt=0, le=1)
+    iterations = fields.integer("ansatz_iterations", minimum=1)
+    prep = fields.number("classical_prep_time", 0.0, ge=0)
+    grouping = fields.choice("pauli_grouping", PauliGrouping, PauliGrouping.NONE)
+    mitigation_fields = fields.record("mitigation", _MITIGATION_KEYS)
+    mitigation = MitigationSpec(
+        enabled=mitigation_fields.flag("enabled", False),
+        exponent_coefficient=mitigation_fields.number("exponent_coefficient", 1.0, ge=0),
+    )
+    override = fields.number("c_vqe_override", None, gt=0)
+    workload_id = fields.text("id", None, nonempty=True)
     return WorkloadSpec(
-        id=workload_id,
+        id=f"{family.value}-{data_qubits}q-d{depth}" if workload_id is None else workload_id,
         family=family,
         data_qubits=data_qubits,
         depth=depth,
@@ -296,13 +226,16 @@ def _parse_one(raw: object, index: int, strict: bool, warnings: list[str]) -> Wo
     )
 
 
-def parse_workloads(document: str, *, strict: bool = True) -> tuple[WorkloadSpec, ...]:
-    """Parse a workload document (single object or list of objects)."""
+def parse_workloads(document: str, *, strict: bool = True) -> Workloads:
+    """Parse a workload document (single object or list of objects).
+
+    Strict mode (default) rejects unknown fields; lenient mode collects them
+    into the result's ``warnings``.
+    """
     try:
         raw = json.loads(document)
     except json.JSONDecodeError as exc:
         raise WorkloadError(f"workload document: {exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
-    warnings: list[str] = []
     if isinstance(raw, dict):
         items: list[object] = [raw]
     elif isinstance(raw, list):
@@ -311,4 +244,6 @@ def parse_workloads(document: str, *, strict: bool = True) -> tuple[WorkloadSpec
         raise WorkloadError(f"workload document must be an object or a list, got {type(raw).__name__}")
     if not items:
         raise WorkloadError("no workloads: the workload document is an empty list")
-    return tuple(_parse_one(item, i, strict, warnings) for i, item in enumerate(items))
+    checker = Checker(WorkloadError, strict)
+    specs = [_parse_one(item, i, checker) for i, item in enumerate(items)]
+    return Workloads(specs, checker.warnings)

@@ -97,6 +97,8 @@ def test_cluster_connectivity_accepted():
 def test_gate_time_must_be_positive():
     with pytest.raises(CatalogValidationError, match="two_qubit_gate_time"):
         parse_catalog(minimal_doc(two_qubit_gate_time=0))
+    with pytest.raises(CatalogValidationError, match="two_qubit_gate_time.*finite"):
+        parse_catalog(minimal_doc(two_qubit_gate_time=10**400))
 
 
 def test_bundled_contains_reference_hardware():

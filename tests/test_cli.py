@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from nisq_gonogo.catalog import bundled_catalog, serialize_catalog
-from nisq_gonogo.cli import EXIT_ERROR, EXIT_NO_GO, EXIT_OK, ENV_CATALOG, main
+from nisq_gonogo.cli import EXIT_ERROR, EXIT_NO_GO, EXIT_OK, ENV_CATALOG, main, render_catalog_md
+from nisq_gonogo.scatter import scatter_csv, scatter_svg
 
 WORKLOAD_53x8 = {
     "id": "surface-scan",
@@ -284,3 +286,60 @@ def test_report_determinism_across_runs(capsys, tmp_path):
     code1, out1, _ = run(capsys, "feasibility", "--workload", str(workload_path))
     code2, out2, _ = run(capsys, "feasibility", "--workload", str(workload_path))
     assert (code1, out1) == (code2, out2)
+
+
+@pytest.mark.parametrize("document", ["workload", "catalog", "profile"])
+def test_unknown_field_warns_on_stderr_or_fails_strict(capsys, tmp_path, document):
+    docs = {
+        "workload": dict(BENZENE_LIKE),
+        "catalog": json.loads(serialize_catalog(bundled_catalog())),
+        "profile": {"runtime_s": 3600.0, "classical_ref": "nvidia-dgx-rack"},
+    }
+
+    def compare(*flags):
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc), encoding="utf-8")
+        return run(
+            capsys, "compare", "--qpu", "ibm-flamingo", "--workload", str(paths["workload"]),
+            "--catalog", str(paths["catalog"]), "--classical", str(paths["profile"]), *flags,
+        )
+
+    clean = compare()
+    assert clean[0] == EXIT_OK and clean[2] == ""
+    record = docs["catalog"]["qpus"][0] if document == "catalog" else docs[document]
+    record["surprise"] = 1
+
+    code, out, err = compare()
+    assert (code, out) == clean[:2]
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: ") and "unknown field 'surprise'" in lines[0]
+
+    code, out, err = compare("--strict")
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ") and "'surprise'" in err
+
+
+def test_infinite_profile_memory_is_an_input_error(capsys, workload_file, tmp_path):
+    profile_path = tmp_path / "classical.json"
+    profile_path.write_text('{"runtime_s": 10, "memory_bytes": Infinity}', encoding="utf-8")
+    code, _, err = run(
+        capsys, "compare", "--workload", workload_file(BENZENE_LIKE), "--qpu", "ibm-flamingo",
+        "--classical", str(profile_path),
+    )
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ") and "memory_bytes" in err and "Traceback" not in err
+
+
+def test_bundled_catalog_renderings_are_pinned():
+    catalog = bundled_catalog()
+    digests = {
+        render.__name__: hashlib.sha256(render(catalog).encode("utf-8")).hexdigest()
+        for render in (render_catalog_md, scatter_csv, scatter_svg)
+    }
+    assert digests == {
+        "render_catalog_md": "74d276f2cd24c0fe157e33314451498147ddc0af8b1709f660b8984f7704bcc3",
+        "scatter_csv": "97f038fe7ba926a99c4d3fd24a846f24ce3500db58ea3f7c21b52dfc8bbfe8ff",
+        "scatter_svg": "85c933e18a8025a75aa65da90f3b8c0f64752908efe9a4c4328c47f54bdf42f9",
+    }

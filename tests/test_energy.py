@@ -51,7 +51,7 @@ class TestJobEnergy:
     def test_accepts_runtime_estimate(self):
         spec = make_spec(classical_prep_time=0.0)
         rt = estimate_runtime(qpu_with(), spec, shot_plan(spec, 0.006))
-        assert job_energy(10.0, rt) == pytest.approx(10.0 * rt.total_time, rel=1e-12)
+        assert job_energy(10.0, rt.total_time) == pytest.approx(10.0 * rt.total_time, rel=1e-12)
 
     def test_tenfold_power_ratio_at_equal_runtime(self):
         # 3 kW machine vs 30 kW reference at the same wall-clock

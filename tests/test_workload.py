@@ -180,7 +180,17 @@ class TestParsing:
         )
         with pytest.raises(WorkloadError, match="oops"):
             parse_workloads(doc, strict=True)
-        assert parse_workloads(doc, strict=False)[0].data_qubits == 4
+        specs = parse_workloads(doc, strict=False)
+        assert specs[0].data_qubits == 4
+        assert specs.warnings == ("workload #0: ignoring unknown field 'oops'",)
+
+    def test_null_stands_for_absent_only_where_absent_means_none(self):
+        base = {"family": "vqe", "data_qubits": 4, "depth": 2, "target_epsilon": 0.5, "ansatz_iterations": 1}
+        with_nulls = dict(base, id=None, c_vqe_override=None, qaoa_layers=None)
+        assert parse_workloads(json.dumps(with_nulls)) == parse_workloads(json.dumps(base))
+        for key in ("classical_prep_time", "pauli_grouping", "mitigation"):
+            with pytest.raises(WorkloadError, match=key):
+                parse_workloads(json.dumps(dict(base, **{key: None})))
 
     def test_epsilon_range_checked(self):
         doc = json.dumps(
