@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .feasibility import EmulationTier
-from .fields import Checker, keys_of
+from .fields import Checker, json_of, keys_of
 
 SCHEMA_VERSION = 1
 
@@ -110,14 +110,15 @@ class QpuSpec:
     modality: Modality
     qubit_count: int
     two_qubit_error_median: float
+    # Keyword-only, so that it sits at its place in the layout ``serialize_catalog`` writes.
+    two_qubit_error_stddev: float | None = field(default=None, kw_only=True)
     two_qubit_gate_time: float
     readout_time: float
     reset_time: float
     connectivity: str
+    power_components: tuple[PowerComponent, ...] = field(default=(), kw_only=True)  # likewise
     status: QpuStatus
     source_note: str
-    two_qubit_error_stddev: float | None = None
-    power_components: tuple[PowerComponent, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -135,23 +136,22 @@ class ClassicalRefSpec:
 class Catalog:
     qpus: tuple[QpuSpec, ...]
     classical_refs: tuple[ClassicalRefSpec, ...] = ()
-    schema_version: int = SCHEMA_VERSION
     # Lenient-mode warnings; not part of structural equality or serialization.
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def get_qpu(self, qpu_id: str) -> QpuSpec:
-        for qpu in self.qpus:
-            if qpu.id == qpu_id:
-                return qpu
-        known = ", ".join(q.id for q in self.qpus)
-        raise CatalogError(f"unknown qpu id {qpu_id!r} (catalog has: {known})")
+        return _lookup(self.qpus, qpu_id, "qpu")
 
     def get_classical_ref(self, ref_id: str) -> ClassicalRefSpec:
-        for ref in self.classical_refs:
-            if ref.id == ref_id:
-                return ref
-        known = ", ".join(r.id for r in self.classical_refs)
-        raise CatalogError(f"unknown classical ref id {ref_id!r} (catalog has: {known})")
+        return _lookup(self.classical_refs, ref_id, "classical ref")
+
+
+def _lookup(entries, entry_id: str, kind: str):
+    for entry in entries:
+        if entry.id == entry_id:
+            return entry
+    known = ", ".join(e.id for e in entries)
+    raise CatalogError(f"unknown {kind} id {entry_id!r} (catalog has: {known})")
 
 
 _POWER_COMPONENT_KEYS = keys_of(PowerComponent)
@@ -254,50 +254,7 @@ def parse_catalog(document: str, *, strict: bool = True) -> Catalog:
                 raise CatalogValidationError(f"catalog: duplicate id {entry_id!r} in {label}")
             seen.add(entry_id)
 
-    return Catalog(qpus=qpus, classical_refs=refs, schema_version=version, warnings=tuple(checker.warnings))
-
-
-def _qpu_to_dict(qpu: QpuSpec) -> dict:
-    out: dict = {
-        "id": qpu.id,
-        "modality": qpu.modality.value,
-        "qubit_count": qpu.qubit_count,
-        "two_qubit_error_median": qpu.two_qubit_error_median,
-    }
-    if qpu.two_qubit_error_stddev is not None:
-        out["two_qubit_error_stddev"] = qpu.two_qubit_error_stddev
-    out.update(
-        {
-            "two_qubit_gate_time": qpu.two_qubit_gate_time,
-            "readout_time": qpu.readout_time,
-            "reset_time": qpu.reset_time,
-            "connectivity": qpu.connectivity,
-            "power_components": [
-                {
-                    "label": c.label,
-                    "unit_power_w": c.unit_power_w,
-                    "count": c.count,
-                    "per_qubit": c.per_qubit,
-                }
-                for c in qpu.power_components
-            ],
-            "status": qpu.status.value,
-            "source_note": qpu.source_note,
-        }
-    )
-    return out
-
-
-def _classical_ref_to_dict(ref: ClassicalRefSpec) -> dict:
-    out: dict = {
-        "id": ref.id,
-        "description": ref.description,
-        "power_draw": ref.power_draw,
-        "memory_capacity": ref.memory_capacity,
-    }
-    if ref.tier_hint is not None:
-        out["tier_hint"] = ref.tier_hint
-    return out
+    return Catalog(qpus=qpus, classical_refs=refs, warnings=tuple(checker.warnings))
 
 
 def serialize_catalog(catalog: Catalog) -> str:
@@ -306,9 +263,9 @@ def serialize_catalog(catalog: Catalog) -> str:
     Round-trip stable: the result re-parses to a structurally equal Catalog.
     """
     doc = {
-        "schema_version": catalog.schema_version,
-        "qpus": [_qpu_to_dict(q) for q in catalog.qpus],
-        "classical_refs": [_classical_ref_to_dict(r) for r in catalog.classical_refs],
+        "schema_version": SCHEMA_VERSION,
+        "qpus": [json_of(q) for q in catalog.qpus],
+        "classical_refs": [json_of(r) for r in catalog.classical_refs],
     }
     return json.dumps(doc, indent=2) + "\n"
 

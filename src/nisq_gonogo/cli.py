@@ -29,7 +29,7 @@ from . import feasibility as feas
 from . import runtime as runtime_mod
 from . import workload as workload_mod
 from .catalog import Catalog, QpuSpec, bundled_catalog, parse_catalog
-from .fields import Checker
+from .fields import Checker, keys_of
 from .scatter import scatter_csv, scatter_svg
 from .units import (
     format_bytes,
@@ -46,33 +46,24 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_GO = 2
 
+_CAPACITY_LABEL = "no-go (capacity)"
+# Rows sort go first, then marginal, no-go, and capacity misses last.
+_VERDICT_RANK = {verdict: rank for rank, verdict in enumerate(feas.Verdict)}
+
 
 @dataclass(frozen=True)
 class VerdictRow:
     qpu_id: str
     workload_id: str
-    verdict: feas.FeasibilityVerdict | None
+    verdict: feas.FeasibilityVerdict | None  # None: the workload needs more qubits than the qpu has
     note: str = ""
-
-    @property
-    def verdict_label(self) -> str:
-        if self.verdict is None:
-            return "no-go (capacity)"
-        return self.verdict.verdict.value
 
 
 @dataclass(frozen=True)
 class ResourceRecord:
-    qpu_id: str
-    workload_id: str
     plan: workload_mod.ShotPlan
     runtime: runtime_mod.RuntimeEstimate
     energy: energy_mod.EnergyEstimate
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    verdicts: tuple[VerdictRow, ...] = ()
 
 
 def _warn(warnings: Sequence[str]) -> None:
@@ -99,10 +90,13 @@ def load_workloads(path: str, *, strict: bool) -> workload_mod.Workloads:
 
 
 def _verdict_sort_key(row: VerdictRow):
-    order = {feas.Verdict.GO: 0, feas.Verdict.MARGINAL: 1, feas.Verdict.NO_GO: 2}
     if row.verdict is None:
-        return (3, math.inf, row.qpu_id, row.workload_id)
-    return (order[row.verdict.verdict], row.verdict.required_error_rate, row.qpu_id, row.workload_id)
+        return (len(_VERDICT_RANK), math.inf, row.qpu_id, row.workload_id)
+    return (_VERDICT_RANK[row.verdict.verdict], row.verdict.required_error_rate, row.qpu_id, row.workload_id)
+
+
+def _is_go(row: VerdictRow) -> bool:
+    return row.verdict is not None and row.verdict.verdict is feas.Verdict.GO
 
 
 def build_feasibility_bundle(
@@ -110,7 +104,7 @@ def build_feasibility_bundle(
     workloads: tuple[workload_mod.WorkloadSpec, ...],
     *,
     marginal_band: float = 10.0,
-) -> ReportBundle:
+) -> tuple[VerdictRow, ...]:
     rows = []
     for spec in workloads:
         shape = spec.shape
@@ -134,18 +128,18 @@ def build_feasibility_bundle(
                 notes.append("optimistic: error-rate spread unreported")
             rows.append(VerdictRow(qpu_id=qpu.id, workload_id=spec.id, verdict=verdict, note="; ".join(notes)))
     rows.sort(key=_verdict_sort_key)
-    return ReportBundle(verdicts=tuple(rows))
+    return tuple(rows)
 
 
-def render_feasibility_md(bundle: ReportBundle) -> str:
+def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
     lines = ["# Feasibility report", ""]
     lines.append(
         "| verdict | qpu | workload | required error rate | available error rate (fidelity) | success probability | note |"
     )
     lines.append("|---|---|---|---|---|---|---|")
-    for row in bundle.verdicts:
+    for row in bundle:
         if row.verdict is None:
-            lines.append(f"| {row.verdict_label} | {row.qpu_id} | {row.workload_id} | - | - | - | {row.note} |")
+            lines.append(f"| {_CAPACITY_LABEL} | {row.qpu_id} | {row.workload_id} | - | - | - | {row.note} |")
             continue
         v = row.verdict
         lines.append(
@@ -154,13 +148,13 @@ def render_feasibility_md(bundle: ReportBundle) -> str:
             f"| {sci(v.available_error_rate)} ({format_fidelity_percent(v.available_error_rate, 2)}) "
             f"| {sci(v.success_probability)} | {row.note} |"
         )
-    go = sum(1 for r in bundle.verdicts if r.verdict is not None and r.verdict.verdict is feas.Verdict.GO)
+    go = sum(1 for row in bundle if _is_go(row))
     lines.append("")
-    lines.append(f"{go} of {len(bundle.verdicts)} (qpu, workload) pairs reach go.")
+    lines.append(f"{go} of {len(bundle)} (qpu, workload) pairs reach go.")
     return "\n".join(lines) + "\n"
 
 
-def render_feasibility_csv(bundle: ReportBundle) -> str:
+def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
     import csv as _csv
     import io as _io
 
@@ -178,9 +172,9 @@ def render_feasibility_csv(bundle: ReportBundle) -> str:
             "note",
         ]
     )
-    for row in bundle.verdicts:
+    for row in bundle:
         if row.verdict is None:
-            writer.writerow([row.verdict_label, row.qpu_id, row.workload_id, "", "", "", "", row.note])
+            writer.writerow([_CAPACITY_LABEL, row.qpu_id, row.workload_id, "", "", "", "", row.note])
         else:
             v = row.verdict
             writer.writerow(
@@ -216,7 +210,7 @@ def build_estimate_record(
     plan = workload_mod.shot_plan(spec, qpu.two_qubit_error_median, qaoa_aggregate=qaoa_aggregate)
     rt = runtime_mod.estimate_runtime(qpu, spec, plan, parallel_shots=parallel_shots)
     en = energy_mod.estimate_energy(qpu, rt)
-    return ResourceRecord(qpu_id=qpu.id, workload_id=spec.id, plan=plan, runtime=rt, energy=en)
+    return ResourceRecord(plan=plan, runtime=rt, energy=en)
 
 
 def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.WorkloadSpec) -> str:
@@ -261,7 +255,7 @@ def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.
     return "\n".join(lines) + "\n"
 
 
-_PROFILE_KEYS = frozenset({"runtime_s", "energy_j", "cost", "quality", "memory_bytes", "classical_ref"})
+_PROFILE_KEYS = keys_of(adv.SolutionProfile) | {"classical_ref"}
 
 
 def _read_classical_profile(path: str, catalog: Catalog, *, strict: bool) -> tuple[adv.SolutionProfile, list[str]]:
@@ -339,20 +333,17 @@ def _emit(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text, encoding="utf-8")
 
 
-def cmd_feasibility(args: argparse.Namespace) -> int:
-    catalog = load_catalog(args.catalog, strict=args.strict)
+def cmd_feasibility(args: argparse.Namespace, catalog: Catalog) -> int:
     workloads = load_workloads(args.workload, strict=args.strict)
     bundle = build_feasibility_bundle(catalog, workloads, marginal_band=args.marginal_band)
     if args.format == "csv":
         _emit(render_feasibility_csv(bundle), args.out)
     else:
         _emit(render_feasibility_md(bundle), args.out)
-    any_go = any(r.verdict is not None and r.verdict.verdict is feas.Verdict.GO for r in bundle.verdicts)
-    return EXIT_OK if any_go else EXIT_NO_GO
+    return EXIT_OK if any(_is_go(row) for row in bundle) else EXIT_NO_GO
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    catalog = load_catalog(args.catalog, strict=args.strict)
+def cmd_estimate(args: argparse.Namespace, catalog: Catalog) -> int:
     workloads = load_workloads(args.workload, strict=args.strict)
     qpu = catalog.get_qpu(args.qpu)
     sections = []
@@ -365,8 +356,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_scatter(args: argparse.Namespace) -> int:
-    catalog = load_catalog(args.catalog, strict=args.strict)
+def cmd_scatter(args: argparse.Namespace, catalog: Catalog) -> int:
     out = Path(args.out)
     csv_path = out.with_suffix(".csv")
     svg_path = out.with_suffix(".svg")
@@ -376,8 +366,7 @@ def cmd_scatter(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    catalog = load_catalog(args.catalog, strict=args.strict)
+def cmd_compare(args: argparse.Namespace, catalog: Catalog) -> int:
     workloads = load_workloads(args.workload, strict=args.strict)
     if len(workloads) != 1:
         raise ValueError(f"compare expects exactly one workload, got {len(workloads)}")
@@ -401,7 +390,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     report = adv.classify(quantum, classical, parity_band=args.parity_band)
     header = (
         f"quantum side: {spec.id} on {qpu.id}: runtime {format_seconds(record.runtime.total_time)}, "
-        f"state space {format_bytes(feas.statevector_memory(spec.data_qubits))} "
+        f"state space {format_bytes(quantum.memory_bytes)} "
         f"({spec.data_qubits} qubits)\n"
         f"classical side: runtime {format_seconds(classical.runtime_s)}"
         + (f", energy {format_joules(classical.energy_j)}" if classical.energy_j is not None else "")
@@ -412,8 +401,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_catalog(args: argparse.Namespace) -> int:
-    _emit(render_catalog_md(load_catalog(args.catalog, strict=args.strict)), args.out)
+def cmd_catalog(args: argparse.Namespace, catalog: Catalog) -> int:
+    _emit(render_catalog_md(catalog), args.out)
     return EXIT_OK
 
 
@@ -430,8 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strict", action="store_true", help="reject unknown input fields instead of warning")
         if workload:
             p.add_argument("--workload", metavar="PATH", required=True, help="workload file (object or list)")
-        if qpu:
+        if qpu:  # the commands on one qpu estimate its resources
             p.add_argument("--qpu", metavar="ID", required=True, help="catalog id of the target qpu")
+            p.add_argument("--parallel-shots", type=int, default=1, metavar="K", help="shot-parallelism divisor (default 1)")
+            p.add_argument(
+                "--qaoa-aggregate",
+                action="store_true",
+                help="use the aggregate n^2/eps shot budget for qaoa workloads",
+            )
 
     p_feas = sub.add_parser("feasibility", help="go/no-go verdicts for every (qpu, workload) pair")
     common(p_feas, workload=True)
@@ -448,12 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="shots, runtime, and energy for a workload on one qpu")
     common(p_est, workload=True, qpu=True)
     p_est.add_argument("--format", choices=("md",), default="md")
-    p_est.add_argument("--parallel-shots", type=int, default=1, metavar="K", help="shot-parallelism divisor (default 1)")
-    p_est.add_argument(
-        "--qaoa-aggregate",
-        action="store_true",
-        help="use the aggregate n^2/eps shot budget for qaoa workloads",
-    )
     p_est.set_defaults(func=cmd_estimate)
 
     p_scat = sub.add_parser("scatter", help="emit the catalog landscape as CSV + SVG")
@@ -465,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--format", choices=("md",), default="md")
     p_cmp.add_argument("--classical", metavar="PATH", required=True, help="classical solution profile (JSON)")
     p_cmp.add_argument("--parity-band", type=float, default=adv.DEFAULT_PARITY_BAND, metavar="FRACTION")
-    p_cmp.add_argument("--parallel-shots", type=int, default=1, metavar="K")
-    p_cmp.add_argument("--qaoa-aggregate", action="store_true")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_cat = sub.add_parser("catalog", help="validate and summarize a catalog")
@@ -481,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_catalog(args.catalog, strict=args.strict))
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

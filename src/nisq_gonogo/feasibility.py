@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -99,19 +100,21 @@ def required_error_rate(shape: CircuitShape) -> float:
     """Largest two-qubit error rate tolerable for ``shape``: 1/(breadth*depth).
 
     No safety factor is applied; headroom is expressed through the three-way
-    verdict in :func:`assess` instead.
+    verdict in :func:`assess` instead.  A volume beyond float range gives 0.0.
     """
-    return 1.0 / shape.volume
+    return 1 / shape.volume
 
 
 def success_probability(error_rate: float, shape: CircuitShape) -> float:
     """Probability that all ``breadth*depth`` gate slots succeed.
 
-    ``(1 - error_rate) ** (breadth*depth)``, treating the circuit volume as
-    the dominant two-qubit gate count.
+    ``(1 - error_rate) ** (breadth*depth)``, treating the circuit volume as the
+    dominant two-qubit gate count; a volume beyond float range gives the limit.
     """
     if not 0.0 <= error_rate < 1.0:
         raise ValueError(f"error_rate must be in [0, 1), got {error_rate}")
+    if shape.volume > sys.float_info.max:
+        return 1.0 if error_rate == 0.0 else 0.0
     return (1.0 - error_rate) ** shape.volume
 
 
@@ -148,8 +151,11 @@ def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = 10.0) ->
 
     go: available error strictly below required; marginal: within
     ``marginal_band`` times required; no-go: beyond.  Raises
-    :class:`CapacityError` when the shape needs more qubits than the QPU has.
+    :class:`CapacityError` when the shape needs more qubits than the QPU has,
+    and ``ValueError`` unless ``marginal_band`` is finite and above 1.
     """
+    if not 1.0 < marginal_band < math.inf:
+        raise ValueError(f"marginal_band must be finite and > 1, got {marginal_band}")
     if shape.breadth > qpu.qubit_count:
         raise CapacityError(
             f"workload breadth {shape.breadth} exceeds qpu '{qpu.id}' qubit count {qpu.qubit_count}"

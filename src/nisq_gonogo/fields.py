@@ -10,6 +10,8 @@ bounds and enum choices.  Every message names the record and the field.
 An absent field takes the getter's ``default``; with no default it is
 required.  A field whose default is ``None`` also accepts an explicit JSON
 ``null``; elsewhere ``null`` fails the type check.
+
+:func:`json_of` writes a record back in the layout whose keys :func:`keys_of` gives.
 """
 
 from __future__ import annotations
@@ -151,6 +153,24 @@ class Record:
 def keys_of(cls: type) -> frozenset[str]:
     """The keys of a JSON object whose fields are those of the dataclass ``cls``."""
     return frozenset(field.name for field in dataclasses.fields(cls))
+
+
+def json_of(record: object) -> dict:
+    """The JSON object of the dataclass instance ``record``, as its parser reads it.
+
+    Fields appear in declaration order; enums are written as their values,
+    tuples of records as lists, and a field holding ``None`` is left out.
+    """
+    out = {}
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, enum.Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = [json_of(item) for item in value]
+        if value is not None:
+            out[field.name] = value
+    return out
 
 
 def _bounds_text(gt, ge, lt, le) -> str:

@@ -91,6 +91,11 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data (a local helper keeps XML modules out of CLI start-up)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def scatter_svg(catalog: Catalog, *, depth: int = DEFAULT_FRONTIER_DEPTH) -> str:
     """Self-contained SVG scatter plot of the catalog."""
     parts: list[str] = []
@@ -171,7 +176,7 @@ def scatter_svg(catalog: Catalog, *, depth: int = DEFAULT_FRONTIER_DEPTH) -> str
         stroke_attr = f' stroke="{stroke}" stroke-width="1.5"' if stroke != "none" else ""
         parts.append(
             f'<circle cx="{_fmt(_x(n))}" cy="{_fmt(_y(e))}" r="5" fill="{fill}"{stroke_attr}>'
-            f"<title>{qpu.id}: {qpu.qubit_count} qubits, error {qpu.two_qubit_error_median}</title></circle>"
+            f"<title>{_escape(qpu.id)}: {qpu.qubit_count} qubits, error {qpu.two_qubit_error_median}</title></circle>"
         )
 
     # legend

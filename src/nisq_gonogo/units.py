@@ -78,7 +78,10 @@ def format_bytes(n: int) -> str:
     values beyond yobibytes ("astronomical" in report terms)."""
     if n < 0:
         raise ValueError(f"byte count must be non-negative, got {n}")
-    value = float(n)
+    try:
+        value = float(n)
+    except OverflowError:  # an int at or above 2^1024, printed as astronomical below
+        value = math.inf
     for unit in _BYTE_UNITS:
         if value < 1024.0 or unit == _BYTE_UNITS[-1]:
             if value >= 1024.0:

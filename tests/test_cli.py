@@ -137,6 +137,20 @@ class TestFeasibilityCommand:
         code, out, _ = run(capsys, "feasibility", "--workload", workload_file(WORKLOAD_53x8), "--format", "csv")
         assert out.splitlines()[0].startswith("verdict,qpu_id,workload_id")
 
+    def test_volume_beyond_float_range_reads_no_go(self, capsys, workload_file):
+        workload = dict(WORKLOAD_53x8, data_qubits=4, depth=10**400)
+        code, out, err = run(capsys, "feasibility", "--workload", workload_file(workload))
+        assert code == EXIT_NO_GO and err == ""
+        assert "| no-go | google-sycamore-2022 | surface-scan | 0 | 0.006 (99.40%) | 0 |" in out
+
+    @pytest.mark.parametrize("band", ["-3", "1", "nan"])
+    def test_marginal_band_must_be_finite_and_above_one(self, capsys, workload_file, band):
+        code, out, err = run(
+            capsys, "feasibility", "--workload", workload_file(WORKLOAD_53x8), "--marginal-band", band
+        )
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith("error: ") and "marginal_band" in err and len(err.splitlines()) == 1
+
 
 class TestEstimateCommand:
     def test_chemistry_scale_report(self, capsys, workload_file):
@@ -321,6 +335,18 @@ def test_unknown_field_warns_on_stderr_or_fails_strict(capsys, tmp_path, documen
     assert err.startswith("error: ") and "'surprise'" in err
 
 
+def test_astronomical_state_space_is_reported(capsys, workload_file, tmp_path):
+    profile_path = tmp_path / "classical.json"
+    profile_path.write_text('{"runtime_s": 3600}', encoding="utf-8")
+    workload = dict(WORKLOAD_53x8, data_qubits=1100)
+    code, out, err = run(
+        capsys, "compare", "--workload", workload_file(workload), "--qpu", "ibm-flamingo",
+        "--classical", str(profile_path),
+    )
+    assert code == EXIT_OK and err == ""
+    assert "state space ~2^1104 B (astronomical) (1100 qubits)" in out.splitlines()[0]
+
+
 def test_infinite_profile_memory_is_an_input_error(capsys, workload_file, tmp_path):
     profile_path = tmp_path / "classical.json"
     profile_path.write_text('{"runtime_s": 10, "memory_bytes": Infinity}', encoding="utf-8")
@@ -336,10 +362,11 @@ def test_bundled_catalog_renderings_are_pinned():
     catalog = bundled_catalog()
     digests = {
         render.__name__: hashlib.sha256(render(catalog).encode("utf-8")).hexdigest()
-        for render in (render_catalog_md, scatter_csv, scatter_svg)
+        for render in (render_catalog_md, scatter_csv, scatter_svg, serialize_catalog)
     }
     assert digests == {
         "render_catalog_md": "74d276f2cd24c0fe157e33314451498147ddc0af8b1709f660b8984f7704bcc3",
         "scatter_csv": "97f038fe7ba926a99c4d3fd24a846f24ce3500db58ea3f7c21b52dfc8bbfe8ff",
         "scatter_svg": "85c933e18a8025a75aa65da90f3b8c0f64752908efe9a4c4328c47f54bdf42f9",
+        "serialize_catalog": "2c6ea6f87c3148777d202384499aed305b553855b5dc2f295178b0a3a4763cad",
     }

@@ -1,4 +1,6 @@
 import xml.dom.minidom
+import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
@@ -34,6 +36,13 @@ def test_svg_well_formed_with_markers():
     assert svg.splitlines()[1] == SVG_VERSION_COMMENT
     for qpu in bundled_catalog().qpus:
         assert qpu.id in svg
+
+
+def test_svg_escapes_qpu_ids():
+    qpu = replace(bundled_catalog().qpus[0], id="a&b<c")
+    root = ET.fromstring(scatter_svg(Catalog(qpus=(qpu,))).encode("utf-8"))
+    titles = [el.text for el in root.iter("{http://www.w3.org/2000/svg}title")]
+    assert len(titles) == 1 and titles[0].startswith("a&b<c: ")
 
 
 def test_empty_catalog_svg_still_has_axes_and_zones():

@@ -50,6 +50,8 @@ def test_format_bytes():
     assert format_bytes(2**44) == "16 TiB"
     assert format_bytes(2**54) == "16 PiB"
     assert "astronomical" in format_bytes(2**104)
+    assert format_bytes(2**1030) == "~2^1030 B (astronomical)"
+    assert format_bytes(10**400) == f"~2^{(10**400).bit_length() - 1} B (astronomical)"
 
 
 def test_format_watts_and_joules():
