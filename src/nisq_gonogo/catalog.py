@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .feasibility import EmulationTier
-from .fields import Checker, json_of, keys_of
+from .fields import Checker, decode, json_of, keys_of
 
 SCHEMA_VERSION = 1
 
@@ -60,14 +60,7 @@ class CatalogError(ValueError):
 
 
 class CatalogSyntaxError(CatalogError):
-    """Malformed JSON; carries the reported position."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
-        self.line = line
-        self.column = column
+    """Malformed JSON; the message gives the position."""
 
 
 class CatalogValidationError(CatalogError):
@@ -234,11 +227,7 @@ def parse_catalog(document: str, *, strict: bool = True) -> Catalog:
     malformed JSON and :class:`CatalogValidationError` on invariant
     violations, naming the offending record and field.
     """
-    try:
-        raw = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise CatalogSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-
+    raw = decode(document, "catalog", CatalogSyntaxError)
     checker = Checker(CatalogValidationError, strict)
     fields = checker.record(raw, "catalog", _CATALOG_KEYS)
     version = fields.integer("schema_version")

@@ -15,7 +15,6 @@ pair reached go, 1 input or I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -29,9 +28,10 @@ from . import feasibility as feas
 from . import runtime as runtime_mod
 from . import workload as workload_mod
 from .catalog import Catalog, QpuSpec, bundled_catalog, parse_catalog
-from .fields import Checker, keys_of
+from .fields import Checker, decode, keys_of
 from .scatter import scatter_csv, scatter_svg
 from .units import (
+    csv_text,
     format_bytes,
     format_fidelity_percent,
     format_joules,
@@ -105,6 +105,7 @@ def build_feasibility_bundle(
     *,
     marginal_band: float = 10.0,
 ) -> tuple[VerdictRow, ...]:
+    feas.check_marginal_band(marginal_band)  # also when the catalog has no qpus to assess
     rows = []
     for spec in workloads:
         shape = spec.shape
@@ -155,13 +156,8 @@ def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
 
 
 def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
-    import csv as _csv
-    import io as _io
-
-    out = _io.StringIO()
-    writer = _csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
+    def rows():  # made one at a time as the writer asks, so no list of a large grid's rows is built
+        yield [
             "verdict",
             "qpu_id",
             "workload_id",
@@ -171,14 +167,12 @@ def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
             "optimistic",
             "note",
         ]
-    )
-    for row in bundle:
-        if row.verdict is None:
-            writer.writerow([_CAPACITY_LABEL, row.qpu_id, row.workload_id, "", "", "", "", row.note])
-        else:
-            v = row.verdict
-            writer.writerow(
-                [
+        for row in bundle:
+            if row.verdict is None:
+                yield [_CAPACITY_LABEL, row.qpu_id, row.workload_id, "", "", "", "", row.note]
+            else:
+                v = row.verdict
+                yield [
                     v.verdict.value,
                     row.qpu_id,
                     row.workload_id,
@@ -188,8 +182,8 @@ def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
                     str(v.optimistic).lower(),
                     row.note,
                 ]
-            )
-    return out.getvalue()
+
+    return csv_text(rows())
 
 
 def _describe_qpu(qpu: QpuSpec) -> str:
@@ -259,10 +253,7 @@ _PROFILE_KEYS = keys_of(adv.SolutionProfile) | {"classical_ref"}
 
 
 def _read_classical_profile(path: str, catalog: Catalog, *, strict: bool) -> tuple[adv.SolutionProfile, list[str]]:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"classical profile: {exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
+    raw = decode(Path(path).read_text(encoding="utf-8"), "classical profile", ValueError)
     checker = Checker(ValueError, strict)
     fields = checker.record(raw, "classical profile", _PROFILE_KEYS)
     runtime_s = fields.number("runtime_s")
@@ -413,9 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, workload: bool = False, qpu: bool = False, out_required: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, *, formats: tuple[str, ...] = ("md",), workload: bool = False, qpu: bool = False) -> None:
         p.add_argument("--catalog", metavar="PATH", default=None, help=f"catalog file (default: ${ENV_CATALOG} or the bundled dataset)")
-        p.add_argument("--out", metavar="PATH", required=out_required, help="also write the report to this path")
+        if formats:  # a report command: it also takes --out and --format
+            p.add_argument("--out", metavar="PATH", help="also write the report to this path")
         p.add_argument("--strict", action="store_true", help="reject unknown input fields instead of warning")
         if workload:
             p.add_argument("--workload", metavar="PATH", required=True, help="workload file (object or list)")
@@ -427,10 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="use the aggregate n^2/eps shot budget for qaoa workloads",
             )
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
 
     p_feas = sub.add_parser("feasibility", help="go/no-go verdicts for every (qpu, workload) pair")
-    common(p_feas, workload=True)
-    p_feas.add_argument("--format", choices=("md", "csv"), default="md")
+    common(p_feas, formats=("md", "csv"), workload=True)
     p_feas.add_argument(
         "--marginal-band",
         type=float,
@@ -442,23 +435,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="shots, runtime, and energy for a workload on one qpu")
     common(p_est, workload=True, qpu=True)
-    p_est.add_argument("--format", choices=("md",), default="md")
     p_est.set_defaults(func=cmd_estimate)
 
     p_scat = sub.add_parser("scatter", help="emit the catalog landscape as CSV + SVG")
-    common(p_scat, out_required=True)
+    common(p_scat, formats=())  # it writes two files, not a report
+    p_scat.add_argument("--out", metavar="PATH", required=True, help="base path of the .csv and .svg files to write")
     p_scat.set_defaults(func=cmd_scatter)
 
     p_cmp = sub.add_parser("compare", help="five-axis advantage comparison against a classical profile")
     common(p_cmp, workload=True, qpu=True)
-    p_cmp.add_argument("--format", choices=("md",), default="md")
     p_cmp.add_argument("--classical", metavar="PATH", required=True, help="classical solution profile (JSON)")
     p_cmp.add_argument("--parity-band", type=float, default=adv.DEFAULT_PARITY_BAND, metavar="FRACTION")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_cat = sub.add_parser("catalog", help="validate and summarize a catalog")
     common(p_cat)
-    p_cat.add_argument("--format", choices=("md",), default="md")
     p_cat.set_defaults(func=cmd_catalog)
 
     return parser

@@ -38,10 +38,10 @@ def power_draw(qpu: QpuSpec) -> float:
 
 
 def job_energy(power: float, seconds: float) -> float:
-    """Joules for a job: power x total wall-clock seconds."""
+    """Joules for a job: power x total wall-clock seconds; 0 W gives 0 J, not nan, over an unbounded runtime."""
     if power < 0.0:
         raise ValueError(f"power must be >= 0, got {power}")
-    return power * seconds
+    return power * seconds if power > 0.0 else 0.0
 
 
 def estimate_energy(qpu: QpuSpec, runtime: RuntimeEstimate) -> EnergyEstimate:

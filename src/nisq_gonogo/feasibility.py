@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .units import as_float
 
 if TYPE_CHECKING:
     from .catalog import QpuSpec
@@ -96,6 +97,16 @@ STATEVECTOR_TIERS = (
 )
 
 
+def check_error_rate(error_rate: float) -> None:
+    if not 0.0 <= error_rate < 1.0:
+        raise ValueError(f"error_rate must be in [0, 1), got {error_rate}")
+
+
+def check_marginal_band(marginal_band: float) -> None:
+    if not 1.0 < marginal_band < math.inf:
+        raise ValueError(f"marginal_band must be finite and > 1, got {marginal_band}")
+
+
 def required_error_rate(shape: CircuitShape) -> float:
     """Largest two-qubit error rate tolerable for ``shape``: 1/(breadth*depth).
 
@@ -111,11 +122,8 @@ def success_probability(error_rate: float, shape: CircuitShape) -> float:
     ``(1 - error_rate) ** (breadth*depth)``, treating the circuit volume as the
     dominant two-qubit gate count; a volume beyond float range gives the limit.
     """
-    if not 0.0 <= error_rate < 1.0:
-        raise ValueError(f"error_rate must be in [0, 1), got {error_rate}")
-    if shape.volume > sys.float_info.max:
-        return 1.0 if error_rate == 0.0 else 0.0
-    return (1.0 - error_rate) ** shape.volume
+    check_error_rate(error_rate)
+    return (1.0 - error_rate) ** as_float(shape.volume)
 
 
 def _snap_to_int(value: float) -> int | None:
@@ -154,8 +162,7 @@ def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = 10.0) ->
     :class:`CapacityError` when the shape needs more qubits than the QPU has,
     and ``ValueError`` unless ``marginal_band`` is finite and above 1.
     """
-    if not 1.0 < marginal_band < math.inf:
-        raise ValueError(f"marginal_band must be finite and > 1, got {marginal_band}")
+    check_marginal_band(marginal_band)
     if shape.breadth > qpu.qubit_count:
         raise CapacityError(
             f"workload breadth {shape.breadth} exceeds qpu '{qpu.id}' qubit count {qpu.qubit_count}"
@@ -208,8 +215,7 @@ def emulation_tier(
         raise ValueError(f"qubits must be >= 1, got {qubits}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if not 0.0 <= error_rate < 1.0:
-        raise ValueError(f"error_rate must be in [0, 1), got {error_rate}")
+    check_error_rate(error_rate)
     for tier, max_qubits in STATEVECTOR_TIERS:
         if qubits <= max_qubits:
             return tier

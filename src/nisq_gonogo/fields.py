@@ -18,11 +18,22 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import json
 import math
 from typing import NoReturn
 
+from .units import as_float
+
 #: Default of a getter whose field must be present.
 REQUIRED = object()
+
+
+def decode(document: str, name: str, error: type[ValueError]) -> object:
+    """The JSON value of ``document``; a syntax error raises ``error`` naming ``name`` and the position."""
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise error(f"{name}: {exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
 
 
 class Checker:
@@ -68,10 +79,7 @@ class Record:
         return value
 
     def _finite(self, key: str, value: int | float) -> float:
-        try:
-            result = float(value)
-        except OverflowError:
-            result = math.inf
+        result = as_float(value)
         if not math.isfinite(result):
             self.fail(key, f"must be finite, got {value!r}")
         return result

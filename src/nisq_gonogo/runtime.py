@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import QpuSpec
+from .units import as_float
 from .workload import ShotPlan, WorkloadSpec
 
 
@@ -35,7 +36,7 @@ def single_shot_time(qpu: QpuSpec, depth: int) -> float:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    return qpu.reset_time + depth * qpu.two_qubit_gate_time + qpu.readout_time
+    return qpu.reset_time + as_float(depth) * qpu.two_qubit_gate_time + qpu.readout_time
 
 
 def estimate_runtime(

@@ -9,12 +9,11 @@ byte-identical output.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 
 from .catalog import Catalog, QpuStatus
 from .feasibility import DEFAULT_SHALLOW_DEPTH, STATEVECTOR_TIERS, TENSOR_NETWORK_ERROR_THRESHOLD
+from .units import csv_text
 
 #: Comment line identifying the layout revision; the only line allowed to
 #: change between releases without being considered a rendering change.
@@ -52,20 +51,18 @@ _STATUS_STYLE = {
 }
 
 
-def frontier_error(qubits: int | float, depth: int = DEFAULT_FRONTIER_DEPTH) -> float:
-    """Feasibility frontier at a given qubit count: error = 1/(depth * n)."""
+def frontier_error(qubits: int | float) -> float:
+    """Feasibility frontier at a given qubit count: error = 1/(depth * n) at the frontier depth."""
     if qubits <= 0:
         raise ValueError(f"qubits must be > 0, got {qubits}")
-    return 1.0 / (depth * qubits)
+    return 1.0 / (DEFAULT_FRONTIER_DEPTH * qubits)
 
 
 def scatter_csv(catalog: Catalog) -> str:
     """RFC-4180 CSV of the catalog scatter data, LF line endings."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["qpu_id", "qubit_count", "two_qubit_error_median", "status", "modality"])
+    rows = [["qpu_id", "qubit_count", "two_qubit_error_median", "status", "modality"]]
     for qpu in catalog.qpus:
-        writer.writerow(
+        rows.append(
             [
                 qpu.id,
                 qpu.qubit_count,
@@ -74,7 +71,7 @@ def scatter_csv(catalog: Catalog) -> str:
                 qpu.modality.value,
             ]
         )
-    return out.getvalue()
+    return csv_text(rows)
 
 
 def _x(qubits: float) -> float:
@@ -96,7 +93,7 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def scatter_svg(catalog: Catalog, *, depth: int = DEFAULT_FRONTIER_DEPTH) -> str:
+def scatter_svg(catalog: Catalog) -> str:
     """Self-contained SVG scatter plot of the catalog."""
     parts: list[str] = []
     parts.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -154,13 +151,13 @@ def scatter_svg(catalog: Catalog, *, depth: int = DEFAULT_FRONTIER_DEPTH) -> str
         f'transform="rotate(-90 20 {_fmt((_PY0 + _PY1) / 2)})">two-qubit error rate (probability)</text>'
     )
 
-    # feasibility frontier error = 1/(depth*n)
+    # feasibility frontier error = 1/(depth*n) at the frontier depth
     samples = 121
     points = []
     for i in range(samples):
         log_n = _XMIN + (_XMAX - _XMIN) * i / (samples - 1)
         n = 10.0**log_n
-        e = frontier_error(n, depth)
+        e = frontier_error(n)
         if 10.0**_YMIN <= e <= 10.0**_YMAX:
             points.append(f"{_fmt(_x(n))},{_fmt(_y(e))}")
     parts.append(
@@ -183,7 +180,7 @@ def scatter_svg(catalog: Catalog, *, depth: int = DEFAULT_FRONTIER_DEPTH) -> str
     legend_x = _PX0 + 10
     legend_y = _PY1 - 70
     legend = [
-        f"dashed line: feasibility frontier error = 1/({depth}*n) at depth {depth}",
+        f"dashed line: feasibility frontier error = 1/({DEFAULT_FRONTIER_DEPTH}*n) at depth {DEFAULT_FRONTIER_DEPTH}",
         "bands: cheapest classical emulation by qubit count;",
         f"  over {_STATEVECTOR_MAX} qubits tensor networks still work for shallow"
         f" (depth at most {DEFAULT_SHALLOW_DEPTH})",

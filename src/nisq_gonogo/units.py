@@ -6,7 +6,10 @@ percent fidelities exist only at the formatting boundary.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from collections.abc import Iterable
 
 MINUTE = 60.0
 HOUR = 3600.0
@@ -19,6 +22,21 @@ YEAR = 365.25 * DAY
 _UNIT_SWITCH = 120.0
 
 _BYTE_UNITS = ("B", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB", "ZiB", "YiB")
+
+
+def as_float(x: int | float) -> float:
+    """``float(x)``, or an infinity of the same sign for an int that ``float()`` cannot hold."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def csv_text(rows: Iterable[Iterable[object]]) -> str:
+    """RFC-4180 CSV of ``rows``, LF line endings; the rows are read one at a time."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def fidelity_percent(error_rate: float) -> float:
@@ -78,21 +96,15 @@ def format_bytes(n: int) -> str:
     values beyond yobibytes ("astronomical" in report terms)."""
     if n < 0:
         raise ValueError(f"byte count must be non-negative, got {n}")
-    try:
-        value = float(n)
-    except OverflowError:  # an int at or above 2^1024, printed as astronomical below
-        value = math.inf
+    value = as_float(n)
     for unit in _BYTE_UNITS:
-        if value < 1024.0 or unit == _BYTE_UNITS[-1]:
-            if value >= 1024.0:
-                # beyond the largest named unit
-                bits = n.bit_length() - 1
-                return f"~2^{bits} B (astronomical)"
+        if value < 1024.0:
             if value == int(value):
                 return f"{int(value)} {unit}"
             return f"{value:.4g} {unit}"
         value /= 1024.0
-    raise AssertionError("unreachable")
+    bits = n.bit_length() - 1
+    return f"~2^{bits} B (astronomical)"
 
 
 def format_watts(watts: float) -> str:

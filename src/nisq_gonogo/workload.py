@@ -21,12 +21,11 @@ Workload files are UTF-8 JSON: either one object with the
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
-from .feasibility import CircuitShape, _snap_to_int
-from .fields import Checker, keys_of
+from .feasibility import CircuitShape, _snap_to_int, check_error_rate
+from .fields import Checker, decode, keys_of
 
 #: Quartic-scaling coefficient for ungrouped VQE measurement bases,
 #: calibrated so a 72-qubit electronic-structure instance needs exactly
@@ -143,8 +142,7 @@ def mitigation_multiplier(spec: MitigationSpec, error_rate: float, shape: Circui
     overhead grows exponentially in depth or qubit number, whichever moves.
     Always >= 1; exactly 1 when disabled or when the circuit is error-free.
     """
-    if not 0.0 <= error_rate < 1.0:
-        raise ValueError(f"error_rate must be in [0, 1), got {error_rate}")
+    check_error_rate(error_rate)
     if not spec.enabled:
         return 1.0
     lam = error_rate * shape.volume
@@ -232,10 +230,7 @@ def parse_workloads(document: str, *, strict: bool = True) -> Workloads:
     Strict mode (default) rejects unknown fields; lenient mode collects them
     into the result's ``warnings``.
     """
-    try:
-        raw = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise WorkloadError(f"workload document: {exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
+    raw = decode(document, "workload document", WorkloadError)
     if isinstance(raw, dict):
         items: list[object] = [raw]
     elif isinstance(raw, list):

@@ -143,10 +143,19 @@ class TestFeasibilityCommand:
         assert code == EXIT_NO_GO and err == ""
         assert "| no-go | google-sycamore-2022 | surface-scan | 0 | 0.006 (99.40%) | 0 |" in out
 
-    @pytest.mark.parametrize("band", ["-3", "1", "nan"])
-    def test_marginal_band_must_be_finite_and_above_one(self, capsys, workload_file, band):
+    @pytest.mark.parametrize(
+        "band, catalog",
+        [
+            pytest.param("-3", None, id="-3"),
+            pytest.param("1", None, id="1"),
+            pytest.param("nan", None, id="nan"),
+            pytest.param("-3", {"schema_version": 1, "qpus": []}, id="-3-empty-catalog"),
+        ],
+    )
+    def test_marginal_band_must_be_finite_and_above_one(self, capsys, workload_file, band, catalog):
+        flags = () if catalog is None else ("--catalog", workload_file(catalog, "catalog.json"))
         code, out, err = run(
-            capsys, "feasibility", "--workload", workload_file(WORKLOAD_53x8), "--marginal-band", band
+            capsys, "feasibility", "--workload", workload_file(WORKLOAD_53x8), "--marginal-band", band, *flags
         )
         assert code == EXIT_ERROR and out == ""
         assert err.startswith("error: ") and "marginal_band" in err and len(err.splitlines()) == 1
@@ -183,6 +192,30 @@ class TestEstimateCommand:
             return float(line.split()[2])
 
         assert total_seconds(mitigated) > total_seconds(plain)
+
+    @pytest.mark.parametrize(
+        "qpu, energy",
+        [("ibm-flamingo", "- job energy: inf J (inf kWh)"), ("google-sycamore-2022", "- job energy: 0 J")],
+        ids=["ibm-flamingo", "google-sycamore-2022"],
+    )
+    def test_depth_beyond_float_range_reads_unbounded(self, capsys, workload_file, qpu, energy):
+        workload = dict(WORKLOAD_53x8, data_qubits=4, depth=10**400)
+        code, out, err = run(capsys, "estimate", "--workload", workload_file(workload), "--qpu", qpu)
+        assert code == EXIT_OK and err == ""
+        assert "Traceback" not in out and "nan" not in out
+        lines = out.splitlines()
+        assert "- total: inf s (unbounded)" in lines and energy in lines
+        assert "feasibility: no-go (required error rate 0, available " in out
+
+    def test_capacity_miss_reads_no_go(self, capsys, workload_file):
+        code, out, err = run(
+            capsys, "estimate", "--workload", workload_file(WORKLOAD_53x8), "--qpu", "ibm-prague-egret"
+        )
+        assert code == EXIT_OK and err == ""
+        assert (
+            "feasibility: no-go (workload breadth 53 exceeds qpu 'ibm-prague-egret' qubit count 33)"
+            in out.splitlines()
+        )
 
     def test_unknown_qpu_id(self, capsys, workload_file):
         code, _, err = run(capsys, "estimate", "--workload", workload_file(BENZENE_LIKE), "--qpu", "nope")
@@ -278,6 +311,21 @@ class TestCompareCommand:
         assert "| speed | parity |" in out
 
 
+    def test_power_less_qpu_leaves_the_energetic_axis_unevaluated(self, capsys, workload_file, tmp_path):
+        profile_path = tmp_path / "classical.json"
+        profile_path.write_text('{"runtime_s": 3600, "energy_j": 1e9}', encoding="utf-8")
+        code, out, err = run(
+            capsys, "compare", "--workload", workload_file(WORKLOAD_53x8), "--qpu", "google-sycamore-2022",
+            "--classical", str(profile_path),
+        )
+        assert code == EXIT_OK and err == ""
+        assert "| energetic | not-evaluated |" in out.splitlines()
+        assert (
+            "note: power draw unreported for 'google-sycamore-2022'; energetic axis not evaluated"
+            in out.splitlines()
+        )
+
+
 class TestCatalogCommand:
     def test_summarizes_bundle(self, capsys):
         code, out, _ = run(capsys, "catalog")
@@ -302,37 +350,121 @@ def test_report_determinism_across_runs(capsys, tmp_path):
     assert (code1, out1) == (code2, out2)
 
 
-@pytest.mark.parametrize("document", ["workload", "catalog", "profile"])
-def test_unknown_field_warns_on_stderr_or_fails_strict(capsys, tmp_path, document):
-    docs = {
+def valid_documents():
+    return {
         "workload": dict(BENZENE_LIKE),
         "catalog": json.loads(serialize_catalog(bundled_catalog())),
         "profile": {"runtime_s": 3600.0, "classical_ref": "nvidia-dgx-rack"},
     }
 
-    def compare(*flags):
-        paths = {}
-        for name, doc in docs.items():
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(json.dumps(doc), encoding="utf-8")
-        return run(
-            capsys, "compare", "--qpu", "ibm-flamingo", "--workload", str(paths["workload"]),
-            "--catalog", str(paths["catalog"]), "--classical", str(paths["profile"]), *flags,
-        )
 
-    clean = compare()
+def run_compare(capsys, tmp_path, docs, *flags):
+    """``compare`` on ibm-flamingo reading the three documents of ``docs``, each a JSON value or raw text."""
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    return run(
+        capsys, "compare", "--qpu", "ibm-flamingo", "--workload", str(paths["workload"]),
+        "--catalog", str(paths["catalog"]), "--classical", str(paths["profile"]), *flags,
+    )
+
+
+@pytest.mark.parametrize("document", ["workload", "catalog", "profile"])
+def test_unknown_field_warns_on_stderr_or_fails_strict(capsys, tmp_path, document):
+    docs = valid_documents()
+    clean = run_compare(capsys, tmp_path, docs)
     assert clean[0] == EXIT_OK and clean[2] == ""
     record = docs["catalog"]["qpus"][0] if document == "catalog" else docs[document]
     record["surprise"] = 1
 
-    code, out, err = compare()
+    code, out, err = run_compare(capsys, tmp_path, docs)
     assert (code, out) == clean[:2]
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("warning: ") and "unknown field 'surprise'" in lines[0]
 
-    code, out, err = compare("--strict")
+    code, out, err = run_compare(capsys, tmp_path, docs, "--strict")
     assert code == EXIT_ERROR
     assert err.startswith("error: ") and "'surprise'" in err
+
+
+def _qpu(docs, qpu_id):
+    return next(qpu for qpu in docs["catalog"]["qpus"] if qpu["id"] == qpu_id)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        pytest.param(
+            lambda d: d["workload"].update(id=7),
+            "workload #0: field 'id' must be a string, got 7", id="string",
+        ),
+        pytest.param(
+            lambda d: d["profile"].update(classical_ref=5),
+            "classical profile: field 'classical_ref' must be a string, got 5", id="string-profile",
+        ),
+        pytest.param(
+            lambda d: _qpu(d, "ibm-osprey").update(id=""),
+            "qpu '': field 'id' must be non-empty", id="non-empty",
+        ),
+        pytest.param(
+            lambda d: d["workload"].update(depth="8"),
+            "workload #0: field 'depth' must be an integer, got '8'", id="integer",
+        ),
+        pytest.param(
+            lambda d: d["profile"].update(memory_bytes=1.5),
+            "classical profile: field 'memory_bytes' must be an integer, got 1.5", id="integer-profile",
+        ),
+        pytest.param(
+            lambda d: d["workload"].update(mitigation={"enabled": "yes"}),
+            "workload #0: field 'mitigation.enabled' must be a boolean, got 'yes'", id="boolean",
+        ),
+        pytest.param(
+            lambda d: _qpu(d, "ibm-flamingo")["power_components"][0].update(per_qubit="no"),
+            "qpu 'ibm-flamingo' power component #0: field 'per_qubit' must be a boolean, got 'no'",
+            id="boolean-catalog",
+        ),
+        pytest.param(
+            lambda d: d["catalog"].update(classical_refs="none"),
+            "catalog: field 'classical_refs' must be a list", id="list",
+        ),
+        pytest.param(
+            lambda d: d["workload"].update(mitigation=1),
+            "workload #0: field 'mitigation' must be an object, got 1", id="object",
+        ),
+        pytest.param(
+            lambda d: d.update(profile=[1]),
+            "classical profile: expected a JSON object, got list", id="json-object-profile",
+        ),
+        pytest.param(
+            lambda d: d["catalog"]["qpus"].insert(0, 1),
+            "qpu '<qpu>': expected a JSON object, got int", id="json-object-catalog",
+        ),
+        pytest.param(
+            lambda d: d.update(workload=[1]),
+            "workload #0: expected a JSON object, got int", id="json-object-workload",
+        ),
+    ],
+)
+def test_type_errors_name_the_record_and_field(capsys, tmp_path, mutate, message):
+    docs = valid_documents()
+    mutate(docs)
+    for flags in ((), ("--strict",)):
+        code, out, err = run_compare(capsys, tmp_path, docs, *flags)
+        assert (code, out, err) == (EXIT_ERROR, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "document, name",
+    [("workload", "workload document"), ("catalog", "catalog"), ("profile", "classical profile")],
+    ids=["workload", "catalog", "profile"],
+)
+def test_syntax_errors_name_the_document_and_position(capsys, tmp_path, document, name):
+    docs = valid_documents()
+    docs[document] = '{\n  "x": }'
+    code, out, err = run_compare(capsys, tmp_path, docs)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {name}: Expecting value (line 2, column 8)\n"
 
 
 def test_astronomical_state_space_is_reported(capsys, workload_file, tmp_path):

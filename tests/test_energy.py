@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from helpers import make_spec, qpu_with
 
@@ -44,6 +46,7 @@ class TestPowerDraw:
 class TestJobEnergy:
     def test_zero_power(self):
         assert job_energy(0.0, 1000.0) == 0.0
+        assert job_energy(0.0, math.inf) == 0.0
 
     def test_kilowatt_hours(self):
         assert job_energy(50_000.0, 3600.0) == pytest.approx(1.8e8, rel=1e-12)

@@ -19,6 +19,7 @@ from nisq_gonogo.feasibility import (
     success_probability,
 )
 from nisq_gonogo.units import error_rate_from_percent, fidelity_percent, format_fidelity_percent
+from nisq_gonogo.workload import MitigationSpec, mitigation_multiplier
 
 
 def test_shape_validation():
@@ -68,6 +69,25 @@ class TestSuccessProbability:
             success_probability(1.0, CircuitShape(2, 2))
         with pytest.raises(ValueError):
             success_probability(-0.1, CircuitShape(2, 2))
+
+    def test_volume_beyond_float_range_gives_the_limit(self):
+        assert success_probability(0.0, CircuitShape(4, 10**400)) == 1.0
+        assert success_probability(1e-3, CircuitShape(4, 10**400)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda rate: success_probability(rate, CircuitShape(2, 2)),
+        lambda rate: emulation_tier(2, 2, rate),
+        lambda rate: mitigation_multiplier(MitigationSpec(enabled=True), rate, CircuitShape(2, 2)),
+    ],
+    ids=["success_probability", "emulation_tier", "mitigation_multiplier"],
+)
+@pytest.mark.parametrize("rate", [-0.1, 1.0, math.nan])
+def test_error_rate_range_is_checked_alike(check, rate):
+    with pytest.raises(ValueError, match=r"^error_rate must be in \[0, 1\), got "):
+        check(rate)
 
 
 class TestSquareVolume:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -20,6 +21,9 @@ class TestSingleShotTime:
     def test_all_terms_sum(self):
         qpu = qpu_with(gate=1e-7, readout=1e-6, reset=1e-6)
         assert single_shot_time(qpu, 1000) == pytest.approx(1.02e-4, rel=1e-12)
+
+    def test_depth_beyond_float_range_takes_unbounded_time(self):
+        assert single_shot_time(qpu_with(gate=1e-7, readout=1e-6), 10**400) == math.inf
 
     def test_depth_validated(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,8 @@
+import math
+
 from nisq_gonogo.units import (
+    as_float,
+    csv_text,
     error_rate_from_percent,
     fidelity_percent,
     format_bytes,
@@ -52,9 +56,25 @@ def test_format_bytes():
     assert "astronomical" in format_bytes(2**104)
     assert format_bytes(2**1030) == "~2^1030 B (astronomical)"
     assert format_bytes(10**400) == f"~2^{(10**400).bit_length() - 1} B (astronomical)"
+    assert format_bytes(2**89) == "512 YiB"
+    assert format_bytes(2**90) == "~2^90 B (astronomical)"
 
 
 def test_format_watts_and_joules():
     assert format_watts(130720) == "130.7 kW"
     assert format_watts(65) == "65 W"
     assert format_joules(1.8e8) == "1.8e8 J (50 kWh)"
+
+
+def test_as_float_reads_ints_beyond_float_range_as_signed_infinity():
+    assert as_float(3) == 3.0 and isinstance(as_float(3), float)
+    assert as_float(0.25) == 0.25
+    assert as_float(10**400) == math.inf
+    assert as_float(-(10**400)) == -math.inf
+    assert math.isnan(as_float(math.nan))
+
+
+def test_csv_text_quotes_fields_and_reads_rows_lazily():
+    rows = (row for row in (["a", "b,c"], [1, 'say "hi"']))
+    assert csv_text(rows) == 'a,"b,c"\n1,"say ""hi"""\n'
+    assert csv_text([]) == ""
