@@ -44,9 +44,12 @@ class SolutionProfile:
     memory_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.runtime_s) and self.runtime_s > 0.0):
-            raise ValueError(f"runtime_s must be finite and > 0, got {self.runtime_s}")
-        for name in ("energy_j", "cost", "quality"):
+        # Runtime and energy may be inf: a quantum budget beyond float range is unbounded.
+        if not 0.0 < self.runtime_s <= math.inf:
+            raise ValueError(f"runtime_s must be > 0, got {self.runtime_s}")
+        if self.energy_j is not None and not 0.0 <= self.energy_j <= math.inf:
+            raise ValueError(f"energy_j must be >= 0, got {self.energy_j}")
+        for name in ("cost", "quality"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")

@@ -15,12 +15,14 @@ pair reached go, 1 input or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import advantage as adv
 from . import energy as energy_mod
@@ -51,8 +53,7 @@ _CAPACITY_LABEL = "no-go (capacity)"
 _VERDICT_RANK = {verdict: rank for rank, verdict in enumerate(feas.Verdict)}
 
 
-@dataclass(frozen=True)
-class VerdictRow:
+class VerdictRow(NamedTuple):
     qpu_id: str
     workload_id: str
     verdict: feas.FeasibilityVerdict | None  # None: the workload needs more qubits than the qpu has
@@ -99,6 +100,16 @@ def _is_go(row: VerdictRow) -> bool:
     return row.verdict is not None and row.verdict.verdict is feas.Verdict.GO
 
 
+def _fit_note(qpu: QpuSpec) -> str:
+    """The note of every row in which ``qpu`` fits the workload; it depends on the qpu alone."""
+    notes = []
+    if qpu.status.value != "available":
+        notes.append(f"{qpu.status.value} hardware")
+    if qpu.two_qubit_error_stddev is None:  # the verdict's ``optimistic``
+        notes.append("optimistic: error-rate spread unreported")
+    return "; ".join(notes)
+
+
 def build_feasibility_bundle(
     catalog: Catalog,
     workloads: tuple[workload_mod.WorkloadSpec, ...],
@@ -106,33 +117,24 @@ def build_feasibility_bundle(
     marginal_band: float = 10.0,
 ) -> tuple[VerdictRow, ...]:
     feas.check_marginal_band(marginal_band)  # also when the catalog has no qpus to assess
+    qpus = [(qpu, _fit_note(qpu)) for qpu in catalog.qpus]
     rows = []
     for spec in workloads:
         shape = spec.shape
-        for qpu in catalog.qpus:
-            try:
-                verdict = feas.assess(qpu, shape, marginal_band=marginal_band)
-            except feas.CapacityError:
-                rows.append(
-                    VerdictRow(
-                        qpu_id=qpu.id,
-                        workload_id=spec.id,
-                        verdict=None,
-                        note=f"insufficient qubits: needs {shape.breadth}, has {qpu.qubit_count}",
-                    )
-                )
-                continue
-            notes = []
-            if qpu.status.value != "available":
-                notes.append(f"{qpu.status.value} hardware")
-            if verdict.optimistic:
-                notes.append("optimistic: error-rate spread unreported")
-            rows.append(VerdictRow(qpu_id=qpu.id, workload_id=spec.id, verdict=verdict, note="; ".join(notes)))
+        for qpu, note in qpus:
+            # the capacity test of ``assess``, made here so that no CapacityError is raised per miss
+            if shape.breadth > qpu.qubit_count:
+                rows.append(VerdictRow(qpu.id, spec.id, None, f"insufficient qubits: needs {shape.breadth}, has {qpu.qubit_count}"))
+            else:
+                rows.append(VerdictRow(qpu.id, spec.id, feas.assess(qpu, shape, marginal_band=marginal_band), note))
     rows.sort(key=_verdict_sort_key)
     return tuple(rows)
 
 
 def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
+    # The two rate columns repeat per workload and per qpu: each distinct rate is formatted once.
+    required_text = functools.cache(sci)
+    available_text = functools.cache(lambda rate: f"{sci(rate)} ({format_fidelity_percent(rate, 2)})")
     lines = ["# Feasibility report", ""]
     lines.append(
         "| verdict | qpu | workload | required error rate | available error rate (fidelity) | success probability | note |"
@@ -145,8 +147,8 @@ def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
         v = row.verdict
         lines.append(
             f"| {v.verdict.value} | {row.qpu_id} | {row.workload_id} "
-            f"| {sci(v.required_error_rate)} "
-            f"| {sci(v.available_error_rate)} ({format_fidelity_percent(v.available_error_rate, 2)}) "
+            f"| {required_text(v.required_error_rate)} "
+            f"| {available_text(v.available_error_rate)} "
             f"| {sci(v.success_probability)} | {row.note} |"
         )
     go = sum(1 for row in bundle if _is_go(row))
@@ -156,6 +158,8 @@ def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
 
 
 def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
+    rate_text = functools.cache(str)  # as in the markdown report, each distinct rate is formatted once
+
     def rows():  # made one at a time as the writer asks, so no list of a large grid's rows is built
         yield [
             "verdict",
@@ -176,8 +180,8 @@ def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
                     v.verdict.value,
                     row.qpu_id,
                     row.workload_id,
-                    str(v.required_error_rate),
-                    str(v.available_error_rate),
+                    rate_text(v.required_error_rate),
+                    rate_text(v.available_error_rate),
                     str(v.success_probability),
                     str(v.optimistic).lower(),
                     row.note,
@@ -228,7 +232,10 @@ def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.
     lines.append(f"- measurement strings: {plan.pauli_strings} strings")
     lines.append(f"- shots per string: {plan.shots_per_string} shots")
     lines.append(f"- mitigation multiplier: {sci(plan.mitigation_multiplier)} x")
-    lines.append(f"- total shots per iteration: {plan.total_shots} shots ({sci(plan.total_shots)})")
+    if plan.total_shots == math.inf:
+        lines.append("- total shots per iteration: inf shots (unbounded)")
+    else:
+        lines.append(f"- total shots per iteration: {plan.total_shots} shots ({sci(plan.total_shots)})")
     lines.append("")
     lines.append("runtime:")
     lines.append(f"- single shot: {format_seconds(rt.single_shot_time)}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .units import as_float
 
@@ -56,12 +56,13 @@ class Verdict(str, enum.Enum):
     NO_GO = "no-go"
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     """Outcome of comparing a QPU's error rate against a circuit's needs.
 
     ``optimistic`` is set when the QPU's error-rate spread is unreported, in
     which case the median alone likely understates the effective error.
+    A named tuple, cheaper to build than a frozen dataclass: a feasibility
+    grid builds one per (qpu, workload) pair.
     """
 
     required_error_rate: float

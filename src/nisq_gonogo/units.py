@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 MINUTE = 60.0
 HOUR = 3600.0
@@ -32,10 +32,27 @@ def as_float(x: int | float) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def csv_text(rows: Iterable[Iterable[object]]) -> str:
-    """RFC-4180 CSV of ``rows``, LF line endings; the rows are read one at a time."""
+def csv_text(rows: Iterable[Sequence[object]]) -> str:
+    """RFC-4180 CSV of ``rows``, LF line endings; the rows are read one at a time.
+
+    A row of strings holding no comma, ``"``, CR or LF is joined directly;
+    any other row (a single empty field, a field that is not a string, or one
+    the writer may quote: whether it quotes a CR depends on the Python
+    version) goes to ``csv.writer``, so the output is the writer's on every
+    version.
+    """
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
+    writer = csv.writer(out, lineterminator="\n")
+    for row in rows:
+        try:
+            line = ",".join(row)
+        except TypeError:  # a field that is not a string
+            writer.writerow(row)
+            continue
+        if not line or line.count(",") != len(row) - 1 or '"' in line or "\n" in line or "\r" in line:
+            writer.writerow(row)
+        else:
+            out.write(line + "\n")
     return out.getvalue()
 
 

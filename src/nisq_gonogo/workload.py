@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .feasibility import CircuitShape, _snap_to_int, check_error_rate
 from .fields import Checker, decode, keys_of
+from .units import as_float
 
 #: Quartic-scaling coefficient for ungrouped VQE measurement bases,
 #: calibrated so a 72-qubit electronic-structure instance needs exactly
@@ -88,7 +89,7 @@ class ShotPlan:
     pauli_strings: int
     shots_per_string: int
     mitigation_multiplier: float
-    total_shots: int
+    total_shots: int | float  # math.inf when the mitigated budget is beyond float range
     model: str = "per-string"
 
 
@@ -140,13 +141,17 @@ def mitigation_multiplier(spec: MitigationSpec, error_rate: float, shape: Circui
 
     The expected error count is error_rate x breadth x depth, so the
     overhead grows exponentially in depth or qubit number, whichever moves.
-    Always >= 1; exactly 1 when disabled or when the circuit is error-free.
+    Always >= 1; exactly 1 when disabled or when the circuit is error-free;
+    ``math.inf`` when the factor is beyond float range.
     """
     check_error_rate(error_rate)
-    if not spec.enabled:
+    if not spec.enabled or error_rate == 0.0 or spec.exponent_coefficient == 0.0:  # no 0 x inf below
         return 1.0
-    lam = error_rate * shape.volume
-    return math.exp(spec.exponent_coefficient * lam)
+    lam = error_rate * as_float(shape.volume)
+    try:
+        return math.exp(spec.exponent_coefficient * lam)
+    except OverflowError:
+        return math.inf
 
 
 def shot_plan(spec: WorkloadSpec, error_rate: float, *, qaoa_aggregate: bool = False) -> ShotPlan:
@@ -165,7 +170,8 @@ def shot_plan(spec: WorkloadSpec, error_rate: float, *, qaoa_aggregate: bool = F
     if multiplier == 1.0:
         total = strings * per_string
     else:
-        total = math.ceil(strings * per_string * multiplier)
+        product = as_float(strings * per_string) * multiplier
+        total = math.ceil(product) if product < math.inf else math.inf
     return ShotPlan(
         pauli_strings=strings,
         shots_per_string=per_string,

@@ -18,8 +18,16 @@ def test_profile_validation():
         SolutionProfile(runtime_s=0.0)
     with pytest.raises(ValueError):
         SolutionProfile(runtime_s=1.0, energy_j=-1.0)
-    with pytest.raises(ValueError):
-        SolutionProfile(runtime_s=float("inf"))
+    for bad in (float("nan"), float("-inf"), -1.0):
+        with pytest.raises(ValueError):
+            SolutionProfile(runtime_s=bad)
+        with pytest.raises(ValueError):
+            SolutionProfile(runtime_s=1.0, energy_j=bad)
+    for name in ("cost", "quality"):
+        with pytest.raises(ValueError):
+            SolutionProfile(runtime_s=1.0, **{name: float("inf")})
+    # an unbounded quantum budget: runtime and energy may be inf
+    assert SolutionProfile(runtime_s=float("inf"), energy_j=float("inf")).runtime_s == float("inf")
 
 
 def test_quantum_profile_uses_statevector_footprint():

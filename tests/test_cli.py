@@ -207,6 +207,19 @@ class TestEstimateCommand:
         assert "- total: inf s (unbounded)" in lines and energy in lines
         assert "feasibility: no-go (required error rate 0, available " in out
 
+    def test_mitigation_beyond_float_range_reads_unbounded(self, capsys, workload_file):
+        workload = dict(BENZENE_LIKE, data_qubits=400, depth=400, mitigation={"enabled": True})
+        code, out, err = run(capsys, "estimate", "--workload", workload_file(workload), "--qpu", "ibm-osprey")
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        for line in (
+            "- mitigation multiplier: inf x",
+            "- total shots per iteration: inf shots (unbounded)",
+            "- total: inf s (unbounded)",
+            "- job energy: 0 J",
+        ):
+            assert line in lines
+
     def test_capacity_miss_reads_no_go(self, capsys, workload_file):
         code, out, err = run(
             capsys, "estimate", "--workload", workload_file(WORKLOAD_53x8), "--qpu", "ibm-prague-egret"
@@ -324,6 +337,20 @@ class TestCompareCommand:
             "note: power draw unreported for 'google-sycamore-2022'; energetic axis not evaluated"
             in out.splitlines()
         )
+
+
+    def test_unbounded_quantum_runtime_reads_disadvantage(self, capsys, workload_file, tmp_path):
+        profile_path = tmp_path / "classical.json"
+        profile_path.write_text('{"runtime_s": 100, "classical_ref": "nvidia-dgx-rack"}', encoding="utf-8")
+        workload = {"family": "generic", "data_qubits": 4, "depth": 10**400, "target_epsilon": 0.01, "ansatz_iterations": 1}
+        code, out, err = run(
+            capsys, "compare", "--workload", workload_file(workload), "--qpu", "ibm-flamingo",
+            "--classical", str(profile_path),
+        )
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        assert lines[0].endswith(": runtime inf s (unbounded), state space 256 B (4 qubits)")
+        assert "| speed | disadvantage |" in lines and "| energetic | disadvantage |" in lines
 
 
 class TestCatalogCommand:
@@ -501,4 +528,55 @@ def test_bundled_catalog_renderings_are_pinned():
         "scatter_csv": "97f038fe7ba926a99c4d3fd24a846f24ce3500db58ea3f7c21b52dfc8bbfe8ff",
         "scatter_svg": "85c933e18a8025a75aa65da90f3b8c0f64752908efe9a4c4328c47f54bdf42f9",
         "serialize_catalog": "2c6ea6f87c3148777d202384499aed305b553855b5dc2f295178b0a3a4763cad",
+    }
+
+
+def _fixture_qpu(qpu_id, qubits, error, status, stddev=None):
+    qpu = {
+        "id": qpu_id,
+        "modality": "superconducting",
+        "qubit_count": qubits,
+        "two_qubit_error_median": error,
+        "two_qubit_gate_time": 1e-7,
+        "readout_time": 0,
+        "reset_time": 0,
+        "connectivity": "grid-4",
+        "power_components": [],
+        "status": status,
+        "source_note": "fixture",
+    }
+    if stddev is not None:
+        qpu["two_qubit_error_stddev"] = stddev
+    return qpu
+
+
+def test_feasibility_reports_are_pinned(capsys, workload_file, tmp_path):
+    """Every verdict, both notes and capacity misses; the two ``dup`` rows of
+    lab-a have equal sort keys and keep their input order."""
+    catalog = {
+        "schema_version": 1,
+        "qpus": [
+            _fixture_qpu("lab-a", 30, 1e-4, "available", stddev=2e-5),
+            _fixture_qpu("lab-b", 60, 2e-3, "announced"),
+            _fixture_qpu("lab-c", 120, 1e-5, "projected", stddev=1e-6),
+        ],
+        "classical_refs": [],
+    }
+    catalog_path = tmp_path / "catalog.json"
+    catalog_path.write_text(json.dumps(catalog), encoding="utf-8")
+    shapes = [("small", 10, 10), ("mid", 20, 50), ("deep", 25, 2000), ("dup", 40, 5), ("dup", 50, 4),
+              ('a,b"c', 100, 100), ("wide", 200, 3)]
+    workloads = [
+        {"id": wid, "family": "generic", "data_qubits": n, "depth": d, "target_epsilon": 0.01, "ansatz_iterations": 1}
+        for wid, n, d in shapes
+    ]
+    path = workload_file(workloads)
+    digests = {}
+    for fmt in ("csv", "md"):
+        code, out, err = run(capsys, "feasibility", "--catalog", str(catalog_path), "--workload", path, "--format", fmt)
+        assert err == ""
+        digests[fmt] = (code, hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert digests == {
+        "csv": (EXIT_OK, "84a43bf4da3e3aacf47a5a916cd843aaea6e92fb538172af81aaa5ca4e864b60"),
+        "md": (EXIT_OK, "15bb8713fa855212434837aa45387f20a1d9816f5f4a90ba47c49b6f19b7ca9c"),
     }

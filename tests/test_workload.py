@@ -100,6 +100,14 @@ class TestMitigationMultiplier:
         m = mitigation_multiplier(MitigationSpec(enabled=True, exponent_coefficient=0.0), 0.5, CircuitShape(5, 5))
         assert m == 1.0
 
+    @pytest.mark.parametrize("depth", [400, 10**400], ids=["exp-overflow", "volume-beyond-float-range"])
+    def test_beyond_float_range_is_unbounded(self, depth):
+        assert mitigation_multiplier(MitigationSpec(enabled=True), 0.02, CircuitShape(400, depth)) == math.inf
+        # an error-free circuit or a zero coefficient stays at exactly 1, never 0 x inf
+        assert mitigation_multiplier(MitigationSpec(enabled=True), 0.0, CircuitShape(400, depth)) == 1.0
+        zero = MitigationSpec(enabled=True, exponent_coefficient=0.0)
+        assert mitigation_multiplier(zero, 0.02, CircuitShape(400, depth)) == 1.0
+
 
 class TestShotPlan:
     def test_quartic_chemistry_budget(self):
@@ -130,6 +138,15 @@ class TestShotPlan:
         )
         assert boosted.total_shots > base.total_shots
         assert boosted.total_shots == math.ceil(base.total_shots * boosted.mitigation_multiplier)
+
+    def test_mitigated_budget_beyond_float_range_is_unbounded(self):
+        spec = make_spec(data_qubits=400, depth=400, mitigation=MitigationSpec(enabled=True))
+        plan = shot_plan(spec, error_rate=0.02)
+        assert (plan.mitigation_multiplier, plan.total_shots) == (math.inf, math.inf)
+        # a finite multiplier whose product with the string budget passes float range
+        spec = make_spec(data_qubits=400, depth=400, mitigation=MitigationSpec(enabled=True, exponent_coefficient=0.218))
+        plan = shot_plan(spec, error_rate=0.02)
+        assert plan.mitigation_multiplier < math.inf and plan.total_shots == math.inf
 
 
 class TestParsing:
