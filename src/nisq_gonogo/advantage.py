@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .feasibility import statevector_memory
 
@@ -28,8 +28,15 @@ class Outcome(str, enum.Enum):
     NOT_EVALUATED = "not-evaluated"
 
 
-@dataclass(frozen=True)
-class SolutionProfile:
+class _SolutionProfileFields(NamedTuple):
+    runtime_s: float
+    energy_j: float | None
+    cost: float | None
+    quality: float | None
+    memory_bytes: int | None
+
+
+class SolutionProfile(_SolutionProfileFields):
     """One side of a comparison.  Optional axes are skipped when absent.
 
     ``memory_bytes`` is the memory the solution needs: a classical machine's
@@ -37,24 +44,27 @@ class SolutionProfile:
     quantum register (see :func:`quantum_profile`).
     """
 
-    runtime_s: float
-    energy_j: float | None = None
-    cost: float | None = None
-    quality: float | None = None
-    memory_bytes: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        runtime_s: float,
+        energy_j: float | None = None,
+        cost: float | None = None,
+        quality: float | None = None,
+        memory_bytes: int | None = None,
+    ) -> SolutionProfile:
         # Runtime and energy may be inf: a quantum budget beyond float range is unbounded.
-        if not 0.0 < self.runtime_s <= math.inf:
-            raise ValueError(f"runtime_s must be > 0, got {self.runtime_s}")
-        if self.energy_j is not None and not 0.0 <= self.energy_j <= math.inf:
-            raise ValueError(f"energy_j must be >= 0, got {self.energy_j}")
-        for name in ("cost", "quality"):
-            value = getattr(self, name)
+        if not 0.0 < runtime_s <= math.inf:
+            raise ValueError(f"runtime_s must be > 0, got {runtime_s}")
+        if energy_j is not None and not 0.0 <= energy_j <= math.inf:
+            raise ValueError(f"energy_j must be >= 0, got {energy_j}")
+        for name, value in (("cost", cost), ("quality", quality)):
             if value is not None and not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.memory_bytes is not None and self.memory_bytes < 0:
-            raise ValueError(f"memory_bytes must be >= 0, got {self.memory_bytes}")
+        if memory_bytes is not None and memory_bytes < 0:
+            raise ValueError(f"memory_bytes must be >= 0, got {memory_bytes}")
+        return tuple.__new__(cls, (runtime_s, energy_j, cost, quality, memory_bytes))
 
 
 def quantum_profile(
@@ -76,8 +86,7 @@ def quantum_profile(
     )
 
 
-@dataclass(frozen=True)
-class AdvantageReport:
+class AdvantageReport(NamedTuple):
     """Per-axis outcome of a comparison, quantum side first."""
 
     space: Outcome

@@ -40,9 +40,9 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import os
 import re
-from dataclasses import dataclass, field
-from importlib import resources
+from typing import NamedTuple
 
 from .feasibility import EmulationTier
 from .fields import Checker, decode, json_of, keys_of
@@ -82,8 +82,7 @@ class QpuStatus(str, enum.Enum):
     PROJECTED = "projected"
 
 
-@dataclass(frozen=True)
-class PowerComponent:
+class PowerComponent(NamedTuple):
     """One contributor to a QPU's steady-state power draw.
 
     ``per_qubit=True`` means the effective count is the QPU's qubit count.
@@ -95,27 +94,57 @@ class PowerComponent:
     per_qubit: bool = False
 
 
-@dataclass(frozen=True)
-class QpuSpec:
-    """One hardware platform, as transcribed from public figures."""
-
+class _QpuFields(NamedTuple):
+    # Fields in the layout of a catalog file, which ``serialize_catalog`` writes.
     id: str
     modality: Modality
     qubit_count: int
     two_qubit_error_median: float
-    # Keyword-only, so that it sits at its place in the layout ``serialize_catalog`` writes.
-    two_qubit_error_stddev: float | None = field(default=None, kw_only=True)
+    two_qubit_error_stddev: float | None
     two_qubit_gate_time: float
     readout_time: float
     reset_time: float
     connectivity: str
-    power_components: tuple[PowerComponent, ...] = field(default=(), kw_only=True)  # likewise
+    power_components: tuple[PowerComponent, ...]
     status: QpuStatus
     source_note: str
 
 
-@dataclass(frozen=True)
-class ClassicalRefSpec:
+class QpuSpec(_QpuFields):
+    """One hardware platform, as transcribed from public figures.
+
+    ``two_qubit_error_stddev`` and ``power_components`` are keyword-only, so
+    that both sit at their place in the catalog file layout.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        modality: Modality,
+        qubit_count: int,
+        two_qubit_error_median: float,
+        two_qubit_gate_time: float,
+        readout_time: float,
+        reset_time: float,
+        connectivity: str,
+        status: QpuStatus,
+        source_note: str,
+        *,
+        two_qubit_error_stddev: float | None = None,
+        power_components: tuple[PowerComponent, ...] = (),
+    ) -> QpuSpec:
+        return tuple.__new__(cls, (
+            id, modality, qubit_count, two_qubit_error_median, two_qubit_error_stddev, two_qubit_gate_time,
+            readout_time, reset_time, connectivity, power_components, status, source_note,
+        ))
+
+    def __getnewargs_ex__(self):  # copy and pickle rebuild through the keyword signature
+        return (), self._asdict()
+
+
+class ClassicalRefSpec(NamedTuple):
     """A classical machine used as the comparison side of estimates."""
 
     id: str
@@ -125,12 +154,20 @@ class ClassicalRefSpec:
     tier_hint: str | None = None
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     qpus: tuple[QpuSpec, ...]
     classical_refs: tuple[ClassicalRefSpec, ...] = ()
-    # Lenient-mode warnings; not part of structural equality or serialization.
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    # Lenient-mode warnings; not part of equality, hashing or serialization.
+    warnings: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        return self[:2] == other[:2] if isinstance(other, Catalog) else NotImplemented
+
+    def __ne__(self, other):
+        return self[:2] != other[:2] if isinstance(other, Catalog) else NotImplemented
+
+    def __hash__(self):
+        return hash(self[:2])
 
     def get_qpu(self, qpu_id: str) -> QpuSpec:
         return _lookup(self.qpus, qpu_id, "qpu")
@@ -262,5 +299,5 @@ def serialize_catalog(catalog: Catalog) -> str:
 @functools.lru_cache(maxsize=1)
 def bundled_catalog() -> Catalog:
     """The compiled-in hardware dataset (validated at load time)."""
-    text = resources.files(__package__).joinpath("data/catalog.json").read_text(encoding="utf-8")
-    return parse_catalog(text, strict=True)
+    with open(os.path.join(os.path.dirname(__file__), "data", "catalog.json"), encoding="utf-8") as file:
+        return parse_catalog(file.read(), strict=True)

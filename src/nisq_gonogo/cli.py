@@ -20,8 +20,6 @@ import math
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 from . import advantage as adv
@@ -33,6 +31,7 @@ from .catalog import Catalog, QpuSpec, bundled_catalog, parse_catalog
 from .fields import Checker, decode, keys_of
 from .scatter import scatter_csv, scatter_svg
 from .units import (
+    as_float,
     csv_text,
     format_bytes,
     format_fidelity_percent,
@@ -60,8 +59,7 @@ class VerdictRow(NamedTuple):
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ResourceRecord:
+class ResourceRecord(NamedTuple):
     plan: workload_mod.ShotPlan
     runtime: runtime_mod.RuntimeEstimate
     energy: energy_mod.EnergyEstimate
@@ -73,19 +71,29 @@ def _warn(warnings: Sequence[str]) -> None:
         sys.stderr.write(f"warning: {warning}\n")
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as file:
+        return file.read()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)
+
+
 def load_catalog(path: str | None, *, strict: bool) -> Catalog:
     """Load a catalog from --catalog, $NISQ_GONOGO_CATALOG, or the bundle."""
     if path is None:
         path = os.environ.get(ENV_CATALOG)
     if path is None:
         return bundled_catalog()
-    catalog = parse_catalog(Path(path).read_text(encoding="utf-8"), strict=strict)
+    catalog = parse_catalog(_read(path), strict=strict)
     _warn(catalog.warnings)
     return catalog
 
 
 def load_workloads(path: str, *, strict: bool) -> workload_mod.Workloads:
-    workloads = workload_mod.parse_workloads(Path(path).read_text(encoding="utf-8"), strict=strict)
+    workloads = workload_mod.parse_workloads(_read(path), strict=strict)
     _warn(workloads.warnings)
     return workloads
 
@@ -117,16 +125,19 @@ def build_feasibility_bundle(
     marginal_band: float = 10.0,
 ) -> tuple[VerdictRow, ...]:
     feas.check_marginal_band(marginal_band)  # also when the catalog has no qpus to assess
-    qpus = [(qpu, _fit_note(qpu)) for qpu in catalog.qpus]
+    # Each record field the loop reads is bound once, outside the pairs.
+    qpus = [(qpu, qpu.id, qpu.qubit_count, _fit_note(qpu)) for qpu in catalog.qpus]
     rows = []
     for spec in workloads:
         shape = spec.shape
-        for qpu, note in qpus:
+        breadth = shape.breadth
+        workload_id = spec.id
+        for qpu, qpu_id, qubits, note in qpus:
             # the capacity test of ``assess``, made here so that no CapacityError is raised per miss
-            if shape.breadth > qpu.qubit_count:
-                rows.append(VerdictRow(qpu.id, spec.id, None, f"insufficient qubits: needs {shape.breadth}, has {qpu.qubit_count}"))
+            if breadth > qubits:
+                rows.append(VerdictRow(qpu_id, workload_id, None, f"insufficient qubits: needs {breadth}, has {qubits}"))
             else:
-                rows.append(VerdictRow(qpu.id, spec.id, feas.assess(qpu, shape, marginal_band=marginal_band), note))
+                rows.append(VerdictRow(qpu_id, workload_id, feas.assess(qpu, shape, marginal_band=marginal_band), note))
     rows.sort(key=_verdict_sort_key)
     return tuple(rows)
 
@@ -211,6 +222,11 @@ def build_estimate_record(
     return ResourceRecord(plan=plan, runtime=rt, energy=en)
 
 
+def _count_text(count: int | float, unit: str) -> str:
+    """A string or shot count; a count beyond float range reads unbounded."""
+    return f"inf {unit} (unbounded)" if as_float(count) == math.inf else f"{count} {unit}"
+
+
 def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.WorkloadSpec) -> str:
     plan, rt, en = record.plan, record.runtime, record.energy
     lines = [f"# Resource estimate: {spec.id} on {qpu.id}", ""]
@@ -229,10 +245,10 @@ def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.
         lines.append(f"feasibility: no-go ({exc})")
     lines.append("")
     lines.append(f"shot plan ({plan.model} accounting):")
-    lines.append(f"- measurement strings: {plan.pauli_strings} strings")
-    lines.append(f"- shots per string: {plan.shots_per_string} shots")
+    lines.append(f"- measurement strings: {_count_text(plan.pauli_strings, 'strings')}")
+    lines.append(f"- shots per string: {_count_text(plan.shots_per_string, 'shots')}")
     lines.append(f"- mitigation multiplier: {sci(plan.mitigation_multiplier)} x")
-    if plan.total_shots == math.inf:
+    if as_float(plan.total_shots) == math.inf:
         lines.append("- total shots per iteration: inf shots (unbounded)")
     else:
         lines.append(f"- total shots per iteration: {plan.total_shots} shots ({sci(plan.total_shots)})")
@@ -260,7 +276,7 @@ _PROFILE_KEYS = keys_of(adv.SolutionProfile) | {"classical_ref"}
 
 
 def _read_classical_profile(path: str, catalog: Catalog, *, strict: bool) -> tuple[adv.SolutionProfile, list[str]]:
-    raw = decode(Path(path).read_text(encoding="utf-8"), "classical profile", ValueError)
+    raw = decode(_read(path), "classical profile", ValueError)
     checker = Checker(ValueError, strict)
     fields = checker.record(raw, "classical profile", _PROFILE_KEYS)
     runtime_s = fields.number("runtime_s")
@@ -328,7 +344,7 @@ def render_catalog_md(catalog: Catalog) -> str:
 def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.write(text)
     if out_path is not None:
-        Path(out_path).write_text(text, encoding="utf-8")
+        _write(out_path, text)
 
 
 def cmd_feasibility(args: argparse.Namespace, catalog: Catalog) -> int:
@@ -355,11 +371,13 @@ def cmd_estimate(args: argparse.Namespace, catalog: Catalog) -> int:
 
 
 def cmd_scatter(args: argparse.Namespace, catalog: Catalog) -> int:
-    out = Path(args.out)
-    csv_path = out.with_suffix(".csv")
-    svg_path = out.with_suffix(".svg")
-    csv_path.write_text(scatter_csv(catalog), encoding="utf-8")
-    svg_path.write_text(scatter_svg(catalog), encoding="utf-8")
+    base = os.path.splitext(args.out)[0]  # the path with its suffix, if any, dropped
+    if not os.path.basename(base):
+        raise ValueError(f"--out {args.out!r} names no file")
+    csv_path = base + ".csv"
+    svg_path = base + ".svg"
+    _write(csv_path, scatter_csv(catalog))
+    _write(svg_path, scatter_svg(catalog))
     sys.stdout.write(f"wrote {csv_path}\nwrote {svg_path}\n")
     return EXIT_OK
 

@@ -7,14 +7,13 @@ never an inferred one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import QpuSpec
 from .runtime import RuntimeEstimate
 
 
-@dataclass(frozen=True)
-class EnergyEstimate:
+class EnergyEstimate(NamedTuple):
     power_draw: float  # watts
     job_energy: float  # joules
     breakdown: tuple[tuple[str, float], ...]  # (component label, watts)

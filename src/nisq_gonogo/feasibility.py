@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .units import as_float
@@ -32,18 +31,22 @@ class CapacityError(ValueError):
     """Workload breadth exceeds the QPU's qubit count."""
 
 
-@dataclass(frozen=True)
-class CircuitShape:
-    """Breadth (qubits used) and depth (two-qubit gate cycles) of a circuit."""
-
+class _CircuitShapeFields(NamedTuple):
     breadth: int
     depth: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.breadth, int) or isinstance(self.breadth, bool) or self.breadth < 1:
-            raise ValueError(f"breadth must be a positive integer, got {self.breadth!r}")
-        if not isinstance(self.depth, int) or isinstance(self.depth, bool) or self.depth < 1:
-            raise ValueError(f"depth must be a positive integer, got {self.depth!r}")
+
+class CircuitShape(_CircuitShapeFields):
+    """Breadth (qubits used) and depth (two-qubit gate cycles) of a circuit."""
+
+    __slots__ = ()
+
+    def __new__(cls, breadth: int, depth: int) -> CircuitShape:
+        if not isinstance(breadth, int) or isinstance(breadth, bool) or breadth < 1:
+            raise ValueError(f"breadth must be a positive integer, got {breadth!r}")
+        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
+            raise ValueError(f"depth must be a positive integer, got {depth!r}")
+        return tuple.__new__(cls, (breadth, depth))
 
     @property
     def volume(self) -> int:
@@ -61,8 +64,6 @@ class FeasibilityVerdict(NamedTuple):
 
     ``optimistic`` is set when the QPU's error-rate spread is unreported, in
     which case the median alone likely understates the effective error.
-    A named tuple, cheaper to build than a frozen dataclass: a feasibility
-    grid builds one per (qpu, workload) pair.
     """
 
     required_error_rate: float
@@ -185,16 +186,20 @@ def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = 10.0) ->
     )
 
 
-def statevector_memory(qubits: int) -> int:
+def statevector_memory(qubits: int) -> int | float:
     """Bytes needed for exact statevector emulation of ``qubits`` qubits.
 
     2^(1+N) double-precision floats, i.e. 2^(4+N) bytes (16 bytes per complex
     amplitude).  Exact integer; Python's arbitrary-precision ints mean the
-    result never overflows, merely becomes astronomical.
+    result merely becomes astronomical, until the shift count itself passes
+    the index range: that size is ``math.inf``.
     """
     if not isinstance(qubits, int) or isinstance(qubits, bool) or qubits < 0:
         raise ValueError(f"qubits must be a non-negative integer, got {qubits!r}")
-    return 1 << (qubits + 4)
+    try:
+        return 1 << (qubits + 4)
+    except OverflowError:
+        return math.inf
 
 
 def emulation_tier(

@@ -16,7 +16,6 @@ required.  A field whose default is ``None`` also accepts an explicit JSON
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 import math
@@ -159,25 +158,27 @@ class Record:
 
 
 def keys_of(cls: type) -> frozenset[str]:
-    """The keys of a JSON object whose fields are those of the dataclass ``cls``."""
-    return frozenset(field.name for field in dataclasses.fields(cls))
+    """The keys of a JSON object whose fields are those of the named-tuple record ``cls``."""
+    return frozenset(cls._fields)
 
 
-def json_of(record: object) -> dict:
-    """The JSON object of the dataclass instance ``record``, as its parser reads it.
+def json_of(record: tuple) -> dict:
+    """The JSON object of the named-tuple record ``record``, as its parser reads it.
 
     Fields appear in declaration order; enums are written as their values,
-    tuples of records as lists, and a field holding ``None`` is left out.
+    records as objects, other tuples (of records) as lists, and a field
+    holding ``None`` is left out.
     """
     out = {}
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
+    for name, value in zip(record._fields, record):
         if isinstance(value, enum.Enum):
             value = value.value
+        elif hasattr(value, "_fields"):  # a record is a tuple too: test for it first
+            value = json_of(value)
         elif isinstance(value, tuple):
             value = [json_of(item) for item in value]
         if value is not None:
-            out[field.name] = value
+            out[name] = value
     return out
 
 

@@ -6,15 +6,14 @@ Shots run sequentially on one QPU unless a parallelism divisor is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import QpuSpec
 from .units import as_float
 from .workload import ShotPlan, WorkloadSpec
 
 
-@dataclass(frozen=True)
-class RuntimeEstimate:
+class RuntimeEstimate(NamedTuple):
     """Per-iteration and end-to-end timing, with a term breakdown.
 
     ``breakdown`` holds (label, total seconds) pairs that sum to
@@ -55,12 +54,15 @@ def estimate_runtime(
     if parallel_shots < 1:
         raise ValueError(f"parallel_shots must be >= 1, got {parallel_shots}")
     shot_time = single_shot_time(qpu, spec.depth)
-    quantum_per_iteration = plan.total_shots * shot_time / parallel_shots
-    iteration = spec.classical_prep_time + quantum_per_iteration
-    iterations = spec.ansatz_iterations
+    # Counts beyond float range read as inf, so their runtimes are unbounded.
+    quantum_per_iteration = as_float(plan.total_shots) * shot_time / parallel_shots
+    prep = spec.classical_prep_time
+    iteration = prep + quantum_per_iteration
+    iterations = as_float(spec.ansatz_iterations)
     total = iterations * iteration
     breakdown = (
-        ("classical preparation and post-processing", iterations * spec.classical_prep_time),
+        # zero prep stays zero over unbounded iterations, never inf x 0 = nan
+        ("classical preparation and post-processing", iterations * prep if prep else prep),
         ("quantum execution", iterations * quantum_per_iteration),
     )
     return RuntimeEstimate(

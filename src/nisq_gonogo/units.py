@@ -108,11 +108,14 @@ def format_seconds(seconds: float) -> str:
     return f"{exact} ({human})"
 
 
-def format_bytes(n: int) -> str:
+def format_bytes(n: int | float) -> str:
     """Binary-prefixed byte count; falls back to a power-of-two note for
-    values beyond yobibytes ("astronomical" in report terms)."""
+    values beyond yobibytes ("astronomical" in report terms), and reads
+    ``math.inf`` as unbounded."""
     if n < 0:
         raise ValueError(f"byte count must be non-negative, got {n}")
+    if n == math.inf:  # only a float is equal to inf; an int beyond float range is astronomical
+        return "inf B (unbounded)"
     value = as_float(n)
     for unit in _BYTE_UNITS:
         if value < 1024.0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .feasibility import CircuitShape, _snap_to_int, check_error_rate
 from .fields import Checker, decode, keys_of
@@ -49,16 +49,14 @@ class PauliGrouping(str, enum.Enum):
     GROUPED = "grouped"
 
 
-@dataclass(frozen=True)
-class MitigationSpec:
+class MitigationSpec(NamedTuple):
     """Error-mitigation switch and its exponential-overhead coefficient."""
 
     enabled: bool = False
     exponent_coefficient: float = 1.0
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(NamedTuple):
     """One algorithm instance to be costed against hardware."""
 
     id: str
@@ -78,23 +76,24 @@ class WorkloadSpec:
         return CircuitShape(breadth=self.data_qubits, depth=self.depth)
 
 
-@dataclass(frozen=True)
-class ShotPlan:
+class ShotPlan(NamedTuple):
     """Shot budget for one variational iteration.
 
     ``model`` records which accounting produced it: ``per-string``
     (strings x shots-per-string) or ``qaoa-aggregate`` (total n^2/eps budget).
     """
 
-    pauli_strings: int
-    shots_per_string: int
+    pauli_strings: int | float  # math.inf when an ungrouped VQE count is beyond float range
+    shots_per_string: int | float  # math.inf when 1/eps^2 (or n^2/eps) is beyond float range
     mitigation_multiplier: float
     total_shots: int | float  # math.inf when the mitigated budget is beyond float range
     model: str = "per-string"
 
 
-def _snap_ceil(value: float) -> int:
-    """Ceiling with a relative-1e-9 snap so decimal inputs hit exact counts."""
+def _snap_ceil(value: float) -> int | float:
+    """Ceiling with a relative-1e-9 snap so decimal inputs hit exact counts; ``math.inf`` stays inf."""
+    if value == math.inf:
+        return math.inf
     snapped = _snap_to_int(value)
     return math.ceil(value) if snapped is None else snapped
 
@@ -104,13 +103,13 @@ def _check_epsilon(epsilon: float) -> None:
         raise WorkloadError(f"target_epsilon must be in (0, 1], got {epsilon}")
 
 
-def pauli_string_count(spec: WorkloadSpec) -> int:
+def pauli_string_count(spec: WorkloadSpec) -> int | float:
     """Number of measurement-basis circuits per expectation-value estimate.
 
     Ungrouped VQE scales with the fourth power of the data-qubit count
     (coefficient :data:`VQE_PAULI_COEFF`); grouped VQE and the generic
     family use the qubit count itself; a QAOA instance needs two strings
-    per layer.
+    per layer.  An ungrouped VQE count beyond float range is ``math.inf``.
     """
     if spec.family is AlgorithmFamily.QAOA:
         if spec.qaoa_layers is None:
@@ -118,22 +117,27 @@ def pauli_string_count(spec: WorkloadSpec) -> int:
         return 2 * spec.qaoa_layers
     if spec.family is AlgorithmFamily.VQE and spec.pauli_grouping is PauliGrouping.NONE:
         coeff = VQE_PAULI_COEFF if spec.c_vqe_override is None else spec.c_vqe_override
-        return max(1, round(coeff * spec.data_qubits**4))
+        strings = coeff * as_float(spec.data_qubits**4)
+        return max(1, round(strings)) if strings < math.inf else math.inf
     return spec.data_qubits
 
 
-def shots_per_string(epsilon: float) -> int:
-    """Shots to reach standard error ``epsilon`` on one measured string: 1/eps^2."""
+def shots_per_string(epsilon: float) -> int | float:
+    """Shots to reach standard error ``epsilon`` on one measured string: 1/eps^2.
+
+    ``math.inf`` when eps^2 underflows to 0 or 1/eps^2 is beyond float range.
+    """
     _check_epsilon(epsilon)
-    return _snap_ceil(1.0 / (epsilon * epsilon))
+    variance = epsilon * epsilon
+    return _snap_ceil(1.0 / variance) if variance > 0.0 else math.inf
 
 
-def qaoa_aggregate_shots(epsilon: float, qubits: int) -> int:
-    """Alternative whole-run QAOA budget: n^2/eps shots in total."""
+def qaoa_aggregate_shots(epsilon: float, qubits: int) -> int | float:
+    """Alternative whole-run QAOA budget: n^2/eps shots in total; ``math.inf`` beyond float range."""
     _check_epsilon(epsilon)
     if qubits < 1:
         raise WorkloadError(f"qubits must be >= 1, got {qubits}")
-    return _snap_ceil(qubits * qubits / epsilon)
+    return _snap_ceil(as_float(qubits * qubits) / epsilon)
 
 
 def mitigation_multiplier(spec: MitigationSpec, error_rate: float, shape: CircuitShape) -> float:

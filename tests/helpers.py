@@ -1,7 +1,5 @@
 """Shared builders for test fixtures."""
 
-from dataclasses import replace
-
 from nisq_gonogo.catalog import bundled_catalog
 from nisq_gonogo.workload import AlgorithmFamily, WorkloadSpec
 
@@ -21,6 +19,4 @@ def make_spec(**overrides) -> WorkloadSpec:
 
 def qpu_with(gate=1e-7, readout=0.0, reset=0.0, **overrides):
     base = bundled_catalog().get_qpu("google-sycamore-2022")
-    return replace(
-        base, two_qubit_gate_time=gate, readout_time=readout, reset_time=reset, **overrides
-    )
+    return base._replace(two_qubit_gate_time=gate, readout_time=readout, reset_time=reset, **overrides)

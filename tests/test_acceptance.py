@@ -7,7 +7,6 @@ per criterion.
 import json
 import random
 from contextlib import contextmanager
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -110,8 +109,8 @@ def test_criterion_06_flamingo_power_budget():
 def test_criterion_07_trapped_ion_gate_speed_ratio():
     with criterion(7, "bundled ion vs superconducting single-shot ratio is exactly 1000"):
         catalog = bundled_catalog()
-        ion = replace(catalog.get_qpu("quantinuum-h1"), readout_time=0.0, reset_time=0.0)
-        sc = replace(catalog.get_qpu("google-sycamore-2022"), readout_time=0.0, reset_time=0.0)
+        ion = catalog.get_qpu("quantinuum-h1")._replace(readout_time=0.0, reset_time=0.0)
+        sc = catalog.get_qpu("google-sycamore-2022")._replace(readout_time=0.0, reset_time=0.0)
         # the stored decimal gate times are in an exact 1000:1 ratio
         t_ion = Fraction(Decimal(str(single_shot_time(ion, 1))))
         t_sc = Fraction(Decimal(str(single_shot_time(sc, 1))))
@@ -325,8 +324,7 @@ def test_criterion_10_end_to_end_chemistry_estimate():
             ansatz_iterations=100,
             classical_prep_time=0.0,
         )
-        qpu = replace(
-            bundled_catalog().get_qpu("google-sycamore-2022"),
+        qpu = bundled_catalog().get_qpu("google-sycamore-2022")._replace(
             two_qubit_gate_time=1e-7,
             readout_time=0.0,
             reset_time=0.0,

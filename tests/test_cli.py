@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nisq_gonogo
 from nisq_gonogo.catalog import bundled_catalog, serialize_catalog
 from nisq_gonogo.cli import EXIT_ERROR, EXIT_NO_GO, EXIT_OK, ENV_CATALOG, main, render_catalog_md
 from nisq_gonogo.scatter import scatter_csv, scatter_svg
@@ -220,6 +224,23 @@ class TestEstimateCommand:
         ):
             assert line in lines
 
+    def test_epsilon_whose_square_underflows_reads_unbounded(self, capsys, workload_file):
+        workload = dict(BENZENE_LIKE, target_epsilon=1e-300)
+        code, out, err = run(capsys, "estimate", "--workload", workload_file(workload), "--qpu", "ibm-osprey")
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        assert "- shots per string: inf shots (unbounded)" in lines
+        assert "- total shots per iteration: inf shots (unbounded)" in lines
+        assert "- total: inf s (unbounded)" in lines
+
+    def test_string_budget_beyond_float_range_reads_unbounded(self, capsys, workload_file):
+        workload = dict(BENZENE_LIKE, c_vqe_override=1e300)
+        code, out, err = run(capsys, "estimate", "--workload", workload_file(workload), "--qpu", "ibm-osprey")
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        assert "- total shots per iteration: inf shots (unbounded)" in lines
+        assert "- total: inf s (unbounded)" in lines
+
     def test_capacity_miss_reads_no_go(self, capsys, workload_file):
         code, out, err = run(
             capsys, "estimate", "--workload", workload_file(WORKLOAD_53x8), "--qpu", "ibm-prague-egret"
@@ -350,6 +371,34 @@ class TestCompareCommand:
         assert code == EXIT_OK and err == ""
         lines = out.splitlines()
         assert lines[0].endswith(": runtime inf s (unbounded), state space 256 B (4 qubits)")
+        assert "| speed | disadvantage |" in lines and "| energetic | disadvantage |" in lines
+
+
+    @pytest.mark.parametrize(
+        "overrides, strings",
+        [
+            ({"data_qubits": 10**400, "depth": 3}, "inf strings (unbounded)"),
+            ({"ansatz_iterations": 10**400}, "4 strings"),
+            ({"family": "qaoa", "qaoa_layers": 10**400}, "inf strings (unbounded)"),
+            ({"family": "vqe", "target_epsilon": 1e-200}, "3 strings"),
+        ],
+        ids=["budget", "iterations", "qaoa-layers", "epsilon"],
+    )
+    def test_counts_beyond_float_range_read_unbounded(self, capsys, workload_file, tmp_path, overrides, strings):
+        workload = workload_file({**WORKLOAD_53x8, "data_qubits": 4, "depth": 10, **overrides})
+        code, out, err = run(capsys, "estimate", "--workload", workload, "--qpu", "ibm-flamingo")
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        assert f"- measurement strings: {strings}" in lines and "nan" not in out
+        assert "- total: inf s (unbounded)" in lines and "- job energy: inf J (inf kWh)" in lines
+        profile_path = tmp_path / "classical.json"
+        profile_path.write_text('{"runtime_s": 100, "classical_ref": "nvidia-dgx-rack"}', encoding="utf-8")
+        code, out, err = run(
+            capsys, "compare", "--workload", workload, "--qpu", "ibm-flamingo", "--classical", str(profile_path)
+        )
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        assert ": runtime inf s (unbounded), state space " in lines[0]
         assert "| speed | disadvantage |" in lines and "| energetic | disadvantage |" in lines
 
 
@@ -580,3 +629,12 @@ def test_feasibility_reports_are_pinned(capsys, workload_file, tmp_path):
         "csv": (EXIT_OK, "84a43bf4da3e3aacf47a5a916cd843aaea6e92fb538172af81aaa5ca4e864b60"),
         "md": (EXIT_OK, "15bb8713fa855212434837aa45387f20a1d9816f5f4a90ba47c49b6f19b7ca9c"),
     }
+
+
+def test_cli_import_leaves_out_the_heavy_stdlib_modules():
+    # -S: no site .pth file may preload any of these before the package does.
+    src = os.path.dirname(os.path.dirname(nisq_gonogo.__file__))
+    heavy = ("dataclasses", "inspect", "ast", "pathlib", "importlib.resources")
+    code = f"import sys; sys.path.insert(0, {src!r}); import nisq_gonogo.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -142,6 +142,9 @@ class TestStatevectorMemory:
         with pytest.raises(ValueError):
             statevector_memory(-1)
 
+    def test_shift_beyond_index_range_is_unbounded(self):
+        assert statevector_memory(10**400) == math.inf
+
 
 class TestEmulationTier:
     @pytest.mark.parametrize(
@@ -235,6 +238,4 @@ def test_verdict_stable_under_percent_round_trip(error, breadth, depth):
 
 
 def _with_error(qpu, error):
-    from dataclasses import replace
-
-    return replace(qpu, two_qubit_error_median=error)
+    return qpu._replace(two_qubit_error_median=error)

@@ -1,10 +1,10 @@
 import math
-from dataclasses import replace
 
 import pytest
 from helpers import make_spec, qpu_with
 
 from nisq_gonogo.runtime import estimate_runtime, single_shot_time
+from nisq_gonogo.units import as_float
 from nisq_gonogo.workload import AlgorithmFamily, shot_plan
 
 
@@ -76,7 +76,7 @@ class TestEstimateRuntime:
         qpu = qpu_with()
         plan = shot_plan(spec, 0.006)
         with_prep = estimate_runtime(qpu, spec, plan)
-        without = estimate_runtime(qpu, replace(spec, classical_prep_time=0.0), plan)
+        without = estimate_runtime(qpu, spec._replace(classical_prep_time=0.0), plan)
         assert with_prep.total_time - without.total_time == pytest.approx(21.0, rel=1e-9)
 
     def test_breakdown_sums_to_total(self):
@@ -86,6 +86,19 @@ class TestEstimateRuntime:
         assert sum(seconds for _, seconds in estimate.breakdown) == pytest.approx(
             estimate.total_time, rel=1e-12
         )
+
+    @pytest.mark.parametrize("prep", [0.0, 2.0])
+    def test_counts_beyond_float_range_take_unbounded_time(self, prep):
+        qpu = qpu_with()
+        for spec in (
+            make_spec(ansatz_iterations=10**400, classical_prep_time=prep),
+            make_spec(family=AlgorithmFamily.GENERIC, data_qubits=10**400, depth=3, classical_prep_time=prep),
+        ):
+            estimate = estimate_runtime(qpu, spec, shot_plan(spec, 0.006))
+            assert estimate.total_time == math.inf
+            # zero prep stays zero over unbounded iterations, never nan
+            classical = dict(estimate.breakdown)["classical preparation and post-processing"]
+            assert classical == (as_float(spec.ansatz_iterations) * prep if prep else 0.0)
 
     def test_parallel_shots_divide_quantum_term(self):
         spec = make_spec(classical_prep_time=0.0)

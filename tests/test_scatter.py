@@ -1,6 +1,5 @@
 import xml.dom.minidom
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 
 import pytest
 
@@ -39,7 +38,7 @@ def test_svg_well_formed_with_markers():
 
 
 def test_svg_escapes_qpu_ids():
-    qpu = replace(bundled_catalog().qpus[0], id="a&b<c")
+    qpu = bundled_catalog().qpus[0]._replace(id="a&b<c")
     root = ET.fromstring(scatter_svg(Catalog(qpus=(qpu,))).encode("utf-8"))
     titles = [el.text for el in root.iter("{http://www.w3.org/2000/svg}title")]
     assert len(titles) == 1 and titles[0].startswith("a&b<c: ")

@@ -63,6 +63,7 @@ def test_format_bytes():
     assert format_bytes(10**400) == f"~2^{(10**400).bit_length() - 1} B (astronomical)"
     assert format_bytes(2**89) == "512 YiB"
     assert format_bytes(2**90) == "~2^90 B (astronomical)"
+    assert format_bytes(math.inf) == "inf B (unbounded)"
 
 
 def test_format_watts_and_joules():

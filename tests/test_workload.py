@@ -48,6 +48,14 @@ class TestPauliStringCount:
     def test_coefficient_override(self):
         assert pauli_string_count(make_spec(c_vqe_override=1.0, data_qubits=3)) == 81
 
+    @pytest.mark.parametrize(
+        "overrides", [{"c_vqe_override": 1e308}, {"data_qubits": 10**100}], ids=["coefficient", "qubits"]
+    )
+    def test_quartic_count_beyond_float_range_is_unbounded(self, overrides):
+        spec = make_spec(**overrides)
+        assert pauli_string_count(spec) == math.inf
+        assert shot_plan(spec, 0.006).total_shots == math.inf
+
     def test_small_registers_never_drop_below_one(self):
         assert pauli_string_count(make_spec(data_qubits=1)) == 1
         assert pauli_string_count(make_spec(data_qubits=2)) == 1
@@ -76,6 +84,17 @@ class TestShotsPerString:
             shots_per_string(0.0)
         with pytest.raises(WorkloadError):
             shots_per_string(1.5)
+
+    @pytest.mark.parametrize("epsilon", [1e-300, 1e-160], ids=["square-underflows", "inverse-overflows"])
+    def test_beyond_float_range_is_unbounded(self, epsilon):
+        assert shots_per_string(epsilon) == math.inf
+
+    def test_near_the_float_limit_counts_stay_exact_ints(self):
+        assert shots_per_string(1e-154) == math.ceil(1.0 / (1e-154 * 1e-154))
+
+    @pytest.mark.parametrize("epsilon, qubits", [(1e-310, 4), (0.5, 10**200)], ids=["epsilon", "qubits"])
+    def test_qaoa_aggregate_beyond_float_range_is_unbounded(self, epsilon, qubits):
+        assert qaoa_aggregate_shots(epsilon, qubits) == math.inf
 
     def test_qaoa_aggregate(self):
         assert qaoa_aggregate_shots(0.1, 10) == 1000
