@@ -209,6 +209,19 @@ def _describe_qpu(qpu: QpuSpec) -> str:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _estimate_qpu_lines(qpu: QpuSpec) -> tuple[str, str, str]:
+    """The parts of an estimate report that depend on the qpu alone, made once per distinct qpu value.
+
+    They are the ``qpu:`` line, the power draw with its component lines, and
+    the no-power-data note (empty when the qpu reports power components).
+    """
+    power = [f"- power draw: {format_watts(energy_mod.power_draw(qpu))}"]
+    power.extend(f"  - {label}: {format_watts(watts)}" for label, watts in energy_mod.power_breakdown(qpu))
+    note = "" if qpu.power_components else "\n  (no power data reported for this qpu)"
+    return f"qpu: {_describe_qpu(qpu)}", "\n".join(power), note
+
+
 def build_estimate_record(
     qpu: QpuSpec,
     spec: workload_mod.WorkloadSpec,
@@ -219,7 +232,7 @@ def build_estimate_record(
     plan = workload_mod.shot_plan(spec, qpu.two_qubit_error_median, qaoa_aggregate=qaoa_aggregate)
     rt = runtime_mod.estimate_runtime(qpu, spec, plan, parallel_shots=parallel_shots)
     en = energy_mod.estimate_energy(qpu, rt)
-    return ResourceRecord(plan=plan, runtime=rt, energy=en)
+    return ResourceRecord(plan, rt, en)
 
 
 def _count_text(count: int | float, unit: str) -> str:
@@ -228,47 +241,45 @@ def _count_text(count: int | float, unit: str) -> str:
 
 
 def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.WorkloadSpec) -> str:
-    plan, rt, en = record.plan, record.runtime, record.energy
-    lines = [f"# Resource estimate: {spec.id} on {qpu.id}", ""]
-    lines.append(
-        f"workload: {spec.family.value}, {spec.data_qubits} data qubits, depth {spec.depth} cycles, "
-        f"target epsilon {spec.target_epsilon}, {spec.ansatz_iterations} iterations"
-    )
-    lines.append(f"qpu: {_describe_qpu(qpu)}")
-    try:
+    """The markdown estimate of ``spec`` on ``qpu``; ``record`` is :func:`build_estimate_record`'s for the pair."""
+    plan, rt, en = record
+    qpu_line, power_lines, power_note = _estimate_qpu_lines(qpu)
+    # the capacity test of ``assess``, made here so that no CapacityError is raised per miss
+    if spec.data_qubits > qpu.qubit_count:
+        feasibility = f"no-go ({feas.capacity_message(spec.data_qubits, qpu)})"
+    else:
         verdict = feas.assess(qpu, spec.shape)
-        lines.append(
-            f"feasibility: {verdict.verdict.value} "
+        feasibility = (
+            f"{verdict.verdict.value} "
             f"(required error rate {sci(verdict.required_error_rate)}, available {sci(verdict.available_error_rate)})"
         )
-    except feas.CapacityError as exc:
-        lines.append(f"feasibility: no-go ({exc})")
-    lines.append("")
-    lines.append(f"shot plan ({plan.model} accounting):")
-    lines.append(f"- measurement strings: {_count_text(plan.pauli_strings, 'strings')}")
-    lines.append(f"- shots per string: {_count_text(plan.shots_per_string, 'shots')}")
-    lines.append(f"- mitigation multiplier: {sci(plan.mitigation_multiplier)} x")
     if as_float(plan.total_shots) == math.inf:
-        lines.append("- total shots per iteration: inf shots (unbounded)")
+        total_shots = "inf shots (unbounded)"
     else:
-        lines.append(f"- total shots per iteration: {plan.total_shots} shots ({sci(plan.total_shots)})")
-    lines.append("")
-    lines.append("runtime:")
-    lines.append(f"- single shot: {format_seconds(rt.single_shot_time)}")
-    lines.append(f"- quantum per iteration: {format_seconds(rt.quantum_time_per_iteration)}")
-    lines.append(f"- classical per iteration: {format_seconds(spec.classical_prep_time)}")
-    lines.append(f"- iteration: {format_seconds(rt.iteration_time)}")
-    lines.append(f"- total: {format_seconds(rt.total_time)}")
-    for label, seconds in rt.breakdown:
-        lines.append(f"  - {label}: {format_seconds(seconds)}")
-    lines.append("")
-    lines.append("energy:")
-    lines.append(f"- power draw: {format_watts(en.power_draw)}")
-    for label, watts in en.breakdown:
-        lines.append(f"  - {label}: {format_watts(watts)}")
-    lines.append(f"- job energy: {format_joules(en.job_energy)}")
-    if en.power_draw == 0.0 and not en.breakdown:
-        lines.append("  (no power data reported for this qpu)")
+        total_shots = f"{plan.total_shots} shots ({sci(plan.total_shots)})"
+    lines = [
+        f"# Resource estimate: {spec.id} on {qpu.id}",
+        "",
+        f"workload: {spec.family.value}, {spec.data_qubits} data qubits, depth {spec.depth} cycles, "
+        f"target epsilon {spec.target_epsilon}, {spec.ansatz_iterations} iterations",
+        qpu_line,
+        f"feasibility: {feasibility}",
+        "",
+        f"shot plan ({plan.model} accounting):",
+        f"- measurement strings: {_count_text(plan.pauli_strings, 'strings')}",
+        f"- shots per string: {_count_text(plan.shots_per_string, 'shots')}",
+        f"- mitigation multiplier: {sci(plan.mitigation_multiplier)} x",
+        f"- total shots per iteration: {total_shots}",
+        "",
+        "runtime:",
+        f"- single shot: {format_seconds(rt.single_shot_time)}",
+        f"- quantum per iteration: {format_seconds(rt.quantum_time_per_iteration)}",
+        f"- classical per iteration: {format_seconds(spec.classical_prep_time)}",
+        f"- iteration: {format_seconds(rt.iteration_time)}",
+        f"- total: {format_seconds(rt.total_time)}",
+    ]
+    lines.extend(f"  - {label}: {format_seconds(seconds)}" for label, seconds in rt.breakdown)
+    lines += ["", "energy:", power_lines, f"- job energy: {format_joules(en.job_energy)}{power_note}"]
     return "\n".join(lines) + "\n"
 
 

@@ -7,6 +7,7 @@ never an inferred one.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .catalog import QpuSpec
@@ -19,10 +20,13 @@ class EnergyEstimate(NamedTuple):
     breakdown: tuple[tuple[str, float], ...]  # (component label, watts)
 
 
+@functools.lru_cache(maxsize=256)
 def power_breakdown(qpu: QpuSpec) -> tuple[tuple[str, float], ...]:
     """Per-component steady-state draw in watts.
 
-    A per-qubit component's effective count is the QPU's qubit count.
+    A per-qubit component's effective count is the QPU's qubit count.  The
+    result depends on the QPU alone, so it is computed once per distinct
+    (immutable) QPU value and shared.
     """
     rows = []
     for component in qpu.power_components:
@@ -46,8 +50,4 @@ def job_energy(power: float, seconds: float) -> float:
 def estimate_energy(qpu: QpuSpec, runtime: RuntimeEstimate) -> EnergyEstimate:
     breakdown = power_breakdown(qpu)
     power = sum(watts for _, watts in breakdown)
-    return EnergyEstimate(
-        power_draw=power,
-        job_energy=job_energy(power, runtime.total_time),
-        breakdown=breakdown,
-    )
+    return EnergyEstimate(power, job_energy(power, runtime.total_time), breakdown)

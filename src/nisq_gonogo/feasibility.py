@@ -31,6 +31,11 @@ class CapacityError(ValueError):
     """Workload breadth exceeds the QPU's qubit count."""
 
 
+def capacity_message(breadth: int, qpu: QpuSpec) -> str:
+    """Why a workload of ``breadth`` qubits does not fit ``qpu``; the text of :class:`CapacityError`."""
+    return f"workload breadth {breadth} exceeds qpu '{qpu.id}' qubit count {qpu.qubit_count}"
+
+
 class _CircuitShapeFields(NamedTuple):
     breadth: int
     depth: int
@@ -166,9 +171,7 @@ def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = 10.0) ->
     """
     check_marginal_band(marginal_band)
     if shape.breadth > qpu.qubit_count:
-        raise CapacityError(
-            f"workload breadth {shape.breadth} exceeds qpu '{qpu.id}' qubit count {qpu.qubit_count}"
-        )
+        raise CapacityError(capacity_message(shape.breadth, qpu))
     required = required_error_rate(shape)
     available = qpu.two_qubit_error_median
     if available < required:
@@ -178,11 +181,7 @@ def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = 10.0) ->
     else:
         verdict = Verdict.NO_GO
     return FeasibilityVerdict(
-        required_error_rate=required,
-        available_error_rate=available,
-        success_probability=success_probability(available, shape),
-        verdict=verdict,
-        optimistic=qpu.two_qubit_error_stddev is None,
+        required, available, success_probability(available, shape), verdict, qpu.two_qubit_error_stddev is None
     )
 
 

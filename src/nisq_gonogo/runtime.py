@@ -65,10 +65,4 @@ def estimate_runtime(
         ("classical preparation and post-processing", iterations * prep if prep else prep),
         ("quantum execution", iterations * quantum_per_iteration),
     )
-    return RuntimeEstimate(
-        single_shot_time=shot_time,
-        quantum_time_per_iteration=quantum_per_iteration,
-        iteration_time=iteration,
-        total_time=total,
-        breakdown=breakdown,
-    )
+    return RuntimeEstimate(shot_time, quantum_per_iteration, iteration, total, breakdown)

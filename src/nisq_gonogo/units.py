@@ -61,11 +61,6 @@ def fidelity_percent(error_rate: float) -> float:
     return 100.0 * (1.0 - error_rate)
 
 
-def error_rate_from_percent(fidelity_pct: float) -> float:
-    """Error-rate probability corresponding to a percent fidelity."""
-    return 1.0 - fidelity_pct / 100.0
-
-
 def format_fidelity_percent(error_rate: float, decimals: int = 1) -> str:
     """Render an error rate as a percent-fidelity string, e.g. ``99.7%``."""
     return f"{fidelity_percent(error_rate):.{decimals}f}%"
@@ -100,12 +95,15 @@ def format_duration(seconds: float) -> str:
 
 
 def format_seconds(seconds: float) -> str:
-    """Exact seconds with the humanized form beside, both unit-tagged."""
-    human = format_duration(seconds)
+    """Exact seconds with the humanized form beside, both unit-tagged.
+
+    Below 120 s (finite) the humanized form would be in seconds too, so it
+    is left out and not built.
+    """
     exact = f"{sci(seconds)} s"
-    if human == exact or human.endswith(" s"):
+    if -math.inf < seconds < _UNIT_SWITCH:
         return exact
-    return f"{exact} ({human})"
+    return f"{exact} ({format_duration(seconds)})"
 
 
 def format_bytes(n: int | float) -> str:

@@ -176,13 +176,7 @@ def shot_plan(spec: WorkloadSpec, error_rate: float, *, qaoa_aggregate: bool = F
     else:
         product = as_float(strings * per_string) * multiplier
         total = math.ceil(product) if product < math.inf else math.inf
-    return ShotPlan(
-        pauli_strings=strings,
-        shots_per_string=per_string,
-        mitigation_multiplier=multiplier,
-        total_shots=total,
-        model=model,
-    )
+    return ShotPlan(strings, per_string, multiplier, total, model)
 
 
 _WORKLOAD_KEYS = keys_of(WorkloadSpec)

@@ -7,9 +7,20 @@ import sys
 import pytest
 
 import nisq_gonogo
-from nisq_gonogo.catalog import bundled_catalog, serialize_catalog
-from nisq_gonogo.cli import EXIT_ERROR, EXIT_NO_GO, EXIT_OK, ENV_CATALOG, main, render_catalog_md
+from nisq_gonogo import energy
+from nisq_gonogo.catalog import PowerComponent, bundled_catalog, serialize_catalog
+from nisq_gonogo.cli import (
+    EXIT_ERROR,
+    EXIT_NO_GO,
+    EXIT_OK,
+    ENV_CATALOG,
+    build_estimate_record,
+    main,
+    render_catalog_md,
+    render_estimate_md,
+)
 from nisq_gonogo.scatter import scatter_csv, scatter_svg
+from nisq_gonogo.workload import parse_workloads
 
 WORKLOAD_53x8 = {
     "id": "surface-scan",
@@ -629,6 +640,86 @@ def test_feasibility_reports_are_pinned(capsys, workload_file, tmp_path):
         "csv": (EXIT_OK, "84a43bf4da3e3aacf47a5a916cd843aaea6e92fb538172af81aaa5ca4e864b60"),
         "md": (EXIT_OK, "15bb8713fa855212434837aa45387f20a1d9816f5f4a90ba47c49b6f19b7ca9c"),
     }
+
+
+def test_estimate_reports_are_pinned(capsys, workload_file):
+    """Every verdict and capacity misses, runtimes either side of 120 s, an
+    unbounded mitigated budget and depth, on a qpu with four power components
+    (ibm-flamingo), one with no power data (google-sycamore-2022) and one of
+    20 qubits (quantinuum-h1)."""
+    qaoa = {"id": "maxcut", "family": "qaoa", "data_qubits": 16, "depth": 12, "qaoa_layers": 3,
+            "target_epsilon": 0.01, "ansatz_iterations": 50}
+    workloads = [
+        {"id": "tiny", "family": "generic", "data_qubits": 4, "depth": 5, "target_epsilon": 0.1,
+         "ansatz_iterations": 10},
+        {"id": "mid", "family": "generic", "data_qubits": 30, "depth": 100, "target_epsilon": 0.05,
+         "ansatz_iterations": 20, "classical_prep_time": 0.5},
+        BENZENE_LIKE,
+        {"id": "mitigated", "family": "vqe", "data_qubits": 12, "depth": 10**6, "target_epsilon": 0.1,
+         "ansatz_iterations": 2, "pauli_grouping": "grouped",
+         "mitigation": {"enabled": True, "exponent_coefficient": 1.0}},
+        {"id": "abyss", "family": "generic", "data_qubits": 5, "depth": 10**400, "target_epsilon": 0.5,
+         "ansatz_iterations": 1},
+        qaoa,
+    ]
+    documents = {"all": workload_file(workloads), "qaoa": workload_file([qaoa], "qaoa.json")}
+    runs = {"plain": ("all",), "parallel-shots": ("all", "--parallel-shots", "4"),
+            "qaoa-aggregate": ("qaoa", "--qaoa-aggregate")}
+    digests, text = {}, ""
+    for qpu in ("ibm-flamingo", "google-sycamore-2022", "quantinuum-h1"):
+        for name, (document, *flags) in runs.items():
+            code, out, err = run(capsys, "estimate", "--workload", documents[document], "--qpu", qpu, *flags)
+            assert err == ""
+            digests[qpu, name] = (code, hashlib.sha256(out.encode("utf-8")).hexdigest())
+            text += out
+    for part in ("feasibility: go", "feasibility: marginal", "feasibility: no-go (required",
+                 "feasibility: no-go (workload breadth 30 exceeds qpu 'quantinuum-h1' qubit count 20)",
+                 "- total: 12.88 s\n", "years)", "- total shots per iteration: inf shots (unbounded)",
+                 "- total: inf s (unbounded)", "qaoa-aggregate accounting", "  - control electronics: 27.72 kW",
+                 "(no power data reported for this qpu)"):
+        assert part in text, part
+    assert digests == {
+        ("ibm-flamingo", "plain"): (EXIT_OK, "7b4e5121d252e6fec6918a67de87bdbfa0239e5f07879dceb0fd5c54a67a0d36"),
+        ("ibm-flamingo", "parallel-shots"): (EXIT_OK, "f82b18eb49021532877173388b2cfc4f5ccb4516a71b02fd34e42c3f0b3ee266"),
+        ("ibm-flamingo", "qaoa-aggregate"): (EXIT_OK, "9dc4b28e5d7985c10e03eb252cb9b37cacaa85a78895c6b58c7da4fc0f3504f1"),
+        ("google-sycamore-2022", "plain"): (EXIT_OK, "b968ec67881ec0925949d7d9818b7ca23785d294bcbb9ae83247c6724d29e645"),
+        ("google-sycamore-2022", "parallel-shots"): (EXIT_OK, "28875e40af002df27a34ee8b2b00813745a48dede9bec9cbeb13b499103eb561"),
+        ("google-sycamore-2022", "qaoa-aggregate"): (EXIT_OK, "79fdece2316ff0309d063fe5fbb323efe626c37d7fe8698115fe7b2aca73c718"),
+        ("quantinuum-h1", "plain"): (EXIT_OK, "fdf3ab8923c5353aa6f55c2b4ec7982cceacfd12702a39960121b41235750afb"),
+        ("quantinuum-h1", "parallel-shots"): (EXIT_OK, "c83d5983abac199bbb02a7de9d238b474148bb83c4be69e4f3d959180216bf8e"),
+        ("quantinuum-h1", "qaoa-aggregate"): (EXIT_OK, "a869f007aca10862290886632786e0ede1154612972b11d5337eda738ba4449e"),
+    }
+
+
+@pytest.mark.parametrize("qpu_id", ["flamingo-variant", "ibm-flamingo"])
+def test_estimate_caches_are_keyed_on_the_qpu_value(qpu_id):
+    """A qpu varied with ``_replace`` gets its own report lines and power breakdown, never the cached ones,
+    also when it keeps the id (as a second catalog may)."""
+    qpu = bundled_catalog().get_qpu("ibm-flamingo")
+    spec = parse_workloads(json.dumps(WORKLOAD_53x8))[0]
+
+    def report(q):
+        return render_estimate_md(build_estimate_record(q, spec), q, spec)
+
+    first = report(qpu)
+    varied = qpu._replace(
+        id=qpu_id,
+        two_qubit_error_median=0.01,
+        power_components=qpu.power_components[:1] + (PowerComponent("extra cooling", 500.0, 2),),
+    )
+    second = report(varied)
+    for line in (
+        f"qpu: {qpu_id} (superconducting, 1386 qubits, two-qubit error 0.01 = fidelity 99.00%, projected)",
+        "feasibility: marginal (required error rate 0.00235849, available 0.01)",
+        "- power draw: 91 kW\n  - pulse tubes with compressors: 90 kW\n  - extra cooling: 1 kW\n- job energy: ",
+    ):
+        assert line in second, line
+    assert "feasibility: go (" in first and "control electronics" in first and "extra cooling" not in first
+    assert energy.power_breakdown(varied) == (("pulse tubes with compressors", 90000), ("extra cooling", 1000.0))
+    assert len(energy.power_breakdown(qpu)) == 4
+    assert report(qpu) == first
+    # an equal qpu value shares the cached breakdown
+    assert energy.power_breakdown(qpu._replace()) is energy.power_breakdown(qpu)
 
 
 def test_cli_import_leaves_out_the_heavy_stdlib_modules():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nisq_gonogo.catalog import bundled_catalog
@@ -18,7 +18,7 @@ from nisq_gonogo.feasibility import (
     statevector_memory,
     success_probability,
 )
-from nisq_gonogo.units import error_rate_from_percent, fidelity_percent, format_fidelity_percent
+from nisq_gonogo.units import format_fidelity_percent
 from nisq_gonogo.workload import MitigationSpec, mitigation_multiplier
 
 
@@ -215,27 +215,3 @@ def test_success_probability_in_unit_interval_and_monotone(error, breadth, depth
 )
 def test_emulation_tier_monotone_in_qubits(qubits, depth, error):
     assert emulation_tier(qubits + 1, depth, error) >= emulation_tier(qubits, depth, error)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    error=st.floats(min_value=1e-8, max_value=0.99, allow_nan=False),
-    breadth=st.integers(min_value=1, max_value=1000),
-    depth=st.integers(min_value=1, max_value=100),
-)
-def test_verdict_stable_under_percent_round_trip(error, breadth, depth):
-    qpu = bundled_catalog().get_qpu("ibm-flamingo")
-    shape = CircuitShape(breadth, depth)
-    required = required_error_rate(shape)
-    # stay off the knife edge: a value sitting exactly on a verdict boundary
-    # may legitimately move by 1 ulp through the percent representation
-    assume(abs(error - required) > 1e-9 * required)
-    assume(abs(error - 10 * required) > 1e-8 * required)
-    direct = assess(_with_error(qpu, error), shape).verdict
-    round_tripped = error_rate_from_percent(fidelity_percent(error))
-    again = assess(_with_error(qpu, round_tripped), shape).verdict
-    assert direct == again
-
-
-def _with_error(qpu, error):
-    return qpu._replace(two_qubit_error_median=error)

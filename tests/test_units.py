@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from nisq_gonogo.units import (
     as_float,
     csv_text,
-    error_rate_from_percent,
     fidelity_percent,
     format_bytes,
     format_duration,
@@ -20,9 +19,9 @@ from nisq_gonogo.units import (
 )
 
 
-def test_fidelity_percent_round_trip():
-    for error in (0.006, 0.0034, 1e-3, 1e-6, 0.5):
-        assert abs(error_rate_from_percent(fidelity_percent(error)) - error) < 1e-12
+def test_fidelity_percent():
+    for error, percent in ((0.006, 99.4), (0.0034, 99.66), (1e-3, 99.9), (1e-6, 99.9999), (0.5, 50.0), (0.0, 100.0)):
+        assert abs(fidelity_percent(error) - percent) < 1e-12
 
 
 def test_format_fidelity_percent():
@@ -51,6 +50,27 @@ def test_format_seconds_shows_exact_and_human():
     assert "years" in text
     # sub-two-minutes durations only show seconds once
     assert format_seconds(1.0) == "1 s"
+
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+_seconds = st.one_of(
+    st.floats(max_value=-0.0),  # negatives, -inf included
+    st.sampled_from([0, 0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(min_value=-_SMALLEST_NORMAL, max_value=_SMALLEST_NORMAL),  # subnormals
+    st.floats(min_value=119.0, max_value=120.0),  # just below and at 120
+    st.sampled_from([math.nextafter(120.0, 0.0), 120, 120.0, math.nextafter(120.0, math.inf)]),
+    st.floats(min_value=120.0, allow_infinity=False),  # large finite
+    st.integers(min_value=-(10**12), max_value=10**12),
+)
+
+
+@settings(max_examples=500)
+@given(_seconds)
+def test_format_seconds_follows_its_definition(seconds):
+    """Exact seconds, and the humanized form beside unless it is in seconds too."""
+    human = format_duration(seconds)
+    exact = sci(seconds) + " s"
+    assert format_seconds(seconds) == (exact if human.endswith(" s") else f"{exact} ({human})")
 
 
 def test_format_bytes():
