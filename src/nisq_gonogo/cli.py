@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
+import operator
 import os
 import sys
 from collections.abc import Sequence
@@ -48,8 +50,9 @@ EXIT_ERROR = 1
 EXIT_NO_GO = 2
 
 _CAPACITY_LABEL = "no-go (capacity)"
-# Rows sort go first, then marginal, no-go, and capacity misses last.
-_VERDICT_RANK = {verdict: rank for rank, verdict in enumerate(feas.Verdict)}
+_VERDICT_TEXT = {verdict: verdict.value for verdict in feas.Verdict}
+_FIRST = _RATE = operator.itemgetter(0)
+_RATE_AND_ID = operator.itemgetter(0, 1)
 
 
 class VerdictRow(NamedTuple):
@@ -98,12 +101,6 @@ def load_workloads(path: str, *, strict: bool) -> workload_mod.Workloads:
     return workloads
 
 
-def _verdict_sort_key(row: VerdictRow):
-    if row.verdict is None:
-        return (len(_VERDICT_RANK), math.inf, row.qpu_id, row.workload_id)
-    return (_VERDICT_RANK[row.verdict.verdict], row.verdict.required_error_rate, row.qpu_id, row.workload_id)
-
-
 def _is_go(row: VerdictRow) -> bool:
     return row.verdict is not None and row.verdict.verdict is feas.Verdict.GO
 
@@ -118,58 +115,124 @@ def _fit_note(qpu: QpuSpec) -> str:
     return "; ".join(notes)
 
 
+def _qpus_by_id(qpus: Sequence[QpuSpec]) -> list[list[tuple]]:
+    """Each qpu with the fields a grid row reads, grouped by id, ids ascending.
+
+    A group keeps catalog order; only a catalog built in code can repeat an id.
+    """
+    groups: dict[str, list[tuple]] = {}
+    for qpu in qpus:
+        fields = (qpu.id, qpu.qubit_count, qpu.two_qubit_error_median, qpu.two_qubit_error_stddev is None, _fit_note(qpu))
+        groups.setdefault(qpu.id, []).append(fields)
+    return [groups[qpu_id] for qpu_id in sorted(groups)]
+
+
+def _checked_shapes(workloads: Sequence[workload_mod.WorkloadSpec], qpus: Sequence[QpuSpec]) -> list[feas.CircuitShape]:
+    """Each workload's shape, raising where ``assess`` would raise on a pair, in pair order.
+
+    ``assess`` rejects an error rate out of range only on a pair that fits
+    the qpu, so a qpu whose rate fails its check is set apart once, and the
+    first workload that fits it raises that check's error.
+    """
+    rejected = []
+    for qpu in qpus:
+        try:
+            feas.check_error_rate(qpu.two_qubit_error_median)
+        except ValueError:
+            rejected.append(qpu)
+    shapes = []
+    for spec in workloads:
+        shape = spec.shape
+        for qpu in rejected:
+            if shape.breadth <= qpu.qubit_count:
+                feas.check_error_rate(qpu.two_qubit_error_median)
+        shapes.append(shape)
+    return shapes
+
+
 def build_feasibility_bundle(
     catalog: Catalog,
     workloads: tuple[workload_mod.WorkloadSpec, ...],
     *,
-    marginal_band: float = 10.0,
+    marginal_band: float = feas.DEFAULT_MARGINAL_BAND,
 ) -> tuple[VerdictRow, ...]:
+    """One row per (qpu, workload) pair, in report order.
+
+    Rows run by verdict (go, marginal, no-go, then capacity misses), then by
+    required error rate ascending, then by qpu id, then by workload id; rows
+    equal on every key keep their input order (workloads in file order, then
+    qpus in catalog order).  The rows are built in that order, so only the
+    workloads and the qpu ids are sorted.  A verdict depends on the qpu and
+    the workload's exact volume alone, so each (volume, qpu) verdict is
+    decided once and its record shared by every row it applies to.  Raises
+    ``ValueError`` as :func:`feasibility.assess` would on the first pair, in
+    input order, that it rejects.
+    """
     feas.check_marginal_band(marginal_band)  # also when the catalog has no qpus to assess
-    # Each record field the loop reads is bound once, outside the pairs.
-    qpus = [(qpu, qpu.id, qpu.qubit_count, _fit_note(qpu)) for qpu in catalog.qpus]
-    rows = []
-    for spec in workloads:
-        shape = spec.shape
-        breadth = shape.breadth
-        workload_id = spec.id
-        for qpu, qpu_id, qubits, note in qpus:
-            # the capacity test of ``assess``, made here so that no CapacityError is raised per miss
-            if breadth > qubits:
-                rows.append(VerdictRow(qpu_id, workload_id, None, f"insufficient qubits: needs {breadth}, has {qubits}"))
-            else:
-                rows.append(VerdictRow(qpu_id, workload_id, feas.assess(qpu, shape, marginal_band=marginal_band), note))
-    rows.sort(key=_verdict_sort_key)
-    return tuple(rows)
+    shapes = _checked_shapes(workloads, catalog.qpus)
+    qpu_groups = _qpus_by_id(catalog.qpus)
+    rated = sorted(
+        [(feas.required_error_rate(shape), spec.id, shape) for spec, shape in zip(workloads, shapes)],
+        key=_RATE_AND_ID,
+    )
+    lists = {verdict: [] for verdict in feas.Verdict}
+    for rate, tied in itertools.groupby(rated, key=_RATE):
+        members = [(workload_id, shape.breadth, shape.volume, shape) for _, workload_id, shape in tied]
+        for group in qpu_groups:
+            states = []
+            for qpu_id, qubits, available, optimistic, note in group:
+                verdict = feas.rate_verdict(rate, available, marginal_band)
+                states.append((qpu_id, qubits, available, optimistic, note, verdict, lists[verdict], {}))
+            for workload_id, breadth, volume, shape in members:
+                for qpu_id, qubits, available, optimistic, note, verdict, out, records in states:
+                    if breadth > qubits:
+                        continue  # a capacity miss: its row is made below
+                    record = records.get(volume)  # keyed by the exact volume: two huge volumes can share a 1/V float
+                    if record is None:
+                        record = records[volume] = feas.FeasibilityVerdict(
+                            rate, available, feas.success_probability(available, shape), verdict, optimistic
+                        )
+                    out.append(VerdictRow(qpu_id, workload_id, record, note))
+    misses = []
+    by_id = sorted([(spec.id, shape.breadth) for spec, shape in zip(workloads, shapes)], key=_FIRST)
+    for group in qpu_groups:
+        for workload_id, breadth in by_id:
+            for qpu_id, qubits, _, _, _ in group:
+                # the capacity test of ``assess``, made here so that no CapacityError is raised per miss
+                if breadth > qubits:
+                    misses.append(VerdictRow(qpu_id, workload_id, None, f"insufficient qubits: needs {breadth}, has {qubits}"))
+    return (*lists[feas.Verdict.GO], *lists[feas.Verdict.MARGINAL], *lists[feas.Verdict.NO_GO], *misses)
 
 
 def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
-    # The two rate columns repeat per workload and per qpu: each distinct rate is formatted once.
-    required_text = functools.cache(sci)
+    # Rates and success probabilities repeat across rows: each distinct value is formatted once.
+    number_text = functools.cache(sci)
     available_text = functools.cache(lambda rate: f"{sci(rate)} ({format_fidelity_percent(rate, 2)})")
     lines = ["# Feasibility report", ""]
     lines.append(
         "| verdict | qpu | workload | required error rate | available error rate (fidelity) | success probability | note |"
     )
     lines.append("|---|---|---|---|---|---|---|")
-    for row in bundle:
-        if row.verdict is None:
-            lines.append(f"| {_CAPACITY_LABEL} | {row.qpu_id} | {row.workload_id} | - | - | - | {row.note} |")
+    go = 0
+    for qpu_id, workload_id, v, note in bundle:
+        if v is None:
+            lines.append(f"| {_CAPACITY_LABEL} | {qpu_id} | {workload_id} | - | - | - | {note} |")
             continue
-        v = row.verdict
+        verdict = _VERDICT_TEXT[v.verdict]
+        go += verdict == "go"
         lines.append(
-            f"| {v.verdict.value} | {row.qpu_id} | {row.workload_id} "
-            f"| {required_text(v.required_error_rate)} "
+            f"| {verdict} | {qpu_id} | {workload_id} "
+            f"| {number_text(v.required_error_rate)} "
             f"| {available_text(v.available_error_rate)} "
-            f"| {sci(v.success_probability)} | {row.note} |"
+            f"| {number_text(v.success_probability)} | {note} |"
         )
-    go = sum(1 for row in bundle if _is_go(row))
     lines.append("")
     lines.append(f"{go} of {len(bundle)} (qpu, workload) pairs reach go.")
     return "\n".join(lines) + "\n"
 
 
 def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
-    rate_text = functools.cache(str)  # as in the markdown report, each distinct rate is formatted once
+    number_text = functools.cache(str)  # as in the markdown report, each distinct number is formatted once
 
     def rows():  # made one at a time as the writer asks, so no list of a large grid's rows is built
         yield [
@@ -182,20 +245,19 @@ def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
             "optimistic",
             "note",
         ]
-        for row in bundle:
-            if row.verdict is None:
-                yield [_CAPACITY_LABEL, row.qpu_id, row.workload_id, "", "", "", "", row.note]
+        for qpu_id, workload_id, v, note in bundle:
+            if v is None:
+                yield [_CAPACITY_LABEL, qpu_id, workload_id, "", "", "", "", note]
             else:
-                v = row.verdict
                 yield [
-                    v.verdict.value,
-                    row.qpu_id,
-                    row.workload_id,
-                    rate_text(v.required_error_rate),
-                    rate_text(v.available_error_rate),
-                    str(v.success_probability),
-                    str(v.optimistic).lower(),
-                    row.note,
+                    _VERDICT_TEXT[v.verdict],
+                    qpu_id,
+                    workload_id,
+                    number_text(v.required_error_rate),
+                    number_text(v.available_error_rate),
+                    number_text(v.success_probability),
+                    "true" if v.optimistic else "false",
+                    note,
                 ]
 
     return csv_text(rows())
@@ -248,10 +310,11 @@ def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.
     if spec.data_qubits > qpu.qubit_count:
         feasibility = f"no-go ({feas.capacity_message(spec.data_qubits, qpu)})"
     else:
-        verdict = feas.assess(qpu, spec.shape)
+        required = feas.required_error_rate(spec.shape)
+        available = qpu.two_qubit_error_median  # checked by the record's shot plan
         feasibility = (
-            f"{verdict.verdict.value} "
-            f"(required error rate {sci(verdict.required_error_rate)}, available {sci(verdict.available_error_rate)})"
+            f"{_VERDICT_TEXT[feas.rate_verdict(required, available)]} "
+            f"(required error rate {sci(required)}, available {sci(available)})"
         )
     if as_float(plan.total_shots) == math.inf:
         total_shots = "inf shots (unbounded)"
@@ -463,9 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_feas.add_argument(
         "--marginal-band",
         type=float,
-        default=10.0,
+        default=feas.DEFAULT_MARGINAL_BAND,
         metavar="X",
-        help="factor above the required error rate still reported as marginal (default 10)",
+        help=f"factor above the required error rate still reported as marginal (default {feas.DEFAULT_MARGINAL_BAND:g})",
     )
     p_feas.set_defaults(func=cmd_feasibility)
 

@@ -26,6 +26,9 @@ TENSOR_NETWORK_ERROR_THRESHOLD = 1e-3
 #: Default circuit-depth cutoff under which an algorithm counts as shallow.
 DEFAULT_SHALLOW_DEPTH = 10
 
+#: Default factor above the required error rate still reported as marginal.
+DEFAULT_MARGINAL_BAND = 10.0
+
 
 class CapacityError(ValueError):
     """Workload breadth exceeds the QPU's qubit count."""
@@ -118,7 +121,7 @@ def required_error_rate(shape: CircuitShape) -> float:
     """Largest two-qubit error rate tolerable for ``shape``: 1/(breadth*depth).
 
     No safety factor is applied; headroom is expressed through the three-way
-    verdict in :func:`assess` instead.  A volume beyond float range gives 0.0.
+    verdict of :func:`rate_verdict` instead.  A volume beyond float range gives 0.0.
     """
     return 1 / shape.volume
 
@@ -161,27 +164,37 @@ def feasible_square_side(error_rate: float) -> int:
     return math.isqrt(simple_quantum_volume(error_rate))
 
 
-def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = 10.0) -> FeasibilityVerdict:
-    """Compare ``qpu`` against ``shape`` and classify.
+def rate_verdict(required: float, available: float, marginal_band: float = DEFAULT_MARGINAL_BAND) -> Verdict:
+    """The three-way test: go when ``available`` is strictly below ``required``,
+    marginal when it is below ``marginal_band`` times ``required``, no-go beyond.
 
-    go: available error strictly below required; marginal: within
-    ``marginal_band`` times required; no-go: beyond.  Raises
-    :class:`CapacityError` when the shape needs more qubits than the QPU has,
-    and ``ValueError`` unless ``marginal_band`` is finite and above 1.
+    The band is not checked here; :func:`check_marginal_band` is the check.
+    """
+    if available < required:
+        return Verdict.GO
+    if available < marginal_band * required:
+        return Verdict.MARGINAL
+    return Verdict.NO_GO
+
+
+def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = DEFAULT_MARGINAL_BAND) -> FeasibilityVerdict:
+    """Compare ``qpu`` against ``shape`` and classify with :func:`rate_verdict`.
+
+    Raises :class:`CapacityError` when the shape needs more qubits than the
+    QPU has, and ``ValueError`` when ``marginal_band`` is not finite and
+    above 1 or the QPU's error rate is outside [0, 1).
     """
     check_marginal_band(marginal_band)
     if shape.breadth > qpu.qubit_count:
         raise CapacityError(capacity_message(shape.breadth, qpu))
     required = required_error_rate(shape)
     available = qpu.two_qubit_error_median
-    if available < required:
-        verdict = Verdict.GO
-    elif available < marginal_band * required:
-        verdict = Verdict.MARGINAL
-    else:
-        verdict = Verdict.NO_GO
     return FeasibilityVerdict(
-        required, available, success_probability(available, shape), verdict, qpu.two_qubit_error_stddev is None
+        required,
+        available,
+        success_probability(available, shape),
+        rate_verdict(required, available, marginal_band),
+        qpu.two_qubit_error_stddev is None,
     )
 
 

@@ -21,6 +21,7 @@ Workload files are UTF-8 JSON: either one object with the
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from typing import NamedTuple
 
@@ -56,6 +57,12 @@ class MitigationSpec(NamedTuple):
     exponent_coefficient: float = 1.0
 
 
+@functools.lru_cache(maxsize=32, typed=True)  # typed: a True or 2.0 misses the cache, so CircuitShape rejects it
+def _circuit_shape(breadth: int, depth: int) -> CircuitShape:
+    """The checked shape, built once while a record's shot plan and report both read it."""
+    return CircuitShape(breadth, depth)
+
+
 class WorkloadSpec(NamedTuple):
     """One algorithm instance to be costed against hardware."""
 
@@ -73,7 +80,7 @@ class WorkloadSpec(NamedTuple):
 
     @property
     def shape(self) -> CircuitShape:
-        return CircuitShape(breadth=self.data_qubits, depth=self.depth)
+        return _circuit_shape(self.data_qubits, self.depth)
 
 
 class ShotPlan(NamedTuple):
@@ -160,7 +167,11 @@ def mitigation_multiplier(spec: MitigationSpec, error_rate: float, shape: Circui
 
 def shot_plan(spec: WorkloadSpec, error_rate: float, *, qaoa_aggregate: bool = False) -> ShotPlan:
     """Full per-iteration shot budget for ``spec`` on hardware with ``error_rate``."""
-    multiplier = mitigation_multiplier(spec.mitigation, error_rate, spec.shape)
+    if spec.mitigation.enabled:
+        multiplier = mitigation_multiplier(spec.mitigation, error_rate, spec.shape)
+    else:  # the multiplier is 1 and needs no shape, but the rate is checked all the same
+        check_error_rate(error_rate)
+        multiplier = 1.0
     if qaoa_aggregate:
         if spec.family is not AlgorithmFamily.QAOA:
             raise WorkloadError(f"workload '{spec.id}': aggregate accounting applies only to the qaoa family")

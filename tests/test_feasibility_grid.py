@@ -1,0 +1,202 @@
+"""The feasibility grid against its reference: ``assess`` on every pair, one sort, plain per-row rendering.
+
+``build_feasibility_bundle`` builds its rows in report order and shares one
+verdict record per (volume, qpu); the reference below is the plain way, kept
+here so that every row, tie and formatted number of the grid can be checked
+against it.
+"""
+
+import math
+
+import pytest
+from helpers import make_spec
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nisq_gonogo import feasibility as feas
+from nisq_gonogo.catalog import Catalog, Modality, QpuSpec, QpuStatus
+from nisq_gonogo.cli import VerdictRow, build_feasibility_bundle, render_feasibility_csv, render_feasibility_md
+from nisq_gonogo.units import csv_text, format_fidelity_percent, sci
+
+_RANK = {verdict: rank for rank, verdict in enumerate(feas.Verdict)}
+
+
+def _reference_note(qpu):
+    notes = []
+    if qpu.status is not QpuStatus.AVAILABLE:
+        notes.append(f"{qpu.status.value} hardware")
+    if qpu.two_qubit_error_stddev is None:
+        notes.append("optimistic: error-rate spread unreported")
+    return "; ".join(notes)
+
+
+def _reference_key(row):
+    if row.verdict is None:
+        return (len(_RANK), math.inf, row.qpu_id, row.workload_id)
+    return (_RANK[row.verdict.verdict], row.verdict.required_error_rate, row.qpu_id, row.workload_id)
+
+
+def reference_bundle(catalog, workloads, marginal_band=10.0):
+    feas.check_marginal_band(marginal_band)
+    rows = []
+    for spec in workloads:
+        shape = spec.shape
+        for qpu in catalog.qpus:
+            try:
+                verdict = feas.assess(qpu, shape, marginal_band=marginal_band)
+            except feas.CapacityError:
+                note = f"insufficient qubits: needs {shape.breadth}, has {qpu.qubit_count}"
+                rows.append(VerdictRow(qpu.id, spec.id, None, note))
+            else:
+                rows.append(VerdictRow(qpu.id, spec.id, verdict, _reference_note(qpu)))
+    return tuple(sorted(rows, key=_reference_key))
+
+
+def reference_md(bundle):
+    lines = ["# Feasibility report", ""]
+    lines.append(
+        "| verdict | qpu | workload | required error rate | available error rate (fidelity) | success probability | note |"
+    )
+    lines.append("|---|---|---|---|---|---|---|")
+    for row in bundle:
+        v = row.verdict
+        if v is None:
+            lines.append(f"| no-go (capacity) | {row.qpu_id} | {row.workload_id} | - | - | - | {row.note} |")
+            continue
+        lines.append(
+            f"| {v.verdict.value} | {row.qpu_id} | {row.workload_id} | {sci(v.required_error_rate)} "
+            f"| {sci(v.available_error_rate)} ({format_fidelity_percent(v.available_error_rate, 2)}) "
+            f"| {sci(v.success_probability)} | {row.note} |"
+        )
+    go = sum(1 for row in bundle if row.verdict is not None and row.verdict.verdict is feas.Verdict.GO)
+    lines += ["", f"{go} of {len(bundle)} (qpu, workload) pairs reach go."]
+    return "\n".join(lines) + "\n"
+
+
+def reference_csv(bundle):
+    rows = [[
+        "verdict", "qpu_id", "workload_id", "required_error_rate", "available_error_rate",
+        "success_probability", "optimistic", "note",
+    ]]
+    for row in bundle:
+        v = row.verdict
+        if v is None:
+            rows.append(["no-go (capacity)", row.qpu_id, row.workload_id, "", "", "", "", row.note])
+        else:
+            rows.append([
+                v.verdict.value, row.qpu_id, row.workload_id, str(v.required_error_rate),
+                str(v.available_error_rate), str(v.success_probability), str(v.optimistic).lower(), row.note,
+            ])
+    return csv_text(rows)
+
+
+def _qpu(qpu_id, qubits, error_rate, status=QpuStatus.AVAILABLE, stddev=None):
+    return QpuSpec(
+        qpu_id, Modality.OTHER, qubits, error_rate, 1e-7, 0.0, 0.0, "grid-4", status, "test",
+        two_qubit_error_stddev=stddev,
+    )
+
+
+def _outcome(build, render, catalog, workloads, band):
+    try:
+        bundle = build(catalog, workloads, marginal_band=band)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return bundle, [render(bundle) for render in render]
+
+
+# Ids from a small alphabet repeat; a comma or a quote sends a CSV row through the writer.
+_IDS = st.sampled_from(["a", "b", "c", "b,c", 'q"x'])
+# Rates at and around the thresholds of small volumes, an int 0, and two out of range.
+_RATES = st.one_of(
+    st.sampled_from([0, 0.0, 1e-4, 1 / 424, 2e-3, 0.01, 1 / 12, 0.25, 0.5]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.sampled_from([1.0, -0.25]),
+)
+_QPUS = st.builds(
+    _qpu,
+    _IDS,
+    st.integers(min_value=1, max_value=16),
+    _RATES,
+    st.sampled_from(list(QpuStatus)),
+    st.sampled_from([None, 1e-5]),
+)
+# Equal volumes from different (N, d): 2 x 6, 3 x 4, 4 x 3, 12 x 1 ...
+_SMALL = st.tuples(st.sampled_from([1, 2, 3, 4, 6, 12]), st.sampled_from([1, 2, 3, 4, 6, 12]))
+# Volumes near 2^53, where distinct volumes can share one 1/V float, and past float range.
+_NEAR_2_53 = st.builds(
+    lambda breadth, offset: (breadth, (2**53 + offset) // breadth),
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(min_value=-40, max_value=40),
+)
+_HUGE = st.tuples(st.sampled_from([1, 3, 20]), st.sampled_from([10**400, 10**400 + 1, 2 * 10**400]))
+_WORKLOADS = st.lists(
+    st.builds(
+        lambda workload_id, shape: make_spec(id=workload_id, data_qubits=shape[0], depth=shape[1]),
+        _IDS,
+        st.one_of(_SMALL, _NEAR_2_53, _HUGE, st.tuples(st.integers(1, 24), st.integers(1, 50))),
+    ),
+    min_size=1,
+    max_size=14,
+).map(tuple)
+_BANDS = st.one_of(st.sampled_from([1.0000001, 2.0, 10.0, 1e6]), st.floats(min_value=1.0, max_value=1e9, exclude_min=True))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_QPUS, max_size=5).map(tuple), _WORKLOADS, _BANDS)
+# an int 0 rate beside the float 0.0 rate of a volume past float range: each keeps its own text
+@example((_qpu("a", 4, 0),), (make_spec(id="w", data_qubits=1, depth=10**400),), 10.0)
+# one id, one rate, two volumes: the rows keep input order
+@example((_qpu("a", 4, 1e-16),), tuple(make_spec(id="w", data_qubits=1, depth=2**53 - k) for k in (2, 1)), 10.0)
+def test_grid_equals_the_reference(qpus, workloads, band):
+    catalog = Catalog(qpus)
+    renders = (render_feasibility_csv, render_feasibility_md)
+    got = _outcome(build_feasibility_bundle, renders, catalog, workloads, band)
+    want = _outcome(reference_bundle, (reference_csv, reference_md), catalog, workloads, band)
+    assert got == want
+
+
+@pytest.mark.parametrize("volumes", [(2**53 - 1, 2**53 - 2), (2**53 - 2, 2**53 - 1)])
+def test_volumes_sharing_a_rate_keep_their_own_success_probability(volumes):
+    # 2^53 - 1 and 2^53 - 2 share the float 1/V but not the exact volume; with one id, input order decides
+    assert 1 / volumes[0] == 1 / volumes[1]
+    workloads = tuple(make_spec(id="w", data_qubits=1, depth=volume) for volume in volumes)
+    catalog = Catalog((_qpu("lab", 4, 1e-16),))
+    bundle = build_feasibility_bundle(catalog, workloads)
+    assert bundle == reference_bundle(catalog, workloads)
+    probabilities = [row.verdict.success_probability for row in bundle]
+    assert probabilities == [feas.success_probability(1e-16, spec.shape) for spec in workloads]
+    assert probabilities[0] != probabilities[1]
+
+
+def test_rows_of_one_volume_share_one_verdict_record():
+    workloads = tuple(make_spec(id=wid, data_qubits=n, depth=d) for wid, n, d in (("x", 2, 6), ("y", 3, 4), ("z", 12, 1)))
+    bundle = build_feasibility_bundle(Catalog((_qpu("lab", 16, 1e-3),)), workloads)
+    assert [row.workload_id for row in bundle] == ["x", "y", "z"]
+    assert len({id(row.verdict) for row in bundle}) == 1
+
+
+def _assess_message(qpu, band=10.0):
+    with pytest.raises(ValueError) as info:
+        feas.assess(qpu, make_spec(data_qubits=2, depth=2).shape, marginal_band=band)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("rate", [1.0, -0.1, math.nan])
+def test_an_error_rate_out_of_range_raises_as_assess_does(rate):
+    good, bad = _qpu("good", 8, 1e-3), _qpu("bad", 8, rate)
+    workloads = (make_spec(id="w", data_qubits=2, depth=2),)
+    with pytest.raises(ValueError) as info:
+        build_feasibility_bundle(Catalog((good, bad)), workloads)
+    assert str(info.value) == _assess_message(bad) == f"error_rate must be in [0, 1), got {rate}"
+    # as with assess, a qpu that no workload fits is never checked
+    assert build_feasibility_bundle(Catalog((good, _qpu("bad", 1, rate))), workloads)
+
+
+@pytest.mark.parametrize("qpus", [(), (_qpu("lab", 8, 1e-3),)], ids=["empty-catalog", "one-qpu"])
+@pytest.mark.parametrize("band", [1.0, 0.5, math.inf, math.nan])
+def test_a_bad_marginal_band_raises_as_assess_does(qpus, band):
+    workloads = (make_spec(id="w", data_qubits=2, depth=2),)
+    with pytest.raises(ValueError) as info:
+        build_feasibility_bundle(Catalog(qpus), workloads, marginal_band=band)
+    assert str(info.value) == _assess_message(_qpu("lab", 8, 1e-3), band)

@@ -158,6 +158,13 @@ class TestShotPlan:
         assert boosted.total_shots > base.total_shots
         assert boosted.total_shots == math.ceil(base.total_shots * boosted.mitigation_multiplier)
 
+    @pytest.mark.parametrize("enabled", [False, True])
+    @pytest.mark.parametrize("rate", [1.0, -0.5, math.nan])
+    def test_error_rate_is_checked_with_mitigation_on_or_off(self, enabled, rate):
+        spec = make_spec(mitigation=MitigationSpec(enabled=enabled))
+        with pytest.raises(ValueError, match=r"^error_rate must be in \[0, 1\), got "):
+            shot_plan(spec, error_rate=rate)
+
     def test_mitigated_budget_beyond_float_range_is_unbounded(self):
         spec = make_spec(data_qubits=400, depth=400, mitigation=MitigationSpec(enabled=True))
         plan = shot_plan(spec, error_rate=0.02)
@@ -272,3 +279,11 @@ def test_total_shots_non_decreasing_in_size_knobs(n, layers, coeff):
         shot_plan(make_spec(data_qubits=n, depth=8, mitigation=stronger), 1e-3).total_shots
         >= shot_plan(vqe, 1e-3).total_shots
     )
+
+
+def test_spec_shape_checks_each_field_type():
+    assert make_spec(data_qubits=1, depth=2).shape == CircuitShape(1, 2)
+    # an argument equal to an int already seen is checked all the same
+    for bad in ({"data_qubits": True}, {"depth": 2.0}):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            make_spec(**{"data_qubits": 1, "depth": 2, **bad}).shape
