@@ -34,7 +34,7 @@ from .fields import Checker, decode, keys_of
 from .scatter import scatter_csv, scatter_svg
 from .units import (
     as_float,
-    csv_text,
+    csv_field,
     format_bytes,
     format_fidelity_percent,
     format_joules,
@@ -175,32 +175,59 @@ def build_feasibility_bundle(
         [(feas.required_error_rate(shape), spec.id, shape) for spec, shape in zip(workloads, shapes)],
         key=_RATE_AND_ID,
     )
+    # Rows and records are made with ``tuple.__new__``, not the named tuples'
+    # keyword ``__new__``: a grid call makes tens of thousands of them.
+    new = tuple.__new__
     lists = {verdict: [] for verdict in feas.Verdict}
     for rate, tied in itertools.groupby(rated, key=_RATE):
-        members = [(workload_id, shape.breadth, shape.volume, shape) for _, workload_id, shape in tied]
+        members = [(workload_id, shape.breadth, shape) for _, workload_id, shape in tied]
+        shape = members[0][2]
+        one_volume = len(members) == 1 or all(other.volume == shape.volume for _, _, other in members)
         for group in qpu_groups:
+            if one_volume and len(group) == 1:  # one record at most: no per-qpu state to hold
+                qpu_id, qubits, available, optimistic, note = group[0]
+                record = None
+                for workload_id, breadth, _ in members:
+                    if breadth > qubits:
+                        continue  # a capacity miss: its row is made below
+                    if record is None:
+                        verdict = feas.rate_verdict(rate, available, marginal_band)
+                        record = new(
+                            feas.FeasibilityVerdict,
+                            (rate, available, feas.success_probability(available, shape), verdict, optimistic),
+                        )
+                        out = lists[verdict]
+                    out.append(new(VerdictRow, (qpu_id, workload_id, record, note)))
+                continue
+            # Rows of one qpu id run workload-major; a record is keyed by the exact
+            # volume, as two huge volumes can share a 1/V float.
             states = []
             for qpu_id, qubits, available, optimistic, note in group:
                 verdict = feas.rate_verdict(rate, available, marginal_band)
                 states.append((qpu_id, qubits, available, optimistic, note, verdict, lists[verdict], {}))
-            for workload_id, breadth, volume, shape in members:
+            for workload_id, breadth, member_shape in members:
                 for qpu_id, qubits, available, optimistic, note, verdict, out, records in states:
                     if breadth > qubits:
-                        continue  # a capacity miss: its row is made below
-                    record = records.get(volume)  # keyed by the exact volume: two huge volumes can share a 1/V float
+                        continue
+                    volume = member_shape.volume
+                    record = records.get(volume)
                     if record is None:
-                        record = records[volume] = feas.FeasibilityVerdict(
-                            rate, available, feas.success_probability(available, shape), verdict, optimistic
+                        record = records[volume] = new(
+                            feas.FeasibilityVerdict,
+                            (rate, available, feas.success_probability(available, member_shape), verdict, optimistic),
                         )
-                    out.append(VerdictRow(qpu_id, workload_id, record, note))
-    misses = []
+                    out.append(new(VerdictRow, (qpu_id, workload_id, record, note)))
+    # The capacity test of ``assess``, made here so that no CapacityError is
+    # raised per miss; each note is formatted once per (breadth, qubit count).
+    capacity_note = functools.cache(lambda breadth, qubits: f"insufficient qubits: needs {breadth}, has {qubits}")
     by_id = sorted([(spec.id, shape.breadth) for spec, shape in zip(workloads, shapes)], key=_FIRST)
-    for group in qpu_groups:
-        for workload_id, breadth in by_id:
-            for qpu_id, qubits, _, _, _ in group:
-                # the capacity test of ``assess``, made here so that no CapacityError is raised per miss
-                if breadth > qubits:
-                    misses.append(VerdictRow(qpu_id, workload_id, None, f"insufficient qubits: needs {breadth}, has {qubits}"))
+    misses = [
+        new(VerdictRow, (qpu_id, workload_id, None, capacity_note(breadth, qubits)))
+        for group in qpu_groups
+        for workload_id, breadth in by_id
+        for qpu_id, qubits, _, _, _ in group
+        if breadth > qubits
+    ]
     return (*lists[feas.Verdict.GO], *lists[feas.Verdict.MARGINAL], *lists[feas.Verdict.NO_GO], *misses)
 
 
@@ -231,36 +258,33 @@ def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FEASIBILITY_CSV_HEADER = (
+    "verdict,qpu_id,workload_id,required_error_rate,available_error_rate,success_probability,optimistic,note\n"
+)
+
+
 def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
-    number_text = functools.cache(str)  # as in the markdown report, each distinct number is formatted once
-
-    def rows():  # made one at a time as the writer asks, so no list of a large grid's rows is built
-        yield [
-            "verdict",
-            "qpu_id",
-            "workload_id",
-            "required_error_rate",
-            "available_error_rate",
-            "success_probability",
-            "optimistic",
-            "note",
-        ]
-        for qpu_id, workload_id, v, note in bundle:
-            if v is None:
-                yield [_CAPACITY_LABEL, qpu_id, workload_id, "", "", "", "", note]
-            else:
-                yield [
-                    _VERDICT_TEXT[v.verdict],
-                    qpu_id,
-                    workload_id,
-                    number_text(v.required_error_rate),
-                    number_text(v.available_error_rate),
-                    number_text(v.success_probability),
-                    "true" if v.optimistic else "false",
-                    note,
-                ]
-
-    return csv_text(rows())
+    # Each row is one f-string: ids and notes are quoted once per distinct text,
+    # each distinct number is formatted once, and the number fields are built
+    # once per run of rows that share a verdict record.  Verdict labels, numbers
+    # and "true"/"false" hold nothing that CSV quotes.
+    field = functools.cache(csv_field)
+    number_text = functools.cache(str)
+    lines = [_FEASIBILITY_CSV_HEADER]
+    last = None
+    for qpu_id, workload_id, v, note in bundle:
+        if v is None:
+            lines.append(f"{_CAPACITY_LABEL},{field(qpu_id)},{field(workload_id)},,,,,{field(note)}\n")
+            continue
+        if v is not last:
+            last = v
+            verdict = _VERDICT_TEXT[v.verdict]
+            numbers = (
+                f"{number_text(v.required_error_rate)},{number_text(v.available_error_rate)},"
+                f"{number_text(v.success_probability)},{'true' if v.optimistic else 'false'}"
+            )
+        lines.append(f"{verdict},{field(qpu_id)},{field(workload_id)},{numbers},{field(note)}\n")
+    return "".join(lines)
 
 
 def _describe_qpu(qpu: QpuSpec) -> str:

@@ -11,6 +11,14 @@ An absent field takes the getter's ``default``; with no default it is
 required.  A field whose default is ``None`` also accepts an explicit JSON
 ``null``; elsewhere ``null`` fails the type check.
 
+Each getter first tries a fast test on the exact JSON type: a ``str``, a
+finite ``float`` within the bounds, an ``int`` at or above the minimum, a
+``bool``, or a ``str`` found in the enum's value map.  The fast test accepts
+only values that the full check accepts, and returns what the full check
+would return; every other value (absent, ``null``, a wrong type, an int in a
+float field, a value out of bounds) goes on to the full check, which raises
+its own message.
+
 :func:`json_of` writes a record back in the layout whose keys :func:`keys_of` gives.
 """
 
@@ -71,11 +79,11 @@ class Record:
     def fail(self, key: str, message: str) -> NoReturn:
         raise self.checker.error(f"{self.name}: field '{self.prefix}{key}' {message}")
 
-    def _get(self, key: str, default: object) -> object:
-        value = self.raw.get(key, default)
-        if value is REQUIRED:
+    def _default(self, key: str, default: object) -> object:
+        """The value of an absent field: its default, unless the field is required."""
+        if default is REQUIRED:
             raise self.checker.error(f"{self.name}: missing required field '{self.prefix}{key}'")
-        return value
+        return default
 
     def _finite(self, key: str, value: int | float) -> float:
         result = as_float(value)
@@ -84,9 +92,11 @@ class Record:
         return result
 
     def text(self, key: str, default: object = REQUIRED, *, nonempty: bool = False):
-        value = self._get(key, default)
-        if value is default:
+        value = self.raw.get(key, default)
+        if type(value) is str and (value or not nonempty):
             return value
+        if value is default:
+            return self._default(key, default)
         if not isinstance(value, str):
             self.fail(key, f"must be a string, got {value!r}")
         if nonempty and not value:
@@ -97,14 +107,15 @@ class Record:
         """A finite number as a float.
 
         Bounds are open (``gt``, ``lt``) or closed (``ge``, ``le``); an upper
-        bound comes with a lower one.
+        bound comes with a lower one.  A float ``default`` must lie within them.
         """
-        value = self._get(key, default)
-        if value is default:
-            return value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(key, f"must be a number, got {value!r}")
-        result = self._finite(key, value)
+        result = self.raw.get(key, default)
+        if type(result) is not float or not math.isfinite(result):
+            if result is default:
+                return self._default(key, default)
+            if isinstance(result, bool) or not isinstance(result, (int, float)):
+                self.fail(key, f"must be a number, got {result!r}")
+            result = self._finite(key, result)
         if (
             (gt is not None and not result > gt)
             or (ge is not None and not result >= ge)
@@ -116,9 +127,11 @@ class Record:
 
     def integer(self, key: str, default: object = REQUIRED, *, minimum: int | None = None, floats: bool = False):
         """An int at or above ``minimum``; with ``floats``, an integral finite float too."""
-        value = self._get(key, default)
-        if value is default:
+        value = self.raw.get(key, default)
+        if type(value) is int and (minimum is None or value >= minimum):
             return value
+        if value is default:
+            return self._default(key, default)
         if floats and isinstance(value, float) and self._finite(key, value).is_integer():
             value = int(value)
         if isinstance(value, bool) or not isinstance(value, int):
@@ -128,24 +141,32 @@ class Record:
         return value
 
     def flag(self, key: str, default: object = REQUIRED):
-        value = self._get(key, default)
-        if value is not default and not isinstance(value, bool):
-            self.fail(key, f"must be a boolean, got {value!r}")
-        return value
+        value = self.raw.get(key, default)
+        if type(value) is bool:
+            return value
+        if value is default:
+            return self._default(key, default)
+        self.fail(key, f"must be a boolean, got {value!r}")
 
     def choice(self, key: str, kind: type[enum.Enum], default: object = REQUIRED):
         """The member of the enum ``kind`` whose value the field holds."""
-        value = self._get(key, default)
+        value = self.raw.get(key, default)
+        if type(value) is str:
+            member = kind._value2member_map_.get(value)
+            if member is not None:
+                return member
         if value is default:
-            return value
+            return self._default(key, default)
         try:
             return kind(value)
         except ValueError:
             self.fail(key, f"must be one of {[m.value for m in kind]}, got {value!r}")
 
     def items(self, key: str, default: object = REQUIRED):
-        value = self._get(key, default)
-        if value is not default and not isinstance(value, list):
+        value = self.raw.get(key, default)
+        if value is default:
+            return self._default(key, default)
+        if not isinstance(value, list):
             self.fail(key, "must be a list")
         return value
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 MINUTE = 60.0
 HOUR = 3600.0
@@ -32,28 +32,39 @@ def as_float(x: int | float) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def csv_text(rows: Iterable[Sequence[object]]) -> str:
-    """RFC-4180 CSV of ``rows``, LF line endings; the rows are read one at a time.
+def csv_field(value: object) -> str:
+    """One field of a row as ``csv.writer`` (RFC 4180, LF line endings) writes it.
 
-    A row of strings holding no comma, ``"``, CR or LF is joined directly;
-    any other row (a single empty field, a field that is not a string, or one
-    the writer may quote: whether it quotes a CR depends on the Python
-    version) goes to ``csv.writer``, so the output is the writer's on every
-    version.
+    ``None`` is empty, a string is its own text (a ``str`` subclass too) and any
+    other value is ``str(value)``.  A text holding a comma, ``"`` or LF is
+    quoted with each ``"`` doubled.  A text holding a CR or a NUL is handed to
+    ``csv.writer`` itself, as the writer's handling of those depends on the
+    Python version (3.13 quotes a lone CR, 3.10 to 3.12 do not; 3.10 rejects a
+    NUL), so the field is the running Python's on every version.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    if type(value) is not str:
+        value = "" if value is None else str.__str__(value) if isinstance(value, str) else str(value)
+    if "\r" in value or "\0" in value:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow((value,))
+        return out.getvalue()[:-1]
+    if "," in value or '"' in value or "\n" in value:
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def csv_text(rows: Iterable[Iterable[object]]) -> str:
+    """RFC-4180 CSV of ``rows``, LF line endings, as ``csv.writer`` writes it.
+
+    Each field is :func:`csv_field`'s; as with the writer, a row of one empty
+    field is written ``""`` so that it is not read back as an empty line.
+    """
+    lines = []
     for row in rows:
-        try:
-            line = ",".join(row)
-        except TypeError:  # a field that is not a string
-            writer.writerow(row)
-            continue
-        if not line or line.count(",") != len(row) - 1 or '"' in line or "\n" in line or "\r" in line:
-            writer.writerow(row)
-        else:
-            out.write(line + "\n")
-    return out.getvalue()
+        fields = [csv_field(value) for value in row]
+        line = ",".join(fields)
+        lines.append(f"{line}\n" if line or not fields else '""\n')
+    return "".join(lines)
 
 
 def fidelity_percent(error_rate: float) -> float:

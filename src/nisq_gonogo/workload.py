@@ -219,23 +219,16 @@ def _parse_one(raw: object, index: int, checker: Checker) -> WorkloadSpec:
     grouping = fields.choice("pauli_grouping", PauliGrouping, PauliGrouping.NONE)
     mitigation_fields = fields.record("mitigation", _MITIGATION_KEYS)
     mitigation = MitigationSpec(
-        enabled=mitigation_fields.flag("enabled", False),
-        exponent_coefficient=mitigation_fields.number("exponent_coefficient", 1.0, ge=0),
+        mitigation_fields.flag("enabled", False),
+        mitigation_fields.number("exponent_coefficient", 1.0, ge=0),
     )
     override = fields.number("c_vqe_override", None, gt=0)
     workload_id = fields.text("id", None, nonempty=True)
+    if workload_id is None:
+        workload_id = f"{family.value}-{data_qubits}q-d{depth}"
+    # positional: a named tuple's keyword call costs about a quarter of the parse
     return WorkloadSpec(
-        id=f"{family.value}-{data_qubits}q-d{depth}" if workload_id is None else workload_id,
-        family=family,
-        data_qubits=data_qubits,
-        depth=depth,
-        target_epsilon=epsilon,
-        ansatz_iterations=iterations,
-        classical_prep_time=prep,
-        qaoa_layers=layers,
-        pauli_grouping=grouping,
-        mitigation=mitigation,
-        c_vqe_override=override,
+        workload_id, family, data_qubits, depth, epsilon, iterations, prep, layers, grouping, mitigation, override
     )
 
 
