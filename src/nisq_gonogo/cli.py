@@ -232,7 +232,8 @@ def build_feasibility_bundle(
 
 
 def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
-    # Rates and success probabilities repeat across rows: each distinct value is formatted once.
+    # Rates and success probabilities repeat across rows: each distinct value is
+    # formatted once, and a run of rows that share a verdict record shares its text.
     number_text = functools.cache(sci)
     available_text = functools.cache(lambda rate: f"{sci(rate)} ({format_fidelity_percent(rate, 2)})")
     lines = ["# Feasibility report", ""]
@@ -241,18 +242,21 @@ def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
     )
     lines.append("|---|---|---|---|---|---|---|")
     go = 0
+    last = None
     for qpu_id, workload_id, v, note in bundle:
         if v is None:
             lines.append(f"| {_CAPACITY_LABEL} | {qpu_id} | {workload_id} | - | - | - | {note} |")
             continue
-        verdict = _VERDICT_TEXT[v.verdict]
-        go += verdict == "go"
-        lines.append(
-            f"| {verdict} | {qpu_id} | {workload_id} "
-            f"| {number_text(v.required_error_rate)} "
-            f"| {available_text(v.available_error_rate)} "
-            f"| {number_text(v.success_probability)} | {note} |"
-        )
+        if v is not last:
+            last = v
+            verdict = _VERDICT_TEXT[v.verdict]
+            is_go = verdict == "go"
+            numbers = (
+                f"{number_text(v.required_error_rate)} | {available_text(v.available_error_rate)} "
+                f"| {number_text(v.success_probability)}"
+            )
+        go += is_go
+        lines.append(f"| {verdict} | {qpu_id} | {workload_id} | {numbers} | {note} |")
     lines.append("")
     lines.append(f"{go} of {len(bundle)} (qpu, workload) pairs reach go.")
     return "\n".join(lines) + "\n"
@@ -263,18 +267,26 @@ _FEASIBILITY_CSV_HEADER = (
 )
 
 
+class _CsvFields(dict):
+    """Text -> its CSV field, quoted on first use; a lookup costs no Python call."""
+
+    def __missing__(self, text: str) -> str:
+        field = self[text] = csv_field(text)
+        return field
+
+
 def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
     # Each row is one f-string: ids and notes are quoted once per distinct text,
     # each distinct number is formatted once, and the number fields are built
     # once per run of rows that share a verdict record.  Verdict labels, numbers
     # and "true"/"false" hold nothing that CSV quotes.
-    field = functools.cache(csv_field)
+    field = _CsvFields()
     number_text = functools.cache(str)
     lines = [_FEASIBILITY_CSV_HEADER]
     last = None
     for qpu_id, workload_id, v, note in bundle:
         if v is None:
-            lines.append(f"{_CAPACITY_LABEL},{field(qpu_id)},{field(workload_id)},,,,,{field(note)}\n")
+            lines.append(f"{_CAPACITY_LABEL},{field[qpu_id]},{field[workload_id]},,,,,{field[note]}\n")
             continue
         if v is not last:
             last = v
@@ -283,7 +295,7 @@ def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
                 f"{number_text(v.required_error_rate)},{number_text(v.available_error_rate)},"
                 f"{number_text(v.success_probability)},{'true' if v.optimistic else 'false'}"
             )
-        lines.append(f"{verdict},{field(qpu_id)},{field(workload_id)},{numbers},{field(note)}\n")
+        lines.append(f"{verdict},{field[qpu_id]},{field[workload_id]},{numbers},{field[note]}\n")
     return "".join(lines)
 
 

@@ -120,7 +120,9 @@ def format_seconds(seconds: float) -> str:
 def format_bytes(n: int | float) -> str:
     """Binary-prefixed byte count; falls back to a power-of-two note for
     values beyond yobibytes ("astronomical" in report terms), and reads
-    ``math.inf`` as unbounded."""
+    ``math.inf`` as unbounded.  ``n`` may also be a value that compares,
+    converts to float and has a ``bit_length`` as an int does, such as a
+    :class:`~nisq_gonogo.feasibility.PowerOfTwo`."""
     if n < 0:
         raise ValueError(f"byte count must be non-negative, got {n}")
     if n == math.inf:  # only a float is equal to inf; an int beyond float range is astronomical

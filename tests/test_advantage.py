@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,18 @@ def test_profile_validation():
             SolutionProfile(runtime_s=1.0, **{name: float("inf")})
     # an unbounded quantum budget: runtime and energy may be inf
     assert SolutionProfile(runtime_s=float("inf"), energy_j=float("inf")).runtime_s == float("inf")
+
+
+def test_quantum_profile_of_a_huge_register_holds_no_huge_int():
+    tracemalloc.start()
+    try:
+        profile = quantum_profile(1.0, qubits=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert profile.memory_bytes.bit_length() == 10**9 + 5
+    assert classify(profile, SolutionProfile(runtime_s=1.0, memory_bytes=10**400)).space is Outcome.ADVANTAGE
 
 
 def test_quantum_profile_uses_statevector_footprint():

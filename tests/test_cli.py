@@ -566,6 +566,20 @@ def test_astronomical_state_space_is_reported(capsys, workload_file, tmp_path):
     assert "state space ~2^1104 B (astronomical) (1100 qubits)" in out.splitlines()[0]
 
 
+def test_a_register_of_a_trillion_qubits_is_sized_by_its_exponent(capsys, workload_file, tmp_path):
+    # 2^(10^12 + 4) bytes as an exact int would take 125 GB to build
+    profile_path = tmp_path / "classical.json"
+    profile_path.write_text('{"runtime_s": 3600, "memory_bytes": 1024}', encoding="utf-8")
+    workload = dict(WORKLOAD_53x8, data_qubits=10**12)
+    code, out, err = run(
+        capsys, "compare", "--workload", workload_file(workload), "--qpu", "ibm-flamingo",
+        "--classical", str(profile_path),
+    )
+    assert code == EXIT_OK and err == ""
+    assert f"state space ~2^{10**12 + 4} B (astronomical) ({10**12} qubits)" in out.splitlines()[0]
+    assert "| space | advantage |" in out
+
+
 def test_infinite_profile_memory_is_an_input_error(capsys, workload_file, tmp_path):
     profile_path = tmp_path / "classical.json"
     profile_path.write_text('{"runtime_s": 10, "memory_bytes": Infinity}', encoding="utf-8")

@@ -1,4 +1,5 @@
-"""The feasibility grid against its reference: ``assess`` on every pair, one sort, plain per-row rendering.
+"""The feasibility grid against its reference: ``assess`` on every pair, one sort, plain per-row rendering
+(the CSV through ``csv.writer``).
 
 ``build_feasibility_bundle`` builds its rows in report order and shares one
 verdict record per (volume, qpu); the reference below is the plain way, kept
@@ -6,6 +7,8 @@ here so that every row, tie and formatted number of the grid can be checked
 against it.
 """
 
+import csv
+import io
 import math
 
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 from nisq_gonogo import feasibility as feas
 from nisq_gonogo.catalog import Catalog, Modality, QpuSpec, QpuStatus
 from nisq_gonogo.cli import VerdictRow, build_feasibility_bundle, render_feasibility_csv, render_feasibility_md
-from nisq_gonogo.units import csv_text, format_fidelity_percent, sci
+from nisq_gonogo.units import format_fidelity_percent, sci
 
 _RANK = {verdict: rank for rank, verdict in enumerate(feas.Verdict)}
 
@@ -87,7 +90,9 @@ def reference_csv(bundle):
                 v.verdict.value, row.qpu_id, row.workload_id, str(v.required_error_rate),
                 str(v.available_error_rate), str(v.success_probability), str(v.optimistic).lower(), row.note,
             ])
-    return csv_text(rows)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _qpu(qpu_id, qubits, error_rate, status=QpuStatus.AVAILABLE, stddev=None):
@@ -105,8 +110,8 @@ def _outcome(build, render, catalog, workloads, band):
     return bundle, [render(bundle) for render in render]
 
 
-# Ids from a small alphabet repeat; a comma or a quote sends a CSV row through the writer.
-_IDS = st.sampled_from(["a", "b", "c", "b,c", 'q"x'])
+# Ids from a small alphabet repeat; a comma, a quote, an LF or a CR (quoted from Python 3.13 on) is quoted.
+_IDS = st.sampled_from(["a", "b", "c", "b,c", 'q"x', "l\nf", "c\rr"])
 # Rates at and around the thresholds of small volumes, an int 0, and two out of range.
 _RATES = st.one_of(
     st.sampled_from([0, 0.0, 1e-4, 1 / 424, 2e-3, 0.01, 1 / 12, 0.25, 0.5]),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nisq_gonogo.units import (
     as_float,
+    csv_field,
     csv_text,
     fidelity_percent,
     format_bytes,
@@ -106,22 +107,55 @@ def test_csv_text_quotes_fields_and_reads_rows_lazily():
     assert csv_text([]) == ""
 
 
-_csv_strings = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "b", "Z"]), max_size=6)
+# Every character CSV treats specially, a space, non-ASCII text and a NUL (which 3.10's writer rejects).
+_csv_strings = st.text(
+    alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "b", "Z", "é", "漢", "\u2028", "\0"]), max_size=6
+)
 _csv_rows = st.one_of(
-    st.lists(_csv_strings, max_size=5),  # mostly the joined fast path
-    st.lists(st.one_of(_csv_strings, st.integers(), st.floats(), st.none()), max_size=5),
+    st.lists(_csv_strings, max_size=5),
+    st.lists(st.one_of(_csv_strings, st.integers(), st.floats(), st.none(), st.booleans()), max_size=5),
     st.just([""]),
+    st.just([None]),
 )
 
 
-@settings(max_examples=300)
+def _written(rows):
+    """``csv.writer``'s text of ``rows``, or the error it raises."""
+    out = io.StringIO()
+    try:
+        csv.writer(out, lineterminator="\n").writerows(rows)
+    except csv.Error as exc:
+        return type(exc), str(exc)
+    return out.getvalue()
+
+
+def _outcome(render, rows):
+    try:
+        return render(rows)
+    except csv.Error as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
 @given(st.lists(_csv_rows, max_size=6))
 def test_csv_text_equals_the_csv_writer(rows):
-    """The joined fast path and the writer it falls back to give ``csv.writer``'s bytes.
+    """Quoting, a lone CR (quoted from 3.13 on), a NUL and a row of one empty field come out as the writer's."""
+    assert _outcome(csv_text, rows) == _written(rows)
 
-    A CR is quoted or not by the writer depending on the Python version, so
-    rows holding one go to the writer too.
-    """
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    assert csv_text(rows) == out.getvalue()
+
+@settings(max_examples=400)
+@given(_csv_rows)
+def test_csv_fields_joined_equal_the_csv_writer(row):
+    joined = _outcome(lambda fields: ",".join([csv_field(value) for value in fields]) + "\n", row)
+    if row in ([""], [None]):  # the writer marks a row of one empty field as ``""``; the field itself is empty
+        assert joined == "\n" and _written([row]) == '""\n'
+    else:
+        assert joined == _written([row])
+
+
+def test_csv_field_of_each_special_character():
+    assert csv_field("a,b") == '"a,b"'
+    assert csv_field('say "hi"') == '"say ""hi"""'
+    assert csv_field("two\nlines") == '"two\nlines"'
+    assert csv_field(" é ") == " é "
+    assert csv_field(None) == "" and csv_field(1.5) == "1.5" and csv_field(True) == "True"
