@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -249,25 +250,24 @@ class PowerOfTwo:
             return 1 if self.exponent > floor_log2 else -1
         return 0 if exact else -1
 
-    def __eq__(self, other: object):
+    def _compare(self, other: object, test):
         order = self._order(other)
-        return order if order is NotImplemented else order == 0
+        return order if order is NotImplemented else order is not None and test(order, 0)
+
+    def __eq__(self, other: object):
+        return self._compare(other, operator.eq)
 
     def __lt__(self, other: object):
-        order = self._order(other)
-        return order if order is NotImplemented else order is not None and order < 0
+        return self._compare(other, operator.lt)
 
     def __le__(self, other: object):
-        order = self._order(other)
-        return order if order is NotImplemented else order is not None and order <= 0
+        return self._compare(other, operator.le)
 
     def __gt__(self, other: object):
-        order = self._order(other)
-        return order if order is NotImplemented else order is not None and order > 0
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other: object):
-        order = self._order(other)
-        return order if order is NotImplemented else order is not None and order >= 0
+        return self._compare(other, operator.ge)
 
 
 def statevector_memory(qubits: int) -> int | PowerOfTwo | float:
