@@ -32,23 +32,29 @@ def as_float(x: int | float) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _writer_quotes_a_lone_cr() -> bool:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(["\r"])
+    return out.getvalue() != "\r\n"
+
+
+#: Whether the running Python's ``csv.writer`` quotes a field holding a CR
+#: (3.13 does, 3.10 to 3.12 do not); asked of the writer itself.
+_QUOTES_CR = _writer_quotes_a_lone_cr()
+
+
 def csv_field(value: object) -> str:
     """One field of a row as ``csv.writer`` (RFC 4180, LF line endings) writes it.
 
     ``None`` is empty, a string is its own text (a ``str`` subclass too) and any
-    other value is ``str(value)``.  A text holding a comma, ``"`` or LF is
-    quoted with each ``"`` doubled.  A text holding a CR or a NUL is handed to
-    ``csv.writer`` itself, as the writer's handling of those depends on the
-    Python version (3.13 quotes a lone CR, 3.10 to 3.12 do not; 3.10 rejects a
-    NUL), so the field is the running Python's on every version.
+    other value is ``str(value)``.  A text holding a comma, ``"`` or LF, or a
+    CR where the running Python's writer quotes one, is quoted with each
+    ``"`` doubled.  A NUL is written as it is, as 3.11 and later write it
+    (3.10's writer rejects it).
     """
     if type(value) is not str:
         value = "" if value is None else str.__str__(value) if isinstance(value, str) else str(value)
-    if "\r" in value or "\0" in value:
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerow((value,))
-        return out.getvalue()[:-1]
-    if "," in value or '"' in value or "\n" in value:
+    if "," in value or '"' in value or "\n" in value or (_QUOTES_CR and "\r" in value):
         return '"' + value.replace('"', '""') + '"'
     return value
 

@@ -120,37 +120,33 @@ _csv_rows = st.one_of(
 
 
 def _written(rows):
-    """``csv.writer``'s text of ``rows``, or the error it raises."""
+    """``csv.writer``'s text of ``rows``; ``None`` where it rejects a NUL, as 3.10's writer does."""
     out = io.StringIO()
     try:
         csv.writer(out, lineterminator="\n").writerows(rows)
-    except csv.Error as exc:
-        return type(exc), str(exc)
+    except csv.Error:
+        assert any("\0" in str(value) for row in rows for value in row)
+        return None
     return out.getvalue()
-
-
-def _outcome(render, rows):
-    try:
-        return render(rows)
-    except csv.Error as exc:
-        return type(exc), str(exc)
 
 
 @settings(max_examples=400)
 @given(st.lists(_csv_rows, max_size=6))
 def test_csv_text_equals_the_csv_writer(rows):
     """Quoting, a lone CR (quoted from 3.13 on), a NUL and a row of one empty field come out as the writer's."""
-    assert _outcome(csv_text, rows) == _written(rows)
+    written = _written(rows)
+    assert csv_text(rows) == written or written is None
 
 
 @settings(max_examples=400)
 @given(_csv_rows)
 def test_csv_fields_joined_equal_the_csv_writer(row):
-    joined = _outcome(lambda fields: ",".join([csv_field(value) for value in fields]) + "\n", row)
+    joined = ",".join([csv_field(value) for value in row]) + "\n"
+    written = _written([row])
     if row in ([""], [None]):  # the writer marks a row of one empty field as ``""``; the field itself is empty
-        assert joined == "\n" and _written([row]) == '""\n'
+        assert joined == "\n" and written == '""\n'
     else:
-        assert joined == _written([row])
+        assert joined == written or written is None
 
 
 def test_csv_field_of_each_special_character():
@@ -159,3 +155,4 @@ def test_csv_field_of_each_special_character():
     assert csv_field("two\nlines") == '"two\nlines"'
     assert csv_field(" é ") == " é "
     assert csv_field(None) == "" and csv_field(1.5) == "1.5" and csv_field(True) == "True"
+    assert csv_field("a\0b") == "a\0b"  # as 3.11 and later write it; 3.10's writer would raise
