@@ -12,12 +12,12 @@ required.  A field whose default is ``None`` also accepts an explicit JSON
 ``null``; elsewhere ``null`` fails the type check.
 
 Each getter first tries a fast test on the exact JSON type: a ``str``, a
-finite ``float`` within the bounds, an ``int`` at or above the minimum, a
-``bool``, or a ``str`` found in the enum's value map.  The fast test accepts
-only values that the full check accepts, and returns what the full check
-would return; every other value (absent, ``null``, a wrong type, an int in a
-float field, a value out of bounds) goes on to the full check, which raises
-its own message.
+finite ``float``, an ``int`` at or above the minimum, a ``bool``, or a
+``str`` found in the enum's value map.  The fast test accepts only values
+that the full check accepts, and gives what the full check would give;
+every other value (absent, ``null``, a wrong type, an int in a float field,
+an int below the minimum) goes on to the full check, which raises its own
+message.  A number's bounds are checked after either path.
 
 :func:`json_of` writes a record back in the layout whose keys :func:`keys_of` gives.
 """

@@ -7,6 +7,7 @@ percent fidelities exist only at the formatting boundary.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from collections.abc import Iterable
@@ -32,15 +33,13 @@ def as_float(x: int | float) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def _writer_quotes_a_lone_cr() -> bool:
+@functools.cache
+def _writer_quotes_a_cr() -> bool:
+    """Whether the running Python's ``csv.writer`` quotes a field holding a CR
+    (3.13 does, 3.10 to 3.12 do not); asked of the writer once, when a CR first shows."""
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(["\r"])
     return out.getvalue() != "\r\n"
-
-
-#: Whether the running Python's ``csv.writer`` quotes a field holding a CR
-#: (3.13 does, 3.10 to 3.12 do not); asked of the writer itself.
-_QUOTES_CR = _writer_quotes_a_lone_cr()
 
 
 def csv_field(value: object) -> str:
@@ -54,7 +53,7 @@ def csv_field(value: object) -> str:
     """
     if type(value) is not str:
         value = "" if value is None else str.__str__(value) if isinstance(value, str) else str(value)
-    if "," in value or '"' in value or "\n" in value or (_QUOTES_CR and "\r" in value):
+    if "," in value or '"' in value or "\n" in value or ("\r" in value and _writer_quotes_a_cr()):
         return '"' + value.replace('"', '""') + '"'
     return value
 
