@@ -51,8 +51,11 @@ def csv_field(value: object) -> str:
     ``"`` doubled.  A NUL is written as it is, as 3.11 and later write it
     (3.10's writer rejects it).
     """
-    if type(value) is not str:
-        value = "" if value is None else str.__str__(value) if isinstance(value, str) else str(value)
+    if value is None:
+        value = ""
+    elif type(value) is not str:
+        # a str subclass (a str enum, say) is its text, as the writer takes it
+        value = str.__str__(value) if isinstance(value, str) else str(value)
     if "," in value or '"' in value or "\n" in value or ("\r" in value and _writer_quotes_a_cr()):
         return '"' + value.replace('"', '""') + '"'
     return value

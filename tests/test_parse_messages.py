@@ -68,24 +68,25 @@ GOT = {
 }
 
 
-def _table(type_message, *, accepts=(), **special):
+def _table(type_message, *, accepts=(), special=None):
     """``{type_message}, got {value}`` for each label, ``None`` for the accepted ones, ``special`` overriding."""
     table = {label: f"{type_message}, got {got}" for label, got in GOT.items()}
-    table.update({label.replace("_", "-"): message for label, message in special.items()})
+    table.update(special or {})
     table.update(dict.fromkeys(accepts))
     return table
 
 
 def _integer():
     """An int >= 1: data_qubits, depth, qaoa_layers (qaoa family), ansatz_iterations."""
-    return _table("must be an integer", accepts=("huge",), zero="must be >= 1, got 0", negative="must be >= 1, got -1")
+    below = {"zero": "must be >= 1, got 0", "negative": "must be >= 1, got -1"}
+    return _table("must be an integer", accepts=("huge",), special=below)
 
 
 def _number(bounds, *, accepts=()):
     """A finite number within ``bounds``."""
     finite = {label: f"must be finite, got {GOT[label]}" for label in ("nan", "inf", "-inf", "huge")}
     bounded = {label: f"must be {bounds}, got {got}" for label, got in (("zero", 0.0), ("negative", -1.0), ("half", 1.5))}
-    return _table("must be a number", accepts=accepts, **finite, **bounded)
+    return _table("must be a number", accepts=accepts, special={**finite, **bounded})
 
 
 def _choice(values):
@@ -94,7 +95,9 @@ def _choice(values):
 
 EXPECTED = {
     # the optional non-empty id: null reads as absent
-    "id": _table("must be a string", accepts=("null", "string", "unknown-enum"), empty_string="must be non-empty"),
+    "id": _table(
+        "must be a string", accepts=("null", "string", "unknown-enum"), special={"empty-string": "must be non-empty"}
+    ),
     "family": _choice(["vqe", "qaoa", "generic"]),
     "data_qubits": _integer(),
     "depth": _integer(),
@@ -103,7 +106,7 @@ EXPECTED = {
     "ansatz_iterations": _integer(),
     "classical_prep_time": _number(">= 0", accepts=("zero", "half")),
     "pauli_grouping": _choice(["none", "grouped"]),
-    "mitigation": _table("must be an object", object="unknown field 'mitigation.a'"),
+    "mitigation": _table("must be an object", special={"object": "unknown field 'mitigation.a'"}),
     "mitigation.enabled": _table("must be a boolean", accepts=("true",)),
     "mitigation.exponent_coefficient": _number(">= 0", accepts=("zero", "half")),
     "c_vqe_override": _number("> 0", accepts=("null", "half")),
