@@ -154,11 +154,37 @@ class ClassicalRefSpec(NamedTuple):
     tier_hint: str | None = None
 
 
-class Catalog(NamedTuple):
+class _CatalogFields(NamedTuple):
     qpus: tuple[QpuSpec, ...]
     classical_refs: tuple[ClassicalRefSpec, ...] = ()
     # Lenient-mode warnings; not part of equality, hashing or serialization.
     warnings: tuple[str, ...] = ()
+
+
+class Catalog(_CatalogFields):
+    """The QPUs and classical references of one catalog.
+
+    Each id names one entry: a repeated qpu id, or a repeated classical-ref
+    id, raises :class:`CatalogValidationError` here, so a catalog parsed or
+    built in code is one that ``serialize_catalog`` writes and
+    ``parse_catalog`` reads back.  ``_replace`` skips the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        qpus: tuple[QpuSpec, ...],
+        classical_refs: tuple[ClassicalRefSpec, ...] = (),
+        warnings: tuple[str, ...] = (),
+    ) -> Catalog:
+        for label, entries in (("qpus", qpus), ("classical_refs", classical_refs)):
+            seen: set[str] = set()
+            for entry in entries:
+                if entry.id in seen:
+                    raise CatalogValidationError(f"catalog: duplicate id {entry.id!r} in {label}")
+                seen.add(entry.id)
+        return tuple.__new__(cls, (qpus, classical_refs, warnings))
 
     def __eq__(self, other):
         return self[:2] == other[:2] if isinstance(other, Catalog) else NotImplemented
@@ -272,14 +298,6 @@ def parse_catalog(document: str, *, strict: bool = True) -> Catalog:
         raise CatalogValidationError(f"catalog: unsupported schema_version {version} (expected {SCHEMA_VERSION})")
     qpus = tuple(_parse_qpu(item, checker) for item in fields.items("qpus"))
     refs = tuple(_parse_classical_ref(item, checker) for item in fields.items("classical_refs", None) or ())
-
-    for label, ids in (("qpus", [q.id for q in qpus]), ("classical_refs", [r.id for r in refs])):
-        seen: set[str] = set()
-        for entry_id in ids:
-            if entry_id in seen:
-                raise CatalogValidationError(f"catalog: duplicate id {entry_id!r} in {label}")
-            seen.add(entry_id)
-
     return Catalog(qpus=qpus, classical_refs=refs, warnings=tuple(checker.warnings))
 
 

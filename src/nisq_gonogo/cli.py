@@ -115,16 +115,13 @@ def _fit_note(qpu: QpuSpec) -> str:
     return "; ".join(notes)
 
 
-def _qpus_by_id(qpus: Sequence[QpuSpec]) -> list[list[tuple]]:
-    """Each qpu with the fields a grid row reads, grouped by id, ids ascending.
-
-    A group keeps catalog order; only a catalog built in code can repeat an id.
-    """
-    groups: dict[str, list[tuple]] = {}
-    for qpu in qpus:
-        fields = (qpu.id, qpu.qubit_count, qpu.two_qubit_error_median, qpu.two_qubit_error_stddev is None, _fit_note(qpu))
-        groups.setdefault(qpu.id, []).append(fields)
-    return [groups[qpu_id] for qpu_id in sorted(groups)]
+def _grid_qpus(qpus: Sequence[QpuSpec]) -> list[tuple]:
+    """Each qpu's fields that a grid row reads, ids ascending; a catalog holds each id once."""
+    fields = [
+        (qpu.id, qpu.qubit_count, qpu.two_qubit_error_median, qpu.two_qubit_error_stddev is None, _fit_note(qpu))
+        for qpu in qpus
+    ]
+    return sorted(fields, key=_FIRST)
 
 
 def _checked_shapes(workloads: Sequence[workload_mod.WorkloadSpec], qpus: Sequence[QpuSpec]) -> list[feas.CircuitShape]:
@@ -160,17 +157,19 @@ def build_feasibility_bundle(
 
     Rows run by verdict (go, marginal, no-go, then capacity misses), then by
     required error rate ascending, then by qpu id, then by workload id; rows
-    equal on every key keep their input order (workloads in file order, then
-    qpus in catalog order).  The rows are built in that order, so only the
-    workloads and the qpu ids are sorted.  A verdict depends on the qpu and
-    the workload's exact volume alone, so each (volume, qpu) verdict is
-    decided once and its record shared by every row it applies to.  Raises
+    equal on every key differ only by workload and keep file order.  The rows
+    are built in that order, so only the workloads and the qpu ids are
+    sorted: for each run of workloads of one required rate, each qpu in id
+    order takes the run's workloads in (id, file) order.  A verdict depends
+    on the qpu and the workload's exact volume alone, so a record is built on
+    the first row that fits and shared by the rows after it until the exact
+    volume changes (two volumes can share one 1/V float).  Raises
     ``ValueError`` as :func:`feasibility.assess` would on the first pair, in
     input order, that it rejects.
     """
     feas.check_marginal_band(marginal_band)  # also when the catalog has no qpus to assess
     shapes = _checked_shapes(workloads, catalog.qpus)
-    qpu_groups = _qpus_by_id(catalog.qpus)
+    qpus = _grid_qpus(catalog.qpus)
     rated = sorted(
         [(feas.required_error_rate(shape), spec.id, shape) for spec, shape in zip(workloads, shapes)],
         key=_RATE_AND_ID,
@@ -180,62 +179,59 @@ def build_feasibility_bundle(
     new = tuple.__new__
     lists = {verdict: [] for verdict in feas.Verdict}
     for rate, tied in itertools.groupby(rated, key=_RATE):
-        members = [(workload_id, shape.breadth, shape) for _, workload_id, shape in tied]
-        shape = members[0][2]
-        one_volume = len(members) == 1 or all(other.volume == shape.volume for _, _, other in members)
-        for group in qpu_groups:
-            if one_volume and len(group) == 1:  # one record at most: no per-qpu state to hold
-                qpu_id, qubits, available, optimistic, note = group[0]
-                record = None
-                for workload_id, breadth, _ in members:
-                    if breadth > qubits:
-                        continue  # a capacity miss: its row is made below
-                    if record is None:
-                        verdict = feas.rate_verdict(rate, available, marginal_band)
-                        record = new(
-                            feas.FeasibilityVerdict,
-                            (rate, available, feas.success_probability(available, shape), verdict, optimistic),
-                        )
-                        out = lists[verdict]
-                    out.append(new(VerdictRow, (qpu_id, workload_id, record, note)))
-                continue
-            # Rows of one qpu id run workload-major; a record is keyed by the exact
-            # volume, as two huge volumes can share a 1/V float.
-            states = []
-            for qpu_id, qubits, available, optimistic, note in group:
-                verdict = feas.rate_verdict(rate, available, marginal_band)
-                states.append((qpu_id, qubits, available, optimistic, note, verdict, lists[verdict], {}))
-            for workload_id, breadth, member_shape in members:
-                for qpu_id, qubits, available, optimistic, note, verdict, out, records in states:
-                    if breadth > qubits:
-                        continue
-                    volume = member_shape.volume
-                    record = records.get(volume)
-                    if record is None:
-                        record = records[volume] = new(
-                            feas.FeasibilityVerdict,
-                            (rate, available, feas.success_probability(available, member_shape), verdict, optimistic),
-                        )
-                    out.append(new(VerdictRow, (qpu_id, workload_id, record, note)))
+        members = [(workload_id, shape.breadth, shape.volume, shape) for _, workload_id, shape in tied]
+        for qpu_id, qubits, available, optimistic, note in qpus:
+            last_volume = None
+            for workload_id, breadth, volume, shape in members:
+                if breadth > qubits:
+                    continue  # a capacity miss: its row is made below
+                if volume != last_volume:
+                    last_volume = volume
+                    verdict = feas.rate_verdict(rate, available, marginal_band)
+                    record = new(
+                        feas.FeasibilityVerdict,
+                        (rate, available, feas.success_probability(available, shape), verdict, optimistic),
+                    )
+                    out = lists[verdict]
+                out.append(new(VerdictRow, (qpu_id, workload_id, record, note)))
     # The capacity test of ``assess``, made here so that no CapacityError is
     # raised per miss; each note is formatted once per (breadth, qubit count).
     capacity_note = functools.cache(lambda breadth, qubits: f"insufficient qubits: needs {breadth}, has {qubits}")
     by_id = sorted([(spec.id, shape.breadth) for spec, shape in zip(workloads, shapes)], key=_FIRST)
     misses = [
         new(VerdictRow, (qpu_id, workload_id, None, capacity_note(breadth, qubits)))
-        for group in qpu_groups
+        for qpu_id, qubits, _, _, _ in qpus
         for workload_id, breadth in by_id
-        for qpu_id, qubits, _, _, _ in group
         if breadth > qubits
     ]
     return (*lists[feas.Verdict.GO], *lists[feas.Verdict.MARGINAL], *lists[feas.Verdict.NO_GO], *misses)
 
 
+class _Texts(dict):
+    """Value -> its text, made by ``make_text`` on first use; a lookup costs no Python call.
+
+    A zero is formatted afresh each time and never kept: ``0``, ``0.0`` and
+    ``-0.0`` are one dict key but three texts.
+    """
+
+    __slots__ = ("make_text",)
+
+    def __init__(self, make_text):
+        super().__init__()
+        self.make_text = make_text
+
+    def __missing__(self, value):
+        text = self.make_text(value)
+        if value != 0:
+            self[value] = text
+        return text
+
+
 def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
     # Rates and success probabilities repeat across rows: each distinct value is
     # formatted once, and a run of rows that share a verdict record shares its text.
-    number_text = functools.cache(sci)
-    available_text = functools.cache(lambda rate: f"{sci(rate)} ({format_fidelity_percent(rate, 2)})")
+    number_text = _Texts(sci)
+    available_text = _Texts(lambda rate: f"{sci(rate)} ({format_fidelity_percent(rate, 2)})")
     lines = ["# Feasibility report", ""]
     lines.append(
         "| verdict | qpu | workload | required error rate | available error rate (fidelity) | success probability | note |"
@@ -252,8 +248,8 @@ def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
             verdict = _VERDICT_TEXT[v.verdict]
             is_go = verdict == "go"
             numbers = (
-                f"{number_text(v.required_error_rate)} | {available_text(v.available_error_rate)} "
-                f"| {number_text(v.success_probability)}"
+                f"{number_text[v.required_error_rate]} | {available_text[v.available_error_rate]} "
+                f"| {number_text[v.success_probability]}"
             )
         go += is_go
         lines.append(f"| {verdict} | {qpu_id} | {workload_id} | {numbers} | {note} |")
@@ -267,21 +263,13 @@ _FEASIBILITY_CSV_HEADER = (
 )
 
 
-class _CsvFields(dict):
-    """Text -> its CSV field, quoted on first use; a lookup costs no Python call."""
-
-    def __missing__(self, text: str) -> str:
-        field = self[text] = csv_field(text)
-        return field
-
-
 def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
     # Each row is one f-string: ids and notes are quoted once per distinct text,
     # each distinct number is formatted once, and the number fields are built
     # once per run of rows that share a verdict record.  Verdict labels, numbers
     # and "true"/"false" hold nothing that CSV quotes.
-    field = _CsvFields()
-    number_text = functools.cache(str)
+    field = _Texts(csv_field)
+    number_text = _Texts(str)
     lines = [_FEASIBILITY_CSV_HEADER]
     last = None
     for qpu_id, workload_id, v, note in bundle:
@@ -292,8 +280,8 @@ def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
             last = v
             verdict = _VERDICT_TEXT[v.verdict]
             numbers = (
-                f"{number_text(v.required_error_rate)},{number_text(v.available_error_rate)},"
-                f"{number_text(v.success_probability)},{'true' if v.optimistic else 'false'}"
+                f"{number_text[v.required_error_rate]},{number_text[v.available_error_rate]},"
+                f"{number_text[v.success_probability]},{'true' if v.optimistic else 'false'}"
             )
         lines.append(f"{verdict},{field[qpu_id]},{field[workload_id]},{numbers},{field[note]}\n")
     return "".join(lines)

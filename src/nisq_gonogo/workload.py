@@ -21,7 +21,6 @@ Workload files are UTF-8 JSON: either one object with the
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from typing import NamedTuple
 
@@ -57,12 +56,6 @@ class MitigationSpec(NamedTuple):
     exponent_coefficient: float = 1.0
 
 
-@functools.lru_cache(maxsize=32, typed=True)  # typed: a True or 2.0 misses the cache, so CircuitShape rejects it
-def _circuit_shape(breadth: int, depth: int) -> CircuitShape:
-    """The checked shape, built once while a record's shot plan and report both read it."""
-    return CircuitShape(breadth, depth)
-
-
 class WorkloadSpec(NamedTuple):
     """One algorithm instance to be costed against hardware."""
 
@@ -80,7 +73,7 @@ class WorkloadSpec(NamedTuple):
 
     @property
     def shape(self) -> CircuitShape:
-        return _circuit_shape(self.data_qubits, self.depth)
+        return CircuitShape(self.data_qubits, self.depth)
 
 
 class ShotPlan(NamedTuple):

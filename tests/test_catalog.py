@@ -71,6 +71,21 @@ def test_duplicate_id_rejected():
         parse_catalog(json.dumps(doc))
 
 
+@pytest.mark.parametrize("label", ["qpus", "classical_refs"])
+def test_catalog_rejects_a_repeated_id_as_the_parser_does(label):
+    catalog = bundled_catalog()
+    entries = getattr(catalog, label)
+    repeated = catalog._replace(**{label: entries + entries[:1]})  # _replace skips the check
+    with pytest.raises(CatalogValidationError) as parsed:
+        parse_catalog(serialize_catalog(repeated))
+    with pytest.raises(CatalogValidationError) as built:
+        Catalog(repeated.qpus, repeated.classical_refs)
+    with pytest.raises(CatalogValidationError) as by_keyword:
+        Catalog(qpus=repeated.qpus, classical_refs=repeated.classical_refs, warnings=("w",))
+    message = f"catalog: duplicate id {entries[0].id!r} in {label}"
+    assert str(parsed.value) == str(built.value) == str(by_keyword.value) == message
+
+
 def test_missing_field_named():
     doc = json.loads(minimal_doc())
     del doc["qpus"][0]["two_qubit_gate_time"]

@@ -2,9 +2,9 @@
 (the CSV through ``csv.writer``).
 
 ``build_feasibility_bundle`` builds its rows in report order and shares one
-verdict record per (volume, qpu); the reference below is the plain way, kept
-here so that every row, tie and formatted number of the grid can be checked
-against it.
+verdict record per run of rows of one qpu and one exact volume; the reference
+below is the plain way, kept here so that every row, tie and formatted number
+of the grid can be checked against it.
 """
 
 import csv
@@ -112,9 +112,9 @@ def _outcome(build, render, catalog, workloads, band):
 
 # Ids from a small alphabet repeat; a comma, a quote, an LF or a CR (quoted from Python 3.13 on) is quoted.
 _IDS = st.sampled_from(["a", "b", "c", "b,c", 'q"x', "l\nf", "c\rr"])
-# Rates at and around the thresholds of small volumes, an int 0, and two out of range.
+# Rates at and around the thresholds of small volumes, an int 0, a -0.0, and two out of range.
 _RATES = st.one_of(
-    st.sampled_from([0, 0.0, 1e-4, 1 / 424, 2e-3, 0.01, 1 / 12, 0.25, 0.5]),
+    st.sampled_from([0, 0.0, -0.0, 1e-4, 1 / 424, 2e-3, 0.01, 1 / 12, 0.25, 0.5]),
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
     st.sampled_from([1.0, -0.25]),
 )
@@ -148,11 +148,19 @@ _BANDS = st.one_of(st.sampled_from([1.0000001, 2.0, 10.0, 1e6]), st.floats(min_v
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(_QPUS, max_size=5).map(tuple), _WORKLOADS, _BANDS)
+@given(st.lists(_QPUS, max_size=5, unique_by=lambda qpu: qpu.id).map(tuple), _WORKLOADS, _BANDS)
 # an int 0 rate beside the float 0.0 rate of a volume past float range: each keeps its own text
 @example((_qpu("a", 4, 0),), (make_spec(id="w", data_qubits=1, depth=10**400),), 10.0)
 # one id, one rate, two volumes: the rows keep input order
 @example((_qpu("a", 4, 1e-16),), tuple(make_spec(id="w", data_qubits=1, depth=2**53 - k) for k in (2, 1)), 10.0)
+# rates 0.0 and -0.0 compare equal: each keeps its own text
+@example((_qpu("a", 4, 0.0), _qpu("b", 4, -0.0)), (make_spec(id="w", data_qubits=1, depth=2),), 10.0)
+# one 1/V float, volumes V, V - 1, V in id order: the third row's record is built again
+@example(
+    (_qpu("q", 4, 1e-16),),
+    tuple(make_spec(id=wid, data_qubits=1, depth=2**53 - k) for wid, k in (("a", 1), ("b", 2), ("c", 1))),
+    10.0,
+)
 def test_grid_equals_the_reference(qpus, workloads, band):
     catalog = Catalog(qpus)
     renders = (render_feasibility_csv, render_feasibility_md)

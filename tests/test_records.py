@@ -85,6 +85,13 @@ def test_qpu_spec_survives_copy_and_pickle():
     assert pickle.loads(pickle.dumps(qpu)) == qpu
 
 
+def test_catalog_survives_copy_and_pickle():
+    catalog = bundled_catalog()
+    warned = Catalog(catalog.qpus, catalog.classical_refs, warnings=("catalog: ignoring unknown field 'x'",))
+    for copied in (copy.deepcopy(warned), pickle.loads(pickle.dumps(warned))):
+        assert type(copied) is Catalog and tuple(copied) == tuple(warned)
+
+
 def test_catalog_equality_and_hash_ignore_warnings():
     catalog = bundled_catalog()
     warned = Catalog(catalog.qpus, catalog.classical_refs, warnings=("catalog: ignoring unknown field 'x'",))
