@@ -165,9 +165,9 @@ class Catalog(_CatalogFields):
     """The QPUs and classical references of one catalog.
 
     Each id names one entry: a repeated qpu id, or a repeated classical-ref
-    id, raises :class:`CatalogValidationError` here, so a catalog parsed or
-    built in code is one that ``serialize_catalog`` writes and
-    ``parse_catalog`` reads back.  ``_replace`` skips the check.
+    id, raises :class:`CatalogValidationError` here and in ``_make`` and
+    ``_replace``, so a catalog parsed or built in code is one that
+    ``serialize_catalog`` writes and ``parse_catalog`` reads back.
     """
 
     __slots__ = ()
@@ -185,6 +185,10 @@ class Catalog(_CatalogFields):
                     raise CatalogValidationError(f"catalog: duplicate id {entry.id!r} in {label}")
                 seen.add(entry.id)
         return tuple.__new__(cls, (qpus, classical_refs, warnings))
+
+    @classmethod
+    def _make(cls, iterable) -> Catalog:  # ``_replace`` builds through it
+        return cls(*iterable)
 
     def __eq__(self, other):
         return self[:2] == other[:2] if isinstance(other, Catalog) else NotImplemented

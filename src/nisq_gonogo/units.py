@@ -6,9 +6,6 @@ percent fidelities exist only at the formatting boundary.
 
 from __future__ import annotations
 
-import csv
-import functools
-import io
 import math
 from collections.abc import Iterable
 
@@ -33,39 +30,29 @@ def as_float(x: int | float) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-@functools.cache
-def _writer_quotes_a_cr() -> bool:
-    """Whether the running Python's ``csv.writer`` quotes a field holding a CR
-    (3.13 does, 3.10 to 3.12 do not); asked of the writer once, when a CR first shows."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(["\r"])
-    return out.getvalue() != "\r\n"
-
-
 def csv_field(value: object) -> str:
-    """One field of a row as ``csv.writer`` (RFC 4180, LF line endings) writes it.
+    """One field of an RFC 4180 row, as Python 3.13's ``csv.writer`` writes it.
 
     ``None`` is empty, a string is its own text (a ``str`` subclass too) and any
-    other value is ``str(value)``.  A text holding a comma, ``"`` or LF, or a
-    CR where the running Python's writer quotes one, is quoted with each
-    ``"`` doubled.  A NUL is written as it is, as 3.11 and later write it
-    (3.10's writer rejects it).
+    other value is ``str(value)``.  A text holding a comma, ``"``, LF or CR is
+    quoted with each ``"`` doubled, on every Python version.  A NUL is written
+    as it is (3.10's writer rejects it).
     """
     if value is None:
         value = ""
     elif type(value) is not str:
         # a str subclass (a str enum, say) is its text, as the writer takes it
         value = str.__str__(value) if isinstance(value, str) else str(value)
-    if "," in value or '"' in value or "\n" in value or ("\r" in value and _writer_quotes_a_cr()):
+    if "," in value or '"' in value or "\n" in value or "\r" in value:
         return '"' + value.replace('"', '""') + '"'
     return value
 
 
 def csv_text(rows: Iterable[Iterable[object]]) -> str:
-    """RFC-4180 CSV of ``rows``, LF line endings, as ``csv.writer`` writes it.
+    """RFC 4180 CSV of ``rows`` with LF line endings, the same bytes on every Python.
 
-    Each field is :func:`csv_field`'s; as with the writer, a row of one empty
-    field is written ``""`` so that it is not read back as an empty line.
+    Each field is :func:`csv_field`'s; as ``csv.writer`` does, a row of one
+    empty field is written ``""`` so that it is not read back as an empty line.
     """
     lines = []
     for row in rows:

@@ -1,0 +1,159 @@
+"""Golden corpus: the exact bytes of every CLI command on fixed inputs.
+
+Each case runs ``nisq-gonogo`` from this checkout's ``src`` in a fresh
+directory holding a copy of ``inputs/``, with ``$NISQ_GONOGO_CATALOG`` unset
+unless the case sets it.  What it leaves is the sha256 of its stdout, of its
+stderr and of every file it writes, and its exit code; ``digests.json``
+holds the expected values.  One digest set holds on Python 3.10 to 3.13.
+The script uses the standard library only, so it runs on an interpreter
+without pytest::
+
+    python tests/golden/check.py            # compare; exit 1 on any difference
+    python tests/golden/check.py --record   # rewrite digests.json from this tree
+
+argparse usage errors (exit 2 from the parser) are left out: their text
+differs between Python versions.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+INPUTS = os.path.join(HERE, "inputs")
+DIGESTS = os.path.join(HERE, "digests.json")
+SRC = os.path.normpath(os.path.join(HERE, "..", "..", "src"))
+
+_MAIN = "import sys; from nisq_gonogo.cli import main; sys.exit(main())"
+
+# (name, argv, extra environment); paths are relative to the case's directory.
+CASES = [
+    # feasibility: the paper anchors (72x72 VQE, 53x8, 100x8), both formats, the band, --out and --catalog
+    ("feasibility-anchors-md", ["feasibility", "--workload", "anchors.json"], {}),
+    ("feasibility-anchors-csv", ["feasibility", "--workload", "anchors.json", "--format", "csv"], {}),
+    ("feasibility-anchors-md-band", ["feasibility", "--workload", "anchors.json", "--marginal-band", "2.5"], {}),
+    ("feasibility-anchors-csv-band",
+     ["feasibility", "--workload", "anchors.json", "--format", "csv", "--marginal-band", "1e6"], {}),
+    ("feasibility-anchors-csv-out",
+     ["feasibility", "--workload", "anchors.json", "--format", "csv", "--out", "grid.csv"], {}),
+    ("feasibility-anchors-md-out-strict",
+     ["feasibility", "--workload", "anchors.json", "--out", "grid.md", "--strict"], {}),
+    ("feasibility-no-go", ["feasibility", "--workload", "no-go.json"], {}),
+    ("feasibility-edge-ids-md", ["feasibility", "--workload", "edge-ids.json"], {}),
+    ("feasibility-edge-ids-csv", ["feasibility", "--workload", "edge-ids.json", "--format", "csv"], {}),
+    ("feasibility-edge-utf8-csv", ["feasibility", "--workload", "edge-ids-utf8.json", "--format", "csv"], {}),
+    ("feasibility-edge-catalog-csv",
+     ["feasibility", "--workload", "anchors.json", "--catalog", "edge-catalog.json", "--format", "csv"], {}),
+    ("feasibility-edge-catalog-md-env", ["feasibility", "--workload", "edge-ids.json"],
+     {"NISQ_GONOGO_CATALOG": "edge-catalog.json"}),
+    ("feasibility-lenient-csv", ["feasibility", "--workload", "lenient.json", "--format", "csv"], {}),
+    # estimate: plain, grouped VQE, QAOA per string and aggregate, shot parallelism, --out
+    ("estimate-vqe-heron", ["estimate", "--workload", "vqe-72x72.json", "--qpu", "ibm-heron"], {}),
+    ("estimate-anchors-sycamore", ["estimate", "--workload", "anchors.json", "--qpu", "google-sycamore-2022"], {}),
+    ("estimate-grouped-out",
+     ["estimate", "--workload", "vqe-grouped.json", "--qpu", "ibm-osprey", "--out", "estimate.md"], {}),
+    ("estimate-qaoa", ["estimate", "--workload", "qaoa.json", "--qpu", "quantinuum-h1"], {}),
+    ("estimate-qaoa-aggregate-parallel",
+     ["estimate", "--workload", "qaoa.json", "--qpu", "quantinuum-h1", "--qaoa-aggregate", "--parallel-shots", "4"], {}),
+    ("estimate-edge-catalog", ["estimate", "--workload", "edge-ids.json", "--qpu", "lab\rfour",
+                               "--catalog", "edge-catalog.json"], {}),
+    # compare at 29 (8 GiB statevector), 1,100 and 10^12 qubits
+    ("compare-29", ["compare", "--workload", "q29.json", "--qpu", "ibm-heron", "--classical", "classical-ref.json"], {}),
+    ("compare-1100", ["compare", "--workload", "q1100.json", "--qpu", "ibm-flamingo",
+                      "--classical", "classical-plain.json"], {}),
+    ("compare-1e12", ["compare", "--workload", "q1e12.json", "--qpu", "ibm-flamingo",
+                      "--classical", "classical-plain.json", "--parity-band", "0.5"], {}),
+    ("compare-vqe-out", ["compare", "--workload", "vqe-72x72.json", "--qpu", "ibm-osprey",
+                         "--classical", "classical-ref.json", "--out", "compare.md", "--parallel-shots", "2"], {}),
+    ("compare-qaoa-lenient", ["compare", "--workload", "qaoa.json", "--qpu", "quantinuum-h1",
+                              "--classical", "classical-lenient.json", "--qaoa-aggregate"], {}),
+    # catalog and scatter, bundled and edge ids
+    ("catalog", ["catalog"], {}),
+    ("catalog-out", ["catalog", "--out", "catalog.md"], {}),
+    ("catalog-edge", ["catalog", "--catalog", "edge-catalog.json", "--out", "edge.md"], {}),
+    ("catalog-lenient", ["catalog", "--catalog", "lenient-catalog.json"], {}),
+    ("scatter", ["scatter", "--out", "landscape.svg"], {}),
+    ("scatter-edge", ["scatter", "--out", "edge", "--catalog", "edge-catalog.json"], {}),
+    # input errors: one `error:` line, exit 1
+    ("error-strict-workload", ["feasibility", "--workload", "lenient.json", "--strict"], {}),
+    ("error-strict-catalog", ["catalog", "--catalog", "lenient-catalog.json", "--strict"], {}),
+    ("error-strict-profile", ["compare", "--workload", "q29.json", "--qpu", "ibm-heron",
+                              "--classical", "classical-lenient.json", "--strict"], {}),
+    ("error-syntax", ["feasibility", "--workload", "syntax-error.json"], {}),
+    ("error-field-type", ["estimate", "--workload", "bad-field.json", "--qpu", "ibm-heron"], {}),
+    ("error-enum", ["feasibility", "--workload", "bad-enum.json", "--format", "csv"], {}),
+    ("error-duplicate-qpu", ["catalog", "--catalog", "dup-catalog.json"], {}),
+    ("error-unknown-qpu", ["estimate", "--workload", "anchors.json", "--qpu", "no-such-qpu"], {}),
+    ("error-missing-file", ["feasibility", "--workload", "missing.json"], {}),
+    ("error-compare-two-workloads", ["compare", "--workload", "anchors.json", "--qpu", "ibm-heron",
+                                     "--classical", "classical-ref.json"], {}),
+    ("error-scatter-no-file", ["scatter", "--out", "plots/"], {}),
+    ("error-scatter-missing-dir", ["scatter", "--out", "plots/landscape.svg"], {}),
+    ("error-env-catalog-missing", ["catalog"], {"NISQ_GONOGO_CATALOG": "missing-catalog.json"}),
+    ("error-non-finite", ["feasibility", "--workload", "non-finite.json"], {}),
+    ("error-bad-band", ["feasibility", "--workload", "anchors.json", "--marginal-band", "0.5"], {}),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(argv: list[str], extra_env: dict[str, str]) -> dict:
+    """Run one case in a fresh copy of ``inputs/``; return its exit code and digests."""
+    env = {key: value for key, value in os.environ.items() if key != "NISQ_GONOGO_CATALOG"}
+    env.update(PYTHONPATH=SRC, PYTHONIOENCODING="utf-8", **extra_env)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = os.path.join(tmp, "case")
+        shutil.copytree(INPUTS, work)
+        done = subprocess.run([sys.executable, "-c", _MAIN, *argv], cwd=work, env=env, capture_output=True)
+        files = {}
+        for root, _dirs, names in os.walk(work):
+            for name in names:
+                path = os.path.join(root, name)
+                rel = os.path.relpath(path, work).replace(os.sep, "/")
+                if not os.path.exists(os.path.join(INPUTS, rel)):
+                    with open(path, "rb") as file:
+                        files[rel] = _sha(file.read())
+    return {
+        "exit": done.returncode,
+        "stdout": _sha(done.stdout),
+        "stderr": _sha(done.stderr),
+        "files": dict(sorted(files.items())),
+    }
+
+
+def main(argv: list[str]) -> int:
+    record = argv == ["--record"]
+    if argv and not record:
+        sys.stderr.write("usage: check.py [--record]\n")
+        return 2
+    got = {name: run_case(case_argv, env) for name, case_argv, env in CASES}
+    if record:
+        with open(DIGESTS, "w", encoding="utf-8", newline="\n") as file:
+            json.dump(got, file, indent=1, sort_keys=True)
+            file.write("\n")
+        print(f"recorded {len(got)} cases in {DIGESTS}")
+        return 0
+    with open(DIGESTS, encoding="utf-8") as file:
+        want = json.load(file)
+    bad = 0
+    for name in sorted(got.keys() | want.keys()):
+        if got.get(name) != want.get(name):
+            bad += 1
+            have, expected = got.get(name, {}), want.get(name, {})
+            parts = [key for key in ("exit", "stdout", "stderr", "files") if have.get(key) != expected.get(key)]
+            print(f"DIFF {name}: {', '.join(parts)}")
+    version = ".".join(map(str, sys.version_info[:3]))
+    print(f"golden corpus on Python {version}: {bad} of {len(got.keys() | want.keys())} cases differ")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -75,15 +75,18 @@ def test_duplicate_id_rejected():
 def test_catalog_rejects_a_repeated_id_as_the_parser_does(label):
     catalog = bundled_catalog()
     entries = getattr(catalog, label)
-    repeated = catalog._replace(**{label: entries + entries[:1]})  # _replace skips the check
+    fields = catalog._asdict() | {label: entries + entries[:1]}
+    repeated = tuple.__new__(Catalog, fields.values())  # round the check, to serialize what the parser must refuse
     with pytest.raises(CatalogValidationError) as parsed:
         parse_catalog(serialize_catalog(repeated))
     with pytest.raises(CatalogValidationError) as built:
         Catalog(repeated.qpus, repeated.classical_refs)
     with pytest.raises(CatalogValidationError) as by_keyword:
         Catalog(qpus=repeated.qpus, classical_refs=repeated.classical_refs, warnings=("w",))
+    with pytest.raises(CatalogValidationError) as replaced:
+        catalog._replace(**{label: fields[label]})
     message = f"catalog: duplicate id {entries[0].id!r} in {label}"
-    assert str(parsed.value) == str(built.value) == str(by_keyword.value) == message
+    assert str(parsed.value) == str(built.value) == str(by_keyword.value) == str(replaced.value) == message
 
 
 def test_missing_field_named():

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -429,6 +430,40 @@ class TestCatalogCommand:
         assert "missing required field" in err
 
 
+def _read_csv(path):
+    with open(path, encoding="utf-8", newline="") as file:
+        return list(csv.reader(file))
+
+
+def _grid_rows(capsys, workload_file, path, workload_id):
+    workload = workload_file(dict(WORKLOAD_53x8, id=workload_id))
+    code, _, err = run(capsys, "feasibility", "--workload", workload, "--format", "csv", "--out", str(path))
+    assert code == EXIT_OK and err == ""
+    return _read_csv(path)
+
+
+# A bare CR ends a row for csv.reader; the one CSV rule quotes it on every Python.
+def test_a_workload_id_holding_a_cr_reads_back_from_the_grid_csv(capsys, workload_file, tmp_path):
+    plain = _grid_rows(capsys, workload_file, tmp_path / "plain.csv", "cr")
+    with_cr = _grid_rows(capsys, workload_file, tmp_path / "cr.csv", "c\rr")
+    assert len(plain) == 1 + len(bundled_catalog().qpus) and {len(row) for row in plain} == {8}
+    assert with_cr == [plain[0]] + [row[:2] + ["c\rr"] + row[3:] for row in plain[1:]]
+
+
+def test_a_qpu_id_holding_a_cr_reads_back_from_the_scatter_csv(capsys, tmp_path):
+    catalog = bundled_catalog()
+    qpus = (catalog.qpus[0]._replace(id="lab\rone"),) + catalog.qpus[1:]
+    catalog_path = tmp_path / "catalog.json"
+    catalog_path.write_text(serialize_catalog(catalog._replace(qpus=qpus)), encoding="utf-8")
+    code, _, err = run(capsys, "scatter", "--catalog", str(catalog_path), "--out", str(tmp_path / "landscape"))
+    assert code == EXIT_OK and err == ""
+    header = ["qpu_id", "qubit_count", "two_qubit_error_median", "status", "modality"]
+    assert _read_csv(tmp_path / "landscape.csv") == [header] + [
+        [qpu.id, str(qpu.qubit_count), str(qpu.two_qubit_error_median), qpu.status.value, qpu.modality.value]
+        for qpu in qpus
+    ]
+
+
 def test_report_determinism_across_runs(capsys, tmp_path):
     workload_path = tmp_path / "w.json"
     workload_path.write_text(json.dumps(WORKLOAD_53x8), encoding="utf-8")
@@ -739,7 +774,7 @@ def test_estimate_caches_are_keyed_on_the_qpu_value(qpu_id):
 def test_cli_import_leaves_out_the_heavy_stdlib_modules():
     # -S: no site .pth file may preload any of these before the package does.
     src = os.path.dirname(os.path.dirname(nisq_gonogo.__file__))
-    heavy = ("dataclasses", "inspect", "ast", "pathlib", "importlib.resources")
+    heavy = ("dataclasses", "inspect", "ast", "pathlib", "importlib.resources", "csv")
     code = f"import sys; sys.path.insert(0, {src!r}); import nisq_gonogo.cli; print([m for m in {heavy!r} if m in sys.modules])"
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
