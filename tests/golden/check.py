@@ -63,12 +63,14 @@ CASES = [
      ["estimate", "--workload", "qaoa.json", "--qpu", "quantinuum-h1", "--qaoa-aggregate", "--parallel-shots", "4"], {}),
     ("estimate-edge-catalog", ["estimate", "--workload", "edge-ids.json", "--qpu", "lab\rfour",
                                "--catalog", "edge-catalog.json"], {}),
-    # compare at 29 (8 GiB statevector), 1,100 and 10^12 qubits
+    # compare at 29 (8 GiB statevector), 1,100, 10^12 and 10^400 qubits
     ("compare-29", ["compare", "--workload", "q29.json", "--qpu", "ibm-heron", "--classical", "classical-ref.json"], {}),
     ("compare-1100", ["compare", "--workload", "q1100.json", "--qpu", "ibm-flamingo",
                       "--classical", "classical-plain.json"], {}),
     ("compare-1e12", ["compare", "--workload", "q1e12.json", "--qpu", "ibm-flamingo",
                       "--classical", "classical-plain.json", "--parity-band", "0.5"], {}),
+    ("compare-1e400", ["compare", "--workload", "q1e400.json", "--qpu", "ibm-flamingo",
+                       "--classical", "classical-ref.json"], {}),
     ("compare-vqe-out", ["compare", "--workload", "vqe-72x72.json", "--qpu", "ibm-osprey",
                          "--classical", "classical-ref.json", "--out", "compare.md", "--parallel-shots", "2"], {}),
     ("compare-qaoa-lenient", ["compare", "--workload", "qaoa.json", "--qpu", "quantinuum-h1",
