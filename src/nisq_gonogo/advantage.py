@@ -14,7 +14,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .feasibility import PowerOfTwo, statevector_memory
+from .feasibility import statevector_memory
 
 DEFAULT_PARITY_BAND = 0.05
 
@@ -33,7 +33,7 @@ class _SolutionProfileFields(NamedTuple):
     energy_j: float | None
     cost: float | None
     quality: float | None
-    memory_bytes: int | PowerOfTwo | float | None
+    memory_bytes: int | float | None
 
 
 class SolutionProfile(_SolutionProfileFields):
@@ -41,8 +41,9 @@ class SolutionProfile(_SolutionProfileFields):
 
     ``memory_bytes`` is the memory the solution needs: a classical machine's
     capacity requirement, or the statevector-equivalent footprint of a
-    quantum register (see :func:`quantum_profile`), which beyond float range
-    is a :class:`~nisq_gonogo.feasibility.PowerOfTwo` ordered as its int.
+    quantum register (see :func:`quantum_profile`): an exact int up to 1019
+    qubits and ``math.inf`` beyond, which ranks above every finite memory
+    (the CLI reads none beyond float range) and level with an ``inf`` one.
     """
 
     __slots__ = ()
@@ -53,7 +54,7 @@ class SolutionProfile(_SolutionProfileFields):
         energy_j: float | None = None,
         cost: float | None = None,
         quality: float | None = None,
-        memory_bytes: int | PowerOfTwo | float | None = None,
+        memory_bytes: int | float | None = None,
     ) -> SolutionProfile:
         # Runtime and energy may be inf: a quantum budget beyond float range is unbounded.
         if not 0.0 < runtime_s <= math.inf:

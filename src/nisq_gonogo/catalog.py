@@ -279,7 +279,7 @@ def _parse_classical_ref(raw: object, checker: Checker) -> ClassicalRefSpec:
     ref_id = fields.text("id", nonempty=True)
     description = fields.text("description")
     power = fields.number("power_draw", gt=0)
-    memory = fields.integer("memory_capacity", minimum=1)
+    memory = fields.integer("memory_capacity", minimum=1, floats=True)
     tier = fields.text("tier_hint", None)
     if tier is not None and tier not in _TIER_LABELS:
         fields.fail("tier_hint", f"must be one of {list(_TIER_LABELS)}, got {tier!r}")

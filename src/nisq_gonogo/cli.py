@@ -38,6 +38,7 @@ from .units import (
     format_bytes,
     format_fidelity_percent,
     format_joules,
+    format_power_of_two_bytes,
     format_seconds,
     format_watts,
     sci,
@@ -322,8 +323,12 @@ def build_estimate_record(
 
 
 def _count_text(count: int | float, unit: str) -> str:
-    """A string or shot count; a count beyond float range reads unbounded."""
-    return f"inf {unit} (unbounded)" if as_float(count) == math.inf else f"{count} {unit}"
+    """A string or shot count: an int in full, a float (a count above 2**53) by :func:`sci`;
+    a count beyond float range reads unbounded."""
+    value = as_float(count)
+    if value == math.inf:
+        return f"inf {unit} (unbounded)"
+    return f"{count} {unit}" if type(count) is int else f"{sci(value)} {unit}"
 
 
 def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.WorkloadSpec) -> str:
@@ -340,10 +345,9 @@ def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.
             f"{_VERDICT_TEXT[feas.rate_verdict(required, available)]} "
             f"(required error rate {sci(required)}, available {sci(available)})"
         )
-    if as_float(plan.total_shots) == math.inf:
-        total_shots = "inf shots (unbounded)"
-    else:
-        total_shots = f"{plan.total_shots} shots ({sci(plan.total_shots)})"
+    total_shots = _count_text(plan.total_shots, "shots")
+    if type(plan.total_shots) is int and as_float(plan.total_shots) < math.inf:  # an int count also reads in sci
+        total_shots += f" ({sci(plan.total_shots)})"
     lines = [
         f"# Resource estimate: {spec.id} on {qpu.id}",
         "",
@@ -504,7 +508,7 @@ def cmd_compare(args: argparse.Namespace, catalog: Catalog) -> int:
     report = adv.classify(quantum, classical, parity_band=args.parity_band)
     header = (
         f"quantum side: {spec.id} on {qpu.id}: runtime {format_seconds(record.runtime.total_time)}, "
-        f"state space {format_bytes(quantum.memory_bytes)} "
+        f"state space {format_power_of_two_bytes(spec.data_qubits + feas.AMPLITUDE_BYTES_LOG2)} "
         f"({spec.data_qubits} qubits)\n"
         f"classical side: runtime {format_seconds(classical.runtime_s)}"
         + (f", energy {format_joules(classical.energy_j)}" if classical.energy_j is not None else "")

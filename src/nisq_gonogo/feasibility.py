@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -31,8 +30,8 @@ DEFAULT_SHALLOW_DEPTH = 10
 #: Default factor above the required error rate still reported as marginal.
 DEFAULT_MARGINAL_BAND = 10.0
 
-#: 2**1024 is the first power of two beyond float range.
-_FLOAT_EXPONENT_LIMIT = sys.float_info.max_exp
+#: log2 of the bytes of one statevector amplitude (a complex double, 16 bytes).
+AMPLITUDE_BYTES_LOG2 = 4
 
 
 class CapacityError(ValueError):
@@ -203,88 +202,17 @@ def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = DEFAULT_
     )
 
 
-class PowerOfTwo:
-    """The exact int ``2 ** exponent``, held as its exponent so that its size
-    does not grow with the exponent.
-
-    It compares with ints, floats and other powers of two, hashes, and
-    converts to float (``OverflowError`` beyond float range) as that int
-    would; ``bit_length`` is the int's.
-    """
-
-    __slots__ = ("exponent",)
-
-    def __init__(self, exponent: int):
-        self.exponent = exponent
-
-    def __repr__(self) -> str:
-        return f"PowerOfTwo({self.exponent})"
-
-    def bit_length(self) -> int:
-        return self.exponent + 1
-
-    def __float__(self) -> float:
-        return math.ldexp(1.0, self.exponent)
-
-    def __hash__(self) -> int:
-        return pow(2, self.exponent, sys.hash_info.modulus)  # an int's hash is its value modulo this
-
-    def _order(self, other: object):
-        """-1, 0 or 1 as ``self`` is below, equal to or above ``other``; None when unordered (nan)."""
-        if isinstance(other, PowerOfTwo):
-            floor_log2, exact = other.exponent, True
-        elif isinstance(other, int):
-            if other <= 0:
-                return 1
-            floor_log2, exact = other.bit_length() - 1, other & (other - 1) == 0
-        elif isinstance(other, float):
-            if math.isnan(other):
-                return None
-            if other <= 0.0 or other == math.inf:
-                return 1 if other <= 0.0 else -1
-            mantissa, exponent = math.frexp(other)  # other = mantissa * 2**exponent, 0.5 <= mantissa < 1
-            floor_log2, exact = exponent - 1, mantissa == 0.5
-        else:
-            return NotImplemented
-        if self.exponent != floor_log2:
-            return 1 if self.exponent > floor_log2 else -1
-        return 0 if exact else -1
-
-    def _compare(self, other: object, test):
-        order = self._order(other)
-        return order if order is NotImplemented else order is not None and test(order, 0)
-
-    def __eq__(self, other: object):
-        return self._compare(other, operator.eq)
-
-    def __lt__(self, other: object):
-        return self._compare(other, operator.lt)
-
-    def __le__(self, other: object):
-        return self._compare(other, operator.le)
-
-    def __gt__(self, other: object):
-        return self._compare(other, operator.gt)
-
-    def __ge__(self, other: object):
-        return self._compare(other, operator.ge)
-
-
-def statevector_memory(qubits: int) -> int | PowerOfTwo | float:
+def statevector_memory(qubits: int) -> int | float:
     """Bytes needed for exact statevector emulation of ``qubits`` qubits.
 
     2^(1+N) double-precision floats, i.e. 2^(4+N) bytes (16 bytes per complex
-    amplitude).  An exact int while it is within float range (up to 1019
-    qubits); beyond that a :class:`PowerOfTwo`, which holds only the
-    exponent, so a register of 10^12 qubits costs no memory to size; and
-    ``math.inf`` once the exponent itself passes the index range.
+    amplitude): an exact int while a float can hold it (up to 1019 qubits),
+    ``math.inf`` beyond, so a register of 10^12 qubits costs no memory to size.
     """
     if not isinstance(qubits, int) or isinstance(qubits, bool) or qubits < 0:
         raise ValueError(f"qubits must be a non-negative integer, got {qubits!r}")
-    exponent = qubits + 4
-    if exponent < _FLOAT_EXPONENT_LIMIT:
-        return 1 << exponent
-    return PowerOfTwo(exponent) if exponent <= sys.maxsize else math.inf
+    exponent = qubits + AMPLITUDE_BYTES_LOG2
+    return 1 << exponent if exponent < sys.float_info.max_exp else math.inf  # 2**1024 is beyond float range
 
 
 def emulation_tier(

@@ -11,9 +11,9 @@ An absent field takes the getter's ``default``; with no default it is
 required.  A field whose default is ``None`` also accepts an explicit JSON
 ``null``; elsewhere ``null`` fails the type check.
 
-Each getter first tries a fast test on the exact JSON type: a ``str``, a
-finite ``float``, an ``int`` at or above the minimum, a ``bool``, or a
-``str`` found in the enum's value map.  The fast test accepts only values
+Each getter first tries a fast test on the exact JSON type: an ASCII
+``str``, a finite ``float``, an ``int`` at or above the minimum, a ``bool``,
+or a ``str`` found in the enum's value map.  The fast test accepts only values
 that the full check accepts, and gives what the full check would give;
 every other value (absent, ``null``, a wrong type, an int in a float field,
 an int below the minimum) goes on to the full check, which raises its own
@@ -92,8 +92,9 @@ class Record:
         return result
 
     def text(self, key: str, default: object = REQUIRED, *, nonempty: bool = False):
+        """A string that UTF-8 can encode: a JSON ``\\ud800`` escape gives a lone surrogate, which it cannot."""
         value = self.raw.get(key, default)
-        if type(value) is str and (value or not nonempty):
+        if type(value) is str and (value or not nonempty) and value.isascii():
             return value
         if value is default:
             return self._default(key, default)
@@ -101,6 +102,10 @@ class Record:
             self.fail(key, f"must be a string, got {value!r}")
         if nonempty and not value:
             self.fail(key, "must be non-empty")
+        try:
+            value.encode()
+        except UnicodeEncodeError:
+            self.fail(key, f"must not hold a lone surrogate, got {value!r}")
         return value
 
     def number(self, key: str, default: object = REQUIRED, *, gt=None, ge=None, lt=None, le=None):
@@ -126,13 +131,14 @@ class Record:
         return result
 
     def integer(self, key: str, default: object = REQUIRED, *, minimum: int | None = None, floats: bool = False):
-        """An int at or above ``minimum``; with ``floats``, an integral finite float too."""
+        """An int at or above ``minimum``; with ``floats``, a quantity a float must hold: an
+        integral finite float reads as its int, and an int beyond float range fails as not finite."""
         value = self.raw.get(key, default)
-        if type(value) is int and (minimum is None or value >= minimum):
+        if type(value) is int and (minimum is None or value >= minimum) and not floats:
             return value
         if value is default:
             return self._default(key, default)
-        if floats and isinstance(value, float) and self._finite(key, value).is_integer():
+        if floats and type(value) in (int, float) and self._finite(key, value).is_integer():
             value = int(value)
         if isinstance(value, bool) or not isinstance(value, int):
             self.fail(key, f"must be an integer, got {value!r}")

@@ -7,6 +7,7 @@ percent fidelities exist only at the formatting boundary.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 
 MINUTE = 60.0
@@ -20,6 +21,8 @@ YEAR = 365.25 * DAY
 _UNIT_SWITCH = 120.0
 
 _BYTE_UNITS = ("B", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB", "ZiB", "YiB")
+#: 2**90 = 1024 YiB, the first byte count :func:`format_bytes` writes as a power of two.
+_ASTRONOMICAL_EXPONENT = 10 * len(_BYTE_UNITS)
 
 
 def as_float(x: int | float) -> float:
@@ -115,9 +118,7 @@ def format_seconds(seconds: float) -> str:
 def format_bytes(n: int | float) -> str:
     """Binary-prefixed byte count; falls back to a power-of-two note for
     values beyond yobibytes ("astronomical" in report terms), and reads
-    ``math.inf`` as unbounded.  ``n`` may also be a value that compares,
-    converts to float and has a ``bit_length`` as an int does, such as a
-    :class:`~nisq_gonogo.feasibility.PowerOfTwo`."""
+    ``math.inf`` as unbounded."""
     if n < 0:
         raise ValueError(f"byte count must be non-negative, got {n}")
     if n == math.inf:  # only a float is equal to inf; an int beyond float range is astronomical
@@ -129,8 +130,17 @@ def format_bytes(n: int | float) -> str:
                 return f"{int(value)} {unit}"
             return f"{value:.4g} {unit}"
         value /= 1024.0
-    bits = n.bit_length() - 1
-    return f"~2^{bits} B (astronomical)"
+    return format_power_of_two_bytes(n.bit_length() - 1)
+
+
+def format_power_of_two_bytes(exponent: int) -> str:
+    """:func:`format_bytes` of ``2 ** exponent``, built from the exponent alone so that
+    no huge int is made; an exponent past ``sys.maxsize`` reads unbounded."""
+    if exponent < _ASTRONOMICAL_EXPONENT:
+        return format_bytes(1 << exponent)
+    if exponent > sys.maxsize:
+        return format_bytes(math.inf)
+    return f"~2^{exponent} B (astronomical)"
 
 
 def format_watts(watts: float) -> str:

@@ -33,6 +33,9 @@ from .units import as_float
 #: 330,816 measurement strings.  Overridable per workload.
 VQE_PAULI_COEFF = 330816 / 72**4
 
+#: A count computed in floats is an exact int up to 2**53 and the float above it.
+_EXACT_FLOAT_LIMIT = 2**53
+
 
 class WorkloadError(ValueError):
     """Workload document failed to parse or violated an invariant."""
@@ -83,17 +86,18 @@ class ShotPlan(NamedTuple):
     (strings x shots-per-string) or ``qaoa-aggregate`` (total n^2/eps budget).
     """
 
-    pauli_strings: int | float  # math.inf when an ungrouped VQE count is beyond float range
-    shots_per_string: int | float  # math.inf when 1/eps^2 (or n^2/eps) is beyond float range
+    pauli_strings: int | float  # a float when an ungrouped VQE count is above 2**53
+    shots_per_string: int | float  # a float when 1/eps^2 (or n^2/eps) is above 2**53
     mitigation_multiplier: float
     total_shots: int | float  # math.inf when the mitigated budget is beyond float range
     model: str = "per-string"
 
 
 def _snap_ceil(value: float) -> int | float:
-    """Ceiling with a relative-1e-9 snap so decimal inputs hit exact counts; ``math.inf`` stays inf."""
-    if value == math.inf:
-        return math.inf
+    """Ceiling with a relative-1e-9 snap so decimal inputs hit exact counts; a value
+    above :data:`_EXACT_FLOAT_LIMIT` (``math.inf`` too) is returned as the float it is."""
+    if value > _EXACT_FLOAT_LIMIT:
+        return value
     snapped = _snap_to_int(value)
     return math.ceil(value) if snapped is None else snapped
 
@@ -109,7 +113,8 @@ def pauli_string_count(spec: WorkloadSpec) -> int | float:
     Ungrouped VQE scales with the fourth power of the data-qubit count
     (coefficient :data:`VQE_PAULI_COEFF`); grouped VQE and the generic
     family use the qubit count itself; a QAOA instance needs two strings
-    per layer.  An ungrouped VQE count beyond float range is ``math.inf``.
+    per layer.  An ungrouped VQE count is a float product: an int up to
+    2**53, the float beyond (``math.inf`` beyond float range).
     """
     if spec.family is AlgorithmFamily.QAOA:
         if spec.qaoa_layers is None:
@@ -118,14 +123,15 @@ def pauli_string_count(spec: WorkloadSpec) -> int | float:
     if spec.family is AlgorithmFamily.VQE and spec.pauli_grouping is PauliGrouping.NONE:
         coeff = VQE_PAULI_COEFF if spec.c_vqe_override is None else spec.c_vqe_override
         strings = coeff * as_float(spec.data_qubits**4)
-        return max(1, round(strings)) if strings < math.inf else math.inf
+        return max(1, round(strings)) if strings <= _EXACT_FLOAT_LIMIT else strings
     return spec.data_qubits
 
 
 def shots_per_string(epsilon: float) -> int | float:
     """Shots to reach standard error ``epsilon`` on one measured string: 1/eps^2.
 
-    ``math.inf`` when eps^2 underflows to 0 or 1/eps^2 is beyond float range.
+    An int up to 2**53 and the float above it; ``math.inf`` when eps^2
+    underflows to 0 or 1/eps^2 is beyond float range.
     """
     _check_epsilon(epsilon)
     variance = epsilon * epsilon
@@ -133,7 +139,7 @@ def shots_per_string(epsilon: float) -> int | float:
 
 
 def qaoa_aggregate_shots(epsilon: float, qubits: int) -> int | float:
-    """Alternative whole-run QAOA budget: n^2/eps shots in total; ``math.inf`` beyond float range."""
+    """Alternative whole-run QAOA budget: n^2/eps shots in total; a float above 2**53, ``math.inf`` beyond float range."""
     _check_epsilon(epsilon)
     if qubits < 1:
         raise WorkloadError(f"qubits must be >= 1, got {qubits}")
@@ -175,10 +181,12 @@ def shot_plan(spec: WorkloadSpec, error_rate: float, *, qaoa_aggregate: bool = F
         strings = pauli_string_count(spec)
         per_string = shots_per_string(spec.target_epsilon)
         model = "per-string"
+    # two int counts multiply exactly; a float count (above 2**53) makes the product a float
+    base = strings * per_string if type(per_string) is int else as_float(strings) * per_string
     if multiplier == 1.0:
-        total = strings * per_string
+        total = base
     else:
-        product = as_float(strings * per_string) * multiplier
+        product = as_float(base) * multiplier
         total = math.ceil(product) if product < math.inf else math.inf
     return ShotPlan(strings, per_string, multiplier, total, model)
 

@@ -61,6 +61,8 @@ CASES = [
     ("estimate-qaoa", ["estimate", "--workload", "qaoa.json", "--qpu", "quantinuum-h1"], {}),
     ("estimate-qaoa-aggregate-parallel",
      ["estimate", "--workload", "qaoa.json", "--qpu", "quantinuum-h1", "--qaoa-aggregate", "--parallel-shots", "4"], {}),
+    # a string count above 2**53, from a float coefficient: printed with 6 digits, not the float's noise
+    ("estimate-vqe-noise-digits", ["estimate", "--workload", "vqe-noise-digits.json", "--qpu", "ibm-osprey"], {}),
     ("estimate-edge-catalog", ["estimate", "--workload", "edge-ids.json", "--qpu", "lab\rfour",
                                "--catalog", "edge-catalog.json"], {}),
     # compare at 29 (8 GiB statevector), 1,100, 10^12 and 10^400 qubits
@@ -99,6 +101,7 @@ CASES = [
     ("error-scatter-missing-dir", ["scatter", "--out", "plots/landscape.svg"], {}),
     ("error-env-catalog-missing", ["catalog"], {"NISQ_GONOGO_CATALOG": "missing-catalog.json"}),
     ("error-non-finite", ["feasibility", "--workload", "non-finite.json"], {}),
+    ("error-surrogate-id", ["feasibility", "--workload", "surrogate-id.json", "--format", "csv"], {}),
     ("error-bad-band", ["feasibility", "--workload", "anchors.json", "--marginal-band", "0.5"], {}),
 ]
 

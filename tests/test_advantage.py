@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -40,7 +41,7 @@ def test_quantum_profile_of_a_huge_register_holds_no_huge_int():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert profile.memory_bytes.bit_length() == 10**9 + 5
+    assert profile.memory_bytes == math.inf
     assert classify(profile, SolutionProfile(runtime_s=1.0, memory_bytes=10**400)).space is Outcome.ADVANTAGE
 
 

@@ -1,14 +1,19 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nisq_gonogo
 from nisq_gonogo import energy
+from nisq_gonogo.advantage import Outcome, SolutionProfile, classify, quantum_profile
 from nisq_gonogo.catalog import PowerComponent, bundled_catalog, serialize_catalog
 from nisq_gonogo.cli import (
     EXIT_ERROR,
@@ -21,6 +26,7 @@ from nisq_gonogo.cli import (
     render_estimate_md,
 )
 from nisq_gonogo.scatter import scatter_csv, scatter_svg
+from nisq_gonogo.units import format_bytes
 from nisq_gonogo.workload import parse_workloads
 
 WORKLOAD_53x8 = {
@@ -538,6 +544,24 @@ def _qpu(docs, qpu_id):
             "classical profile: field 'memory_bytes' must be an integer, got 1.5", id="integer-profile",
         ),
         pytest.param(
+            lambda d: d["profile"].update(memory_bytes=10**400),
+            f"classical profile: field 'memory_bytes' must be finite, got {10**400}", id="finite-profile",
+        ),
+        pytest.param(
+            lambda d: d["catalog"]["classical_refs"][0].update(memory_capacity=10**400),
+            f"classical ref 'nvidia-dgx-rack': field 'memory_capacity' must be finite, got {10**400}",
+            id="finite-catalog",
+        ),
+        pytest.param(
+            lambda d: d["workload"].update(id="bad\ud800"),
+            "workload #0: field 'id' must not hold a lone surrogate, got 'bad\\ud800'", id="surrogate",
+        ),
+        pytest.param(
+            lambda d: d["profile"].update(classical_ref="\udc00ref"),
+            "classical profile: field 'classical_ref' must not hold a lone surrogate, got '\\udc00ref'",
+            id="surrogate-profile",
+        ),
+        pytest.param(
             lambda d: d["workload"].update(mitigation={"enabled": "yes"}),
             "workload #0: field 'mitigation.enabled' must be a boolean, got 'yes'", id="boolean",
         ),
@@ -613,6 +637,75 @@ def test_a_register_of_a_trillion_qubits_is_sized_by_its_exponent(capsys, worklo
     assert code == EXIT_OK and err == ""
     assert f"state space ~2^{10**12 + 4} B (astronomical) ({10**12} qubits)" in out.splitlines()[0]
     assert "| space | advantage |" in out
+
+
+@st.composite
+def _register_and_memory(draw):
+    """A register of 0 to 1,100 qubits and a classical memory int in [0, 2**1023], often beside 2**(N+4)."""
+    qubits = draw(st.integers(min_value=0, max_value=1100))
+    beside = min(2 ** (qubits + 4) + draw(st.integers(min_value=-2, max_value=2)), 2**1023)
+    return qubits, draw(st.one_of(st.integers(min_value=0, max_value=2**1023), st.just(beside)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_register_and_memory())
+def test_space_axis_and_state_space_follow_the_exact_statevector_size(tmp_path_factory, case):
+    qubits, memory = case
+    exact = 2 ** (qubits + 4)
+    expected = Outcome.ADVANTAGE if exact > memory else Outcome.DISADVANTAGE if exact < memory else Outcome.PARITY
+    space = classify(quantum_profile(1.0, qubits=qubits), SolutionProfile(1.0, memory_bytes=memory)).space
+    assert space is expected
+    if qubits == 0:
+        return  # a workload has at least one qubit
+    work = tmp_path_factory.mktemp("compare")
+    (work / "w.json").write_text(json.dumps(dict(WORKLOAD_53x8, data_qubits=qubits, depth=1)), encoding="utf-8")
+    (work / "p.json").write_text(json.dumps({"runtime_s": 1.0, "memory_bytes": memory}), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["compare", "--workload", str(work / "w.json"), "--qpu", "ibm-flamingo",
+                     "--classical", str(work / "p.json")])
+    lines = out.getvalue().splitlines()
+    assert code == EXIT_OK
+    assert f"state space {format_bytes(exact)} ({qubits} qubits)" in lines[0]
+    assert f"| space | {expected.value} |" in lines
+
+
+def _significant_digits(number: str) -> int:
+    return len(number.split("e")[0].replace(".", "").strip("0"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    qubits=st.one_of(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**90)),
+    coefficient=st.one_of(st.none(), st.floats(min_value=1e-300, max_value=1e300)),
+    epsilon=st.floats(min_value=1e-170, max_value=1.0),
+    aggregate=st.booleans(),
+)
+def test_no_printed_count_carries_float_noise_digits(qubits, coefficient, epsilon, aggregate):
+    """A string or per-string count made in floats prints at most the 17 significant digits a float holds."""
+    if aggregate:  # n^2/eps shots in one string
+        spec = parse_workloads(json.dumps(dict(
+            WORKLOAD_53x8, family="qaoa", qaoa_layers=1, data_qubits=qubits, target_epsilon=epsilon
+        )))[0]
+    else:  # ungrouped VQE: coefficient x n^4 strings of 1/eps^2 shots
+        vqe = dict(BENZENE_LIKE, data_qubits=qubits, target_epsilon=epsilon, c_vqe_override=coefficient)
+        spec = parse_workloads(json.dumps(vqe))[0]
+    qpu = bundled_catalog().get_qpu("ibm-osprey")
+    report = render_estimate_md(build_estimate_record(qpu, spec, qaoa_aggregate=aggregate), qpu, spec)
+    for prefix in ("- measurement strings: ", "- shots per string: "):
+        (line,) = [line for line in report.splitlines() if line.startswith(prefix)]
+        number = line[len(prefix):].split(" ")[0]
+        assert number == "inf" or _significant_digits(number) <= 17, line
+
+
+def test_an_integral_float_memory_reads_as_its_int(capsys, tmp_path):
+    docs = valid_documents()
+    docs["catalog"]["classical_refs"][0]["memory_capacity"] = 2199023255552.0
+    assert run_compare(capsys, tmp_path, docs) == run_compare(capsys, tmp_path, valid_documents())
+    docs = valid_documents()
+    docs["profile"]["memory_bytes"] = 1024.0
+    code, out, err = run_compare(capsys, tmp_path, docs)
+    assert (code, err) == (EXIT_OK, "") and ", memory 1 KiB\n" in out
 
 
 def test_infinite_profile_memory_is_an_input_error(capsys, workload_file, tmp_path):

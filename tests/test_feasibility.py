@@ -10,7 +10,6 @@ from nisq_gonogo.feasibility import (
     CapacityError,
     CircuitShape,
     EmulationTier,
-    PowerOfTwo,
     Verdict,
     assess,
     emulation_tier,
@@ -147,47 +146,12 @@ class TestStatevectorMemory:
     def test_shift_beyond_index_range_is_unbounded(self):
         assert statevector_memory(10**400) == math.inf
         assert statevector_memory(sys.maxsize - 3) == math.inf
-        assert statevector_memory(sys.maxsize - 4) == PowerOfTwo(sys.maxsize)
+        assert statevector_memory(sys.maxsize - 4) == math.inf
 
-    def test_exact_int_within_float_range_then_the_exponent_alone(self):
+    def test_exact_int_within_float_range_then_inf(self):
         assert statevector_memory(1019) == 2**1023 and type(statevector_memory(1019)) is int
-        assert type(statevector_memory(1020)) is PowerOfTwo
-        assert statevector_memory(1020) == 2**1024
-        assert statevector_memory(10**12).bit_length() == 10**12 + 5
-
-
-_POWERS = st.integers(min_value=0, max_value=1100)
-_OTHERS = st.one_of(
-    st.integers(min_value=-5, max_value=2**1110),
-    st.builds(lambda k, d: 2**k + d, _POWERS, st.integers(-2, 2)),  # at and beside a power of two
-    st.floats(allow_nan=True),
-    st.builds(lambda k: float(2**k), st.integers(0, 1023)),
-    _POWERS.map(PowerOfTwo),
-)
-
-
-@settings(max_examples=500, deadline=None)
-@given(_POWERS, _OTHERS)
-def test_power_of_two_orders_as_its_int(exponent, other):
-    power, exact = PowerOfTwo(exponent), 2**exponent
-    value = 2**other.exponent if isinstance(other, PowerOfTwo) else other
-    assert (power == other, power != other) == (exact == value, exact != value)
-    assert (power < other, power <= other, power > other, power >= other) == (
-        exact < value, exact <= value, exact > value, exact >= value
-    )
-    assert (other < power, other > power) == (value < exact, value > exact)
-    if exact == value:
-        assert hash(power) == hash(value)
-
-
-def test_power_of_two_converts_as_its_int():
-    assert float(PowerOfTwo(1023)) == float(2**1023)
-    with pytest.raises(OverflowError):
-        float(PowerOfTwo(1024))
-    assert PowerOfTwo(1104).bit_length() == (2**1104).bit_length()
-    assert (PowerOfTwo(3) == "8", PowerOfTwo(3) != None) == (False, True)  # noqa: E711
-    with pytest.raises(TypeError):
-        PowerOfTwo(3) < "8"  # noqa: B015
+        assert statevector_memory(1020) == math.inf
+        assert statevector_memory(10**12) == math.inf
 
 
 class TestEmulationTier:

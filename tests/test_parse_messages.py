@@ -31,6 +31,7 @@ BAD_VALUES = {
     "half": "1.5",
     "unknown-enum": '"nope"',
     "enum-list": '["vqe"]',
+    "surrogate": '"bad\\ud800"',
 }
 
 VALID = {
@@ -65,6 +66,7 @@ GOT = {
     "half": "1.5",
     "unknown-enum": "'nope'",
     "enum-list": "['vqe']",
+    "surrogate": "'bad\\ud800'",
 }
 
 
@@ -96,7 +98,12 @@ def _choice(values):
 EXPECTED = {
     # the optional non-empty id: null reads as absent
     "id": _table(
-        "must be a string", accepts=("null", "string", "unknown-enum"), special={"empty-string": "must be non-empty"}
+        "must be a string",
+        accepts=("null", "string", "unknown-enum"),
+        special={
+            "empty-string": "must be non-empty",
+            "surrogate": "must not hold a lone surrogate, got 'bad\\ud800'",
+        },
     ),
     "family": _choice(["vqe", "qaoa", "generic"]),
     "data_qubits": _integer(),

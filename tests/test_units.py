@@ -16,6 +16,7 @@ from nisq_gonogo.units import (
     format_duration,
     format_fidelity_percent,
     format_joules,
+    format_power_of_two_bytes,
     format_seconds,
     format_watts,
     sci,
@@ -87,6 +88,14 @@ def test_format_bytes():
     assert format_bytes(2**89) == "512 YiB"
     assert format_bytes(2**90) == "~2^90 B (astronomical)"
     assert format_bytes(math.inf) == "inf B (unbounded)"
+
+
+def test_format_power_of_two_bytes_is_format_bytes_of_the_power():
+    for exponent in (0, 4, 33, 89, 90, 1023, 1024, 1104):
+        assert format_power_of_two_bytes(exponent) == format_bytes(2**exponent)
+    assert format_power_of_two_bytes(10**12 + 4) == "~2^1000000000004 B (astronomical)"
+    assert format_power_of_two_bytes(sys.maxsize) == f"~2^{sys.maxsize} B (astronomical)"
+    assert format_power_of_two_bytes(sys.maxsize + 1) == "inf B (unbounded)"
 
 
 def test_format_watts_and_joules():

@@ -56,6 +56,18 @@ class TestPauliStringCount:
         assert pauli_string_count(spec) == math.inf
         assert shot_plan(spec, 0.006).total_shots == math.inf
 
+    def test_a_float_count_above_2_53_is_the_float(self):
+        spec = make_spec(c_vqe_override=1e10)
+        assert pauli_string_count(spec) == 1e10 * 72**4 and type(pauli_string_count(spec)) is float
+        plan = shot_plan(spec, 0.006)
+        assert type(plan.total_shots) is float and plan.total_shots == 1e10 * 72**4 * 10**6
+        assert type(pauli_string_count(make_spec())) is int  # the 330,816 anchor
+
+    def test_an_int_count_beyond_float_range_times_a_float_count_is_unbounded(self):
+        spec = make_spec(family=AlgorithmFamily.GENERIC, data_qubits=10**400, target_epsilon=1e-10)
+        plan = shot_plan(spec, 0.006)
+        assert (plan.pauli_strings, type(plan.shots_per_string), plan.total_shots) == (10**400, float, math.inf)
+
     def test_small_registers_never_drop_below_one(self):
         assert pauli_string_count(make_spec(data_qubits=1)) == 1
         assert pauli_string_count(make_spec(data_qubits=2)) == 1
@@ -73,7 +85,7 @@ class TestPauliStringCount:
 
 class TestShotsPerString:
     def test_chemistry_precision(self):
-        assert shots_per_string(1e-3) == 1_000_000
+        assert shots_per_string(1e-3) == 1_000_000 and type(shots_per_string(1e-3)) is int
 
     def test_trivial_epsilons(self):
         assert shots_per_string(1.0) == 1
@@ -89,8 +101,16 @@ class TestShotsPerString:
     def test_beyond_float_range_is_unbounded(self, epsilon):
         assert shots_per_string(epsilon) == math.inf
 
-    def test_near_the_float_limit_counts_stay_exact_ints(self):
-        assert shots_per_string(1e-154) == math.ceil(1.0 / (1e-154 * 1e-154))
+    def test_near_the_float_limit_counts_are_the_float(self):
+        assert shots_per_string(1e-154) == 1.0 / (1e-154 * 1e-154)
+        assert type(shots_per_string(1e-154)) is float
+
+    def test_exact_ints_up_to_2_53_and_the_float_above(self):
+        assert shots_per_string(2**-26) == 2**52 and type(shots_per_string(2**-26)) is int
+        assert shots_per_string(2**-27) == 2**54 and type(shots_per_string(2**-27)) is float
+        assert type(shots_per_string(1e-8)) is float and shots_per_string(1e-8) == 1.0 / (1e-8 * 1e-8)
+        assert type(qaoa_aggregate_shots(1e-3, 10**7)) is float
+        assert type(qaoa_aggregate_shots(1e-3, 10**6)) is int
 
     @pytest.mark.parametrize("epsilon, qubits", [(1e-310, 4), (0.5, 10**200)], ids=["epsilon", "qubits"])
     def test_qaoa_aggregate_beyond_float_range_is_unbounded(self, epsilon, qubits):
