@@ -42,6 +42,7 @@ from .feasibility import (
     statevector_memory,
     success_probability,
 )
+from .fields import InputWarning
 from .runtime import RuntimeEstimate, estimate_runtime, single_shot_time
 from .workload import (
     AlgorithmFamily,
@@ -73,6 +74,7 @@ __all__ = [
     "EmulationTier",
     "EnergyEstimate",
     "FeasibilityVerdict",
+    "InputWarning",
     "MitigationSpec",
     "Modality",
     "Outcome",

@@ -64,9 +64,13 @@ class SolutionProfile(_SolutionProfileFields):
         for name, value in (("cost", cost), ("quality", quality)):
             if value is not None and not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if memory_bytes is not None and memory_bytes < 0:
+        if memory_bytes is not None and not memory_bytes >= 0:
             raise ValueError(f"memory_bytes must be >= 0, got {memory_bytes}")
         return tuple.__new__(cls, (runtime_s, energy_j, cost, quality, memory_bytes))
+
+    @classmethod
+    def _make(cls, iterable) -> SolutionProfile:  # ``_replace`` builds through it
+        return cls(*iterable)
 
 
 def quantum_profile(

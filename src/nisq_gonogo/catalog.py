@@ -31,8 +31,8 @@ Catalog files are UTF-8 JSON documents::
 
 Fidelities are stored as error-rate probabilities, never percentages;
 ``units.format_fidelity_percent`` converts for display.  Unknown keys are
-rejected in strict mode and collected as warnings in lenient mode.  A parsed
-``Catalog`` is immutable and safe to share across threads.
+rejected in strict mode and warned of (``fields.InputWarning``) in lenient
+mode.  A parsed ``Catalog`` is immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -94,54 +94,21 @@ class PowerComponent(NamedTuple):
     per_qubit: bool = False
 
 
-class _QpuFields(NamedTuple):
-    # Fields in the layout of a catalog file, which ``serialize_catalog`` writes.
+class QpuSpec(NamedTuple):
+    """One hardware platform, as transcribed from public figures."""
+
     id: str
     modality: Modality
     qubit_count: int
     two_qubit_error_median: float
-    two_qubit_error_stddev: float | None
     two_qubit_gate_time: float
     readout_time: float
     reset_time: float
     connectivity: str
-    power_components: tuple[PowerComponent, ...]
     status: QpuStatus
     source_note: str
-
-
-class QpuSpec(_QpuFields):
-    """One hardware platform, as transcribed from public figures.
-
-    ``two_qubit_error_stddev`` and ``power_components`` are keyword-only, so
-    that both sit at their place in the catalog file layout.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        id: str,
-        modality: Modality,
-        qubit_count: int,
-        two_qubit_error_median: float,
-        two_qubit_gate_time: float,
-        readout_time: float,
-        reset_time: float,
-        connectivity: str,
-        status: QpuStatus,
-        source_note: str,
-        *,
-        two_qubit_error_stddev: float | None = None,
-        power_components: tuple[PowerComponent, ...] = (),
-    ) -> QpuSpec:
-        return tuple.__new__(cls, (
-            id, modality, qubit_count, two_qubit_error_median, two_qubit_error_stddev, two_qubit_gate_time,
-            readout_time, reset_time, connectivity, power_components, status, source_note,
-        ))
-
-    def __getnewargs_ex__(self):  # copy and pickle rebuild through the keyword signature
-        return (), self._asdict()
+    two_qubit_error_stddev: float | None = None
+    power_components: tuple[PowerComponent, ...] = ()
 
 
 class ClassicalRefSpec(NamedTuple):
@@ -157,8 +124,6 @@ class ClassicalRefSpec(NamedTuple):
 class _CatalogFields(NamedTuple):
     qpus: tuple[QpuSpec, ...]
     classical_refs: tuple[ClassicalRefSpec, ...] = ()
-    # Lenient-mode warnings; not part of equality, hashing or serialization.
-    warnings: tuple[str, ...] = ()
 
 
 class Catalog(_CatalogFields):
@@ -176,7 +141,6 @@ class Catalog(_CatalogFields):
         cls,
         qpus: tuple[QpuSpec, ...],
         classical_refs: tuple[ClassicalRefSpec, ...] = (),
-        warnings: tuple[str, ...] = (),
     ) -> Catalog:
         for label, entries in (("qpus", qpus), ("classical_refs", classical_refs)):
             seen: set[str] = set()
@@ -184,20 +148,11 @@ class Catalog(_CatalogFields):
                 if entry.id in seen:
                     raise CatalogValidationError(f"catalog: duplicate id {entry.id!r} in {label}")
                 seen.add(entry.id)
-        return tuple.__new__(cls, (qpus, classical_refs, warnings))
+        return tuple.__new__(cls, (qpus, classical_refs))
 
     @classmethod
     def _make(cls, iterable) -> Catalog:  # ``_replace`` builds through it
         return cls(*iterable)
-
-    def __eq__(self, other):
-        return self[:2] == other[:2] if isinstance(other, Catalog) else NotImplemented
-
-    def __ne__(self, other):
-        return self[:2] != other[:2] if isinstance(other, Catalog) else NotImplemented
-
-    def __hash__(self):
-        return hash(self[:2])
 
     def get_qpu(self, qpu_id: str) -> QpuSpec:
         return _lookup(self.qpus, qpu_id, "qpu")
@@ -289,10 +244,11 @@ def _parse_classical_ref(raw: object, checker: Checker) -> ClassicalRefSpec:
 def parse_catalog(document: str, *, strict: bool = True) -> Catalog:
     """Parse and validate a catalog document.
 
-    Strict mode (default) rejects unknown fields; lenient mode collects them
-    into ``Catalog.warnings``.  Raises :class:`CatalogSyntaxError` on
-    malformed JSON and :class:`CatalogValidationError` on invariant
-    violations, naming the offending record and field.
+    Strict mode (default) rejects unknown fields; lenient mode warns of each
+    with an :class:`~nisq_gonogo.fields.InputWarning`.  Raises
+    :class:`CatalogSyntaxError` on malformed JSON and
+    :class:`CatalogValidationError` on invariant violations, naming the
+    offending record and field.
     """
     raw = decode(document, "catalog", CatalogSyntaxError)
     checker = Checker(CatalogValidationError, strict)
@@ -302,7 +258,7 @@ def parse_catalog(document: str, *, strict: bool = True) -> Catalog:
         raise CatalogValidationError(f"catalog: unsupported schema_version {version} (expected {SCHEMA_VERSION})")
     qpus = tuple(_parse_qpu(item, checker) for item in fields.items("qpus"))
     refs = tuple(_parse_classical_ref(item, checker) for item in fields.items("classical_refs", None) or ())
-    return Catalog(qpus=qpus, classical_refs=refs, warnings=tuple(checker.warnings))
+    return Catalog(qpus, refs)
 
 
 def serialize_catalog(catalog: Catalog) -> str:

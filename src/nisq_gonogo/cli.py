@@ -21,6 +21,7 @@ import math
 import operator
 import os
 import sys
+import warnings
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -30,7 +31,7 @@ from . import feasibility as feas
 from . import runtime as runtime_mod
 from . import workload as workload_mod
 from .catalog import Catalog, QpuSpec, bundled_catalog, parse_catalog
-from .fields import Checker, decode, keys_of
+from .fields import Checker, InputWarning, decode, keys_of
 from .scatter import scatter_csv, scatter_svg
 from .units import (
     as_float,
@@ -69,12 +70,6 @@ class ResourceRecord(NamedTuple):
     energy: energy_mod.EnergyEstimate
 
 
-def _warn(warnings: Sequence[str]) -> None:
-    """Print lenient-mode input warnings; every command's warnings pass here."""
-    for warning in warnings:
-        sys.stderr.write(f"warning: {warning}\n")
-
-
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as file:
         return file.read()
@@ -91,15 +86,11 @@ def load_catalog(path: str | None, *, strict: bool) -> Catalog:
         path = os.environ.get(ENV_CATALOG)
     if path is None:
         return bundled_catalog()
-    catalog = parse_catalog(_read(path), strict=strict)
-    _warn(catalog.warnings)
-    return catalog
+    return parse_catalog(_read(path), strict=strict)
 
 
-def load_workloads(path: str, *, strict: bool) -> workload_mod.Workloads:
-    workloads = workload_mod.parse_workloads(_read(path), strict=strict)
-    _warn(workloads.warnings)
-    return workloads
+def load_workloads(path: str, *, strict: bool) -> tuple[workload_mod.WorkloadSpec, ...]:
+    return workload_mod.parse_workloads(_read(path), strict=strict)
 
 
 def _is_go(row: VerdictRow) -> bool:
@@ -400,7 +391,6 @@ def _read_classical_profile(path: str, catalog: Catalog, *, strict: bool) -> tup
         quality=fields.number("quality", None),
         memory_bytes=memory,
     )
-    _warn(checker.warnings)
     return profile, notes
 
 
@@ -582,14 +572,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args, load_catalog(args.catalog, strict=args.strict))
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
+    # Each lenient-mode input warning prints as it is raised, whatever filters
+    # the interpreter was started with.
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", InputWarning)
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args, load_catalog(args.catalog, strict=args.strict))
+        except (ValueError, OSError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 #: effective entanglement low enough for linear-cost emulation.
 TENSOR_NETWORK_ERROR_THRESHOLD = 1e-3
 
-#: Default circuit-depth cutoff under which an algorithm counts as shallow.
+#: Circuit depth at or under which an algorithm counts as shallow.
 DEFAULT_SHALLOW_DEPTH = 10
 
 #: Default factor above the required error rate still reported as marginal.
@@ -59,6 +59,10 @@ class CircuitShape(_CircuitShapeFields):
         if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
             raise ValueError(f"depth must be a positive integer, got {depth!r}")
         return tuple.__new__(cls, (breadth, depth))
+
+    @classmethod
+    def _make(cls, iterable) -> CircuitShape:  # ``_replace`` builds through it
+        return cls(*iterable)
 
     @property
     def volume(self) -> int:
@@ -215,18 +219,12 @@ def statevector_memory(qubits: int) -> int | float:
     return 1 << exponent if exponent < sys.float_info.max_exp else math.inf  # 2**1024 is beyond float range
 
 
-def emulation_tier(
-    qubits: int,
-    depth: int,
-    error_rate: float,
-    *,
-    shallow_depth_threshold: int = DEFAULT_SHALLOW_DEPTH,
-) -> EmulationTier:
+def emulation_tier(qubits: int, depth: int, error_rate: float) -> EmulationTier:
     """Cheapest classical setup that can emulate the given circuit.
 
     Statevector tiers by qubit count up to 55 qubits; beyond that,
     tensor-network compression works for shallow circuits (depth at most
-    ``shallow_depth_threshold``) or for noisy ones (error rate above
+    :data:`DEFAULT_SHALLOW_DEPTH`) or for noisy ones (error rate above
     :data:`TENSOR_NETWORK_ERROR_THRESHOLD`); otherwise the circuit is
     classed beyond-classical.
     """
@@ -238,6 +236,6 @@ def emulation_tier(
     for tier, max_qubits in STATEVECTOR_TIERS:
         if qubits <= max_qubits:
             return tier
-    if depth <= shallow_depth_threshold or error_rate > TENSOR_NETWORK_ERROR_THRESHOLD:
+    if depth <= DEFAULT_SHALLOW_DEPTH or error_rate > TENSOR_NETWORK_ERROR_THRESHOLD:
         return EmulationTier.TENSOR_NETWORK
     return EmulationTier.BEYOND_CLASSICAL

@@ -1,9 +1,9 @@
 """Field checks shared by the catalog, workload and classical-profile parsers.
 
 A :class:`Checker` holds what one document's parse has in common: the error
-type it raises, strict or lenient mode, and the lenient-mode warnings.  Its
-:meth:`Checker.record` wraps one JSON object, rejecting (strict) or
-collecting (lenient) keys outside the declared set; the :class:`Record`
+type it raises and strict or lenient mode.  Its :meth:`Checker.record` wraps
+one JSON object, rejecting (strict) or warning of (lenient, an
+:class:`InputWarning`) keys outside the declared set; the :class:`Record`
 getters then read one field each, checking presence, type, finiteness,
 bounds and enum choices.  Every message names the record and the field.
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import warnings
 from typing import NoReturn
 
 from .units import as_float
@@ -43,15 +44,18 @@ def decode(document: str, name: str, error: type[ValueError]) -> object:
         raise error(f"{name}: {exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
 
 
-class Checker:
-    """Error type, strictness and collected warnings of one document's parse."""
+class InputWarning(UserWarning):
+    """An input field that lenient mode ignores; strict mode raises it as an error."""
 
-    __slots__ = ("error", "strict", "warnings")
+
+class Checker:
+    """Error type and strictness of one document's parse."""
+
+    __slots__ = ("error", "strict")
 
     def __init__(self, error: type[ValueError], strict: bool):
         self.error = error
         self.strict = strict
-        self.warnings: list[str] = []
 
     def record(self, raw: object, name: str, keys: frozenset[str], prefix: str = "") -> Record:
         """Wrap the JSON object ``raw`` and handle its keys outside ``keys``."""
@@ -61,7 +65,7 @@ class Checker:
             for key in sorted(raw.keys() - keys):
                 if self.strict:
                     raise self.error(f"{name}: unknown field '{prefix}{key}'")
-                self.warnings.append(f"{name}: ignoring unknown field '{prefix}{key}'")
+                warnings.warn(f"{name}: ignoring unknown field '{prefix}{key}'", InputWarning, stacklevel=2)
         return Record(self, raw, name, prefix)
 
 

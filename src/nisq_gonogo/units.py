@@ -119,7 +119,7 @@ def format_bytes(n: int | float) -> str:
     """Binary-prefixed byte count; falls back to a power-of-two note for
     values beyond yobibytes ("astronomical" in report terms), and reads
     ``math.inf`` as unbounded."""
-    if n < 0:
+    if not n >= 0:
         raise ValueError(f"byte count must be non-negative, got {n}")
     if n == math.inf:  # only a float is equal to inf; an int beyond float range is astronomical
         return "inf B (unbounded)"
@@ -130,7 +130,7 @@ def format_bytes(n: int | float) -> str:
                 return f"{int(value)} {unit}"
             return f"{value:.4g} {unit}"
         value /= 1024.0
-    return format_power_of_two_bytes(n.bit_length() - 1)
+    return format_power_of_two_bytes((n.bit_length() if type(n) is int else math.frexp(n)[1]) - 1)
 
 
 def format_power_of_two_bytes(exponent: int) -> str:

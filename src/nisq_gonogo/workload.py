@@ -195,15 +195,6 @@ _WORKLOAD_KEYS = keys_of(WorkloadSpec)
 _MITIGATION_KEYS = keys_of(MitigationSpec)
 
 
-class Workloads(tuple):
-    """The parsed :class:`WorkloadSpec` tuple, with the parse's lenient-mode warnings."""
-
-    def __new__(cls, specs, warnings=()):
-        self = super().__new__(cls, specs)
-        self.warnings = tuple(warnings)
-        return self
-
-
 def _parse_one(raw: object, index: int, checker: Checker) -> WorkloadSpec:
     fields = checker.record(raw, f"workload #{index}", _WORKLOAD_KEYS)
     family = fields.choice("family", AlgorithmFamily)
@@ -233,11 +224,11 @@ def _parse_one(raw: object, index: int, checker: Checker) -> WorkloadSpec:
     )
 
 
-def parse_workloads(document: str, *, strict: bool = True) -> Workloads:
+def parse_workloads(document: str, *, strict: bool = True) -> tuple[WorkloadSpec, ...]:
     """Parse a workload document (single object or list of objects).
 
-    Strict mode (default) rejects unknown fields; lenient mode collects them
-    into the result's ``warnings``.
+    Strict mode (default) rejects unknown fields; lenient mode warns of each
+    with an :class:`~nisq_gonogo.fields.InputWarning`.
     """
     raw = decode(document, "workload document", WorkloadError)
     if isinstance(raw, dict):
@@ -249,5 +240,4 @@ def parse_workloads(document: str, *, strict: bool = True) -> Workloads:
     if not items:
         raise WorkloadError("no workloads: the workload document is an empty list")
     checker = Checker(WorkloadError, strict)
-    specs = [_parse_one(item, i, checker) for i, item in enumerate(items)]
-    return Workloads(specs, checker.warnings)
+    return tuple([_parse_one(item, i, checker) for i, item in enumerate(items)])

@@ -103,6 +103,12 @@ CASES = [
     ("error-non-finite", ["feasibility", "--workload", "non-finite.json"], {}),
     ("error-surrogate-id", ["feasibility", "--workload", "surrogate-id.json", "--format", "csv"], {}),
     ("error-bad-band", ["feasibility", "--workload", "anchors.json", "--marginal-band", "0.5"], {}),
+    # lenient warnings print as they are raised, before the error line
+    ("error-lenient-then-unknown-qpu", ["estimate", "--workload", "lenient.json", "--catalog", "lenient-catalog.json",
+                                        "--qpu", "no-such"], {}),
+    # a warnings filter that turns warnings into errors does not reach the CLI's input warnings
+    ("feasibility-lenient-pythonwarnings-error", ["feasibility", "--workload", "lenient.json", "--format", "csv"],
+     {"PYTHONWARNINGS": "error"}),
 ]
 
 

@@ -26,6 +26,8 @@ def test_profile_validation():
             SolutionProfile(runtime_s=bad)
         with pytest.raises(ValueError):
             SolutionProfile(runtime_s=1.0, energy_j=bad)
+        with pytest.raises(ValueError, match=f"^memory_bytes must be >= 0, got {bad}$"):
+            SolutionProfile(runtime_s=1.0, memory_bytes=bad)
     for name in ("cost", "quality"):
         with pytest.raises(ValueError):
             SolutionProfile(runtime_s=1.0, **{name: float("inf")})

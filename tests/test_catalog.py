@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nisq_gonogo import InputWarning
 from nisq_gonogo.catalog import (
     Catalog,
     CatalogSyntaxError,
@@ -82,7 +83,7 @@ def test_catalog_rejects_a_repeated_id_as_the_parser_does(label):
     with pytest.raises(CatalogValidationError) as built:
         Catalog(repeated.qpus, repeated.classical_refs)
     with pytest.raises(CatalogValidationError) as by_keyword:
-        Catalog(qpus=repeated.qpus, classical_refs=repeated.classical_refs, warnings=("w",))
+        Catalog(qpus=repeated.qpus, classical_refs=repeated.classical_refs)
     with pytest.raises(CatalogValidationError) as replaced:
         catalog._replace(**{label: fields[label]})
     message = f"catalog: duplicate id {entries[0].id!r} in {label}"
@@ -100,8 +101,9 @@ def test_unknown_field_strict_vs_lenient():
     doc = minimal_doc(surprise=42)
     with pytest.raises(CatalogValidationError, match="unknown field 'surprise'"):
         parse_catalog(doc, strict=True)
-    catalog = parse_catalog(doc, strict=False)
-    assert any("surprise" in w for w in catalog.warnings)
+    with pytest.warns(InputWarning) as warned:
+        catalog = parse_catalog(doc, strict=False)
+    assert [str(w.message) for w in warned] == ["qpu 'x': ignoring unknown field 'surprise'"]
     # recognized fields are never dropped in lenient mode
     assert catalog.qpus[0].two_qubit_error_median == 0.01
 

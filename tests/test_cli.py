@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -516,6 +517,18 @@ def test_unknown_field_warns_on_stderr_or_fails_strict(capsys, tmp_path, documen
     assert err.startswith("error: ") and "'surprise'" in err
 
 
+def test_warnings_print_under_an_error_filter_and_leave_the_filters_as_they_were(capsys, tmp_path):
+    docs = valid_documents()
+    docs["workload"]["surprise"] = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filters, show = list(warnings.filters), warnings.showwarning
+        code, _, err = run_compare(capsys, tmp_path, docs)
+        assert (warnings.filters, warnings.showwarning) == (filters, show)
+    assert code == EXIT_OK
+    assert err == "warning: workload #0: ignoring unknown field 'surprise'\n"
+
+
 def _qpu(docs, qpu_id):
     return next(qpu for qpu in docs["catalog"]["qpus"] if qpu["id"] == qpu_id)
 
@@ -729,7 +742,7 @@ def test_bundled_catalog_renderings_are_pinned():
         "render_catalog_md": "74d276f2cd24c0fe157e33314451498147ddc0af8b1709f660b8984f7704bcc3",
         "scatter_csv": "97f038fe7ba926a99c4d3fd24a846f24ce3500db58ea3f7c21b52dfc8bbfe8ff",
         "scatter_svg": "85c933e18a8025a75aa65da90f3b8c0f64752908efe9a4c4328c47f54bdf42f9",
-        "serialize_catalog": "2c6ea6f87c3148777d202384499aed305b553855b5dc2f295178b0a3a4763cad",
+        "serialize_catalog": "95353e8f941407064a55b964b817a1f44c14293a5dd074390e0227fbab64445f",
     }
 
 

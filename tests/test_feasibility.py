@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nisq_gonogo.catalog import bundled_catalog
 from nisq_gonogo.feasibility import (
+    DEFAULT_SHALLOW_DEPTH,
     CapacityError,
     CircuitShape,
     EmulationTier,
@@ -178,8 +179,9 @@ class TestEmulationTier:
         assert emulation_tier(127, 8, 1e-4) is EmulationTier.TENSOR_NETWORK  # shallow
         assert emulation_tier(127, 1000, 1e-4) is EmulationTier.BEYOND_CLASSICAL
 
-    def test_shallow_threshold_configurable(self):
-        assert emulation_tier(127, 20, 1e-4, shallow_depth_threshold=20) is EmulationTier.TENSOR_NETWORK
+    def test_shallow_threshold_is_inclusive(self):
+        assert emulation_tier(127, DEFAULT_SHALLOW_DEPTH, 1e-4) is EmulationTier.TENSOR_NETWORK
+        assert emulation_tier(127, DEFAULT_SHALLOW_DEPTH + 1, 1e-4) is EmulationTier.BEYOND_CLASSICAL
 
     def test_labels(self):
         assert EmulationTier.TENSOR_NETWORK.label == "tensor-network"

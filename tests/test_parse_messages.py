@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from nisq_gonogo.fields import InputWarning
 from nisq_gonogo.workload import WorkloadError, parse_workloads
 
 HUGE = 10**400
@@ -192,9 +193,10 @@ def test_lenient_warnings_keep_their_order():
     with pytest.raises(WorkloadError) as info:
         parse_workloads(document)
     assert str(info.value) == "workload #0: unknown field 'alpha'"
-    workloads = parse_workloads(document, strict=False)
+    with pytest.warns(InputWarning) as warned:
+        workloads = parse_workloads(document, strict=False)
     assert [spec.id for spec in workloads] == ["w", "v"]
-    assert workloads.warnings == (
+    assert tuple(str(w.message) for w in warned) == (
         "workload #0: ignoring unknown field 'alpha'",
         "workload #0: ignoring unknown field 'zeta'",
         "workload #0: ignoring unknown field 'mitigation.beta'",

@@ -88,6 +88,18 @@ def test_format_bytes():
     assert format_bytes(2**89) == "512 YiB"
     assert format_bytes(2**90) == "~2^90 B (astronomical)"
     assert format_bytes(math.inf) == "inf B (unbounded)"
+    assert format_bytes(2.0**90) == "~2^90 B (astronomical)"
+    assert format_bytes(1e30) == "~2^99 B (astronomical)"
+    assert format_bytes(sys.float_info.max) == "~2^1023 B (astronomical)"
+    for bad in (-1, float("nan")):
+        with pytest.raises(ValueError, match=f"^byte count must be non-negative, got {bad}$"):
+            format_bytes(bad)
+
+
+@settings(max_examples=500)
+@given(st.floats(min_value=0, max_value=sys.float_info.max).map(math.floor).map(float))
+def test_format_bytes_reads_an_integral_float_as_its_int(value):
+    assert format_bytes(value) == format_bytes(int(value))
 
 
 def test_format_power_of_two_bytes_is_format_bytes_of_the_power():

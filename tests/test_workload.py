@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nisq_gonogo.feasibility import CircuitShape
+from nisq_gonogo.fields import InputWarning
 from nisq_gonogo.workload import (
     AlgorithmFamily,
     MitigationSpec,
@@ -243,9 +244,10 @@ class TestParsing:
         )
         with pytest.raises(WorkloadError, match="oops"):
             parse_workloads(doc, strict=True)
-        specs = parse_workloads(doc, strict=False)
+        with pytest.warns(InputWarning) as warned:
+            specs = parse_workloads(doc, strict=False)
         assert specs[0].data_qubits == 4
-        assert specs.warnings == ("workload #0: ignoring unknown field 'oops'",)
+        assert [str(w.message) for w in warned] == ["workload #0: ignoring unknown field 'oops'"]
 
     def test_null_stands_for_absent_only_where_absent_means_none(self):
         base = {"family": "vqe", "data_qubits": 4, "depth": 2, "target_epsilon": 0.5, "ansatz_iterations": 1}
