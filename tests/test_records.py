@@ -12,7 +12,7 @@ from nisq_gonogo.catalog import Catalog, QpuSpec, bundled_catalog, parse_catalog
 from nisq_gonogo.cli import build_estimate_record, build_feasibility_bundle
 from nisq_gonogo.feasibility import CircuitShape, assess
 from nisq_gonogo.fields import json_of
-from nisq_gonogo.workload import parse_workloads
+from nisq_gonogo.workload import PauliGrouping, parse_workloads
 
 #: QpuSpec's fields, the order ``serialize_catalog`` writes: the ten required ones, then the two optional.
 QPU_LAYOUT = (
@@ -120,3 +120,163 @@ def test_replace_runs_the_checks_of_the_constructor():
         SolutionProfile(1.0)._replace(runtime_s=-1.0)
     assert CircuitShape(2, 3)._replace(depth=5) == CircuitShape(2, 5)
     assert SolutionProfile(1.0)._replace(memory_bytes=8) == SolutionProfile(1.0, memory_bytes=8)
+
+
+#: Per record: (class, ``_fields``, ``_field_defaults``, a sample, the sample's repr).
+def _record_table():
+    from nisq_gonogo.advantage import AdvantageReport, Outcome
+    from nisq_gonogo.catalog import ClassicalRefSpec, Modality, PowerComponent, QpuStatus
+    from nisq_gonogo.cli import ResourceRecord, VerdictRow
+    from nisq_gonogo.energy import EnergyEstimate
+    from nisq_gonogo.feasibility import FeasibilityVerdict, Verdict
+    from nisq_gonogo.runtime import RuntimeEstimate
+    from nisq_gonogo.workload import AlgorithmFamily, MitigationSpec, ShotPlan, WorkloadSpec
+
+    component = PowerComponent("pulse tubes", 10000.0, 9)
+    component_repr = "PowerComponent(label='pulse tubes', unit_power_w=10000.0, count=9, per_qubit=False)"
+    qpu = QpuSpec(
+        "q", Modality.SPIN, 4, 0.01, 1e-07, 1e-06, 0.0, "linear", QpuStatus.PROJECTED, "note",
+        power_components=(component,),
+    )
+    qpu_repr = (
+        "QpuSpec(id='q', modality=<Modality.SPIN: 'spin'>, qubit_count=4, two_qubit_error_median=0.01, "
+        "two_qubit_gate_time=1e-07, readout_time=1e-06, reset_time=0.0, connectivity='linear', "
+        "status=<QpuStatus.PROJECTED: 'projected'>, source_note='note', two_qubit_error_stddev=None, "
+        f"power_components=({component_repr},))"
+    )
+    ref = ClassicalRefSpec("dgx", "a rack", 30000.0, 2**41)
+    ref_repr = "ClassicalRefSpec(id='dgx', description='a rack', power_draw=30000.0, memory_capacity=2199023255552, tier_hint=None)"
+    mitigation = MitigationSpec(True)
+    mitigation_repr = "MitigationSpec(enabled=True, exponent_coefficient=1.0)"
+    plan = ShotPlan(10, 100, 1.5, 1500)
+    plan_repr = "ShotPlan(pauli_strings=10, shots_per_string=100, mitigation_multiplier=1.5, total_shots=1500, model='per-string')"
+    runtime = RuntimeEstimate(1e-06, 0.0015, 1.0015, 100.15, (("quantum", 0.15), ("classical", 100.0)))
+    runtime_repr = (
+        "RuntimeEstimate(single_shot_time=1e-06, quantum_time_per_iteration=0.0015, iteration_time=1.0015, "
+        "total_time=100.15, breakdown=(('quantum', 0.15), ('classical', 100.0)))"
+    )
+    energy = EnergyEstimate(90000.0, 9013500.0, (("pulse tubes", 90000.0),))
+    energy_repr = "EnergyEstimate(power_draw=90000.0, job_energy=9013500.0, breakdown=(('pulse tubes', 90000.0),))"
+    verdict = FeasibilityVerdict(0.001, 0.002, 0.25, Verdict.MARGINAL, True)
+    verdict_repr = (
+        "FeasibilityVerdict(required_error_rate=0.001, available_error_rate=0.002, success_probability=0.25, "
+        "verdict=<Verdict.MARGINAL: 'marginal'>, optimistic=True)"
+    )
+    advantage = (Outcome.ADVANTAGE, Outcome.PARITY, Outcome.NOT_EVALUATED, Outcome.DISADVANTAGE, Outcome.PARITY)
+    return {
+        "PowerComponent": (
+            PowerComponent, ("label", "unit_power_w", "count", "per_qubit"), {"count": 1, "per_qubit": False},
+            component, component_repr,
+        ),
+        "QpuSpec": (
+            QpuSpec, QPU_LAYOUT, {"two_qubit_error_stddev": None, "power_components": ()}, qpu, qpu_repr,
+        ),
+        "ClassicalRefSpec": (
+            ClassicalRefSpec, ("id", "description", "power_draw", "memory_capacity", "tier_hint"),
+            {"tier_hint": None}, ref, ref_repr,
+        ),
+        "Catalog": (
+            Catalog, ("qpus", "classical_refs"), {"classical_refs": ()}, Catalog((qpu,), (ref,)),
+            f"Catalog(qpus=({qpu_repr},), classical_refs=({ref_repr},))",
+        ),
+        "MitigationSpec": (
+            MitigationSpec, ("enabled", "exponent_coefficient"), {"enabled": False, "exponent_coefficient": 1.0},
+            mitigation, mitigation_repr,
+        ),
+        "WorkloadSpec": (
+            WorkloadSpec,
+            ("id", "family", "data_qubits", "depth", "target_epsilon", "ansatz_iterations", "classical_prep_time",
+             "qaoa_layers", "pauli_grouping", "mitigation", "c_vqe_override"),
+            {"classical_prep_time": 0.0, "qaoa_layers": None, "pauli_grouping": PauliGrouping.NONE,
+             "mitigation": MitigationSpec(), "c_vqe_override": None},
+            WorkloadSpec("w", AlgorithmFamily.QAOA, 4, 3, 0.01, 2, qaoa_layers=1, mitigation=mitigation),
+            "WorkloadSpec(id='w', family=<AlgorithmFamily.QAOA: 'qaoa'>, data_qubits=4, depth=3, target_epsilon=0.01, "
+            "ansatz_iterations=2, classical_prep_time=0.0, qaoa_layers=1, "
+            f"pauli_grouping=<PauliGrouping.NONE: 'none'>, mitigation={mitigation_repr}, c_vqe_override=None)",
+        ),
+        "ShotPlan": (
+            ShotPlan, ("pauli_strings", "shots_per_string", "mitigation_multiplier", "total_shots", "model"),
+            {"model": "per-string"}, plan, plan_repr,
+        ),
+        "CircuitShape": (CircuitShape, ("breadth", "depth"), {}, CircuitShape(2, 3), "CircuitShape(breadth=2, depth=3)"),
+        "FeasibilityVerdict": (
+            FeasibilityVerdict,
+            ("required_error_rate", "available_error_rate", "success_probability", "verdict", "optimistic"),
+            {}, verdict, verdict_repr,
+        ),
+        "SolutionProfile": (
+            SolutionProfile, ("runtime_s", "energy_j", "cost", "quality", "memory_bytes"),
+            {},  # the defaults are those of the checked ``__new__``
+            SolutionProfile(2.5, memory_bytes=8),
+            "SolutionProfile(runtime_s=2.5, energy_j=None, cost=None, quality=None, memory_bytes=8)",
+        ),
+        "AdvantageReport": (
+            AdvantageReport, ("space", "speed", "quality", "energetic", "cost", "notes"), {"notes": ()},
+            AdvantageReport(*advantage, notes=("a note",)),
+            "AdvantageReport(space=<Outcome.ADVANTAGE: 'advantage'>, speed=<Outcome.PARITY: 'parity'>, "
+            "quality=<Outcome.NOT_EVALUATED: 'not-evaluated'>, energetic=<Outcome.DISADVANTAGE: 'disadvantage'>, "
+            "cost=<Outcome.PARITY: 'parity'>, notes=('a note',))",
+        ),
+        "RuntimeEstimate": (
+            RuntimeEstimate,
+            ("single_shot_time", "quantum_time_per_iteration", "iteration_time", "total_time", "breakdown"),
+            {}, runtime, runtime_repr,
+        ),
+        "EnergyEstimate": (EnergyEstimate, ("power_draw", "job_energy", "breakdown"), {}, energy, energy_repr),
+        "VerdictRow": (
+            VerdictRow, ("qpu_id", "workload_id", "verdict", "note"), {"note": ""},
+            VerdictRow("q", "w", verdict),
+            f"VerdictRow(qpu_id='q', workload_id='w', verdict={verdict_repr}, note='')",
+        ),
+        "ResourceRecord": (
+            ResourceRecord, ("plan", "runtime", "energy"), {}, ResourceRecord(plan, runtime, energy),
+            f"ResourceRecord(plan={plan_repr}, runtime={runtime_repr}, energy={energy_repr})",
+        ),
+    }
+
+
+def test_record_table_covers_every_public_record():
+    assert sorted(_record_table()) == sorted(_public_records())
+
+
+@pytest.mark.parametrize("name", sorted(_public_records()))
+def test_record_layout_repr_and_round_trips(name):
+    cls, fields, defaults, sample, text = _record_table()[name]
+    assert cls.__name__ == name and type(sample) is cls
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+    assert repr(sample) == text
+    assert cls._make(sample) == sample and type(cls._make(sample)) is cls
+    assert sample._replace() == sample
+    copies = [copy.copy(sample), copy.deepcopy(sample)]
+    copies += [pickle.loads(pickle.dumps(sample, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in copies:
+        assert type(copied) is cls
+        assert copied == sample and hash(copied) == hash(sample)
+        assert repr(copied) == text
+
+
+#: The checked records: (a valid sample, ``_replace`` keywords that fail its check, the message).
+CHECKED = {
+    "CircuitShape": (lambda: CircuitShape(2, 3), {"breadth": True}, "^breadth must be a positive integer, got True$"),
+    "SolutionProfile": (lambda: SolutionProfile(1.0), {"memory_bytes": -1}, "^memory_bytes must be >= 0, got -1$"),
+    "Catalog": (
+        lambda: Catalog((_powered_qpu(),)),
+        {"qpus": (_powered_qpu(), _powered_qpu())},
+        "^catalog: duplicate id '.*' in qpus$",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_checked_records_check_in_new_make_and_replace(name):
+    make, bad, message = CHECKED[name]
+    sample = make()
+    cls = type(sample)
+    with pytest.raises(ValueError, match=message):
+        sample._replace(**bad)
+    values = [bad.get(field, value) for field, value in zip(cls._fields, sample)]
+    with pytest.raises(ValueError, match=message):
+        cls._make(values)
+    with pytest.raises(ValueError, match=message):
+        cls(*values)
