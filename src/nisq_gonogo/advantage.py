@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .feasibility import statevector_memory
 
@@ -28,16 +28,17 @@ class Outcome(str, enum.Enum):
     NOT_EVALUATED = "not-evaluated"
 
 
-class _SolutionProfileFields(NamedTuple):
-    runtime_s: float
-    energy_j: float | None
-    cost: float | None
-    quality: float | None
-    memory_bytes: int | float | None
+_SolutionProfileFields = namedtuple(
+    "_SolutionProfileFields", ("runtime_s", "energy_j", "cost", "quality", "memory_bytes")
+)
 
 
 class SolutionProfile(_SolutionProfileFields):
     """One side of a comparison.  Optional axes are skipped when absent.
+
+    Fields: ``runtime_s`` (float, seconds); ``energy_j`` (float, joules, or
+    None); ``cost`` and ``quality`` (float or None); ``memory_bytes`` (int or
+    float, bytes, or None).
 
     ``memory_bytes`` is the memory the solution needs: a classical machine's
     capacity requirement, or the statevector-equivalent footprint of a
@@ -92,18 +93,14 @@ def quantum_profile(
     )
 
 
-class AdvantageReport(NamedTuple):
-    """Per-axis outcome of a comparison, quantum side first."""
+AdvantageReport = namedtuple("AdvantageReport", (*AXES, "notes"), defaults=((),))
+AdvantageReport.__doc__ = """Per-axis outcome of a comparison, quantum side first.
 
-    space: Outcome
-    speed: Outcome
-    quality: Outcome
-    energetic: Outcome
-    cost: Outcome
-    notes: tuple[str, ...] = ()
-
-    def axes(self) -> dict[str, Outcome]:
-        return {axis: getattr(self, axis) for axis in AXES}
+Fields: ``space``, ``speed``, ``quality``, ``energetic`` and ``cost``
+(:class:`Outcome`); ``notes`` (tuple of str, default empty).  Its
+``axes()`` maps each axis name to its outcome.
+"""
+AdvantageReport.axes = lambda report: dict(zip(AXES, report))
 
 
 def _lower_is_better(q: float | None, c: float | None, band: float) -> Outcome:

@@ -42,7 +42,7 @@ import functools
 import json
 import os
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .feasibility import EmulationTier
 from .fields import Checker, decode, json_of, keys_of
@@ -82,52 +82,50 @@ class QpuStatus(str, enum.Enum):
     PROJECTED = "projected"
 
 
-class PowerComponent(NamedTuple):
-    """One contributor to a QPU's steady-state power draw.
+PowerComponent = namedtuple("PowerComponent", ("label", "unit_power_w", "count", "per_qubit"), defaults=(1, False))
+PowerComponent.__doc__ = """One contributor to a QPU's steady-state power draw.
 
-    ``per_qubit=True`` means the effective count is the QPU's qubit count.
-    """
+Fields: ``label`` (str); ``unit_power_w`` (float, watts per unit); ``count``
+(int, default 1); ``per_qubit`` (bool, default false): when true, the
+effective count is the QPU's qubit count.
+"""
 
-    label: str
-    unit_power_w: float
-    count: int = 1
-    per_qubit: bool = False
+QpuSpec = namedtuple(
+    "QpuSpec",
+    (
+        "id", "modality", "qubit_count", "two_qubit_error_median", "two_qubit_gate_time", "readout_time",
+        "reset_time", "connectivity", "status", "source_note", "two_qubit_error_stddev", "power_components",
+    ),
+    defaults=(None, ()),
+)
+QpuSpec.__doc__ = """One hardware platform, as transcribed from public figures.
 
+Fields: ``id`` (str); ``modality`` (:class:`Modality`); ``qubit_count``
+(int); ``two_qubit_error_median`` (float, an error probability, not a
+percentage); ``two_qubit_gate_time``, ``readout_time`` and ``reset_time``
+(float, seconds); ``connectivity`` (str); ``status`` (:class:`QpuStatus`);
+``source_note`` (str); ``two_qubit_error_stddev`` (float, or None when
+unreported); ``power_components`` (tuple of :class:`PowerComponent`).
+"""
 
-class QpuSpec(NamedTuple):
-    """One hardware platform, as transcribed from public figures."""
+ClassicalRefSpec = namedtuple(
+    "ClassicalRefSpec", ("id", "description", "power_draw", "memory_capacity", "tier_hint"), defaults=(None,)
+)
+ClassicalRefSpec.__doc__ = """A classical machine used as the comparison side of estimates.
 
-    id: str
-    modality: Modality
-    qubit_count: int
-    two_qubit_error_median: float
-    two_qubit_gate_time: float
-    readout_time: float
-    reset_time: float
-    connectivity: str
-    status: QpuStatus
-    source_note: str
-    two_qubit_error_stddev: float | None = None
-    power_components: tuple[PowerComponent, ...] = ()
+Fields: ``id`` and ``description`` (str); ``power_draw`` (float, watts);
+``memory_capacity`` (int, bytes); ``tier_hint`` (str, an emulation tier
+label, or None).
+"""
 
-
-class ClassicalRefSpec(NamedTuple):
-    """A classical machine used as the comparison side of estimates."""
-
-    id: str
-    description: str
-    power_draw: float
-    memory_capacity: int
-    tier_hint: str | None = None
-
-
-class _CatalogFields(NamedTuple):
-    qpus: tuple[QpuSpec, ...]
-    classical_refs: tuple[ClassicalRefSpec, ...] = ()
+_CatalogFields = namedtuple("_CatalogFields", ("qpus", "classical_refs"), defaults=((),))
 
 
 class Catalog(_CatalogFields):
     """The QPUs and classical references of one catalog.
+
+    Fields: ``qpus`` (tuple of :class:`QpuSpec`); ``classical_refs`` (tuple
+    of :class:`ClassicalRefSpec`, default empty).
 
     Each id names one entry: a repeated qpu id, or a repeated classical-ref
     id, raises :class:`CatalogValidationError` here and in ``_make`` and

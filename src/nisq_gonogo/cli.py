@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import math
 import operator
 import os
 import sys
 import warnings
+from collections import namedtuple
 from collections.abc import Sequence
-from typing import NamedTuple
 
 from . import advantage as adv
 from . import energy as energy_mod
@@ -57,17 +58,21 @@ _FIRST = _RATE = operator.itemgetter(0)
 _RATE_AND_ID = operator.itemgetter(0, 1)
 
 
-class VerdictRow(NamedTuple):
-    qpu_id: str
-    workload_id: str
-    verdict: feas.FeasibilityVerdict | None  # None: the workload needs more qubits than the qpu has
-    note: str = ""
+VerdictRow = namedtuple("VerdictRow", ("qpu_id", "workload_id", "verdict", "note"), defaults=("",))
+VerdictRow.__doc__ = """One (qpu, workload) row of a feasibility report.
 
+Fields: ``qpu_id`` and ``workload_id`` (str); ``verdict``
+(:class:`~nisq_gonogo.feasibility.FeasibilityVerdict`, or None when the
+workload needs more qubits than the qpu has); ``note`` (str, default empty).
+"""
 
-class ResourceRecord(NamedTuple):
-    plan: workload_mod.ShotPlan
-    runtime: runtime_mod.RuntimeEstimate
-    energy: energy_mod.EnergyEstimate
+ResourceRecord = namedtuple("ResourceRecord", ("plan", "runtime", "energy"))
+ResourceRecord.__doc__ = """The estimate of one workload on one qpu.
+
+Fields: ``plan`` (:class:`~nisq_gonogo.workload.ShotPlan`), ``runtime``
+(:class:`~nisq_gonogo.runtime.RuntimeEstimate`) and ``energy``
+(:class:`~nisq_gonogo.energy.EnergyEstimate`).
+"""
 
 
 def _read(path: str) -> str:
@@ -434,9 +439,11 @@ def render_catalog_md(catalog: Catalog) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    sys.stdout.write(text)
+    """Write the report to ``out_path``, if given, then to stdout: a path that
+    cannot be written ends the call with the one ``error:`` line and no report."""
     if out_path is not None:
         _write(out_path, text)
+    sys.stdout.write(text)
 
 
 def cmd_feasibility(args: argparse.Namespace, catalog: Catalog) -> int:
@@ -577,18 +584,27 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # Each lenient-mode input warning prints as it is raised, whatever filters
-    # the interpreter was started with.
-    with warnings.catch_warnings():
-        warnings.simplefilter("always", InputWarning)
-        warnings.showwarning = _show_warning
-        try:
-            return args.func(args, load_catalog(args.catalog, strict=args.strict))
-        except (ValueError, OSError) as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_ERROR
+    # The cyclic collector is off for the call and restored after it: the
+    # rows, records and parsed JSON a call builds hold no cycles, so each
+    # collection their tens of thousands of tuples set off would only scan
+    # them.  The few cycles argparse makes do not grow with the input.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        args = build_parser().parse_args(argv)
+        # Each lenient-mode input warning prints as it is raised, whatever
+        # filters the interpreter was started with.
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", InputWarning)
+            warnings.showwarning = _show_warning
+            try:
+                return args.func(args, load_catalog(args.catalog, strict=args.strict))
+            except (ValueError, OSError) as exc:
+                sys.stderr.write(f"error: {exc}\n")
+                return EXIT_ERROR
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

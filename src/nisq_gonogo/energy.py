@@ -8,16 +8,18 @@ never an inferred one.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from collections import namedtuple
 
 from .catalog import QpuSpec
 from .runtime import RuntimeEstimate
 
 
-class EnergyEstimate(NamedTuple):
-    power_draw: float  # watts
-    job_energy: float  # joules
-    breakdown: tuple[tuple[str, float], ...]  # (component label, watts)
+EnergyEstimate = namedtuple("EnergyEstimate", ("power_draw", "job_energy", "breakdown"))
+EnergyEstimate.__doc__ = """A job's power and energy.
+
+Fields: ``power_draw`` (float, watts); ``job_energy`` (float, joules);
+``breakdown`` (tuple of (component label, watts) pairs).
+"""
 
 
 @functools.lru_cache(maxsize=256)

@@ -12,12 +12,9 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
 from .units import as_float
-
-if TYPE_CHECKING:
-    from .catalog import QpuSpec
 
 #: Error rate above which compressed (tensor-network) emulation of large
 #: circuits is considered tractable: noise at sub-99.9% fidelity keeps the
@@ -43,13 +40,14 @@ def capacity_message(breadth: int, qpu: QpuSpec) -> str:
     return f"workload breadth {breadth} exceeds qpu '{qpu.id}' qubit count {qpu.qubit_count}"
 
 
-class _CircuitShapeFields(NamedTuple):
-    breadth: int
-    depth: int
+_CircuitShapeFields = namedtuple("_CircuitShapeFields", ("breadth", "depth"))
 
 
 class CircuitShape(_CircuitShapeFields):
-    """Breadth (qubits used) and depth (two-qubit gate cycles) of a circuit."""
+    """Breadth (qubits used) and depth (two-qubit gate cycles) of a circuit.
+
+    Fields: ``breadth`` and ``depth`` (int, each at least 1).
+    """
 
     __slots__ = ()
 
@@ -75,18 +73,18 @@ class Verdict(str, enum.Enum):
     NO_GO = "no-go"
 
 
-class FeasibilityVerdict(NamedTuple):
-    """Outcome of comparing a QPU's error rate against a circuit's needs.
+FeasibilityVerdict = namedtuple(
+    "FeasibilityVerdict",
+    ("required_error_rate", "available_error_rate", "success_probability", "verdict", "optimistic"),
+)
+FeasibilityVerdict.__doc__ = """Outcome of comparing a QPU's error rate against a circuit's needs.
 
-    ``optimistic`` is set when the QPU's error-rate spread is unreported, in
-    which case the median alone likely understates the effective error.
-    """
-
-    required_error_rate: float
-    available_error_rate: float
-    success_probability: float
-    verdict: Verdict
-    optimistic: bool
+Fields: ``required_error_rate`` and ``available_error_rate`` (float, error
+probabilities); ``success_probability`` (float); ``verdict``
+(:class:`Verdict`); ``optimistic`` (bool): set when the QPU's error-rate
+spread is unreported, in which case the median alone likely understates
+the effective error.
+"""
 
 
 class EmulationTier(enum.IntEnum):

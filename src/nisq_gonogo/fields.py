@@ -28,7 +28,6 @@ import enum
 import json
 import math
 import warnings
-from typing import NoReturn
 
 from .units import as_float
 

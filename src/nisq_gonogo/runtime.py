@@ -6,25 +6,23 @@ Shots run sequentially on one QPU unless a parallelism divisor is given.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .catalog import QpuSpec
 from .units import as_float
 from .workload import ShotPlan, WorkloadSpec
 
 
-class RuntimeEstimate(NamedTuple):
-    """Per-iteration and end-to-end timing, with a term breakdown.
+RuntimeEstimate = namedtuple(
+    "RuntimeEstimate",
+    ("single_shot_time", "quantum_time_per_iteration", "iteration_time", "total_time", "breakdown"),
+)
+RuntimeEstimate.__doc__ = """Per-iteration and end-to-end timing, with a term breakdown.
 
-    ``breakdown`` holds (label, total seconds) pairs that sum to
-    ``total_time``.
-    """
-
-    single_shot_time: float
-    quantum_time_per_iteration: float
-    iteration_time: float
-    total_time: float
-    breakdown: tuple[tuple[str, float], ...]
+Fields: ``single_shot_time``, ``quantum_time_per_iteration``,
+``iteration_time`` and ``total_time`` (float, seconds); ``breakdown``
+(tuple of (label, total seconds) pairs that sum to ``total_time``).
+"""
 
 
 def single_shot_time(qpu: QpuSpec, depth: int) -> float:

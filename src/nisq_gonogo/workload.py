@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .feasibility import CircuitShape, _snap_to_int, check_error_rate
 from .fields import Checker, decode, keys_of
@@ -52,45 +52,49 @@ class PauliGrouping(str, enum.Enum):
     GROUPED = "grouped"
 
 
-class MitigationSpec(NamedTuple):
-    """Error-mitigation switch and its exponential-overhead coefficient."""
+MitigationSpec = namedtuple("MitigationSpec", ("enabled", "exponent_coefficient"), defaults=(False, 1.0))
+MitigationSpec.__doc__ = """Error-mitigation switch and its exponential-overhead coefficient.
 
-    enabled: bool = False
-    exponent_coefficient: float = 1.0
+Fields: ``enabled`` (bool, default false); ``exponent_coefficient`` (float,
+default 1.0).
+"""
 
+WorkloadSpec = namedtuple(
+    "WorkloadSpec",
+    (
+        "id", "family", "data_qubits", "depth", "target_epsilon", "ansatz_iterations", "classical_prep_time",
+        "qaoa_layers", "pauli_grouping", "mitigation", "c_vqe_override",
+    ),
+    defaults=(0.0, None, PauliGrouping.NONE, MitigationSpec(), None),
+)
+WorkloadSpec.__doc__ = """One algorithm instance to be costed against hardware.
 
-class WorkloadSpec(NamedTuple):
-    """One algorithm instance to be costed against hardware."""
+Fields: ``id`` (str); ``family`` (:class:`AlgorithmFamily`); ``data_qubits``
+and ``depth`` (int; depth in two-qubit gate cycles); ``target_epsilon``
+(float, the target precision); ``ansatz_iterations`` (int);
+``classical_prep_time`` (float, seconds per iteration, default 0.0);
+``qaoa_layers`` (int or None); ``pauli_grouping`` (:class:`PauliGrouping`,
+default none); ``mitigation`` (:class:`MitigationSpec`, default off);
+``c_vqe_override`` (float or None: the ungrouped VQE coefficient in place
+of :data:`VQE_PAULI_COEFF`).  Its ``shape`` is the :class:`CircuitShape`
+of ``data_qubits`` by ``depth``.
+"""
+WorkloadSpec.shape = property(lambda spec: CircuitShape(spec.data_qubits, spec.depth))
 
-    id: str
-    family: AlgorithmFamily
-    data_qubits: int
-    depth: int
-    target_epsilon: float
-    ansatz_iterations: int
-    classical_prep_time: float = 0.0
-    qaoa_layers: int | None = None
-    pauli_grouping: PauliGrouping = PauliGrouping.NONE
-    mitigation: MitigationSpec = MitigationSpec()
-    c_vqe_override: float | None = None
+ShotPlan = namedtuple(
+    "ShotPlan",
+    ("pauli_strings", "shots_per_string", "mitigation_multiplier", "total_shots", "model"),
+    defaults=("per-string",),
+)
+ShotPlan.__doc__ = """Shot budget for one variational iteration.
 
-    @property
-    def shape(self) -> CircuitShape:
-        return CircuitShape(self.data_qubits, self.depth)
-
-
-class ShotPlan(NamedTuple):
-    """Shot budget for one variational iteration.
-
-    ``model`` records which accounting produced it: ``per-string``
-    (strings x shots-per-string) or ``qaoa-aggregate`` (total n^2/eps budget).
-    """
-
-    pauli_strings: int | float  # a float when an ungrouped VQE count is above 2**53
-    shots_per_string: int | float  # a float when 1/eps^2 (or n^2/eps) is above 2**53
-    mitigation_multiplier: float
-    total_shots: int | float  # math.inf when the mitigated budget is beyond float range
-    model: str = "per-string"
+Fields: ``pauli_strings`` (int, or a float when an ungrouped VQE count is
+above 2**53); ``shots_per_string`` (int, or a float when 1/eps^2 or n^2/eps
+is above 2**53); ``mitigation_multiplier`` (float); ``total_shots`` (int or
+float; ``math.inf`` when the mitigated budget is beyond float range);
+``model`` (str): the accounting that produced it, ``per-string`` (strings x
+shots-per-string) or ``qaoa-aggregate`` (total n^2/eps budget).
+"""
 
 
 def _snap_ceil(value: float) -> int | float:

@@ -103,6 +103,8 @@ CASES = [
     ("error-non-finite", ["feasibility", "--workload", "non-finite.json"], {}),
     ("error-surrogate-id", ["feasibility", "--workload", "surrogate-id.json", "--format", "csv"], {}),
     ("error-bad-band", ["feasibility", "--workload", "anchors.json", "--marginal-band", "0.5"], {}),
+    # an --out path that cannot be written: the error line alone, no report on stdout
+    ("error-out-is-directory", ["catalog", "--out", "."], {}),
     # lenient warnings print as they are raised, before the error line
     ("error-lenient-then-unknown-qpu", ["estimate", "--workload", "lenient.json", "--catalog", "lenient-catalog.json",
                                         "--qpu", "no-such"], {}),

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nisq_gonogo
-from nisq_gonogo import energy
+from nisq_gonogo import cli, energy
 from nisq_gonogo.advantage import Outcome, SolutionProfile, classify, quantum_profile
 from nisq_gonogo.catalog import PowerComponent, bundled_catalog, serialize_catalog
 from nisq_gonogo.cli import (
@@ -880,7 +881,82 @@ def test_estimate_caches_are_keyed_on_the_qpu_value(qpu_id):
 def test_cli_import_leaves_out_the_heavy_stdlib_modules():
     # -S: no site .pth file may preload any of these before the package does.
     src = os.path.dirname(os.path.dirname(nisq_gonogo.__file__))
-    heavy = ("dataclasses", "inspect", "ast", "pathlib", "importlib.resources", "csv")
+    heavy = ("dataclasses", "inspect", "ast", "pathlib", "importlib.resources", "csv", "typing")
     code = f"import sys; sys.path.insert(0, {src!r}); import nisq_gonogo.cli; print([m for m in {heavy!r} if m in sys.modules])"
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["catalog", "feasibility", "estimate", "compare"])
+def test_an_out_path_that_cannot_be_written_prints_only_the_error(capsys, workload_file, tmp_path, command):
+    flags = {
+        "catalog": [],
+        "feasibility": ["--workload", workload_file(WORKLOAD_53x8)],
+        "estimate": ["--workload", workload_file(WORKLOAD_53x8), "--qpu", "ibm-heron"],
+        "compare": [
+            "--workload", workload_file(WORKLOAD_53x8), "--qpu", "ibm-heron",
+            "--classical", workload_file({"runtime_s": 1.0}, "classical.json"),
+        ],
+    }[command]
+    code, out, err = run(capsys, command, *flags, "--out", str(tmp_path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+@contextlib.contextmanager
+def _collector(enabled):
+    """The cyclic collector on or off for the block, then as it was."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["catalog"], EXIT_OK),
+        (["feasibility", "--workload", "/does/not/exist.json"], EXIT_ERROR),
+        (["feasibility"], None),  # argparse's usage error: SystemExit(2)
+    ],
+)
+def test_main_runs_without_the_collector_and_restores_it(capsys, monkeypatch, enabled, argv, code):
+    seen = []
+    load_catalog = cli.load_catalog
+    monkeypatch.setattr(cli, "load_catalog", lambda *a, **k: seen.append(gc.isenabled()) or load_catalog(*a, **k))
+    with _collector(enabled):
+        if code is None:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is enabled
+    assert seen == ([] if code is None else [False])
+    capsys.readouterr()
+
+
+def test_a_call_leaves_no_cyclic_garbage_that_grows_with_the_input(capsys, workload_file):
+    big = workload_file(
+        [
+            dict(WORKLOAD_53x8, id=f"w{i}", data_qubits=1 + i % 150, depth=1 + i % 17 + i // 150)
+            for i in range(2500)
+        ],
+        "big.json",
+    )
+    small = workload_file(WORKLOAD_53x8, "small.json")
+
+    def garbage(path):
+        gc.collect()
+        assert main(["feasibility", "--workload", path, "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out.count("\n") > 1
+        return gc.collect()
+
+    with _collector(False):
+        garbage(small)  # one-time set-up garbage, if any, goes here
+        small_garbage = garbage(small)
+        big_garbage = garbage(big)
+    assert big_garbage <= small_garbage
