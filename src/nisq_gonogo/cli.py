@@ -584,10 +584,9 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: list[str] | None = None) -> int:
-    # The cyclic collector is off for the call and restored after it: the
-    # rows, records and parsed JSON a call builds hold no cycles, so each
-    # collection their tens of thousands of tuples set off would only scan
-    # them.  The few cycles argparse makes do not grow with the input.
+    # The cyclic collector is off for the call, then restored: a call's rows,
+    # records and parsed JSON hold no cycles, so collecting would only scan
+    # them, and the few cycles argparse makes do not grow with the input.
     enabled = gc.isenabled()
     gc.disable()
     try:
