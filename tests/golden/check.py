@@ -53,6 +53,9 @@ CASES = [
     ("feasibility-edge-catalog-md-env", ["feasibility", "--workload", "edge-ids.json"],
      {"NISQ_GONOGO_CATALOG": "edge-catalog.json"}),
     ("feasibility-lenient-csv", ["feasibility", "--workload", "lenient.json", "--format", "csv"], {}),
+    # 900 rows, about 109 KiB of CSV: more than a 64 KiB pipe buffer holds, so every byte
+    # must be flushed to the pipe before the process ends
+    ("feasibility-grid-100-csv", ["feasibility", "--workload", "grid-100.json", "--format", "csv"], {}),
     # estimate: plain, grouped VQE, QAOA per string and aggregate, shot parallelism, --out
     ("estimate-vqe-heron", ["estimate", "--workload", "vqe-72x72.json", "--qpu", "ibm-heron"], {}),
     ("estimate-anchors-sycamore", ["estimate", "--workload", "anchors.json", "--qpu", "google-sycamore-2022"], {}),
