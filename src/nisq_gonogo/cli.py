@@ -14,7 +14,9 @@ pair reached go, 1 input or I/O error.
 
 from __future__ import annotations
 
+import _thread
 import argparse
+import atexit
 import functools
 import gc
 import itertools
@@ -83,6 +85,29 @@ def _read(path: str) -> str:
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as file:
         file.write(text)
+
+
+def _write_all(*files: tuple[str, str]) -> None:
+    """Write each (path, text), or none of them if a path cannot be opened.
+
+    Every path is opened before any is written, in append mode so that no
+    file is truncated yet; if an open fails, the files it created are removed.
+    """
+    created = {path for path, _ in files if not os.path.lexists(path)}
+    opened = []
+    try:
+        for path, _ in files:
+            opened.append(open(path, "a", encoding="utf-8"))
+    except OSError:
+        for file in opened:
+            file.close()
+            if file.name in created:
+                os.remove(file.name)
+        raise
+    for file, (_, text) in zip(opened, files):
+        with file:
+            file.truncate(0)
+            file.write(text)
 
 
 def load_catalog(path: str | None, *, strict: bool) -> Catalog:
@@ -475,8 +500,7 @@ def cmd_scatter(args: argparse.Namespace, catalog: Catalog) -> int:
         raise ValueError(f"--out {args.out!r} names no file")
     csv_path = base + ".csv"
     svg_path = base + ".svg"
-    _write(csv_path, scatter_csv(catalog))
-    _write(svg_path, scatter_svg(catalog))
+    _write_all((csv_path, scatter_csv(catalog)), (svg_path, scatter_svg(catalog)))
     sys.stdout.write(f"wrote {csv_path}\nwrote {svg_path}\n")
     return EXIT_OK
 
@@ -583,7 +607,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     sys.stderr.write(f"warning: {message}\n")
 
 
-def main(argv: list[str] | None = None) -> int:
+def _run(argv: list[str] | None) -> int:
     # The cyclic collector is off for the call, then restored: a call's rows,
     # records and parsed JSON hold no cycles, so collecting would only scan
     # them, and the few cycles argparse makes do not grow with the input.
@@ -604,6 +628,51 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if enabled:
             gc.enable()
+
+
+def _end_process(code: int) -> int:
+    """End the process with ``code`` as the interpreter would, less its final
+    collection and module teardown, which a one-shot process does not need.
+
+    It runs the atexit callbacks, flushes stdout and stderr, and calls
+    ``os._exit``.  It returns ``code``, for the interpreter's own exit, when
+    another thread is alive, under ``python -i``, under a debugger, tracer or
+    profiler (which may report after ``main`` returns), or when a flush
+    raises: the interpreter then reports the failure and exits 120.
+    """
+    monitoring = getattr(sys, "monitoring", None)  # 3.12+: where cProfile attaches
+    if (
+        _thread._count()
+        or sys.flags.inspect
+        or sys.gettrace()
+        or sys.getprofile()
+        or (monitoring and any(map(monitoring.get_tool, range(6))))
+    ):
+        return code
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        return code
+    os._exit(code)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one CLI command and give its exit code (0, 1 or 2).
+
+    With ``argv`` given, the command runs on it and ``main`` returns the
+    code; the process carries on.  With ``argv=None`` the command runs on
+    ``sys.argv[1:]`` and, once it has returned, ``main`` ends the process
+    itself: it runs the atexit callbacks, flushes stdout and stderr and
+    exits with the code, skipping the interpreter's teardown (see
+    ``_end_process`` for when it returns the code instead).  argparse's
+    ``SystemExit`` (usage errors, ``--help``) and uncaught exceptions
+    propagate either way.
+    """
+    code = _run(argv)
+    return code if argv is not None else _end_process(code)
 
 
 if __name__ == "__main__":

@@ -2,11 +2,11 @@
 
 Each case runs ``nisq-gonogo`` from this checkout's ``src`` in a fresh
 directory holding a copy of ``inputs/``, with ``$NISQ_GONOGO_CATALOG`` unset
-unless the case sets it.  What it leaves is the sha256 of its stdout, of its
-stderr and of every file it writes, and its exit code; ``digests.json``
-holds the expected values.  One digest set holds on Python 3.10 to 3.13.
-The script uses the standard library only, so it runs on an interpreter
-without pytest::
+unless the case sets it and ``$PYTHONUNBUFFERED`` always unset.  What it
+leaves is the sha256 of its stdout, of its stderr and of every file it
+writes, and its exit code; ``digests.json`` holds the expected values.  One
+digest set holds on Python 3.10 to 3.13.  The script uses the standard
+library only, so it runs on an interpreter without pytest::
 
     python tests/golden/check.py            # compare; exit 1 on any difference
     python tests/golden/check.py --record   # rewrite digests.json from this tree
@@ -123,7 +123,10 @@ def _sha(data: bytes) -> str:
 
 def run_case(argv: list[str], extra_env: dict[str, str]) -> dict:
     """Run one case in a fresh copy of ``inputs/``; return its exit code and digests."""
-    env = {key: value for key, value in os.environ.items() if key != "NISQ_GONOGO_CATALOG"}
+    # Without $PYTHONUNBUFFERED, stdout is block-buffered as from any pipe, so
+    # the digests also prove that the CLI flushes every byte before it exits.
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("NISQ_GONOGO_CATALOG", "PYTHONUNBUFFERED")}
     env.update(PYTHONPATH=SRC, PYTHONIOENCODING="utf-8", **extra_env)
     with tempfile.TemporaryDirectory() as tmp:
         work = os.path.join(tmp, "case")

@@ -1,3 +1,4 @@
+import atexit
 import contextlib
 import csv
 import gc
@@ -299,6 +300,27 @@ class TestScatterCommand:
         capsys.readouterr()
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
         assert (tmp_path / "one.svg").read_bytes() == (tmp_path / "two.svg").read_bytes()
+
+    @pytest.mark.parametrize("old_csv", [None, "kept\n"])
+    def test_an_svg_path_that_cannot_be_written_leaves_the_csv_as_it_was(self, capsys, tmp_path, old_csv):
+        (tmp_path / "d.svg").mkdir()
+        if old_csv is not None:
+            (tmp_path / "d.csv").write_text(old_csv, encoding="utf-8")
+        code, out, err = run(capsys, "scatter", "--out", str(tmp_path / "d"))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path / 'd.svg')!r}\n"
+        if old_csv is None:
+            assert sorted(os.listdir(tmp_path)) == ["d.svg"]
+        else:
+            assert (tmp_path / "d.csv").read_text(encoding="utf-8") == old_csv
+
+    def test_rewrites_existing_files_whole(self, capsys, tmp_path):
+        for name in ("plot.csv", "plot.svg"):
+            (tmp_path / name).write_text("x" * 100_000, encoding="utf-8")
+        assert main(["scatter", "--out", str(tmp_path / "plot")]) == EXIT_OK
+        capsys.readouterr()
+        assert (tmp_path / "plot.csv").read_text(encoding="utf-8") == scatter_csv(bundled_catalog())
+        assert (tmp_path / "plot.svg").read_text(encoding="utf-8") == scatter_svg(bundled_catalog())
 
     def test_env_var_selects_catalog(self, capsys, tmp_path, monkeypatch):
         catalog_path = tmp_path / "cat.json"
@@ -960,3 +982,112 @@ def test_a_call_leaves_no_cyclic_garbage_that_grows_with_the_input(capsys, workl
         small_garbage = garbage(small)
         big_garbage = garbage(big)
     assert big_garbage <= small_garbage
+
+
+# A CLI process launched as the console script is: ``sys.exit(main())``.  The
+# canary's ``__del__`` runs only if the interpreter tears ``__main__`` down.
+_CANARY = """
+class Canary:
+    def __del__(self):
+        os.write(2, b"teardown\\n")
+canary = Canary()
+"""
+
+
+def _cli_process(argv, cwd, *, prelude="", flags=(), **kwargs):
+    """Run ``sys.exit(main())`` in a fresh interpreter on block-buffered stdio, as from a pipe or file."""
+    src = os.path.dirname(os.path.dirname(nisq_gonogo.__file__))
+    code = f"import os, sys\nsys.path.insert(0, {src!r})\n{prelude}\nfrom nisq_gonogo.cli import main\nsys.exit(main())"
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", ENV_CATALOG)}
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code, *argv],
+        cwd=cwd, env=env, stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, **kwargs,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["catalog"], EXIT_OK),
+        (["estimate", "--workload", "53x8.json", "--qpu", "no-such-qpu"], EXIT_ERROR),
+        (["feasibility", "--workload", "deep.json"], EXIT_NO_GO),
+        (["feasibility", "--workload", "grid.json", "--format", "csv"], EXIT_OK),  # more than a pipe buffer holds
+    ],
+)
+def test_a_cli_process_ends_with_the_code_and_output_of_main_without_teardown(capsys, monkeypatch, tmp_path, argv, code):
+    (tmp_path / "53x8.json").write_text(json.dumps(WORKLOAD_53x8), encoding="utf-8")
+    (tmp_path / "deep.json").write_text(json.dumps(dict(WORKLOAD_53x8, depth=10**6)), encoding="utf-8")
+    grid = [dict(WORKLOAD_53x8, id=f"w{i:03}", data_qubits=2 + i) for i in range(150)]
+    (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
+    done = _cli_process(argv, tmp_path, prelude=_CANARY)
+    monkeypatch.chdir(tmp_path)
+    expected = run(capsys, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == expected
+    assert expected[0] == code
+    if code == EXIT_ERROR:
+        assert done.stderr.startswith("error: unknown qpu id 'no-such-qpu' (catalog has: ")
+        assert done.stderr.count("\n") == 1
+
+
+def test_a_cli_process_runs_the_atexit_callbacks_and_flushes_their_output(tmp_path):
+    done = _cli_process(["catalog"], tmp_path, prelude="import atexit\natexit.register(print, 'atexit ran')")
+    assert done.returncode == EXIT_OK
+    assert done.stdout.endswith("classical refs.\natexit ran\n")
+    assert done.stderr == ""
+
+
+def test_a_stdout_that_cannot_be_flushed_ends_as_the_interpreter_ends_it(tmp_path):
+    readonly = tmp_path / "readonly.txt"
+    readonly.write_bytes(b"")
+    prelude = "import atexit\natexit.register(os.write, 2, b'atexit ran\\n')"
+    with open(readonly, "rb") as stdout:
+        done = _cli_process(["catalog"], tmp_path, prelude=prelude, stdout=stdout)
+    assert done.returncode == 120
+    # the callbacks ran before the flush failed, and the interpreter's exit does not run them again
+    assert done.stderr.startswith("atexit ran\n")
+    assert done.stderr.count("atexit ran") == 1
+    # 3.10-3.12: "Exception ignored in: <_io.TextIOWrapper name='<stdout>' ...>"; 3.13: "... on flushing sys.stdout:"
+    assert "\nException ignored " in done.stderr
+    assert "OSError: [Errno 9] Bad file descriptor" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "prelude, flags",
+    [
+        ("import threading\nthreading.Thread(target=threading.Event().wait, daemon=True).start()", ()),
+        ("", ("-i",)),
+    ],
+    ids=["another-thread", "inspect"],
+)
+def test_a_cli_process_falls_back_to_the_interpreter_exit(tmp_path, prelude, flags):
+    done = _cli_process(["catalog"], tmp_path, prelude=prelude + _CANARY, flags=flags)
+    assert "9 qpus, 3 classical refs." in done.stdout
+    assert "teardown" in done.stderr
+
+
+def test_a_profiler_still_reports_after_main(tmp_path):
+    src = os.path.dirname(os.path.dirname(nisq_gonogo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "nisq_gonogo.cli", "catalog"],
+        cwd=tmp_path, env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+    )
+    assert "9 qpus, 3 classical refs." in done.stdout
+    assert "function calls" in done.stdout
+
+
+def test_main_with_argv_returns_and_leaves_the_process_to_its_caller(capsys, monkeypatch):
+    def _exit(code):
+        raise AssertionError(f"os._exit({code}) on the in-process path")
+
+    ran = []
+    monkeypatch.setattr(os, "_exit", _exit)
+    atexit.register(ran.append, "atexit")
+    try:
+        assert main(["catalog"]) == EXIT_OK
+        assert main(["estimate", "--workload", "/does/not/exist.json", "--qpu", "ibm-heron"]) == EXIT_ERROR
+    finally:
+        atexit.unregister(ran.append)
+    assert ran == []
+    capsys.readouterr()
