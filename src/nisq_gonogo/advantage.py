@@ -15,6 +15,7 @@ import math
 from collections import namedtuple
 
 from .feasibility import statevector_memory
+from .fields import Checker, decode, keys_of
 
 DEFAULT_PARITY_BAND = 0.05
 
@@ -74,6 +75,38 @@ class SolutionProfile(_SolutionProfileFields):
         return cls(*iterable)
 
 
+_PROFILE_KEYS = keys_of(SolutionProfile) | {"classical_ref"}
+
+
+def parse_classical_profile(document: str, catalog: Catalog, *, strict: bool = True) -> tuple[SolutionProfile, list[str]]:
+    """Parse a classical solution profile: a JSON object of :class:`SolutionProfile` fields.
+
+    An optional ``classical_ref`` names a catalog entry whose power draw times
+    ``runtime_s`` stands in for an absent ``energy_j``, and whose memory
+    capacity for an absent ``memory_bytes``; each such stand-in adds a note.
+    Returns the profile and those notes.  Strict mode (default) rejects
+    unknown fields; lenient mode warns of each with an
+    :class:`~nisq_gonogo.fields.InputWarning`.  Raises ``ValueError``.
+    """
+    raw = decode(document, "classical profile", ValueError)
+    checker = Checker(ValueError, strict)
+    fields = checker.record(raw, "classical profile", _PROFILE_KEYS)
+    runtime_s = fields.number("runtime_s")
+    ref_id = fields.text("classical_ref", None)
+    ref = None if ref_id is None else catalog.get_classical_ref(ref_id)
+    energy_j = fields.number("energy_j", None)
+    memory = fields.integer("memory_bytes", None, floats=True)
+    notes = []
+    if energy_j is None and ref is not None:
+        energy_j = ref.power_draw * runtime_s
+        notes.append(f"classical energy derived from '{ref.id}' power draw x runtime")
+    if memory is None and ref is not None:
+        memory = ref.memory_capacity
+        notes.append(f"classical memory capacity taken from '{ref.id}'")
+    profile = SolutionProfile(runtime_s, energy_j, fields.number("cost", None), fields.number("quality", None), memory)
+    return profile, notes
+
+
 def quantum_profile(
     runtime_s: float,
     *,
@@ -84,13 +117,7 @@ def quantum_profile(
 ) -> SolutionProfile:
     """Profile for the quantum side; the space footprint is the exact
     statevector size of its ``qubits``-qubit register."""
-    return SolutionProfile(
-        runtime_s=runtime_s,
-        energy_j=energy_j,
-        cost=cost,
-        quality=quality,
-        memory_bytes=statevector_memory(qubits),
-    )
+    return SolutionProfile(runtime_s, energy_j, cost, quality, statevector_memory(qubits))
 
 
 AdvantageReport = namedtuple("AdvantageReport", (*AXES, "notes"), defaults=((),))
@@ -151,11 +178,4 @@ def classify(
             "machine cannot hold the full state, so the energy win may extend "
             "to any classical configuration of this class",
         )
-    return AdvantageReport(
-        space=space,
-        speed=speed,
-        quality=quality,
-        energetic=energetic,
-        cost=cost,
-        notes=notes,
-    )
+    return AdvantageReport(space, speed, quality, energetic, cost, notes)

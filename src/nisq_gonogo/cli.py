@@ -19,9 +19,7 @@ import argparse
 import atexit
 import functools
 import gc
-import itertools
 import math
-import operator
 import os
 import sys
 import warnings
@@ -34,7 +32,8 @@ from . import feasibility as feas
 from . import runtime as runtime_mod
 from . import workload as workload_mod
 from .catalog import Catalog, QpuSpec, bundled_catalog, parse_catalog
-from .fields import Checker, InputWarning, decode, keys_of
+from .feasibility import VerdictRow, build_feasibility_bundle
+from .fields import InputWarning
 from .scatter import scatter_csv, scatter_svg
 from .units import (
     as_float,
@@ -56,17 +55,6 @@ EXIT_NO_GO = 2
 
 _CAPACITY_LABEL = "no-go (capacity)"
 _VERDICT_TEXT = {verdict: verdict.value for verdict in feas.Verdict}
-_FIRST = _RATE = operator.itemgetter(0)
-_RATE_AND_ID = operator.itemgetter(0, 1)
-
-
-VerdictRow = namedtuple("VerdictRow", ("qpu_id", "workload_id", "verdict", "note"), defaults=("",))
-VerdictRow.__doc__ = """One (qpu, workload) row of a feasibility report.
-
-Fields: ``qpu_id`` and ``workload_id`` (str); ``verdict``
-(:class:`~nisq_gonogo.feasibility.FeasibilityVerdict`, or None when the
-workload needs more qubits than the qpu has); ``note`` (str, default empty).
-"""
 
 ResourceRecord = namedtuple("ResourceRecord", ("plan", "runtime", "energy"))
 ResourceRecord.__doc__ = """The estimate of one workload on one qpu.
@@ -123,112 +111,6 @@ def load_workloads(path: str, *, strict: bool) -> tuple[workload_mod.WorkloadSpe
     return workload_mod.parse_workloads(_read(path), strict=strict)
 
 
-def _is_go(row: VerdictRow) -> bool:
-    return row.verdict is not None and row.verdict.verdict is feas.Verdict.GO
-
-
-def _fit_note(qpu: QpuSpec) -> str:
-    """The note of every row in which ``qpu`` fits the workload; it depends on the qpu alone."""
-    notes = []
-    if qpu.status.value != "available":
-        notes.append(f"{qpu.status.value} hardware")
-    if qpu.two_qubit_error_stddev is None:  # the verdict's ``optimistic``
-        notes.append("optimistic: error-rate spread unreported")
-    return "; ".join(notes)
-
-
-def _grid_qpus(qpus: Sequence[QpuSpec]) -> list[tuple]:
-    """Each qpu's fields that a grid row reads, ids ascending; a catalog holds each id once."""
-    fields = [
-        (qpu.id, qpu.qubit_count, qpu.two_qubit_error_median, qpu.two_qubit_error_stddev is None, _fit_note(qpu))
-        for qpu in qpus
-    ]
-    return sorted(fields, key=_FIRST)
-
-
-def _checked_shapes(workloads: Sequence[workload_mod.WorkloadSpec], qpus: Sequence[QpuSpec]) -> list[feas.CircuitShape]:
-    """Each workload's shape, raising where ``assess`` would raise on a pair, in pair order.
-
-    ``assess`` rejects an error rate out of range only on a pair that fits
-    the qpu, so a qpu whose rate fails its check is set apart once, and the
-    first workload that fits it raises that check's error.
-    """
-    rejected = []
-    for qpu in qpus:
-        try:
-            feas.check_error_rate(qpu.two_qubit_error_median)
-        except ValueError:
-            rejected.append(qpu)
-    shapes = []
-    for spec in workloads:
-        shape = spec.shape
-        for qpu in rejected:
-            if shape.breadth <= qpu.qubit_count:
-                feas.check_error_rate(qpu.two_qubit_error_median)
-        shapes.append(shape)
-    return shapes
-
-
-def build_feasibility_bundle(
-    catalog: Catalog,
-    workloads: tuple[workload_mod.WorkloadSpec, ...],
-    *,
-    marginal_band: float = feas.DEFAULT_MARGINAL_BAND,
-) -> tuple[VerdictRow, ...]:
-    """One row per (qpu, workload) pair, in report order.
-
-    Rows run by verdict (go, marginal, no-go, then capacity misses), then by
-    required error rate ascending, then by qpu id, then by workload id; rows
-    equal on every key differ only by workload and keep file order.  The rows
-    are built in that order, so only the workloads and the qpu ids are
-    sorted: for each run of workloads of one required rate, each qpu in id
-    order takes the run's workloads in (id, file) order.  A verdict depends
-    on the qpu and the workload's exact volume alone, so a record is built on
-    the first row that fits and shared by the rows after it until the exact
-    volume changes (two volumes can share one 1/V float).  Raises
-    ``ValueError`` as :func:`feasibility.assess` would on the first pair, in
-    input order, that it rejects.
-    """
-    feas.check_marginal_band(marginal_band)  # also when the catalog has no qpus to assess
-    shapes = _checked_shapes(workloads, catalog.qpus)
-    qpus = _grid_qpus(catalog.qpus)
-    rated = sorted(
-        [(feas.required_error_rate(shape), spec.id, shape) for spec, shape in zip(workloads, shapes)],
-        key=_RATE_AND_ID,
-    )
-    # Rows and records are made with ``tuple.__new__``, not the named tuples'
-    # keyword ``__new__``: a grid call makes tens of thousands of them.
-    new = tuple.__new__
-    lists = {verdict: [] for verdict in feas.Verdict}
-    for rate, tied in itertools.groupby(rated, key=_RATE):
-        members = [(workload_id, shape.breadth, shape.volume, shape) for _, workload_id, shape in tied]
-        for qpu_id, qubits, available, optimistic, note in qpus:
-            last_volume = None
-            for workload_id, breadth, volume, shape in members:
-                if breadth > qubits:
-                    continue  # a capacity miss: its row is made below
-                if volume != last_volume:
-                    last_volume = volume
-                    verdict = feas.rate_verdict(rate, available, marginal_band)
-                    record = new(
-                        feas.FeasibilityVerdict,
-                        (rate, available, feas.success_probability(available, shape), verdict, optimistic),
-                    )
-                    out = lists[verdict]
-                out.append(new(VerdictRow, (qpu_id, workload_id, record, note)))
-    # The capacity test of ``assess``, made here so that no CapacityError is
-    # raised per miss; each note is formatted once per (breadth, qubit count).
-    capacity_note = functools.cache(lambda breadth, qubits: f"insufficient qubits: needs {breadth}, has {qubits}")
-    by_id = sorted([(spec.id, shape.breadth) for spec, shape in zip(workloads, shapes)], key=_FIRST)
-    misses = [
-        new(VerdictRow, (qpu_id, workload_id, None, capacity_note(breadth, qubits)))
-        for qpu_id, qubits, _, _, _ in qpus
-        for workload_id, breadth in by_id
-        if breadth > qubits
-    ]
-    return (*lists[feas.Verdict.GO], *lists[feas.Verdict.MARGINAL], *lists[feas.Verdict.NO_GO], *misses)
-
-
 class _Texts(dict):
     """Value -> its text, made by ``make_text`` on first use; a lookup costs no Python call.
 
@@ -267,12 +149,10 @@ def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
             continue
         if v is not last:
             last = v
-            verdict = _VERDICT_TEXT[v.verdict]
+            required, available, success, verdict, _ = v
+            verdict = _VERDICT_TEXT[verdict]
             is_go = verdict == "go"
-            numbers = (
-                f"{number_text[v.required_error_rate]} | {available_text[v.available_error_rate]} "
-                f"| {number_text[v.success_probability]}"
-            )
+            numbers = f"{number_text[required]} | {available_text[available]} | {number_text[success]}"
         go += is_go
         lines.append(f"| {verdict} | {qpu_id} | {workload_id} | {numbers} | {note} |")
     lines.append("")
@@ -280,8 +160,9 @@ def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The header names the columns after the row's and the verdict record's fields.
 _FEASIBILITY_CSV_HEADER = (
-    "verdict,qpu_id,workload_id,required_error_rate,available_error_rate,success_probability,optimistic,note\n"
+    ",".join(("verdict", *VerdictRow._fields[:2], *feas.FeasibilityVerdict._fields[:3], "optimistic", "note")) + "\n"
 )
 
 
@@ -300,10 +181,11 @@ def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
             continue
         if v is not last:
             last = v
-            verdict = _VERDICT_TEXT[v.verdict]
+            required, available, success, verdict, optimistic = v
+            verdict = _VERDICT_TEXT[verdict]
             numbers = (
-                f"{number_text[v.required_error_rate]},{number_text[v.available_error_rate]},"
-                f"{number_text[v.success_probability]},{'true' if v.optimistic else 'false'}"
+                f"{number_text[required]},{number_text[available]},"
+                f"{number_text[success]},{'true' if optimistic else 'false'}"
             )
         lines.append(f"{verdict},{field[qpu_id]},{field[workload_id]},{numbers},{field[note]}\n")
     return "".join(lines)
@@ -318,16 +200,17 @@ def _describe_qpu(qpu: QpuSpec) -> str:
 
 
 @functools.lru_cache(maxsize=256)
-def _estimate_qpu_lines(qpu: QpuSpec) -> tuple[str, str, str]:
+def _estimate_qpu_lines(qpu: QpuSpec) -> tuple[str, str, str, str]:
     """The parts of an estimate report that depend on the qpu alone, made once per distinct qpu value.
 
-    They are the ``qpu:`` line, the power draw with its component lines, and
-    the no-power-data note (empty when the qpu reports power components).
+    They are the ``qpu:`` line, the error rate's :func:`sci` text, the power
+    draw with its component lines, and the no-power-data note (empty when the
+    qpu reports power components).
     """
     power = [f"- power draw: {format_watts(energy_mod.power_draw(qpu))}"]
     power.extend(f"  - {label}: {format_watts(watts)}" for label, watts in energy_mod.power_breakdown(qpu))
     note = "" if qpu.power_components else "\n  (no power data reported for this qpu)"
-    return f"qpu: {_describe_qpu(qpu)}", "\n".join(power), note
+    return f"qpu: {_describe_qpu(qpu)}", sci(qpu.two_qubit_error_median), "\n".join(power), note
 
 
 def build_estimate_record(
@@ -355,17 +238,13 @@ def _count_text(count: int | float, unit: str) -> str:
 def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.WorkloadSpec) -> str:
     """The markdown estimate of ``spec`` on ``qpu``; ``record`` is :func:`build_estimate_record`'s for the pair."""
     plan, rt, en = record
-    qpu_line, power_lines, power_note = _estimate_qpu_lines(qpu)
-    # the capacity test of ``assess``, made here so that no CapacityError is raised per miss
-    if spec.data_qubits > qpu.qubit_count:
+    qpu_line, available, power_lines, power_note = _estimate_qpu_lines(qpu)
+    fit = feas.fit_verdict(qpu, spec.shape)  # None on a capacity miss, which raises nothing
+    if fit is None:
         feasibility = f"no-go ({feas.capacity_message(spec.data_qubits, qpu)})"
     else:
-        required = feas.required_error_rate(spec.shape)
-        available = qpu.two_qubit_error_median  # checked by the record's shot plan
-        feasibility = (
-            f"{_VERDICT_TEXT[feas.rate_verdict(required, available)]} "
-            f"(required error rate {sci(required)}, available {sci(available)})"
-        )
+        required, _, _, verdict, _ = fit
+        feasibility = f"{_VERDICT_TEXT[verdict]} (required error rate {sci(required)}, available {available})"
     total_shots = _count_text(plan.total_shots, "shots")
     if type(plan.total_shots) is int and as_float(plan.total_shots) < math.inf:  # an int count also reads in sci
         total_shots += f" ({sci(plan.total_shots)})"
@@ -393,35 +272,6 @@ def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.
     lines.extend(f"  - {label}: {format_seconds(seconds)}" for label, seconds in rt.breakdown)
     lines += ["", "energy:", power_lines, f"- job energy: {format_joules(en.job_energy)}{power_note}"]
     return "\n".join(lines) + "\n"
-
-
-_PROFILE_KEYS = keys_of(adv.SolutionProfile) | {"classical_ref"}
-
-
-def _read_classical_profile(path: str, catalog: Catalog, *, strict: bool) -> tuple[adv.SolutionProfile, list[str]]:
-    raw = decode(_read(path), "classical profile", ValueError)
-    checker = Checker(ValueError, strict)
-    fields = checker.record(raw, "classical profile", _PROFILE_KEYS)
-    runtime_s = fields.number("runtime_s")
-    ref_id = fields.text("classical_ref", None)
-    ref = None if ref_id is None else catalog.get_classical_ref(ref_id)
-    energy_j = fields.number("energy_j", None)
-    memory = fields.integer("memory_bytes", None, floats=True)
-    notes: list[str] = []
-    if energy_j is None and ref is not None:
-        energy_j = ref.power_draw * runtime_s
-        notes.append(f"classical energy derived from '{ref.id}' power draw x runtime")
-    if memory is None and ref is not None:
-        memory = ref.memory_capacity
-        notes.append(f"classical memory capacity taken from '{ref.id}'")
-    profile = adv.SolutionProfile(
-        runtime_s=runtime_s,
-        energy_j=energy_j,
-        cost=fields.number("cost", None),
-        quality=fields.number("quality", None),
-        memory_bytes=memory,
-    )
-    return profile, notes
 
 
 def render_advantage_md(report: adv.AdvantageReport, extra_notes: list[str]) -> str:
@@ -478,7 +328,8 @@ def cmd_feasibility(args: argparse.Namespace, catalog: Catalog) -> int:
         _emit(render_feasibility_csv(bundle), args.out)
     else:
         _emit(render_feasibility_md(bundle), args.out)
-    return EXIT_OK if any(_is_go(row) for row in bundle) else EXIT_NO_GO
+    go = feas.Verdict.GO
+    return EXIT_OK if any(row.verdict is not None and row.verdict.verdict is go for row in bundle) else EXIT_NO_GO
 
 
 def cmd_estimate(args: argparse.Namespace, catalog: Catalog) -> int:
@@ -524,7 +375,7 @@ def cmd_compare(args: argparse.Namespace, catalog: Catalog) -> int:
         qubits=spec.data_qubits,
         energy_j=quantum_energy,
     )
-    classical, profile_notes = _read_classical_profile(args.classical, catalog, strict=args.strict)
+    classical, profile_notes = adv.parse_classical_profile(_read(args.classical), catalog, strict=args.strict)
     notes.extend(profile_notes)
     report = adv.classify(quantum, classical, parity_band=args.parity_band)
     header = (

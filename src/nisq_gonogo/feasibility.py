@@ -10,7 +10,10 @@ classifies how hard a circuit is to emulate classically.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
+import operator
 import sys
 from collections import namedtuple
 
@@ -183,16 +186,18 @@ def rate_verdict(required: float, available: float, marginal_band: float = DEFAU
     return Verdict.NO_GO
 
 
-def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = DEFAULT_MARGINAL_BAND) -> FeasibilityVerdict:
-    """Compare ``qpu`` against ``shape`` and classify with :func:`rate_verdict`.
+def fit_verdict(
+    qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = DEFAULT_MARGINAL_BAND
+) -> FeasibilityVerdict | None:
+    """Compare ``qpu`` against ``shape`` and classify with :func:`rate_verdict`,
+    or None when the shape needs more qubits than the QPU has.
 
-    Raises :class:`CapacityError` when the shape needs more qubits than the
-    QPU has, and ``ValueError`` when ``marginal_band`` is not finite and
-    above 1 or the QPU's error rate is outside [0, 1).
+    Raises ``ValueError`` when ``marginal_band`` is not finite and above 1,
+    or when the shape fits and the QPU's error rate is outside [0, 1).
     """
     check_marginal_band(marginal_band)
     if shape.breadth > qpu.qubit_count:
-        raise CapacityError(capacity_message(shape.breadth, qpu))
+        return None
     required = required_error_rate(shape)
     available = qpu.two_qubit_error_median
     return FeasibilityVerdict(
@@ -202,6 +207,128 @@ def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = DEFAULT_
         rate_verdict(required, available, marginal_band),
         qpu.two_qubit_error_stddev is None,
     )
+
+
+def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = DEFAULT_MARGINAL_BAND) -> FeasibilityVerdict:
+    """:func:`fit_verdict`, raising :class:`CapacityError` where it gives None."""
+    verdict = fit_verdict(qpu, shape, marginal_band=marginal_band)
+    if verdict is None:
+        raise CapacityError(capacity_message(shape.breadth, qpu))
+    return verdict
+
+
+VerdictRow = namedtuple("VerdictRow", ("qpu_id", "workload_id", "verdict", "note"), defaults=("",))
+VerdictRow.__doc__ = """One (qpu, workload) row of a feasibility report.
+
+Fields: ``qpu_id`` and ``workload_id`` (str); ``verdict``
+(:class:`FeasibilityVerdict`, or None when the workload needs more qubits
+than the qpu has); ``note`` (str, default empty).
+"""
+
+_FIRST = _RATE = operator.itemgetter(0)
+_RATE_AND_ID = operator.itemgetter(0, 1)
+
+
+def _fit_note(qpu: QpuSpec) -> str:
+    """The note of every row in which ``qpu`` fits the workload; it depends on the qpu alone."""
+    notes = []
+    if qpu.status.value != "available":
+        notes.append(f"{qpu.status.value} hardware")
+    if qpu.two_qubit_error_stddev is None:  # the verdict's ``optimistic``
+        notes.append("optimistic: error-rate spread unreported")
+    return "; ".join(notes)
+
+
+def _grid_qpus(qpus: Sequence[QpuSpec]) -> list[tuple]:
+    """Each qpu's fields that a grid row reads, ids ascending; a catalog holds each id once."""
+    fields = [
+        (qpu.id, qpu.qubit_count, qpu.two_qubit_error_median, qpu.two_qubit_error_stddev is None, _fit_note(qpu))
+        for qpu in qpus
+    ]
+    return sorted(fields, key=_FIRST)
+
+
+def _checked_shapes(workloads: Sequence[WorkloadSpec], qpus: Sequence[QpuSpec]) -> list[CircuitShape]:
+    """Each workload's shape, raising where :func:`assess` would raise on a pair, in pair order.
+
+    ``assess`` rejects an error rate out of range only on a pair that fits
+    the qpu, so a qpu whose rate fails its check is set apart once, and the
+    first workload that fits it raises that check's error.
+    """
+    rejected = []
+    for qpu in qpus:
+        try:
+            check_error_rate(qpu.two_qubit_error_median)
+        except ValueError:
+            rejected.append(qpu)
+    shapes = []
+    for spec in workloads:
+        shape = spec.shape
+        for qpu in rejected:
+            if shape.breadth <= qpu.qubit_count:
+                check_error_rate(qpu.two_qubit_error_median)
+        shapes.append(shape)
+    return shapes
+
+
+def build_feasibility_bundle(
+    catalog: Catalog,
+    workloads: tuple[WorkloadSpec, ...],
+    *,
+    marginal_band: float = DEFAULT_MARGINAL_BAND,
+) -> tuple[VerdictRow, ...]:
+    """One row per (qpu, workload) pair, in report order: the whole grid in one call.
+
+    Rows run by verdict (go, marginal, no-go, then capacity misses), then by
+    required error rate ascending, then by qpu id, then by workload id; rows
+    equal on every key differ only by workload and keep file order.  The rows
+    are built in that order, so only the workloads and the qpu ids are
+    sorted: for each run of workloads of one required rate, each qpu in id
+    order takes the run's workloads in (id, file) order.  A verdict depends
+    on the qpu and the workload's exact volume alone, so a record is built on
+    the first row that fits and shared by the rows after it until the exact
+    volume changes (two volumes can share one 1/V float).  Raises
+    ``ValueError`` as :func:`assess` would on the first pair, in input order,
+    that it rejects.
+    """
+    check_marginal_band(marginal_band)  # also when the catalog has no qpus to assess
+    shapes = _checked_shapes(workloads, catalog.qpus)
+    qpus = _grid_qpus(catalog.qpus)
+    rated = sorted(
+        [(required_error_rate(shape), spec.id, shape) for spec, shape in zip(workloads, shapes)],
+        key=_RATE_AND_ID,
+    )
+    # Rows and records are made with ``tuple.__new__``, not the named tuples'
+    # keyword ``__new__``: a grid call makes tens of thousands of them.
+    new = tuple.__new__
+    lists = {verdict: [] for verdict in Verdict}
+    for rate, tied in itertools.groupby(rated, key=_RATE):
+        members = [(workload_id, shape.breadth, shape.volume, shape) for _, workload_id, shape in tied]
+        for qpu_id, qubits, available, optimistic, note in qpus:
+            last_volume = None
+            for workload_id, breadth, volume, shape in members:
+                if breadth > qubits:
+                    continue  # a capacity miss: its row is made below
+                if volume != last_volume:
+                    last_volume = volume
+                    verdict = rate_verdict(rate, available, marginal_band)
+                    record = new(
+                        FeasibilityVerdict,
+                        (rate, available, success_probability(available, shape), verdict, optimistic),
+                    )
+                    out = lists[verdict]
+                out.append(new(VerdictRow, (qpu_id, workload_id, record, note)))
+    # The capacity test of :func:`fit_verdict`, made here once per pair; each
+    # note is formatted once per (breadth, qubit count).
+    capacity_note = functools.cache(lambda breadth, qubits: f"insufficient qubits: needs {breadth}, has {qubits}")
+    by_id = sorted([(spec.id, shape.breadth) for spec, shape in zip(workloads, shapes)], key=_FIRST)
+    misses = [
+        new(VerdictRow, (qpu_id, workload_id, None, capacity_note(breadth, qubits)))
+        for qpu_id, qubits, _, _, _ in qpus
+        for workload_id, breadth in by_id
+        if breadth > qubits
+    ]
+    return (*lists[Verdict.GO], *lists[Verdict.MARGINAL], *lists[Verdict.NO_GO], *misses)
 
 
 def statevector_memory(qubits: int) -> int | float:

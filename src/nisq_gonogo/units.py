@@ -80,11 +80,7 @@ def sci(value: float) -> str:
 
     Deterministic across runs; exponent without a plus sign or zero padding.
     """
-    text = f"{float(value):.6g}"
-    if "e" in text:
-        mantissa, exp = text.split("e")
-        text = f"{mantissa}e{int(exp)}"
-    return text
+    return f"{float(value):.6g}".replace("e+", "e").replace("e0", "e").replace("e-0", "e-")
 
 
 def format_duration(seconds: float) -> str:

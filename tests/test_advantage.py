@@ -11,8 +11,10 @@ from nisq_gonogo.advantage import (
     Outcome,
     SolutionProfile,
     classify,
+    parse_classical_profile,
     quantum_profile,
 )
+from nisq_gonogo.catalog import bundled_catalog
 from nisq_gonogo.feasibility import statevector_memory
 
 
@@ -178,3 +180,16 @@ def test_scale_invariance(a, b, k):
     # memory is left unscaled (integer bytes); the ratio axes must not move
     for axis in ("speed", "quality", "energetic", "cost"):
         assert getattr(base, axis) is getattr(rescaled, axis), axis
+
+
+def test_a_classical_profile_takes_absent_energy_and_memory_from_its_reference():
+    catalog = bundled_catalog()
+    ref = catalog.get_classical_ref("nvidia-dgx-rack")
+    profile, notes = parse_classical_profile('{"runtime_s": 100, "classical_ref": "nvidia-dgx-rack"}', catalog)
+    assert profile == SolutionProfile(100, ref.power_draw * 100, None, None, ref.memory_capacity)
+    assert notes == [
+        "classical energy derived from 'nvidia-dgx-rack' power draw x runtime",
+        "classical memory capacity taken from 'nvidia-dgx-rack'",
+    ]
+    document = '{"runtime_s": 2, "energy_j": 3, "memory_bytes": 4.0, "cost": 5, "quality": 0.5, "classical_ref": "nvidia-dgx-rack"}'
+    assert parse_classical_profile(document, catalog) == (SolutionProfile(2, 3, 5, 0.5, 4), [])

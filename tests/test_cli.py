@@ -1091,3 +1091,50 @@ def test_main_with_argv_returns_and_leaves_the_process_to_its_caller(capsys, mon
         atexit.unregister(ran.append)
     assert ran == []
     capsys.readouterr()
+
+
+# The benchmark's tracer wraps each of these names as an attribute of ``cli``
+# for a traced pass, so each command must look the name up there when it runs;
+# the argv reaches the name.
+_CLI_LAYERS = {
+    "build_parser": ["catalog"],
+    "load_catalog": ["catalog"],
+    "bundled_catalog": ["catalog"],
+    "parse_catalog": ["catalog", "--catalog", "{catalog}"],
+    "render_catalog_md": ["catalog"],
+    "load_workloads": ["feasibility", "--workload", "{workload}"],
+    "build_feasibility_bundle": ["feasibility", "--workload", "{workload}"],
+    "render_feasibility_md": ["feasibility", "--workload", "{workload}"],
+    "render_feasibility_csv": ["feasibility", "--workload", "{workload}", "--format", "csv"],
+    "build_estimate_record": ["estimate", "--workload", "{workload}", "--qpu", "ibm-heron"],
+    "render_estimate_md": ["estimate", "--workload", "{workload}", "--qpu", "ibm-heron"],
+    "render_advantage_md": [
+        "compare", "--workload", "{workload}", "--qpu", "ibm-heron", "--classical", "{classical}",
+    ],
+    "scatter_csv": ["scatter", "--out", "{out}"],
+    "scatter_svg": ["scatter", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("name", list(_CLI_LAYERS))
+def test_each_layer_is_called_through_the_cli_namespace(capsys, monkeypatch, workload_file, tmp_path, name):
+    monkeypatch.delenv(ENV_CATALOG, raising=False)
+    paths = {
+        "workload": workload_file(WORKLOAD_53x8),
+        "catalog": str(tmp_path / "catalog.json"),
+        "classical": str(tmp_path / "classical.json"),
+        "out": str(tmp_path / "landscape.svg"),
+    }
+    (tmp_path / "catalog.json").write_text(serialize_catalog(bundled_catalog()), encoding="utf-8")
+    (tmp_path / "classical.json").write_text('{"runtime_s": 3600, "classical_ref": "nvidia-dgx-rack"}', encoding="utf-8")
+    original = getattr(cli, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recording)
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in _CLI_LAYERS[name]))
+    assert (code, err) == (EXIT_OK, "")
+    assert calls, f"cli.{name} was not called through the cli namespace"

@@ -14,6 +14,7 @@ from nisq_gonogo.feasibility import (
     Verdict,
     assess,
     emulation_tier,
+    fit_verdict,
     feasible_square_side,
     required_error_rate,
     simple_quantum_volume,
@@ -90,6 +91,31 @@ class TestSuccessProbability:
 def test_error_rate_range_is_checked_alike(check, rate):
     with pytest.raises(ValueError, match=r"^error_rate must be in \[0, 1\), got "):
         check(rate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    qpu=st.sampled_from(bundled_catalog().qpus),
+    breadth=st.integers(min_value=1, max_value=2000),
+    depth=st.integers(min_value=1, max_value=10**6),
+    band=st.floats(min_value=1.001, max_value=1e6),
+)
+def test_fit_verdict_is_assess_without_the_capacity_error(qpu, breadth, depth, band):
+    shape = CircuitShape(breadth, depth)
+    verdict = fit_verdict(qpu, shape, marginal_band=band)
+    if breadth > qpu.qubit_count:
+        assert verdict is None
+        with pytest.raises(CapacityError, match=f"^workload breadth {breadth} exceeds qpu '{qpu.id}' qubit count "):
+            assess(qpu, shape, marginal_band=band)
+    else:
+        assert verdict == assess(qpu, shape, marginal_band=band)
+
+
+@pytest.mark.parametrize("band", [1.0, math.inf, math.nan])
+def test_fit_verdict_checks_the_band_before_the_capacity(band):
+    qpu = bundled_catalog().get_qpu("ibm-heron")
+    with pytest.raises(ValueError, match="^marginal_band must be finite and > 1"):
+        fit_verdict(qpu, CircuitShape(qpu.qubit_count + 1, 1), marginal_band=band)
 
 
 class TestSquareVolume:

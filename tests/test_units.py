@@ -40,6 +40,21 @@ def test_sci_formatting():
     assert sci(2.718281828) == "2.71828"
 
 
+def _sci_by_split(value):
+    """The earlier definition of ``sci``: the exponent goes through ``int`` and back."""
+    text = f"{float(value):.6g}"
+    if "e" in text:
+        mantissa, exp = text.split("e")
+        text = f"{mantissa}e{int(exp)}"
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats(), st.integers(min_value=-(10**300), max_value=10**300)))
+def test_sci_matches_the_split_definition(value):
+    assert sci(value) == _sci_by_split(value)
+
+
 def test_duration_unit_switch_at_120():
     assert format_duration(119) == "119 s"
     assert format_duration(120) == "2 min"
