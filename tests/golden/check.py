@@ -106,6 +106,18 @@ CASES = [
     ("error-non-finite", ["feasibility", "--workload", "non-finite.json"], {}),
     ("error-surrogate-id", ["feasibility", "--workload", "surrogate-id.json", "--format", "csv"], {}),
     ("error-bad-band", ["feasibility", "--workload", "anchors.json", "--marginal-band", "0.5"], {}),
+    # a file that is not UTF-8, read as each of the three documents
+    ("error-not-utf8-catalog", ["catalog", "--catalog", "not-utf8.json"], {}),
+    ("error-not-utf8-workload", ["feasibility", "--workload", "not-utf8.json"], {}),
+    ("error-not-utf8-profile", ["compare", "--workload", "q29.json", "--qpu", "ibm-heron",
+                                "--classical", "not-utf8.json"], {}),
+    # a classical profile's number below its bound
+    ("error-profile-runtime-bound", ["compare", "--workload", "q29.json", "--qpu", "ibm-heron",
+                                     "--classical", "classical-negative-runtime.json"], {}),
+    ("error-profile-cost-bound", ["compare", "--workload", "q29.json", "--qpu", "ibm-heron",
+                                  "--classical", "classical-negative-cost.json"], {}),
+    ("error-profile-memory-bound", ["compare", "--workload", "q29.json", "--qpu", "ibm-heron",
+                                    "--classical", "classical-negative-memory.json"], {}),
     # an --out path that cannot be written: the error line alone, no report on stdout
     ("error-out-is-directory", ["catalog", "--out", "."], {}),
     # lenient warnings print as they are raised, before the error line
