@@ -91,11 +91,11 @@ def parse_classical_profile(document: str, catalog: Catalog, *, strict: bool = T
     raw = decode(document, "classical profile", ValueError)
     checker = Checker(ValueError, strict)
     fields = checker.record(raw, "classical profile", _PROFILE_KEYS)
-    runtime_s = fields.number("runtime_s")
+    runtime_s = fields.number("runtime_s", gt=0)
     ref_id = fields.text("classical_ref", None)
     ref = None if ref_id is None else catalog.get_classical_ref(ref_id)
-    energy_j = fields.number("energy_j", None)
-    memory = fields.integer("memory_bytes", None, floats=True)
+    energy_j = fields.number("energy_j", None, ge=0)
+    memory = fields.integer("memory_bytes", None, minimum=0, floats=True)
     notes = []
     if energy_j is None and ref is not None:
         energy_j = ref.power_draw * runtime_s
@@ -103,7 +103,8 @@ def parse_classical_profile(document: str, catalog: Catalog, *, strict: bool = T
     if memory is None and ref is not None:
         memory = ref.memory_capacity
         notes.append(f"classical memory capacity taken from '{ref.id}'")
-    profile = SolutionProfile(runtime_s, energy_j, fields.number("cost", None), fields.number("quality", None), memory)
+    cost, quality = fields.number("cost", None, ge=0), fields.number("quality", None, ge=0)
+    profile = SolutionProfile(runtime_s, energy_j, cost, quality, memory)
     return profile, notes
 
 

@@ -65,14 +65,13 @@ Fields: ``plan`` (:class:`~nisq_gonogo.workload.ShotPlan`), ``runtime``
 """
 
 
-def _read(path: str) -> str:
+def _read(path: str, document: str) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 fail naming ``document``."""
     with open(path, encoding="utf-8") as file:
-        return file.read()
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as file:
-        file.write(text)
+        try:
+            return file.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{document}: {exc}") from None
 
 
 def _write_all(*files: tuple[str, str]) -> None:
@@ -94,7 +93,8 @@ def _write_all(*files: tuple[str, str]) -> None:
         raise
     for file, (_, text) in zip(opened, files):
         with file:
-            file.truncate(0)
+            if file.seekable() and file.tell():  # a file's old bytes; a device or pipe keeps none
+                file.truncate(0)
             file.write(text)
 
 
@@ -104,11 +104,11 @@ def load_catalog(path: str | None, *, strict: bool) -> Catalog:
         path = os.environ.get(ENV_CATALOG)
     if path is None:
         return bundled_catalog()
-    return parse_catalog(_read(path), strict=strict)
+    return parse_catalog(_read(path, "catalog"), strict=strict)
 
 
 def load_workloads(path: str, *, strict: bool) -> tuple[workload_mod.WorkloadSpec, ...]:
-    return workload_mod.parse_workloads(_read(path), strict=strict)
+    return workload_mod.parse_workloads(_read(path, "workload document"), strict=strict)
 
 
 class _Texts(dict):
@@ -314,11 +314,13 @@ def render_catalog_md(catalog: Catalog) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    """Write the report to ``out_path``, if given, then to stdout: a path that
-    cannot be written ends the call with the one ``error:`` line and no report."""
+    """Write ``text`` to ``out_path``, if given, then to stdout, and flush it: every
+    write of a command is made here, so a file or a stdout that cannot be written
+    ends the call with the one ``error:`` line and exit 1."""
     if out_path is not None:
-        _write(out_path, text)
+        _write_all((out_path, text))
     sys.stdout.write(text)
+    sys.stdout.flush()
 
 
 def cmd_feasibility(args: argparse.Namespace, catalog: Catalog) -> int:
@@ -352,7 +354,7 @@ def cmd_scatter(args: argparse.Namespace, catalog: Catalog) -> int:
     csv_path = base + ".csv"
     svg_path = base + ".svg"
     _write_all((csv_path, scatter_csv(catalog)), (svg_path, scatter_svg(catalog)))
-    sys.stdout.write(f"wrote {csv_path}\nwrote {svg_path}\n")
+    _emit(f"wrote {csv_path}\nwrote {svg_path}\n", None)
     return EXIT_OK
 
 
@@ -375,7 +377,7 @@ def cmd_compare(args: argparse.Namespace, catalog: Catalog) -> int:
         qubits=spec.data_qubits,
         energy_j=quantum_energy,
     )
-    classical, profile_notes = adv.parse_classical_profile(_read(args.classical), catalog, strict=args.strict)
+    classical, profile_notes = adv.parse_classical_profile(_read(args.classical, "classical profile"), catalog, strict=args.strict)
     notes.extend(profile_notes)
     report = adv.classify(quantum, classical, parity_band=args.parity_band)
     header = (
@@ -482,14 +484,14 @@ def _run(argv: list[str] | None) -> int:
 
 
 def _end_process(code: int) -> int:
-    """End the process with ``code`` as the interpreter would, less its final
-    collection and module teardown, which a one-shot process does not need.
+    """End the process with ``code``, less the interpreter's final collection
+    and module teardown, which a one-shot process does not need.
 
-    It runs the atexit callbacks, flushes stdout and stderr, and calls
-    ``os._exit``.  It returns ``code``, for the interpreter's own exit, when
-    another thread is alive, under ``python -i``, under a debugger, tracer or
-    profiler (which may report after ``main`` returns), or when a flush
-    raises: the interpreter then reports the failure and exits 120.
+    It runs the atexit callbacks, flushes what they wrote and calls ``os._exit``:
+    :func:`_emit` has flushed the report or reported its failure.  It returns
+    ``code``, for the interpreter's own exit, when another thread is alive,
+    under ``python -i``, or under a debugger, tracer or profiler (which may
+    report after ``main`` returns).
     """
     monitoring = getattr(sys, "monitoring", None)  # 3.12+: where cProfile attaches
     if (
@@ -501,12 +503,11 @@ def _end_process(code: int) -> int:
     ):
         return code
     atexit._run_exitfuncs()
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-    except (OSError, ValueError):
-        return code
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # either is None with no console
+        try:
+            stream.flush()
+        except (OSError, ValueError):  # closed or unwritable: the code stands, what atexit wrote is lost
+            pass
     os._exit(code)
 
 
@@ -515,10 +516,8 @@ def main(argv: list[str] | None = None) -> int:
 
     With ``argv`` given, the command runs on it and ``main`` returns the
     code; the process carries on.  With ``argv=None`` the command runs on
-    ``sys.argv[1:]`` and, once it has returned, ``main`` ends the process
-    itself: it runs the atexit callbacks, flushes stdout and stderr and
-    exits with the code, skipping the interpreter's teardown (see
-    ``_end_process`` for when it returns the code instead).  argparse's
+    ``sys.argv[1:]`` and ``main`` then ends the process with the code by
+    :func:`_end_process`, without the interpreter's teardown.  argparse's
     ``SystemExit`` (usage errors, ``--help``) and uncaught exceptions
     propagate either way.
     """

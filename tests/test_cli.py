@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -511,11 +512,14 @@ def valid_documents():
 
 
 def run_compare(capsys, tmp_path, docs, *flags):
-    """``compare`` on ibm-flamingo reading the three documents of ``docs``, each a JSON value or raw text."""
+    """``compare`` on ibm-flamingo reading the three documents of ``docs``, each a JSON value, raw text or raw bytes."""
     paths = {}
     for name, doc in docs.items():
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        if isinstance(doc, bytes):
+            paths[name].write_bytes(doc)
+        else:
+            paths[name].write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     return run(
         capsys, "compare", "--qpu", "ibm-flamingo", "--workload", str(paths["workload"]),
         "--catalog", str(paths["catalog"]), "--classical", str(paths["profile"]), *flags,
@@ -647,6 +651,28 @@ def test_syntax_errors_name_the_document_and_position(capsys, tmp_path, document
     code, out, err = run_compare(capsys, tmp_path, docs)
     assert (code, out) == (EXIT_ERROR, "")
     assert err == f"error: {name}: Expecting value (line 2, column 8)\n"
+    docs[document] = b'{"x": "\xe9"}'  # Latin-1, not UTF-8
+    code, out, err = run_compare(capsys, tmp_path, docs)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {name}: 'utf-8' codec can't decode byte 0xe9 in position 7: invalid continuation byte\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("runtime_s", 0, "must be > 0, got 0.0"),
+        ("runtime_s", -1, "must be > 0, got -1.0"),
+        ("energy_j", -1e-300, "must be >= 0, got -1e-300"),
+        ("cost", -2, "must be >= 0, got -2.0"),
+        ("quality", -0.5, "must be >= 0, got -0.5"),
+        ("memory_bytes", -1, "must be >= 0, got -1"),
+    ],
+)
+def test_a_profile_number_out_of_range_names_the_profile_and_field(capsys, tmp_path, field, value, message):
+    docs = valid_documents()
+    docs["profile"][field] = value
+    code, out, err = run_compare(capsys, tmp_path, docs)
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: classical profile: field '{field}' {message}\n")
 
 
 def test_astronomical_state_space_is_reported(capsys, workload_file, tmp_path):
@@ -925,6 +951,102 @@ def test_an_out_path_that_cannot_be_written_prints_only_the_error(capsys, worklo
     assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
+def test_an_out_path_is_rewritten_whole_and_may_name_a_device(capsys, tmp_path):
+    out = tmp_path / "catalog.md"
+    out.write_text("x" * 100_000, encoding="utf-8")
+    code, report, err = run(capsys, "catalog", "--out", str(out))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.read_text(encoding="utf-8") == report
+    assert run(capsys, "catalog", "--out", os.devnull) == (EXIT_OK, report, "")
+
+
+# Totality of the command line: any workload and classical-profile JSON ends
+# in an exit code, never in an escaping exception.  A document is a valid one
+# with up to two fields set to an odd value (a NaN or Infinity token, an int
+# past float range, a subnormal, a zero or negative count, a wrong type), or
+# no object at all; ids hold characters that CSV, JSON or UTF-8 treat specially.
+_ODD = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 10**400, -(10**400), 5e-324, 0, -1, -0.0, 1.5, "", None, [], {}]
+)
+_TEXTS = st.lists(st.sampled_from([",", '"', "\r", "\n", "\x00", "\ud800", "a", "\u00e9"]), min_size=1, max_size=5).map("".join)
+_NOT_OBJECTS = st.one_of(st.none(), st.booleans(), _ODD, _TEXTS, st.lists(st.integers(), max_size=2))
+
+
+def _documents(required, optional):
+    """A valid record of the ``required`` and some ``optional`` fields, then up to two fields made odd."""
+
+    @st.composite
+    def draw_record(draw):
+        record = draw(st.fixed_dictionaries(required, optional=optional))
+        odd = draw(st.sampled_from([0, 0, 1, 2]))
+        for key in draw(st.lists(st.sampled_from(sorted({*required, *optional})), min_size=odd, max_size=odd, unique=True)):
+            record[key] = draw(_ODD)
+        return record
+
+    return draw_record()
+
+
+_COUNTS = st.one_of(st.integers(min_value=1, max_value=200), st.just(10**400))
+_WORKLOAD_FIELDS = {
+    "data_qubits": _COUNTS,
+    "depth": _COUNTS,
+    "target_epsilon": st.one_of(st.floats(min_value=1e-6, max_value=1.0), st.just(5e-324)),
+    "ansatz_iterations": _COUNTS,
+}
+_WORKLOAD_OPTIONAL = {
+    "id": _TEXTS,
+    "classical_prep_time": st.floats(min_value=0.0, max_value=1e3),
+    "pauli_grouping": st.sampled_from(["none", "grouped"]),
+    "mitigation": st.fixed_dictionaries(
+        {}, optional={"enabled": st.booleans(), "exponent_coefficient": st.floats(min_value=0.0, max_value=10.0)}
+    ),
+    "c_vqe_override": st.floats(min_value=1e-3, max_value=1e3),
+    "colour": _TEXTS,  # unknown: a warning, or an error under --strict
+}
+_WORKLOAD = st.one_of(
+    _documents({**_WORKLOAD_FIELDS, "family": st.sampled_from(["vqe", "generic"])}, _WORKLOAD_OPTIONAL),
+    _documents({**_WORKLOAD_FIELDS, "family": st.just("qaoa"), "qaoa_layers": _COUNTS}, _WORKLOAD_OPTIONAL),
+)
+_WORKLOAD_DOCUMENTS = st.one_of(_WORKLOAD, _WORKLOAD.map(lambda record: [record]), st.lists(_WORKLOAD, min_size=2, max_size=3), _NOT_OBJECTS)
+_SIZES = st.floats(min_value=5e-324, max_value=1e300)
+_PROFILE = _documents(
+    {"runtime_s": _SIZES},
+    {
+        "energy_j": _SIZES,
+        "cost": _SIZES,
+        "quality": _SIZES,
+        "memory_bytes": st.integers(min_value=0, max_value=2**80),
+        "classical_ref": st.sampled_from(["nvidia-dgx-rack", "no-such-ref"]),
+    },
+)
+_PROFILE_DOCUMENTS = st.one_of(_PROFILE, _NOT_OBJECTS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(workload=_WORKLOAD_DOCUMENTS, profile=_PROFILE_DOCUMENTS, strict=st.booleans())
+def test_every_input_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, workload, profile, strict):
+    work = tmp_path_factory.mktemp("totality")
+    (work / "w.json").write_text(json.dumps(workload), encoding="utf-8")
+    (work / "p.json").write_text(json.dumps(profile), encoding="utf-8")
+    inputs = ["--workload", str(work / "w.json"), *(["--strict"] if strict else [])]
+    for argv in (
+        ["feasibility", *inputs],
+        ["feasibility", *inputs, "--format", "csv"],
+        ["estimate", *inputs, "--qpu", "ibm-heron"],
+        ["compare", *inputs, "--qpu", "ibm-heron", "--classical", str(work / "p.json")],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_ERROR, EXIT_NO_GO), argv
+        lines = err.getvalue().split("\n")
+        assert lines.pop() == "", argv  # every line ends in a newline
+        if code == EXIT_ERROR:
+            assert out.getvalue() == "" and lines[-1].startswith("error: "), argv
+            lines.pop()
+        assert all(line.startswith("warning: ") for line in lines), argv
+
+
 @contextlib.contextmanager
 def _collector(enabled):
     """The cyclic collector on or off for the block, then as it was."""
@@ -1006,6 +1128,12 @@ def _cli_process(argv, cwd, *, prelude="", flags=(), **kwargs):
     )
 
 
+def _write_grid(directory):
+    """``grid.json``: 150 workloads, whose CSV grid is more than a 64 KiB pipe buffer holds."""
+    grid = [dict(WORKLOAD_53x8, id=f"w{i:03}", data_qubits=2 + i) for i in range(150)]
+    (directory / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -1018,8 +1146,7 @@ def _cli_process(argv, cwd, *, prelude="", flags=(), **kwargs):
 def test_a_cli_process_ends_with_the_code_and_output_of_main_without_teardown(capsys, monkeypatch, tmp_path, argv, code):
     (tmp_path / "53x8.json").write_text(json.dumps(WORKLOAD_53x8), encoding="utf-8")
     (tmp_path / "deep.json").write_text(json.dumps(dict(WORKLOAD_53x8, depth=10**6)), encoding="utf-8")
-    grid = [dict(WORKLOAD_53x8, id=f"w{i:03}", data_qubits=2 + i) for i in range(150)]
-    (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
+    _write_grid(tmp_path)
     done = _cli_process(argv, tmp_path, prelude=_CANARY)
     monkeypatch.chdir(tmp_path)
     expected = run(capsys, *argv)
@@ -1037,19 +1164,28 @@ def test_a_cli_process_runs_the_atexit_callbacks_and_flushes_their_output(tmp_pa
     assert done.stderr == ""
 
 
-def test_a_stdout_that_cannot_be_flushed_ends_as_the_interpreter_ends_it(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog"],
+        ["feasibility", "--workload", "grid.json", "--format", "csv"],  # more than a pipe buffer holds
+        ["scatter", "--out", "landscape.svg"],
+    ],
+    ids=["catalog", "feasibility-csv", "scatter"],
+)
+def test_a_stdout_that_cannot_be_written_ends_in_the_one_error_line(tmp_path, argv):
+    _write_grid(tmp_path)
     readonly = tmp_path / "readonly.txt"
     readonly.write_bytes(b"")
-    prelude = "import atexit\natexit.register(os.write, 2, b'atexit ran\\n')"
+    prelude = "import atexit\natexit.register(lambda: open('atexit.txt', 'a').write('atexit ran\\n'))"
     with open(readonly, "rb") as stdout:
-        done = _cli_process(["catalog"], tmp_path, prelude=prelude, stdout=stdout)
-    assert done.returncode == 120
-    # the callbacks ran before the flush failed, and the interpreter's exit does not run them again
-    assert done.stderr.startswith("atexit ran\n")
-    assert done.stderr.count("atexit ran") == 1
-    # 3.10-3.12: "Exception ignored in: <_io.TextIOWrapper name='<stdout>' ...>"; 3.13: "... on flushing sys.stdout:"
-    assert "\nException ignored " in done.stderr
-    assert "OSError: [Errno 9] Bad file descriptor" in done.stderr
+        done = _cli_process(argv, tmp_path, prelude=prelude, stdout=stdout)
+    assert (done.returncode, done.stderr) == (EXIT_ERROR, "error: [Errno 9] Bad file descriptor\n")
+    # the callbacks ran, and the interpreter's exit did not run them again
+    assert (tmp_path / "atexit.txt").read_text(encoding="utf-8") == "atexit ran\n"
+    if argv[0] == "scatter":  # the files are written before stdout
+        assert (tmp_path / "landscape.csv").read_text(encoding="utf-8") == scatter_csv(bundled_catalog())
+        assert (tmp_path / "landscape.svg").read_text(encoding="utf-8") == scatter_svg(bundled_catalog())
 
 
 @pytest.mark.parametrize(
