@@ -968,22 +968,21 @@ def test_an_out_path_is_rewritten_whole_and_may_name_a_device(capsys, tmp_path):
 _ODD = st.sampled_from(
     [math.nan, math.inf, -math.inf, 10**400, -(10**400), 5e-324, 0, -1, -0.0, 1.5, "", None, [], {}]
 )
-_TEXTS = st.lists(st.sampled_from([",", '"', "\r", "\n", "\x00", "\ud800", "a", "\u00e9"]), min_size=1, max_size=5).map("".join)
+_TEXTS = st.lists(
+    st.sampled_from([",", '"', "\r", "\n", "\x00", "\ud800", "a", "\u00e9"]), min_size=1, max_size=5
+).map("".join)
 _NOT_OBJECTS = st.one_of(st.none(), st.booleans(), _ODD, _TEXTS, st.lists(st.integers(), max_size=2))
 
 
-def _documents(required, optional):
-    """A valid record of the ``required`` and some ``optional`` fields, then up to two fields made odd."""
-
-    @st.composite
-    def draw_record(draw):
-        record = draw(st.fixed_dictionaries(required, optional=optional))
-        odd = draw(st.sampled_from([0, 0, 1, 2]))
-        for key in draw(st.lists(st.sampled_from(sorted({*required, *optional})), min_size=odd, max_size=odd, unique=True)):
-            record[key] = draw(_ODD)
-        return record
-
-    return draw_record()
+@st.composite
+def _documents(draw, required, optional):
+    """A valid record of the ``required`` and some ``optional`` fields; half of them then get one or two odd fields."""
+    record = draw(st.fixed_dictionaries(required, optional=optional))
+    odd = draw(st.sampled_from([0, 0, 1, 2]))
+    keys = st.sampled_from(sorted({*required, *optional}))
+    for key in draw(st.lists(keys, min_size=odd, max_size=odd, unique=True)):
+        record[key] = draw(_ODD)
+    return record
 
 
 _COUNTS = st.one_of(st.integers(min_value=1, max_value=200), st.just(10**400))
@@ -1007,7 +1006,9 @@ _WORKLOAD = st.one_of(
     _documents({**_WORKLOAD_FIELDS, "family": st.sampled_from(["vqe", "generic"])}, _WORKLOAD_OPTIONAL),
     _documents({**_WORKLOAD_FIELDS, "family": st.just("qaoa"), "qaoa_layers": _COUNTS}, _WORKLOAD_OPTIONAL),
 )
-_WORKLOAD_DOCUMENTS = st.one_of(_WORKLOAD, _WORKLOAD.map(lambda record: [record]), st.lists(_WORKLOAD, min_size=2, max_size=3), _NOT_OBJECTS)
+_WORKLOAD_DOCUMENTS = st.one_of(
+    _WORKLOAD, _WORKLOAD.map(lambda record: [record]), st.lists(_WORKLOAD, min_size=2, max_size=3), _NOT_OBJECTS
+)
 _SIZES = st.floats(min_value=5e-324, max_value=1e300)
 _PROFILE = _documents(
     {"runtime_s": _SIZES},
