@@ -29,6 +29,9 @@ class Outcome(str, enum.Enum):
     NOT_EVALUATED = "not-evaluated"
 
 
+# a member read from its enum class costs about 200 ns on 3.10 and 3.11
+_ADVANTAGE, _PARITY, _DISADVANTAGE, _NOT_EVALUATED = Outcome
+
 _SolutionProfileFields = namedtuple(
     "_SolutionProfileFields", ("runtime_s", "energy_j", "cost", "quality", "memory_bytes")
 )
@@ -133,22 +136,22 @@ AdvantageReport.axes = lambda report: dict(zip(AXES, report))
 
 def _lower_is_better(q: float | None, c: float | None, band: float) -> Outcome:
     if q is None or c is None:
-        return Outcome.NOT_EVALUATED
+        return _NOT_EVALUATED
     if q < (1.0 - band) * c:
-        return Outcome.ADVANTAGE
+        return _ADVANTAGE
     if c < (1.0 - band) * q:
-        return Outcome.DISADVANTAGE
-    return Outcome.PARITY
+        return _DISADVANTAGE
+    return _PARITY
 
 
 def _strict_compare(q: int | None, c: int | None) -> Outcome:
     if q is None or c is None:
-        return Outcome.NOT_EVALUATED
+        return _NOT_EVALUATED
     if q > c:
-        return Outcome.ADVANTAGE
+        return _ADVANTAGE
     if q < c:
-        return Outcome.DISADVANTAGE
-    return Outcome.PARITY
+        return _DISADVANTAGE
+    return _PARITY
 
 
 def classify(
@@ -173,10 +176,10 @@ def classify(
     quality = _lower_is_better(classical.quality, quantum.quality, parity_band)
 
     notes: tuple[str, ...] = ()
-    if space is Outcome.ADVANTAGE and energetic is Outcome.ADVANTAGE:
+    if space is _ADVANTAGE and energetic is _ADVANTAGE:
         notes = (
             "space and energetic advantage together: the reference classical "
             "machine cannot hold the full state, so the energy win may extend "
             "to any classical configuration of this class",
         )
-    return AdvantageReport(space, speed, quality, energetic, cost, notes)
+    return tuple.__new__(AdvantageReport, (space, speed, quality, energetic, cost, notes))

@@ -205,7 +205,8 @@ def _estimate_qpu_lines(qpu: QpuSpec) -> tuple[str, str, str, str]:
 
     They are the ``qpu:`` line, the error rate's :func:`sci` text, the power
     draw with its component lines, and the no-power-data note (empty when the
-    qpu reports power components).
+    qpu reports power components).  The power figures come from the energy
+    module's own per-value caches of the breakdown and its total.
     """
     power = [f"- power draw: {format_watts(energy_mod.power_draw(qpu))}"]
     power.extend(f"  - {label}: {format_watts(watts)}" for label, watts in energy_mod.power_breakdown(qpu))
@@ -223,7 +224,7 @@ def build_estimate_record(
     plan = workload_mod.shot_plan(spec, qpu.two_qubit_error_median, qaoa_aggregate=qaoa_aggregate)
     rt = runtime_mod.estimate_runtime(qpu, spec, plan, parallel_shots=parallel_shots)
     en = energy_mod.estimate_energy(qpu, rt)
-    return ResourceRecord(plan, rt, en)
+    return tuple.__new__(ResourceRecord, (plan, rt, en))
 
 
 def _count_text(count: int | float, unit: str) -> str:
@@ -248,30 +249,25 @@ def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.
     total_shots = _count_text(plan.total_shots, "shots")
     if type(plan.total_shots) is int and as_float(plan.total_shots) < math.inf:  # an int count also reads in sci
         total_shots += f" ({sci(plan.total_shots)})"
-    lines = [
-        f"# Resource estimate: {spec.id} on {qpu.id}",
-        "",
-        f"workload: {spec.family.value}, {spec.data_qubits} data qubits, depth {spec.depth} cycles, "
-        f"target epsilon {spec.target_epsilon}, {spec.ansatz_iterations} iterations",
-        qpu_line,
-        f"feasibility: {feasibility}",
-        "",
-        f"shot plan ({plan.model} accounting):",
-        f"- measurement strings: {_count_text(plan.pauli_strings, 'strings')}",
-        f"- shots per string: {_count_text(plan.shots_per_string, 'shots')}",
-        f"- mitigation multiplier: {sci(plan.mitigation_multiplier)} x",
-        f"- total shots per iteration: {total_shots}",
-        "",
-        "runtime:",
-        f"- single shot: {format_seconds(rt.single_shot_time)}",
-        f"- quantum per iteration: {format_seconds(rt.quantum_time_per_iteration)}",
-        f"- classical per iteration: {format_seconds(spec.classical_prep_time)}",
-        f"- iteration: {format_seconds(rt.iteration_time)}",
-        f"- total: {format_seconds(rt.total_time)}",
-    ]
-    lines.extend(f"  - {label}: {format_seconds(seconds)}" for label, seconds in rt.breakdown)
-    lines += ["", "energy:", power_lines, f"- job energy: {format_joules(en.job_energy)}{power_note}"]
-    return "\n".join(lines) + "\n"
+    breakdown = "".join([f"  - {label}: {format_seconds(seconds)}\n" for label, seconds in rt.breakdown])
+    # one f-string: a report is made per record, and a list of its lines costs a join
+    return (
+        f"# Resource estimate: {spec.id} on {qpu.id}\n\n"
+        f"workload: {spec.family._value_}, {spec.data_qubits} data qubits, depth {spec.depth} cycles, "
+        f"target epsilon {spec.target_epsilon}, {spec.ansatz_iterations} iterations\n"
+        f"{qpu_line}\nfeasibility: {feasibility}\n\n"
+        f"shot plan ({plan.model} accounting):\n"
+        f"- measurement strings: {_count_text(plan.pauli_strings, 'strings')}\n"
+        f"- shots per string: {_count_text(plan.shots_per_string, 'shots')}\n"
+        f"- mitigation multiplier: {sci(plan.mitigation_multiplier)} x\n"
+        f"- total shots per iteration: {total_shots}\n\n"
+        f"runtime:\n- single shot: {format_seconds(rt.single_shot_time)}\n"
+        f"- quantum per iteration: {format_seconds(rt.quantum_time_per_iteration)}\n"
+        f"- classical per iteration: {format_seconds(spec.classical_prep_time)}\n"
+        f"- iteration: {format_seconds(rt.iteration_time)}\n"
+        f"- total: {format_seconds(rt.total_time)}\n{breakdown}\n"
+        f"energy:\n{power_lines}\n- job energy: {format_joules(en.job_energy)}{power_note}\n"
+    )
 
 
 def render_advantage_md(report: adv.AdvantageReport, extra_notes: list[str]) -> str:

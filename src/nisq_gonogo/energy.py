@@ -28,7 +28,9 @@ def power_breakdown(qpu: QpuSpec) -> tuple[tuple[str, float], ...]:
 
     A per-qubit component's effective count is the QPU's qubit count.  The
     result depends on the QPU alone, so it is computed once per distinct
-    (immutable) QPU value and shared.
+    (immutable) QPU value and shared.  :func:`power_draw` and
+    :func:`estimate_energy` read it, with its total, from a second cache per
+    QPU value, so they call this function only when that cache misses.
     """
     rows = []
     for component in qpu.power_components:
@@ -37,9 +39,20 @@ def power_breakdown(qpu: QpuSpec) -> tuple[tuple[str, float], ...]:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=256)
+def _power(qpu: QpuSpec) -> tuple[tuple[tuple[str, float], ...], float]:
+    """(:func:`power_breakdown`, its total in watts), made once per distinct QPU value."""
+    breakdown = power_breakdown(qpu)
+    return breakdown, sum(watts for _, watts in breakdown)
+
+
 def power_draw(qpu: QpuSpec) -> float:
-    """Total steady-state draw in watts (0 for QPUs with no reported data)."""
-    return sum(watts for _, watts in power_breakdown(qpu))
+    """Total steady-state draw in watts (0 for QPUs with no reported data).
+
+    The total is summed once per distinct (immutable) QPU value and kept
+    beside its breakdown.
+    """
+    return _power(qpu)[1]
 
 
 def job_energy(power: float, seconds: float) -> float:
@@ -50,6 +63,5 @@ def job_energy(power: float, seconds: float) -> float:
 
 
 def estimate_energy(qpu: QpuSpec, runtime: RuntimeEstimate) -> EnergyEstimate:
-    breakdown = power_breakdown(qpu)
-    power = sum(watts for _, watts in breakdown)
-    return EnergyEstimate(power, job_energy(power, runtime.total_time), breakdown)
+    breakdown, power = _power(qpu)
+    return tuple.__new__(EnergyEstimate, (power, job_energy(power, runtime.total_time), breakdown))

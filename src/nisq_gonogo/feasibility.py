@@ -55,6 +55,8 @@ class CircuitShape(_CircuitShapeFields):
     __slots__ = ()
 
     def __new__(cls, breadth: int, depth: int) -> CircuitShape:
+        if type(breadth) is int and type(depth) is int and breadth >= 1 and depth >= 1:  # passes every check below
+            return tuple.__new__(cls, (breadth, depth))
         if not isinstance(breadth, int) or isinstance(breadth, bool) or breadth < 1:
             raise ValueError(f"breadth must be a positive integer, got {breadth!r}")
         if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
@@ -75,6 +77,9 @@ class Verdict(str, enum.Enum):
     MARGINAL = "marginal"
     NO_GO = "no-go"
 
+
+# a member read from its enum class costs about 200 ns on 3.10 and 3.11
+_GO, _MARGINAL, _NO_GO = Verdict
 
 FeasibilityVerdict = namedtuple(
     "FeasibilityVerdict",
@@ -180,10 +185,10 @@ def rate_verdict(required: float, available: float, marginal_band: float = DEFAU
     The band is not checked here; :func:`check_marginal_band` is the check.
     """
     if available < required:
-        return Verdict.GO
+        return _GO
     if available < marginal_band * required:
-        return Verdict.MARGINAL
-    return Verdict.NO_GO
+        return _MARGINAL
+    return _NO_GO
 
 
 def fit_verdict(
@@ -200,13 +205,13 @@ def fit_verdict(
         return None
     required = required_error_rate(shape)
     available = qpu.two_qubit_error_median
-    return FeasibilityVerdict(
+    return tuple.__new__(FeasibilityVerdict, (
         required,
         available,
         success_probability(available, shape),
         rate_verdict(required, available, marginal_band),
         qpu.two_qubit_error_stddev is None,
-    )
+    ))
 
 
 def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = DEFAULT_MARGINAL_BAND) -> FeasibilityVerdict:

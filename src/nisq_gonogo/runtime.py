@@ -63,4 +63,4 @@ def estimate_runtime(
         ("classical preparation and post-processing", iterations * prep if prep else prep),
         ("quantum execution", iterations * quantum_per_iteration),
     )
-    return RuntimeEstimate(shot_time, quantum_per_iteration, iteration, total, breakdown)
+    return tuple.__new__(RuntimeEstimate, (shot_time, quantum_per_iteration, iteration, total, breakdown))

@@ -80,7 +80,8 @@ def sci(value: float) -> str:
 
     Deterministic across runs; exponent without a plus sign or zero padding.
     """
-    return f"{float(value):.6g}".replace("e+", "e").replace("e0", "e").replace("e-0", "e-")
+    text = f"{float(value):.6g}"
+    return text.replace("e+", "e").replace("e0", "e").replace("e-0", "e-") if "e" in text else text
 
 
 def format_duration(seconds: float) -> str:
@@ -103,9 +104,13 @@ def format_seconds(seconds: float) -> str:
     """Exact seconds with the humanized form beside, both unit-tagged.
 
     Below 120 s (finite) the humanized form would be in seconds too, so it
-    is left out and not built.
+    is left out and not built.  The exact form is :func:`sci`'s, written out
+    here: it is made seven times per estimate report.
     """
-    exact = f"{sci(seconds)} s"
+    exact = f"{float(seconds):.6g}"
+    if "e" in exact:
+        exact = exact.replace("e+", "e").replace("e0", "e").replace("e-0", "e-")
+    exact += " s"
     if -math.inf < seconds < _UNIT_SWITCH:
         return exact
     return f"{exact} ({format_duration(seconds)})"

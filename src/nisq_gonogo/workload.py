@@ -52,6 +52,10 @@ class PauliGrouping(str, enum.Enum):
     GROUPED = "grouped"
 
 
+# a member read from its enum class costs about 200 ns on 3.10 and 3.11
+_VQE, _QAOA, _UNGROUPED = AlgorithmFamily.VQE, AlgorithmFamily.QAOA, PauliGrouping.NONE
+
+
 MitigationSpec = namedtuple("MitigationSpec", ("enabled", "exponent_coefficient"), defaults=(False, 1.0))
 MitigationSpec.__doc__ = """Error-mitigation switch and its exponential-overhead coefficient.
 
@@ -120,11 +124,11 @@ def pauli_string_count(spec: WorkloadSpec) -> int | float:
     per layer.  An ungrouped VQE count is a float product: an int up to
     2**53, the float beyond (``math.inf`` beyond float range).
     """
-    if spec.family is AlgorithmFamily.QAOA:
+    if spec.family is _QAOA:
         if spec.qaoa_layers is None:
             raise WorkloadError(f"workload '{spec.id}': qaoa_layers is required for the qaoa family")
         return 2 * spec.qaoa_layers
-    if spec.family is AlgorithmFamily.VQE and spec.pauli_grouping is PauliGrouping.NONE:
+    if spec.family is _VQE and spec.pauli_grouping is _UNGROUPED:
         coeff = VQE_PAULI_COEFF if spec.c_vqe_override is None else spec.c_vqe_override
         strings = coeff * as_float(spec.data_qubits**4)
         return max(1, round(strings)) if strings <= _EXACT_FLOAT_LIMIT else strings
@@ -176,7 +180,7 @@ def shot_plan(spec: WorkloadSpec, error_rate: float, *, qaoa_aggregate: bool = F
         check_error_rate(error_rate)
         multiplier = 1.0
     if qaoa_aggregate:
-        if spec.family is not AlgorithmFamily.QAOA:
+        if spec.family is not _QAOA:
             raise WorkloadError(f"workload '{spec.id}': aggregate accounting applies only to the qaoa family")
         strings = 1
         per_string = qaoa_aggregate_shots(spec.target_epsilon, spec.data_qubits)
@@ -192,7 +196,7 @@ def shot_plan(spec: WorkloadSpec, error_rate: float, *, qaoa_aggregate: bool = F
     else:
         product = as_float(base) * multiplier
         total = math.ceil(product) if product < math.inf else math.inf
-    return ShotPlan(strings, per_string, multiplier, total, model)
+    return tuple.__new__(ShotPlan, (strings, per_string, multiplier, total, model))
 
 
 _WORKLOAD_KEYS = keys_of(WorkloadSpec)
@@ -205,14 +209,14 @@ def _parse_one(raw: object, index: int, checker: Checker) -> WorkloadSpec:
     data_qubits = fields.integer("data_qubits", minimum=1)
     depth = fields.integer("depth", minimum=1)
     layers = fields.raw.get("qaoa_layers")
-    if family is AlgorithmFamily.QAOA:
+    if family is _QAOA:
         layers = fields.integer("qaoa_layers", minimum=1)
     elif layers is not None:
         fields.fail("qaoa_layers", "is only valid for the qaoa family")
     epsilon = fields.number("target_epsilon", gt=0, le=1)
     iterations = fields.integer("ansatz_iterations", minimum=1)
     prep = fields.number("classical_prep_time", 0.0, ge=0)
-    grouping = fields.choice("pauli_grouping", PauliGrouping, PauliGrouping.NONE)
+    grouping = fields.choice("pauli_grouping", PauliGrouping, _UNGROUPED)
     mitigation_fields = fields.record("mitigation", _MITIGATION_KEYS)
     mitigation = MitigationSpec(
         mitigation_fields.flag("enabled", False),

@@ -12,11 +12,13 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nisq_gonogo
+from helpers import make_spec
 from nisq_gonogo import cli, energy
+from nisq_gonogo import feasibility as feas
 from nisq_gonogo.advantage import Outcome, SolutionProfile, classify, quantum_profile
 from nisq_gonogo.catalog import PowerComponent, bundled_catalog, serialize_catalog
 from nisq_gonogo.cli import (
@@ -30,8 +32,8 @@ from nisq_gonogo.cli import (
     render_estimate_md,
 )
 from nisq_gonogo.scatter import scatter_csv, scatter_svg
-from nisq_gonogo.units import format_bytes
-from nisq_gonogo.workload import parse_workloads
+from nisq_gonogo.units import as_float, format_bytes, format_joules, format_seconds, sci
+from nisq_gonogo.workload import AlgorithmFamily, MitigationSpec, PauliGrouping, WorkloadSpec, parse_workloads
 
 WORKLOAD_53x8 = {
     "id": "surface-scan",
@@ -921,9 +923,93 @@ def test_estimate_caches_are_keyed_on_the_qpu_value(qpu_id):
     assert "feasibility: go (" in first and "control electronics" in first and "extra cooling" not in first
     assert energy.power_breakdown(varied) == (("pulse tubes with compressors", 90000), ("extra cooling", 1000.0))
     assert len(energy.power_breakdown(qpu)) == 4
+    # the power total is cached per qpu value beside its breakdown, for the report and the record alike
+    flamingo_watts = sum(watts for _, watts in energy.power_breakdown(qpu))
+    assert (energy.power_draw(varied), energy.power_draw(qpu)) == (91000.0, flamingo_watts)
+    varied_energy = build_estimate_record(varied, spec).energy
+    assert (varied_energy.power_draw, varied_energy.breakdown) == (91000.0, energy.power_breakdown(varied))
+    assert varied_energy.job_energy == 91000.0 * build_estimate_record(varied, spec).runtime.total_time
+    assert build_estimate_record(qpu, spec).energy.power_draw == flamingo_watts
     assert report(qpu) == first
     # an equal qpu value shares the cached breakdown
     assert energy.power_breakdown(qpu._replace()) is energy.power_breakdown(qpu)
+
+
+def _render_estimate_md_by_lines(record, qpu, spec):
+    """The earlier definition of ``render_estimate_md``: a list of lines, extended and joined."""
+    plan, rt, en = record
+    qpu_line, available, power_lines, power_note = cli._estimate_qpu_lines(qpu)
+    fit = feas.fit_verdict(qpu, spec.shape)
+    if fit is None:
+        feasibility = f"no-go ({feas.capacity_message(spec.data_qubits, qpu)})"
+    else:
+        required, _, _, verdict, _ = fit
+        feasibility = f"{verdict.value} (required error rate {sci(required)}, available {available})"
+    total_shots = cli._count_text(plan.total_shots, "shots")
+    if type(plan.total_shots) is int and as_float(plan.total_shots) < math.inf:
+        total_shots += f" ({sci(plan.total_shots)})"
+    lines = [
+        f"# Resource estimate: {spec.id} on {qpu.id}",
+        "",
+        f"workload: {spec.family.value}, {spec.data_qubits} data qubits, depth {spec.depth} cycles, "
+        f"target epsilon {spec.target_epsilon}, {spec.ansatz_iterations} iterations",
+        qpu_line,
+        f"feasibility: {feasibility}",
+        "",
+        f"shot plan ({plan.model} accounting):",
+        f"- measurement strings: {cli._count_text(plan.pauli_strings, 'strings')}",
+        f"- shots per string: {cli._count_text(plan.shots_per_string, 'shots')}",
+        f"- mitigation multiplier: {sci(plan.mitigation_multiplier)} x",
+        f"- total shots per iteration: {total_shots}",
+        "",
+        "runtime:",
+        f"- single shot: {format_seconds(rt.single_shot_time)}",
+        f"- quantum per iteration: {format_seconds(rt.quantum_time_per_iteration)}",
+        f"- classical per iteration: {format_seconds(spec.classical_prep_time)}",
+        f"- iteration: {format_seconds(rt.iteration_time)}",
+        f"- total: {format_seconds(rt.total_time)}",
+    ]
+    lines.extend(f"  - {label}: {format_seconds(seconds)}" for label, seconds in rt.breakdown)
+    lines += ["", "energy:", power_lines, f"- job energy: {format_joules(en.job_energy)}{power_note}"]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _estimate_cases(draw):
+    """(a workload, --parallel-shots, --qaoa-aggregate) that the estimate path accepts."""
+    family = draw(st.sampled_from(AlgorithmFamily))
+    spec = WorkloadSpec(
+        draw(st.text(min_size=1, max_size=8)),
+        family,
+        draw(st.one_of(st.integers(1, 200), st.integers(1, 10**6))),  # ungrouped VQE counts pass 2**53 near 29,000
+        draw(st.one_of(st.integers(1, 1000), st.integers(1, 10**12))),
+        draw(st.one_of(st.floats(min_value=1e-9, max_value=1.0), st.just(5e-324))),
+        draw(st.one_of(st.integers(1, 1000), st.integers(1, 10**9))),
+        draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=0.0, max_value=1e4))),
+        draw(st.integers(1, 20)) if family is AlgorithmFamily.QAOA else None,
+        draw(st.sampled_from(PauliGrouping)),
+        MitigationSpec(draw(st.booleans()), draw(st.floats(min_value=0.0, max_value=10.0))),
+        draw(st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1e3))),
+    )
+    return spec, draw(st.integers(1, 8)), family is AlgorithmFamily.QAOA and draw(st.booleans())
+
+
+_QAOA_16 = dict(family=AlgorithmFamily.QAOA, qaoa_layers=3, data_qubits=16, depth=12, target_epsilon=0.01)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_estimate_cases())
+@example((make_spec(classical_prep_time=0.0), 1, False))  # ungrouped VQE on 72 qubits: totals of years
+@example((make_spec(classical_prep_time=-0.0, family=AlgorithmFamily.GENERIC, data_qubits=4, depth=5), 1, False))
+@example((make_spec(data_qubits=1000, depth=10**6, mitigation=MitigationSpec(True)), 1, False))  # an inf total
+@example((make_spec(data_qubits=10**5), 4, False))  # 1.2e18 ungrouped VQE strings
+@example((make_spec(**_QAOA_16), 1, True))
+@example((make_spec(**_QAOA_16, ansatz_iterations=1), 2, False))  # totals under 120 s
+def test_the_estimate_report_is_its_line_list_definition(case):
+    spec, parallel_shots, aggregate = case
+    for qpu in bundled_catalog().qpus:
+        record = build_estimate_record(qpu, spec, parallel_shots=parallel_shots, qaoa_aggregate=aggregate)
+        assert render_estimate_md(record, qpu, spec) == _render_estimate_md_by_lines(record, qpu, spec)
 
 
 def test_cli_import_leaves_out_the_heavy_stdlib_modules():

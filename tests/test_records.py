@@ -2,17 +2,20 @@
 
 import copy
 import json
+import math
 import pickle
+import re
 
 import pytest
 from helpers import make_spec
 
-from nisq_gonogo.advantage import SolutionProfile, classify, quantum_profile
+from nisq_gonogo import energy, feasibility, runtime, workload
+from nisq_gonogo.advantage import AdvantageReport, Outcome, SolutionProfile, classify, quantum_profile
 from nisq_gonogo.catalog import Catalog, QpuSpec, bundled_catalog, parse_catalog
-from nisq_gonogo.cli import build_estimate_record, build_feasibility_bundle
-from nisq_gonogo.feasibility import CircuitShape, assess
+from nisq_gonogo.cli import ResourceRecord, build_estimate_record, build_feasibility_bundle
+from nisq_gonogo.feasibility import CircuitShape, FeasibilityVerdict, assess, fit_verdict
 from nisq_gonogo.fields import json_of
-from nisq_gonogo.workload import PauliGrouping, parse_workloads
+from nisq_gonogo.workload import AlgorithmFamily, MitigationSpec, PauliGrouping, parse_workloads
 
 #: QpuSpec's fields, the order ``serialize_catalog`` writes: the ten required ones, then the two optional.
 QPU_LAYOUT = (
@@ -280,3 +283,101 @@ def test_checked_records_check_in_new_make_and_replace(name):
         cls._make(values)
     with pytest.raises(ValueError, match=message):
         cls(*values)
+
+
+@pytest.mark.parametrize("qpu", bundled_catalog().qpus, ids=lambda qpu: qpu.id)
+@pytest.mark.parametrize(
+    "spec",
+    [make_spec(), make_spec(data_qubits=30, depth=4, mitigation=MitigationSpec(True, 0.5), classical_prep_time=2.0)],
+    ids=["vqe", "mitigated"],
+)
+def test_records_from_the_fast_paths_equal_their_keyword_built_records(qpu, spec):
+    """The estimate's records, a fit verdict and a report are made with ``tuple.__new__``: each is of the
+    exact named-tuple type and equals the record built by keyword from the model functions."""
+    shape = spec.shape
+    multiplier = workload.mitigation_multiplier(spec.mitigation, qpu.two_qubit_error_median, shape)
+    strings = workload.pauli_string_count(spec)
+    per_string = workload.shots_per_string(spec.target_epsilon)
+    total = strings * per_string if multiplier == 1.0 else math.ceil(strings * per_string * multiplier)
+    plan = workload.ShotPlan(
+        pauli_strings=strings, shots_per_string=per_string, mitigation_multiplier=multiplier, total_shots=total
+    )
+    shot = runtime.single_shot_time(qpu, spec.depth)
+    iteration = spec.classical_prep_time + total * shot
+    timing = runtime.RuntimeEstimate(
+        single_shot_time=shot,
+        quantum_time_per_iteration=total * shot,
+        iteration_time=iteration,
+        total_time=spec.ansatz_iterations * iteration,
+        breakdown=(
+            ("classical preparation and post-processing", spec.ansatz_iterations * spec.classical_prep_time),
+            ("quantum execution", spec.ansatz_iterations * (total * shot)),
+        ),
+    )
+    power = energy.power_draw(qpu)
+    estimate = energy.EnergyEstimate(
+        power_draw=power, job_energy=energy.job_energy(power, timing.total_time), breakdown=energy.power_breakdown(qpu)
+    )
+    record = build_estimate_record(qpu, spec)
+    assert record == ResourceRecord(plan=plan, runtime=timing, energy=estimate)
+    assert [type(made) for made in (record, *record)] == [ResourceRecord, *map(type, (plan, timing, estimate))]
+
+    verdict = fit_verdict(qpu, shape)
+    if shape.breadth > qpu.qubit_count:
+        assert verdict is None
+    else:
+        required = feasibility.required_error_rate(shape)
+        available = qpu.two_qubit_error_median
+        assert type(verdict) is FeasibilityVerdict
+        assert verdict == FeasibilityVerdict(
+            required_error_rate=required,
+            available_error_rate=available,
+            success_probability=feasibility.success_probability(available, shape),
+            verdict=feasibility.rate_verdict(required, available),
+            optimistic=qpu.two_qubit_error_stddev is None,
+        )
+
+
+def test_an_advantage_report_equals_its_keyword_built_record():
+    quantum = quantum_profile(10.0, qubits=60, energy_j=1.0, cost=5.0)
+    classical = SolutionProfile(100.0, energy_j=10.0, cost=5.0, quality=1.0, memory_bytes=2**41)
+    report = classify(quantum, classical)
+    assert type(report) is AdvantageReport
+    assert report == AdvantageReport(
+        space=Outcome.ADVANTAGE,
+        speed=Outcome.ADVANTAGE,
+        quality=Outcome.NOT_EVALUATED,
+        energetic=Outcome.ADVANTAGE,
+        cost=Outcome.PARITY,
+        notes=(
+            "space and energetic advantage together: the reference classical machine cannot hold the full "
+            "state, so the energy win may extend to any classical configuration of this class",
+        ),
+    )
+    swapped = classify(classical, quantum)
+    assert type(swapped) is AdvantageReport and swapped == AdvantageReport(
+        Outcome.DISADVANTAGE, Outcome.DISADVANTAGE, Outcome.NOT_EVALUATED, Outcome.DISADVANTAGE, Outcome.PARITY
+    )
+    # a fast-built record is a plain named tuple: ``_replace`` gives the same type
+    assert type(report._replace(cost=Outcome.ADVANTAGE)) is AdvantageReport
+
+
+class _Count(int):
+    """An int subclass other than bool, as a parser of another library might return."""
+
+
+@pytest.mark.parametrize("bad", [True, False, 0, -1, 2.0, "3", None])
+def test_circuit_shape_rejects_anything_but_a_positive_int_with_its_message(bad):
+    with pytest.raises(ValueError, match=f"^breadth must be a positive integer, got {re.escape(repr(bad))}$"):
+        CircuitShape(bad, 3)
+    with pytest.raises(ValueError, match=f"^depth must be a positive integer, got {re.escape(repr(bad))}$"):
+        CircuitShape(3, bad)
+    with pytest.raises(ValueError, match=f"^depth must be a positive integer, got {re.escape(repr(bad))}$"):
+        make_spec().shape._replace(depth=bad)
+
+
+def test_circuit_shape_accepts_an_int_subclass_other_than_bool():
+    shape = CircuitShape(_Count(3), _Count(4))
+    assert type(shape) is CircuitShape and shape == CircuitShape(3, 4) and shape.volume == 12
+    assert CircuitShape(3, 4)._replace(depth=_Count(5)) == (3, 5)
+    assert make_spec(family=AlgorithmFamily.GENERIC, data_qubits=2**70).shape == (2**70, 72)
