@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 
 from .feasibility import statevector_memory
-from .fields import Checker, decode, keys_of
+from .fields import Record, decode
 
 DEFAULT_PARITY_BAND = 0.05
 
@@ -78,7 +78,7 @@ class SolutionProfile(_SolutionProfileFields):
         return cls(*iterable)
 
 
-_PROFILE_KEYS = keys_of(SolutionProfile) | {"classical_ref"}
+_PROFILE_KEYS = frozenset(SolutionProfile._fields) | {"classical_ref"}
 
 
 def parse_classical_profile(document: str, catalog: Catalog, *, strict: bool = True) -> tuple[SolutionProfile, list[str]]:
@@ -92,8 +92,7 @@ def parse_classical_profile(document: str, catalog: Catalog, *, strict: bool = T
     :class:`~nisq_gonogo.fields.InputWarning`.  Raises ``ValueError``.
     """
     raw = decode(document, "classical profile", ValueError)
-    checker = Checker(ValueError, strict)
-    fields = checker.record(raw, "classical profile", _PROFILE_KEYS)
+    fields = Record(raw, "classical profile", _PROFILE_KEYS, ValueError, strict)
     runtime_s = fields.number("runtime_s", gt=0)
     ref_id = fields.text("classical_ref", None)
     ref = None if ref_id is None else catalog.get_classical_ref(ref_id)

@@ -45,7 +45,7 @@ import re
 from collections import namedtuple
 
 from .feasibility import EmulationTier
-from .fields import Checker, decode, json_of, keys_of
+from .fields import Record, decode, json_of
 
 SCHEMA_VERSION = 1
 
@@ -167,14 +167,14 @@ def _lookup(entries, entry_id: str, kind: str):
     raise CatalogError(f"unknown {kind} id {entry_id!r} (catalog has: {known})")
 
 
-_POWER_COMPONENT_KEYS = keys_of(PowerComponent)
-_QPU_KEYS = keys_of(QpuSpec)
-_CLASSICAL_REF_KEYS = keys_of(ClassicalRefSpec)
+_POWER_COMPONENT_KEYS = frozenset(PowerComponent._fields)
+_QPU_KEYS = frozenset(QpuSpec._fields)
+_CLASSICAL_REF_KEYS = frozenset(ClassicalRefSpec._fields)
 _CATALOG_KEYS = frozenset({"schema_version", "qpus", "classical_refs"})
 
 
-def _parse_power_component(raw: object, record: str, checker: Checker) -> PowerComponent:
-    fields = checker.record(raw, record, _POWER_COMPONENT_KEYS)
+def _parse_power_component(raw: object, record: str, strict: bool) -> PowerComponent:
+    fields = Record(raw, record, _POWER_COMPONENT_KEYS, CatalogValidationError, strict)
     count = fields.integer("count", None, minimum=0)
     return PowerComponent(
         label=fields.text("label"),
@@ -184,10 +184,10 @@ def _parse_power_component(raw: object, record: str, checker: Checker) -> PowerC
     )
 
 
-def _parse_qpu(raw: object, checker: Checker) -> QpuSpec:
+def _parse_qpu(raw: object, strict: bool) -> QpuSpec:
     preliminary = raw.get("id", "<missing id>") if isinstance(raw, dict) else "<qpu>"
     record = f"qpu '{preliminary}'"
-    fields = checker.record(raw, record, _QPU_KEYS)
+    fields = Record(raw, record, _QPU_KEYS, CatalogValidationError, strict)
 
     qpu_id = fields.text("id", nonempty=True)
     modality = fields.choice("modality", Modality)
@@ -206,7 +206,7 @@ def _parse_qpu(raw: object, checker: Checker) -> QpuSpec:
         )
 
     components = tuple(
-        _parse_power_component(item, f"{record} power component #{i}", checker)
+        _parse_power_component(item, f"{record} power component #{i}", strict)
         for i, item in enumerate(fields.items("power_components", None) or ())
     )
 
@@ -226,9 +226,9 @@ def _parse_qpu(raw: object, checker: Checker) -> QpuSpec:
     )
 
 
-def _parse_classical_ref(raw: object, checker: Checker) -> ClassicalRefSpec:
+def _parse_classical_ref(raw: object, strict: bool) -> ClassicalRefSpec:
     preliminary = raw.get("id", "<missing id>") if isinstance(raw, dict) else "<classical ref>"
-    fields = checker.record(raw, f"classical ref '{preliminary}'", _CLASSICAL_REF_KEYS)
+    fields = Record(raw, f"classical ref '{preliminary}'", _CLASSICAL_REF_KEYS, CatalogValidationError, strict)
     ref_id = fields.text("id", nonempty=True)
     description = fields.text("description")
     power = fields.number("power_draw", gt=0)
@@ -249,13 +249,12 @@ def parse_catalog(document: str, *, strict: bool = True) -> Catalog:
     offending record and field.
     """
     raw = decode(document, "catalog", CatalogSyntaxError)
-    checker = Checker(CatalogValidationError, strict)
-    fields = checker.record(raw, "catalog", _CATALOG_KEYS)
+    fields = Record(raw, "catalog", _CATALOG_KEYS, CatalogValidationError, strict)
     version = fields.integer("schema_version")
     if version != SCHEMA_VERSION:
         raise CatalogValidationError(f"catalog: unsupported schema_version {version} (expected {SCHEMA_VERSION})")
-    qpus = tuple(_parse_qpu(item, checker) for item in fields.items("qpus"))
-    refs = tuple(_parse_classical_ref(item, checker) for item in fields.items("classical_refs", None) or ())
+    qpus = tuple(_parse_qpu(item, strict) for item in fields.items("qpus"))
+    refs = tuple(_parse_classical_ref(item, strict) for item in fields.items("classical_refs", None) or ())
     return Catalog(qpus, refs)
 
 

@@ -54,7 +54,6 @@ EXIT_ERROR = 1
 EXIT_NO_GO = 2
 
 _CAPACITY_LABEL = "no-go (capacity)"
-_VERDICT_TEXT = {verdict: verdict.value for verdict in feas.Verdict}
 
 ResourceRecord = namedtuple("ResourceRecord", ("plan", "runtime", "energy"))
 ResourceRecord.__doc__ = """The estimate of one workload on one qpu.
@@ -150,7 +149,7 @@ def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
         if v is not last:
             last = v
             required, available, success, verdict, _ = v
-            verdict = _VERDICT_TEXT[verdict]
+            verdict = verdict._value_
             is_go = verdict == "go"
             numbers = f"{number_text[required]} | {available_text[available]} | {number_text[success]}"
         go += is_go
@@ -182,7 +181,7 @@ def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
         if v is not last:
             last = v
             required, available, success, verdict, optimistic = v
-            verdict = _VERDICT_TEXT[verdict]
+            verdict = verdict._value_
             numbers = (
                 f"{number_text[required]},{number_text[available]},"
                 f"{number_text[success]},{'true' if optimistic else 'false'}"
@@ -245,7 +244,7 @@ def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.
         feasibility = f"no-go ({feas.capacity_message(spec.data_qubits, qpu)})"
     else:
         required, _, _, verdict, _ = fit
-        feasibility = f"{_VERDICT_TEXT[verdict]} (required error rate {sci(required)}, available {available})"
+        feasibility = f"{verdict._value_} (required error rate {sci(required)}, available {available})"
     total_shots = _count_text(plan.total_shots, "shots")
     if type(plan.total_shots) is int and as_float(plan.total_shots) < math.inf:  # an int count also reads in sci
         total_shots += f" ({sci(plan.total_shots)})"
@@ -452,8 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(message: object) -> str:
+    """The text of ``message`` with each CR and LF (an id may hold them) escaped, so that it prints as one line."""
+    return str(message).replace("\r", "\\r").replace("\n", "\\n")
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    sys.stderr.write(f"warning: {message}\n")
+    sys.stderr.write(f"warning: {_one_line(message)}\n")
 
 
 def _run(argv: list[str] | None) -> int:
@@ -472,7 +476,7 @@ def _run(argv: list[str] | None) -> int:
             try:
                 return args.func(args, load_catalog(args.catalog, strict=args.strict))
             except (ValueError, OSError) as exc:
-                sys.stderr.write(f"error: {exc}\n")
+                sys.stderr.write(f"error: {_one_line(exc)}\n")
                 return EXIT_ERROR
     finally:
         if enabled:

@@ -12,6 +12,7 @@ from collections import namedtuple
 
 from .catalog import QpuSpec
 from .runtime import RuntimeEstimate
+from .units import as_float
 
 
 EnergyEstimate = namedtuple("EnergyEstimate", ("power_draw", "job_energy", "breakdown"))
@@ -26,16 +27,17 @@ Fields: ``power_draw`` (float, watts); ``job_energy`` (float, joules);
 def power_breakdown(qpu: QpuSpec) -> tuple[tuple[str, float], ...]:
     """Per-component steady-state draw in watts.
 
-    A per-qubit component's effective count is the QPU's qubit count.  The
-    result depends on the QPU alone, so it is computed once per distinct
-    (immutable) QPU value and shared.  :func:`power_draw` and
+    A per-qubit component's effective count is the QPU's qubit count; a count
+    beyond float range reads as ``inf``, and a zero-watt unit draws 0 W at any
+    count.  The result depends on the QPU alone, so it is computed once per
+    distinct (immutable) QPU value and shared.  :func:`power_draw` and
     :func:`estimate_energy` read it, with its total, from a second cache per
     QPU value, so they call this function only when that cache misses.
     """
     rows = []
-    for component in qpu.power_components:
-        count = qpu.qubit_count if component.per_qubit else component.count
-        rows.append((component.label, component.unit_power_w * count))
+    for label, watts, count, per_qubit in qpu.power_components:
+        count = qpu.qubit_count if per_qubit else count
+        rows.append((label, watts * as_float(count) if watts else watts))
     return tuple(rows)
 
 

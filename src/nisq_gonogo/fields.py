@@ -1,25 +1,15 @@
 """Field checks shared by the catalog, workload and classical-profile parsers.
 
-A :class:`Checker` holds what one document's parse has in common: the error
-type it raises and strict or lenient mode.  Its :meth:`Checker.record` wraps
-one JSON object, rejecting (strict) or warning of (lenient, an
-:class:`InputWarning`) keys outside the declared set; the :class:`Record`
-getters then read one field each, checking presence, type, finiteness,
-bounds and enum choices.  Every message names the record and the field.
+A :class:`Record` wraps one JSON object of a document.  Made, it rejects
+(strict mode) or warns of (lenient mode, an :class:`InputWarning`) keys
+outside the declared set; its getters then read one field each, checking
+presence, type, finiteness, bounds and enum choices, and raise the parse's
+error type with a message that names the record and the field.
 
 An absent field takes the getter's ``default``; with no default it is
 required.  A field whose default is ``None`` also accepts an explicit JSON
-``null``; elsewhere ``null`` fails the type check.
-
-Each getter first tries a fast test on the exact JSON type: an ASCII
-``str``, a finite ``float``, an ``int`` at or above the minimum, a ``bool``,
-or a ``str`` found in the enum's value map.  The fast test accepts only values
-that the full check accepts, and gives what the full check would give;
-every other value (absent, ``null``, a wrong type, an int in a float field,
-an int below the minimum) goes on to the full check, which raises its own
-message.  A number's bounds are checked after either path.
-
-:func:`json_of` writes a record back in the layout whose keys :func:`keys_of` gives.
+``null``; elsewhere ``null`` fails the type check.  Each getter tests the
+exact JSON type of the value first; any other value is the default or fails.
 """
 
 from __future__ import annotations
@@ -47,69 +37,52 @@ class InputWarning(UserWarning):
     """An input field that lenient mode ignores; strict mode raises it as an error."""
 
 
-class Checker:
-    """Error type and strictness of one document's parse."""
+class Record:
+    """One JSON object ``raw`` of a document, called ``name`` in the ``error`` messages it raises.
 
-    __slots__ = ("error", "strict")
+    A key outside ``keys`` raises (``strict``) or warns; each getter then reads
+    and checks one field.  ``prefix`` names the fields of a nested object."""
 
-    def __init__(self, error: type[ValueError], strict: bool):
-        self.error = error
-        self.strict = strict
+    __slots__ = ("raw", "name", "error", "strict", "prefix")
 
-    def record(self, raw: object, name: str, keys: frozenset[str], prefix: str = "") -> Record:
-        """Wrap the JSON object ``raw`` and handle its keys outside ``keys``."""
+    def __init__(self, raw: object, name: str, keys: frozenset[str], error: type[ValueError], strict: bool, prefix=""):
         if not isinstance(raw, dict):
-            raise self.error(f"{name}: expected a JSON object, got {type(raw).__name__}")
+            raise error(f"{name}: expected a JSON object, got {type(raw).__name__}")
         if not keys.issuperset(raw):
             for key in sorted(raw.keys() - keys):
-                if self.strict:
-                    raise self.error(f"{name}: unknown field '{prefix}{key}'")
+                if strict:
+                    raise error(f"{name}: unknown field '{prefix}{key}'")
                 warnings.warn(f"{name}: ignoring unknown field '{prefix}{key}'", InputWarning, stacklevel=2)
-        return Record(self, raw, name, prefix)
-
-
-class Record:
-    """One JSON object of a document; each getter reads and checks one field."""
-
-    __slots__ = ("checker", "raw", "name", "prefix")
-
-    def __init__(self, checker: Checker, raw: dict, name: str, prefix: str):
-        self.checker = checker
         self.raw = raw
         self.name = name
+        self.error = error
+        self.strict = strict
         self.prefix = prefix
 
     def fail(self, key: str, message: str) -> NoReturn:
-        raise self.checker.error(f"{self.name}: field '{self.prefix}{key}' {message}")
+        raise self.error(f"{self.name}: field '{self.prefix}{key}' {message}")
 
     def _default(self, key: str, default: object) -> object:
         """The value of an absent field: its default, unless the field is required."""
         if default is REQUIRED:
-            raise self.checker.error(f"{self.name}: missing required field '{self.prefix}{key}'")
+            raise self.error(f"{self.name}: missing required field '{self.prefix}{key}'")
         return default
-
-    def _finite(self, key: str, value: int | float) -> float:
-        result = as_float(value)
-        if not math.isfinite(result):
-            self.fail(key, f"must be finite, got {value!r}")
-        return result
 
     def text(self, key: str, default: object = REQUIRED, *, nonempty: bool = False):
         """A string that UTF-8 can encode: a JSON ``\\ud800`` escape gives a lone surrogate, which it cannot."""
         value = self.raw.get(key, default)
-        if type(value) is str and (value or not nonempty) and value.isascii():
+        if type(value) is str:
+            if nonempty and not value:
+                self.fail(key, "must be non-empty")
+            if not value.isascii():
+                try:
+                    value.encode()
+                except UnicodeEncodeError:
+                    self.fail(key, f"must not hold a lone surrogate, got {value!r}")
             return value
         if value is default:
             return self._default(key, default)
-        if not isinstance(value, str):
-            self.fail(key, f"must be a string, got {value!r}")
-        if nonempty and not value:
-            self.fail(key, "must be non-empty")
-        try:
-            value.encode()
-        except UnicodeEncodeError:
-            self.fail(key, f"must not hold a lone surrogate, got {value!r}")
-        return value
+        self.fail(key, f"must be a string, got {value!r}")
 
     def number(self, key: str, default: object = REQUIRED, *, gt=None, ge=None, lt=None, le=None):
         """A finite number as a float.
@@ -117,13 +90,17 @@ class Record:
         Bounds are open (``gt``, ``lt``) or closed (``ge``, ``le``); an upper
         bound comes with a lower one.  A float ``default`` must lie within them.
         """
-        result = self.raw.get(key, default)
-        if type(result) is not float or not math.isfinite(result):
-            if result is default:
-                return self._default(key, default)
-            if isinstance(result, bool) or not isinstance(result, (int, float)):
-                self.fail(key, f"must be a number, got {result!r}")
-            result = self._finite(key, result)
+        value = self.raw.get(key, default)
+        if type(value) is float:
+            result = value
+        elif type(value) is int:
+            result = as_float(value)
+        elif value is default:
+            return self._default(key, default)
+        else:
+            self.fail(key, f"must be a number, got {value!r}")
+        if not math.isfinite(result):
+            self.fail(key, f"must be finite, got {value!r}")
         if (
             (gt is not None and not result > gt)
             or (ge is not None and not result >= ge)
@@ -137,13 +114,17 @@ class Record:
         """An int at or above ``minimum``; with ``floats``, a quantity a float must hold: an
         integral finite float reads as its int, and an int beyond float range fails as not finite."""
         value = self.raw.get(key, default)
-        if type(value) is int and (minimum is None or value >= minimum) and not floats:
-            return value
-        if value is default:
+        if type(value) is int or floats and type(value) is float:
+            if floats:  # an int beyond float range is not finite; a finite int is integral
+                number = as_float(value)
+                if not math.isfinite(number):
+                    self.fail(key, f"must be finite, got {value!r}")
+                if not number.is_integer():
+                    self.fail(key, f"must be an integer, got {value!r}")
+                value = int(value)
+        elif value is default:
             return self._default(key, default)
-        if floats and type(value) in (int, float) and self._finite(key, value).is_integer():
-            value = int(value)
-        if isinstance(value, bool) or not isinstance(value, int):
+        else:
             self.fail(key, f"must be an integer, got {value!r}")
         if minimum is not None and value < minimum:
             self.fail(key, f"must be >= {minimum}, got {value}")
@@ -164,32 +145,24 @@ class Record:
             member = kind._value2member_map_.get(value)
             if member is not None:
                 return member
-        if value is default:
+        elif value is default:
             return self._default(key, default)
-        try:
-            return kind(value)
-        except ValueError:
-            self.fail(key, f"must be one of {[m.value for m in kind]}, got {value!r}")
+        self.fail(key, f"must be one of {[m.value for m in kind]}, got {value!r}")
 
     def items(self, key: str, default: object = REQUIRED):
         value = self.raw.get(key, default)
+        if type(value) is list:
+            return value
         if value is default:
             return self._default(key, default)
-        if not isinstance(value, list):
-            self.fail(key, "must be a list")
-        return value
+        self.fail(key, "must be a list")
 
     def record(self, key: str, keys: frozenset[str]) -> Record:
         """The optional nested object ``key``; an absent one reads as ``{}``."""
         value = self.raw.get(key, {})
         if not isinstance(value, dict):
             self.fail(key, f"must be an object, got {value!r}")
-        return self.checker.record(value, self.name, keys, prefix=f"{self.prefix}{key}.")
-
-
-def keys_of(cls: type) -> frozenset[str]:
-    """The keys of a JSON object whose fields are those of the named-tuple record ``cls``."""
-    return frozenset(cls._fields)
+        return Record(value, self.name, keys, self.error, self.strict, f"{self.prefix}{key}.")
 
 
 def json_of(record: tuple) -> dict:

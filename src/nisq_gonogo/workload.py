@@ -25,7 +25,7 @@ import math
 from collections import namedtuple
 
 from .feasibility import CircuitShape, _snap_to_int, check_error_rate
-from .fields import Checker, decode, keys_of
+from .fields import Record, decode
 from .units import as_float
 
 #: Quartic-scaling coefficient for ungrouped VQE measurement bases,
@@ -199,12 +199,12 @@ def shot_plan(spec: WorkloadSpec, error_rate: float, *, qaoa_aggregate: bool = F
     return tuple.__new__(ShotPlan, (strings, per_string, multiplier, total, model))
 
 
-_WORKLOAD_KEYS = keys_of(WorkloadSpec)
-_MITIGATION_KEYS = keys_of(MitigationSpec)
+_WORKLOAD_KEYS = frozenset(WorkloadSpec._fields)
+_MITIGATION_KEYS = frozenset(MitigationSpec._fields)
 
 
-def _parse_one(raw: object, index: int, checker: Checker) -> WorkloadSpec:
-    fields = checker.record(raw, f"workload #{index}", _WORKLOAD_KEYS)
+def _parse_one(raw: object, index: int, strict: bool) -> WorkloadSpec:
+    fields = Record(raw, f"workload #{index}", _WORKLOAD_KEYS, WorkloadError, strict)
     family = fields.choice("family", AlgorithmFamily)
     data_qubits = fields.integer("data_qubits", minimum=1)
     depth = fields.integer("depth", minimum=1)
@@ -247,5 +247,4 @@ def parse_workloads(document: str, *, strict: bool = True) -> tuple[WorkloadSpec
         raise WorkloadError(f"workload document must be an object or a list, got {type(raw).__name__}")
     if not items:
         raise WorkloadError("no workloads: the workload document is an empty list")
-    checker = Checker(WorkloadError, strict)
-    return tuple([_parse_one(item, i, checker) for i, item in enumerate(items)])
+    return tuple([_parse_one(item, i, strict) for i, item in enumerate(items)])

@@ -87,6 +87,17 @@ CASES = [
     ("catalog-lenient", ["catalog", "--catalog", "lenient-catalog.json"], {}),
     ("scatter", ["scatter", "--out", "landscape.svg"], {}),
     ("scatter-edge", ["scatter", "--out", "edge", "--catalog", "edge-catalog.json"], {}),
+    # a power draw beyond float range, from a per-qubit component on a huge register or a huge
+    # count, prints as inf; a zero-watt unit draws 0 W whatever its count
+    ("catalog-huge-power", ["catalog", "--catalog", "huge-power-catalog.json"], {}),
+    ("estimate-huge-per-qubit-power", ["estimate", "--workload", "q29.json", "--qpu", "huge-per-qubit",
+                                       "--catalog", "huge-power-catalog.json"], {}),
+    ("estimate-huge-count-power", ["estimate", "--workload", "q29.json", "--qpu", "huge-count",
+                                   "--catalog", "huge-power-catalog.json"], {}),
+    ("compare-huge-count-power", ["compare", "--workload", "q29.json", "--qpu", "huge-count",
+                                  "--classical", "classical-plain.json", "--catalog", "huge-power-catalog.json"], {}),
+    ("compare-zero-watts", ["compare", "--workload", "q29.json", "--qpu", "zero-watts",
+                            "--classical", "classical-plain.json", "--catalog", "huge-power-catalog.json"], {}),
     # input errors: one `error:` line, exit 1
     ("error-strict-workload", ["feasibility", "--workload", "lenient.json", "--strict"], {}),
     ("error-strict-catalog", ["catalog", "--catalog", "lenient-catalog.json", "--strict"], {}),

@@ -1109,6 +1109,20 @@ _PROFILE = _documents(
 _PROFILE_DOCUMENTS = st.one_of(_PROFILE, _NOT_OBJECTS)
 
 
+def _assert_total(argv):
+    """``main(argv)`` gives an exit code; stderr holds warning lines, then at most one error line, and an error prints no report."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_NO_GO), argv
+    lines = err.getvalue().split("\n")
+    assert lines.pop() == "", argv  # every line ends in a newline
+    if code == EXIT_ERROR:
+        assert out.getvalue() == "" and lines[-1].startswith("error: "), argv
+        lines.pop()
+    assert all(line.startswith("warning: ") for line in lines), argv
+
+
 @settings(max_examples=100, deadline=None)
 @given(workload=_WORKLOAD_DOCUMENTS, profile=_PROFILE_DOCUMENTS, strict=st.booleans())
 def test_every_input_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, workload, profile, strict):
@@ -1122,16 +1136,86 @@ def test_every_input_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_fa
         ["estimate", *inputs, "--qpu", "ibm-heron"],
         ["compare", *inputs, "--qpu", "ibm-heron", "--classical", str(work / "p.json")],
     ):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (EXIT_OK, EXIT_ERROR, EXIT_NO_GO), argv
-        lines = err.getvalue().split("\n")
-        assert lines.pop() == "", argv  # every line ends in a newline
-        if code == EXIT_ERROR:
-            assert out.getvalue() == "" and lines[-1].startswith("error: "), argv
-            lines.pop()
-        assert all(line.startswith("warning: ") for line in lines), argv
+        _assert_total(argv)
+
+
+# The same over catalog JSON: counts and qubit counts up to 10^400 (a power
+# draw beyond float range), zero and negative-zero unit powers, and ids that
+# CSV, JSON or UTF-8 treat specially, with the odd fields above.  An id holding
+# a line break is named in messages, which still print as one line each.
+_WATTS = st.sampled_from([0.0, -0.0, 2.5, 1e4, 1e300])
+_COMPONENT = st.fixed_dictionaries(
+    {"label": st.one_of(st.just("c"), _TEXTS), "unit_power_w": _WATTS},
+    optional={"count": st.one_of(st.integers(min_value=0, max_value=9), st.just(10**400)), "per_qubit": st.booleans()},
+)
+_QPU = _documents(
+    {
+        "id": st.one_of(st.just("q"), _TEXTS),
+        "modality": st.sampled_from(["superconducting", "trapped-ion"]),
+        "qubit_count": st.one_of(st.integers(min_value=1, max_value=200), st.just(10**400)),
+        "two_qubit_error_median": st.floats(min_value=1e-6, max_value=0.5),
+        "two_qubit_gate_time": st.floats(min_value=1e-9, max_value=1e-3),
+        "readout_time": st.floats(min_value=0.0, max_value=1e-3),
+        "reset_time": st.floats(min_value=0.0, max_value=1e-3),
+        "connectivity": st.sampled_from(["all-to-all", "cluster-3"]),
+        "status": st.sampled_from(["available", "projected"]),
+        "source_note": st.one_of(st.just("n"), _TEXTS),
+        "power_components": st.lists(_COMPONENT, min_size=1, max_size=3),
+    },
+    {"two_qubit_error_stddev": st.floats(min_value=0.0, max_value=0.1), "colour": _TEXTS},
+)
+_REF = _documents(
+    {
+        "id": st.one_of(st.just("r"), _TEXTS),
+        "description": _TEXTS,
+        "power_draw": st.floats(min_value=1e-3, max_value=1e300),
+        "memory_capacity": st.one_of(st.integers(min_value=1, max_value=2**80), st.just(10**400)),
+    },
+    {"tier_hint": st.sampled_from(["hpc", "laptop", "nope"])},
+)
+_CATALOG_DOCUMENTS = st.one_of(
+    st.fixed_dictionaries(
+        {"schema_version": st.just(1), "qpus": st.lists(_QPU, min_size=1, max_size=2)},
+        optional={"classical_refs": st.lists(_REF, max_size=2)},
+    ),
+    st.sampled_from([None, [], "", 10**400]),  # one branch, so that most documents are catalogs
+)
+
+
+def _huge_catalog(qubit_count, component, **odd):
+    """A catalog of one qpu ``q`` whose one power component is ``component``, with ``odd`` fields."""
+    qpu = {
+        "id": "q", "modality": "superconducting", "qubit_count": qubit_count, "two_qubit_error_median": 0.01,
+        "two_qubit_gate_time": 1e-7, "readout_time": 0.0, "reset_time": 0.0, "connectivity": "all-to-all",
+        "status": "available", "source_note": "n", "power_components": [{"label": "c", **component}], **odd,
+    }
+    return {"schema_version": 1, "qpus": [qpu]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalog=_CATALOG_DOCUMENTS, data_qubits=st.sampled_from([2, 29, 10**400]), strict=st.booleans())
+@example(catalog=_huge_catalog(10**400, {"unit_power_w": 2.5, "per_qubit": True}), data_qubits=29, strict=True)
+@example(catalog=_huge_catalog(50, {"unit_power_w": 0.0, "count": 10**400}), data_qubits=2, strict=True)
+@example(catalog=_huge_catalog(50, {"unit_power_w": -0.0, "count": 10**400}, id="two\r\nlines", x=1), data_qubits=2, strict=False)
+def test_every_catalog_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, catalog, data_qubits, strict):
+    work = tmp_path_factory.mktemp("catalog-totality")
+    workload = {"family": "generic", "data_qubits": data_qubits, "depth": 3, "target_epsilon": 0.01, "ansatz_iterations": 1}
+    (work / "c.json").write_text(json.dumps(catalog), encoding="utf-8")
+    (work / "w.json").write_text(json.dumps(workload), encoding="utf-8")
+    (work / "p.json").write_text(json.dumps({"runtime_s": 10.0, "energy_j": 1e6, "classical_ref": "r"}), encoding="utf-8")
+    qpu_id = catalog["qpus"][0]["id"] if isinstance(catalog, dict) else None
+    qpu = ["--qpu", qpu_id if isinstance(qpu_id, str) else "q"]
+    inputs = ["--catalog", str(work / "c.json"), *(["--strict"] if strict else [])]
+    workload_inputs = [*inputs, "--workload", str(work / "w.json")]
+    for argv in (
+        ["catalog", *inputs],
+        ["feasibility", *workload_inputs],
+        ["feasibility", *workload_inputs, "--format", "csv"],
+        ["estimate", *workload_inputs, *qpu],
+        ["compare", *workload_inputs, *qpu, "--classical", str(work / "p.json")],
+        ["scatter", *inputs, "--out", str(work / "landscape.svg")],
+    ):
+        _assert_total(argv)
 
 
 @contextlib.contextmanager

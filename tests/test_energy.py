@@ -36,6 +36,28 @@ class TestPowerDraw:
         )
         assert power_draw(whole) == power_draw(split)
 
+    def test_a_count_beyond_float_range_draws_unbounded_power(self):
+        huge = 10**400
+        qpu = qpu_with(
+            qubit_count=huge,
+            power_components=(
+                PowerComponent("per qubit", 2.5, per_qubit=True),
+                PowerComponent("amplifiers", 1.0, count=huge),
+                PowerComponent("idle", 0.0, count=huge),
+                PowerComponent("idle per qubit", -0.0, per_qubit=True),
+                PowerComponent("fridge", 25_000.0, count=3),
+            ),
+        )
+        rows = power_breakdown(qpu)
+        assert [watts for _, watts in rows] == [math.inf, math.inf, 0.0, 0.0, 75_000.0]
+        assert math.copysign(1.0, rows[2][1]) == 1.0 and math.copysign(1.0, rows[3][1]) == -1.0
+        assert power_draw(qpu) == math.inf
+        spec = make_spec()
+        energy = estimate_energy(qpu, estimate_runtime(qpu, spec, shot_plan(spec, qpu.two_qubit_error_median)))
+        assert (energy.power_draw, energy.job_energy) == (math.inf, math.inf)
+        idle = qpu_with(qubit_count=huge, power_components=(PowerComponent("idle", 0.0, per_qubit=True),))
+        assert power_breakdown(idle) == (("idle", 0.0),) and power_draw(idle) == 0.0
+
     def test_breakdown_labels_preserved(self):
         flamingo = bundled_catalog().get_qpu("ibm-flamingo")
         rows = dict(power_breakdown(flamingo))

@@ -1,15 +1,18 @@
-"""The exact message of every workload field check, and the order of lenient-mode warnings.
+"""The exact message of every workload, catalog and classical-profile field
+check, and the order of lenient-mode warnings.
 
-Each field of a valid workload is replaced in turn by each bad JSON value
-below; the table gives the one ``WorkloadError`` text expected, or ``None``
-where the value is accepted.  The text is part of the command line's
-contract (``error: ...``), so a faster parse must keep every word of it.
+Each field of a valid document is replaced in turn by each bad JSON value
+below; the table gives the one error text expected, or ``None`` where the
+value is accepted.  The text is part of the command line's contract
+(``error: ...``), so a faster or shorter parse must keep every word of it.
 """
 
 import json
 
 import pytest
 
+from nisq_gonogo.advantage import parse_classical_profile
+from nisq_gonogo.catalog import CatalogError, parse_catalog
 from nisq_gonogo.fields import InputWarning
 from nisq_gonogo.workload import WorkloadError, parse_workloads
 
@@ -79,10 +82,14 @@ def _table(type_message, *, accepts=(), special=None):
     return table
 
 
-def _integer():
-    """An int >= 1: data_qubits, depth, qaoa_layers (qaoa family), ansatz_iterations."""
-    below = {"zero": "must be >= 1, got 0", "negative": "must be >= 1, got -1"}
-    return _table("must be an integer", accepts=("huge",), special=below)
+def _integer(minimum=1, *, optional=False, floats=False):
+    """An int >= ``minimum``; with ``floats``, a quantity a float must hold, so an int beyond float range is not finite."""
+    table = _table("must be an integer", accepts=("huge",) + (("null",) if optional else ()))
+    for label in ("zero", "negative"):
+        table[label] = None if int(GOT[label]) >= minimum else f"must be >= {minimum}, got {GOT[label]}"
+    if floats:
+        table.update({label: f"must be finite, got {GOT[label]}" for label in ("nan", "inf", "-inf", "huge")})
+    return table
 
 
 def _number(bounds, *, accepts=()):
@@ -96,16 +103,27 @@ def _choice(values):
     return _table(f"must be one of {values}")
 
 
+_STRINGS = ("string", "empty-string", "unknown-enum")
+
+
+def _text(*, nonempty=False, optional=False, strings=None):
+    """A string field; ``strings`` maps the labels of the three plain strings to their messages (default: accepted)."""
+    special = {"surrogate": "must not hold a lone surrogate, got 'bad\\ud800'", **(strings or dict.fromkeys(_STRINGS))}
+    if nonempty:
+        special["empty-string"] = "must be non-empty"
+    if optional:
+        special["null"] = None
+    return _table("must be a string", special=special)
+
+
+def _one_of(message):
+    """``message, got <value>`` for each plain string: a string field with a closed set of values."""
+    return {label: f"{message}, got {GOT[label]}" for label in _STRINGS}
+
+
 EXPECTED = {
     # the optional non-empty id: null reads as absent
-    "id": _table(
-        "must be a string",
-        accepts=("null", "string", "unknown-enum"),
-        special={
-            "empty-string": "must be non-empty",
-            "surrogate": "must not hold a lone surrogate, got 'bad\\ud800'",
-        },
-    ),
+    "id": _text(nonempty=True, optional=True),
     "family": _choice(["vqe", "qaoa", "generic"]),
     "data_qubits": _integer(),
     "depth": _integer(),
@@ -121,16 +139,20 @@ EXPECTED = {
 }
 
 
-def _document(field, value_text):
-    """The valid workload with ``field`` (``outer.inner`` for a nested one) set to the JSON ``value_text``."""
+def _document(field, value_text, valid=VALID):
+    """The JSON text of ``valid`` with ``field`` set to the JSON ``value_text``.
+
+    ``outer.inner`` names a field of a nested object, and ``outer[].inner`` one
+    of the first object in a list.
+    """
     marker = "@@VALUE@@"
-    record = json.loads(json.dumps(VALID))
-    outer, _, inner = field.partition(".")
-    if inner:
-        record[outer][inner] = marker
-    else:
-        record[outer] = marker
-    return json.dumps(record).replace(json.dumps(marker), value_text)
+    document = json.loads(json.dumps(valid))
+    *path, name = field.split(".")
+    record = document
+    for part in path:
+        record = record[part[:-2]][0] if part.endswith("[]") else record[part]
+    record[name] = marker
+    return json.dumps(document).replace(json.dumps(marker), value_text)
 
 
 CASES = [(field, label) for field in EXPECTED for label in BAD_VALUES]
@@ -203,3 +225,170 @@ def test_lenient_warnings_keep_their_order():
         "workload #0: ignoring unknown field 'mitigation.omega'",
         "workload #1: ignoring unknown field 'gamma'",
     )
+
+
+VALID_QPU = {
+    "id": "q",
+    "modality": "superconducting",
+    "qubit_count": 72,
+    "two_qubit_error_median": 0.006,
+    "two_qubit_error_stddev": 0.002,
+    "two_qubit_gate_time": 1e-7,
+    "readout_time": 1e-6,
+    "reset_time": 1e-6,
+    "connectivity": "grid-4",
+    "power_components": [{"label": "fridge", "unit_power_w": 10.0, "count": 2, "per_qubit": False}],
+    "status": "available",
+    "source_note": "n",
+}
+VALID_REF = {"id": "r", "description": "d", "power_draw": 100.0, "memory_capacity": 1024, "tier_hint": "hpc"}
+VALID_CATALOG = {"schema_version": 1, "qpus": [VALID_QPU], "classical_refs": [VALID_REF]}
+VALID_PROFILE = {"runtime_s": 10.0, "energy_j": 5.0, "cost": 1.0, "quality": 1.0, "memory_bytes": 1024, "classical_ref": "r"}
+
+
+class Whole(str):
+    """A message given whole: it names its own record, not the field."""
+
+
+def _not_an_object(record):
+    """A list field's table: a list of an int or a string fails on its first item, any other value as not a list."""
+    table = dict.fromkeys(BAD_VALUES, "must be a list")
+    table["list"] = Whole(f"{record}: expected a JSON object, got int")
+    table["enum-list"] = Whole(f"{record}: expected a JSON object, got str")
+    return table
+
+
+def _version():
+    """``schema_version``: an int other than 1 is an unsupported version, anything else not an integer."""
+    table = _integer(minimum=-1)
+    table.update({label: Whole(f"catalog: unsupported schema_version {GOT[label]} (expected 1)") for label in ("zero", "negative", "huge")})
+    return table
+
+
+CONNECTIVITY = "must be one of ['all-to-all', 'grid-4', 'heavy-hex', 'linear'] or 'cluster-<k>'"
+TIERS = "must be one of ['laptop', 'server', 'cluster', 'hpc', 'tensor-network', 'beyond-classical']"
+
+CATALOG_EXPECTED = {
+    "schema_version": _version(),
+    "qpus": _not_an_object("qpu '<qpu>'"),
+    "classical_refs": {**_not_an_object("classical ref '<classical ref>'"), "null": None},
+    "qpus[].id": _text(nonempty=True),
+    "qpus[].modality": _choice(["superconducting", "trapped-ion", "neutral-atom", "photonic", "spin", "other"]),
+    "qpus[].qubit_count": _integer(),
+    "qpus[].two_qubit_error_median": _number("in (0, 1)"),
+    "qpus[].two_qubit_error_stddev": _number(">= 0", accepts=("null", "zero", "half")),
+    "qpus[].two_qubit_gate_time": _number("> 0", accepts=("half",)),
+    "qpus[].readout_time": _number(">= 0", accepts=("zero", "half")),
+    "qpus[].reset_time": _number(">= 0", accepts=("zero", "half")),
+    "qpus[].connectivity": _text(strings=_one_of(CONNECTIVITY)),
+    "qpus[].power_components": {**_not_an_object("qpu 'q' power component #0"), "null": None},
+    "qpus[].status": _choice(["available", "announced", "projected"]),
+    "qpus[].source_note": _text(),
+    "qpus[].power_components[].label": _text(),
+    "qpus[].power_components[].unit_power_w": _number(">= 0", accepts=("zero", "half")),
+    "qpus[].power_components[].count": _integer(minimum=0, optional=True),
+    "qpus[].power_components[].per_qubit": _table("must be a boolean", accepts=("true", "null")),
+    "classical_refs[].id": _text(nonempty=True),
+    "classical_refs[].description": _text(),
+    "classical_refs[].power_draw": _number("> 0", accepts=("half",)),
+    "classical_refs[].memory_capacity": _integer(floats=True),
+    "classical_refs[].tier_hint": _text(optional=True, strings=_one_of(TIERS)),
+}
+
+PROFILE_EXPECTED = {
+    "runtime_s": _number("> 0", accepts=("half",)),
+    "energy_j": _number(">= 0", accepts=("null", "zero", "half")),
+    "cost": _number(">= 0", accepts=("null", "zero", "half")),
+    "quality": _number(">= 0", accepts=("null", "zero", "half")),
+    "memory_bytes": _integer(minimum=0, optional=True, floats=True),
+    "classical_ref": _text(
+        optional=True, strings={label: Whole(f"unknown classical ref id {GOT[label]} (catalog has: r)") for label in _STRINGS}
+    ),
+}
+
+#: The record each field's message names, by the path of its object; an id names its record by its own value.
+RECORDS = {
+    "": "catalog",
+    "qpus[]": "qpu '{}'",
+    "qpus[].power_components[]": "qpu 'q' power component #0",
+    "classical_refs[]": "classical ref '{}'",
+}
+
+
+def _parse_profile(document):
+    return parse_classical_profile(document, parse_catalog(json.dumps(VALID_CATALOG)))
+
+
+DOCUMENT_CASES = [
+    (kind, field, label)
+    for kind, expected in (("catalog", CATALOG_EXPECTED), ("profile", PROFILE_EXPECTED))
+    for field in expected
+    for label in BAD_VALUES
+]
+
+
+def test_the_catalog_and_profile_tables_cover_every_field_and_value():
+    def fields(record, path=""):
+        for key, value in record.items():
+            yield path + key
+            if isinstance(value, list):
+                yield from fields(value[0], f"{path}{key}[].")
+
+    assert set(CATALOG_EXPECTED) == set(fields(VALID_CATALOG))
+    assert set(PROFILE_EXPECTED) == set(VALID_PROFILE)
+    assert all(set(table) == set(BAD_VALUES) for table in [*CATALOG_EXPECTED.values(), *PROFILE_EXPECTED.values()])
+
+
+@pytest.mark.parametrize(("kind", "field", "label"), DOCUMENT_CASES, ids=[f"{k}:{f}={v}" for k, f, v in DOCUMENT_CASES])
+def test_each_bad_catalog_or_profile_value_gets_its_exact_message(kind, field, label):
+    if kind == "catalog":
+        expected, valid, parse, error = CATALOG_EXPECTED[field][label], VALID_CATALOG, parse_catalog, CatalogError
+    else:
+        expected, valid, parse, error = PROFILE_EXPECTED[field][label], VALID_PROFILE, _parse_profile, ValueError
+    document = _document(field, BAD_VALUES[label], valid)
+    if expected is None:
+        parse(document)
+        return
+    with pytest.raises(error) as info:
+        parse(document)
+    if not isinstance(expected, Whole):
+        path, _, name = field.rpartition(".")
+        record = "classical profile" if kind == "profile" else RECORDS[path]
+        record_id = json.loads(BAD_VALUES[label]) if name == "id" else valid.get(path[:-2], [{}])[0].get("id")
+        expected = f"{record.format(record_id)}: field '{name}' {expected}"
+    assert str(info.value) == expected
+
+
+def test_accepted_catalog_and_profile_values_keep_their_type():
+    catalog = parse_catalog(_document("qpus[].qubit_count", str(HUGE), VALID_CATALOG))
+    assert type(catalog.qpus[0].qubit_count) is int and catalog.qpus[0].qubit_count == HUGE
+    catalog = parse_catalog(_document("qpus[].power_components[].unit_power_w", "0", VALID_CATALOG))
+    assert type(catalog.qpus[0].power_components[0].unit_power_w) is float
+    catalog = parse_catalog(_document("classical_refs[].memory_capacity", "2.0", VALID_CATALOG))
+    assert type(catalog.classical_refs[0].memory_capacity) is int and catalog.classical_refs[0].memory_capacity == 2
+    catalog = parse_catalog(_document("qpus[].power_components[].per_qubit", "null", VALID_CATALOG))
+    assert catalog.qpus[0].power_components[0].per_qubit is False and catalog.qpus[0].power_components[0].count == 2
+    profile, _ = _parse_profile(_document("memory_bytes", "4e3", VALID_PROFILE))
+    assert type(profile.memory_bytes) is int and profile.memory_bytes == 4000
+    profile, _ = _parse_profile(_document("runtime_s", "3", VALID_PROFILE))
+    assert type(profile.runtime_s) is float and profile.runtime_s == 3.0
+
+
+def test_lenient_catalog_warnings_keep_their_order():
+    qpu = dict(VALID_QPU, zeta=1, power_components=[dict(VALID_QPU["power_components"][0], watts=2)], alpha=3)
+    document = json.dumps(dict(VALID_CATALOG, qpus=[qpu], classical_refs=[dict(VALID_REF, omega=4)], extra=5))
+    with pytest.raises(CatalogError) as info:
+        parse_catalog(document)
+    assert str(info.value) == "catalog: unknown field 'extra'"
+    with pytest.warns(InputWarning) as warned:
+        parse_catalog(document, strict=False)
+    assert tuple(str(w.message) for w in warned) == (
+        "catalog: ignoring unknown field 'extra'",
+        "qpu 'q': ignoring unknown field 'alpha'",
+        "qpu 'q': ignoring unknown field 'zeta'",
+        "qpu 'q' power component #0: ignoring unknown field 'watts'",
+        "classical ref 'r': ignoring unknown field 'omega'",
+    )
+    with pytest.warns(InputWarning) as warned:
+        parse_classical_profile(json.dumps(dict(VALID_PROFILE, note="n")), parse_catalog(json.dumps(VALID_CATALOG)), strict=False)
+    assert [str(w.message) for w in warned] == ["classical profile: ignoring unknown field 'note'"]
