@@ -98,6 +98,21 @@ CASES = [
                                   "--classical", "classical-plain.json", "--catalog", "huge-power-catalog.json"], {}),
     ("compare-zero-watts", ["compare", "--workload", "q29.json", "--qpu", "zero-watts",
                             "--classical", "classical-plain.json", "--catalog", "huge-power-catalog.json"], {}),
+    ("estimate-zero-watts", ["estimate", "--workload", "q29.json", "--qpu", "zero-watts",
+                             "--catalog", "huge-power-catalog.json"], {}),
+    # a per-shot time that underflows to 0 s beside a draw beyond float range, over 10 and
+    # 10^400 iterations: a product of 0 and an unbounded value reads 0
+    ("estimate-underflow-runtime", ["estimate", "--workload", "q29.json", "--qpu", "tiny-time",
+                                    "--catalog", "underflow-catalog.json", "--parallel-shots", "1000000000000"], {}),
+    ("estimate-underflow-unbounded-iterations",
+     ["estimate", "--workload", "q29-unbounded-iterations.json", "--qpu", "tiny-time",
+      "--catalog", "underflow-catalog.json", "--parallel-shots", "1000000000000"], {}),
+    ("compare-underflow-runtime", ["compare", "--workload", "q29.json", "--qpu", "tiny-time",
+                                   "--classical", "classical-plain.json", "--catalog", "underflow-catalog.json",
+                                   "--parallel-shots", "1000000000000"], {}),
+    # a profile that sets cost and quality: the quantum side carries neither, so both read not-evaluated
+    ("compare-cost-quality", ["compare", "--workload", "q29.json", "--qpu", "ibm-heron",
+                              "--classical", "classical-cost-quality.json"], {}),
     # input errors: one `error:` line, exit 1
     ("error-strict-workload", ["feasibility", "--workload", "lenient.json", "--strict"], {}),
     ("error-strict-catalog", ["catalog", "--catalog", "lenient-catalog.json", "--strict"], {}),
