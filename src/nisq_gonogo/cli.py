@@ -190,27 +190,26 @@ def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
     return "".join(lines)
 
 
-def _describe_qpu(qpu: QpuSpec) -> str:
-    return (
-        f"{qpu.id} ({qpu.modality.value}, {qpu.qubit_count} qubits, "
-        f"two-qubit error {qpu.two_qubit_error_median} = fidelity "
-        f"{format_fidelity_percent(qpu.two_qubit_error_median, 2)}, {qpu.status.value})"
-    )
-
-
 @functools.lru_cache(maxsize=256)
 def _estimate_qpu_lines(qpu: QpuSpec) -> tuple[str, str, str, str]:
     """The parts of an estimate report that depend on the qpu alone, made once per distinct qpu value.
 
     They are the ``qpu:`` line, the error rate's :func:`sci` text, the power
     draw with its component lines, and the no-power-data note (empty when the
-    qpu reports power components).  The power figures come from the energy
-    module's own per-value caches of the breakdown and its total.
+    qpu draws more than 0 W, as in the catalog and compare reports).  The
+    power figures come from the energy module's own per-value caches of the
+    breakdown and its total.
     """
-    power = [f"- power draw: {format_watts(energy_mod.power_draw(qpu))}"]
+    error = qpu.two_qubit_error_median
+    qpu_line = (
+        f"qpu: {qpu.id} ({qpu.modality.value}, {qpu.qubit_count} qubits, two-qubit error {error} = fidelity "
+        f"{format_fidelity_percent(error, 2)}, {qpu.status.value})"
+    )
+    draw = energy_mod.power_draw(qpu)
+    power = [f"- power draw: {format_watts(draw)}"]
     power.extend(f"  - {label}: {format_watts(watts)}" for label, watts in energy_mod.power_breakdown(qpu))
-    note = "" if qpu.power_components else "\n  (no power data reported for this qpu)"
-    return f"qpu: {_describe_qpu(qpu)}", sci(qpu.two_qubit_error_median), "\n".join(power), note
+    note = "" if draw > 0 else "\n  (no power data reported for this qpu)"
+    return qpu_line, sci(error), "\n".join(power), note
 
 
 def build_estimate_record(
@@ -362,21 +361,20 @@ def cmd_compare(args: argparse.Namespace, catalog: Catalog) -> int:
     record = build_estimate_record(
         qpu, spec, parallel_shots=args.parallel_shots, qaoa_aggregate=args.qaoa_aggregate
     )
+    runtime = record.runtime.total_time
+    if not runtime > 0.0:  # an underflow to 0 s; SolutionProfile's message names runtime_s, a classical-profile field
+        raise ValueError(f"quantum side: {spec.id} on {qpu.id}: runtime must be > 0 s, got {format_seconds(runtime)}")
     notes: list[str] = []
     quantum_energy: float | None = record.energy.job_energy
-    if record.energy.power_draw == 0.0:
+    if not record.energy.power_draw > 0:
         quantum_energy = None
         notes.append(f"power draw unreported for '{qpu.id}'; energetic axis not evaluated")
-    quantum = adv.quantum_profile(
-        record.runtime.total_time,
-        qubits=spec.data_qubits,
-        energy_j=quantum_energy,
-    )
+    quantum = adv.quantum_profile(runtime, qubits=spec.data_qubits, energy_j=quantum_energy)
     classical, profile_notes = adv.parse_classical_profile(_read(args.classical, "classical profile"), catalog, strict=args.strict)
     notes.extend(profile_notes)
     report = adv.classify(quantum, classical, parity_band=args.parity_band)
     header = (
-        f"quantum side: {spec.id} on {qpu.id}: runtime {format_seconds(record.runtime.total_time)}, "
+        f"quantum side: {spec.id} on {qpu.id}: runtime {format_seconds(runtime)}, "
         f"state space {format_power_of_two_bytes(spec.data_qubits + feas.AMPLITUDE_BYTES_LOG2)} "
         f"({spec.data_qubits} qubits)\n"
         f"classical side: runtime {format_seconds(classical.runtime_s)}"

@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from .catalog import QpuSpec
 from .runtime import RuntimeEstimate
-from .units import as_float
+from .units import as_float, times
 
 
 EnergyEstimate = namedtuple("EnergyEstimate", ("power_draw", "job_energy", "breakdown"))
@@ -37,7 +37,7 @@ def power_breakdown(qpu: QpuSpec) -> tuple[tuple[str, float], ...]:
     rows = []
     for label, watts, count, per_qubit in qpu.power_components:
         count = qpu.qubit_count if per_qubit else count
-        rows.append((label, watts * as_float(count) if watts else watts))
+        rows.append((label, times(watts, as_float(count))))
     return tuple(rows)
 
 
@@ -58,10 +58,10 @@ def power_draw(qpu: QpuSpec) -> float:
 
 
 def job_energy(power: float, seconds: float) -> float:
-    """Joules for a job: power x total wall-clock seconds; 0 W gives 0 J, not nan, over an unbounded runtime."""
+    """Joules for a job: power x total wall-clock seconds, by :func:`~nisq_gonogo.units.times`."""
     if power < 0.0:
         raise ValueError(f"power must be >= 0, got {power}")
-    return power * seconds if power > 0.0 else 0.0
+    return float(times(power, seconds))
 
 
 def estimate_energy(qpu: QpuSpec, runtime: RuntimeEstimate) -> EnergyEstimate:

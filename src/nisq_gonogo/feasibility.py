@@ -234,22 +234,16 @@ _FIRST = _RATE = operator.itemgetter(0)
 _RATE_AND_ID = operator.itemgetter(0, 1)
 
 
-def _fit_note(qpu: QpuSpec) -> str:
-    """The note of every row in which ``qpu`` fits the workload; it depends on the qpu alone."""
-    notes = []
-    if qpu.status.value != "available":
-        notes.append(f"{qpu.status.value} hardware")
-    if qpu.two_qubit_error_stddev is None:  # the verdict's ``optimistic``
-        notes.append("optimistic: error-rate spread unreported")
-    return "; ".join(notes)
-
-
 def _grid_qpus(qpus: Sequence[QpuSpec]) -> list[tuple]:
-    """Each qpu's fields that a grid row reads, ids ascending; a catalog holds each id once."""
-    fields = [
-        (qpu.id, qpu.qubit_count, qpu.two_qubit_error_median, qpu.two_qubit_error_stddev is None, _fit_note(qpu))
-        for qpu in qpus
-    ]
+    """Each qpu's id, qubit count, error rate, ``optimistic`` (no error-rate spread) and the note
+    of every row in which it fits the workload, ids ascending; a catalog holds each id once."""
+    fields = []
+    for qpu in qpus:
+        optimistic = qpu.two_qubit_error_stddev is None
+        notes = [f"{qpu.status.value} hardware"] if qpu.status.value != "available" else []
+        if optimistic:
+            notes.append("optimistic: error-rate spread unreported")
+        fields.append((qpu.id, qpu.qubit_count, qpu.two_qubit_error_median, optimistic, "; ".join(notes)))
     return sorted(fields, key=_FIRST)
 
 

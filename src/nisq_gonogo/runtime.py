@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .catalog import QpuSpec
-from .units import as_float
+from .units import as_float, times
 from .workload import ShotPlan, WorkloadSpec
 
 
@@ -33,7 +33,7 @@ def single_shot_time(qpu: QpuSpec, depth: int) -> float:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    return qpu.reset_time + as_float(depth) * qpu.two_qubit_gate_time + qpu.readout_time
+    return qpu.reset_time + times(as_float(depth), qpu.two_qubit_gate_time) + qpu.readout_time
 
 
 def estimate_runtime(
@@ -52,15 +52,14 @@ def estimate_runtime(
     if parallel_shots < 1:
         raise ValueError(f"parallel_shots must be >= 1, got {parallel_shots}")
     shot_time = single_shot_time(qpu, spec.depth)
-    # Counts beyond float range read as inf, so their runtimes are unbounded.
-    quantum_per_iteration = as_float(plan.total_shots) * shot_time / parallel_shots
+    # Counts beyond float range read as inf, so their runtimes are unbounded; a 0 s factor gives 0 s.
+    quantum_per_iteration = times(as_float(plan.total_shots), shot_time) / parallel_shots
     prep = spec.classical_prep_time
     iteration = prep + quantum_per_iteration
     iterations = as_float(spec.ansatz_iterations)
-    total = iterations * iteration
+    total = times(iterations, iteration)
     breakdown = (
-        # zero prep stays zero over unbounded iterations, never inf x 0 = nan
-        ("classical preparation and post-processing", iterations * prep if prep else prep),
-        ("quantum execution", iterations * quantum_per_iteration),
+        ("classical preparation and post-processing", times(iterations, prep)),
+        ("quantum execution", times(iterations, quantum_per_iteration)),
     )
     return tuple.__new__(RuntimeEstimate, (shot_time, quantum_per_iteration, iteration, total, breakdown))

@@ -33,6 +33,11 @@ def as_float(x: int | float) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def times(x: float, y: float) -> float:
+    """``x * y``, except that a zero factor gives that zero (sign kept), even against ``inf``."""
+    return x * y if x and y else (y if x else x)
+
+
 def csv_field(value: object) -> str:
     """One field of an RFC 4180 row, as Python 3.13's ``csv.writer`` writes it.
 
@@ -104,13 +109,9 @@ def format_seconds(seconds: float) -> str:
     """Exact seconds with the humanized form beside, both unit-tagged.
 
     Below 120 s (finite) the humanized form would be in seconds too, so it
-    is left out and not built.  The exact form is :func:`sci`'s, written out
-    here: it is made seven times per estimate report.
+    is left out and not built.
     """
-    exact = f"{float(seconds):.6g}"
-    if "e" in exact:
-        exact = exact.replace("e+", "e").replace("e0", "e").replace("e-0", "e-")
-    exact += " s"
+    exact = f"{sci(seconds)} s"
     if -math.inf < seconds < _UNIT_SWITCH:
         return exact
     return f"{exact} ({format_duration(seconds)})"

@@ -26,7 +26,7 @@ from collections import namedtuple
 
 from .feasibility import CircuitShape, _snap_to_int, check_error_rate
 from .fields import Record, decode
-from .units import as_float
+from .units import as_float, times
 
 #: Quartic-scaling coefficient for ungrouped VQE measurement bases,
 #: calibrated so a 72-qubit electronic-structure instance needs exactly
@@ -163,11 +163,11 @@ def mitigation_multiplier(spec: MitigationSpec, error_rate: float, shape: Circui
     ``math.inf`` when the factor is beyond float range.
     """
     check_error_rate(error_rate)
-    if not spec.enabled or error_rate == 0.0 or spec.exponent_coefficient == 0.0:  # no 0 x inf below
+    if not spec.enabled:
         return 1.0
-    lam = error_rate * as_float(shape.volume)
+    lam = times(error_rate, as_float(shape.volume))
     try:
-        return math.exp(spec.exponent_coefficient * lam)
+        return math.exp(times(spec.exponent_coefficient, lam))
     except OverflowError:
         return math.inf
 

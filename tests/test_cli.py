@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1109,12 +1110,22 @@ _PROFILE = _documents(
 _PROFILE_DOCUMENTS = st.one_of(_PROFILE, _NOT_OBJECTS)
 
 
-def _assert_total(argv):
-    """``main(argv)`` gives an exit code; stderr holds warning lines, then at most one error line, and an error prints no report."""
+# ``nan`` as a number: alone between the spaces and marks that set numbers off in a report
+# or a message, so that an id holding the letters n, a, n does not match
+_NAN = re.compile(r"(?<![^\s,|(=:])[-+]?nan(?![^\s,|)%])")
+
+
+def _assert_total(argv, nan_in_input=False):
+    """``main(argv)`` gives an exit code; stderr holds warning lines, then at most one error line, and an error prints no report.
+
+    No printed number reads ``nan``, except in a message that echoes a NaN of the input (``nan_in_input``).
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_NO_GO), argv
+    assert not _NAN.search(out.getvalue()), (argv, out.getvalue())
+    assert nan_in_input or not _NAN.search(err.getvalue()), (argv, err.getvalue())
     lines = err.getvalue().split("\n")
     assert lines.pop() == "", argv  # every line ends in a newline
     if code == EXIT_ERROR:
@@ -1127,8 +1138,9 @@ def _assert_total(argv):
 @given(workload=_WORKLOAD_DOCUMENTS, profile=_PROFILE_DOCUMENTS, strict=st.booleans())
 def test_every_input_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, workload, profile, strict):
     work = tmp_path_factory.mktemp("totality")
-    (work / "w.json").write_text(json.dumps(workload), encoding="utf-8")
-    (work / "p.json").write_text(json.dumps(profile), encoding="utf-8")
+    texts = json.dumps(workload), json.dumps(profile)
+    (work / "w.json").write_text(texts[0], encoding="utf-8")
+    (work / "p.json").write_text(texts[1], encoding="utf-8")
     inputs = ["--workload", str(work / "w.json"), *(["--strict"] if strict else [])]
     for argv in (
         ["feasibility", *inputs],
@@ -1136,13 +1148,15 @@ def test_every_input_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_fa
         ["estimate", *inputs, "--qpu", "ibm-heron"],
         ["compare", *inputs, "--qpu", "ibm-heron", "--classical", str(work / "p.json")],
     ):
-        _assert_total(argv)
+        _assert_total(argv, nan_in_input=any("NaN" in text for text in texts))
 
 
 # The same over catalog JSON: counts and qubit counts up to 10^400 (a power
 # draw beyond float range), zero and negative-zero unit powers, and ids that
 # CSV, JSON or UTF-8 treat specially, with the odd fields above.  An id holding
-# a line break is named in messages, which still print as one line each.
+# a line break is named in messages, which still print as one line each.  The
+# workload runs 1, 10 or 10^400 iterations, with or without 10^12-fold shot
+# parallelism, which takes a 5e-324 s gate's runtime down to 0 s.
 _WATTS = st.sampled_from([0.0, -0.0, 2.5, 1e4, 1e300])
 _COMPONENT = st.fixed_dictionaries(
     {"label": st.one_of(st.just("c"), _TEXTS), "unit_power_w": _WATTS},
@@ -1192,19 +1206,40 @@ def _huge_catalog(qubit_count, component, **odd):
     return {"schema_version": 1, "qpus": [qpu]}
 
 
+_UNDERFLOW = _huge_catalog(50, {"unit_power_w": 1.0, "count": 10**400}, two_qubit_gate_time=5e-324)
+
+
 @settings(max_examples=100, deadline=None)
-@given(catalog=_CATALOG_DOCUMENTS, data_qubits=st.sampled_from([2, 29, 10**400]), strict=st.booleans())
-@example(catalog=_huge_catalog(10**400, {"unit_power_w": 2.5, "per_qubit": True}), data_qubits=29, strict=True)
-@example(catalog=_huge_catalog(50, {"unit_power_w": 0.0, "count": 10**400}), data_qubits=2, strict=True)
-@example(catalog=_huge_catalog(50, {"unit_power_w": -0.0, "count": 10**400}, id="two\r\nlines", x=1), data_qubits=2, strict=False)
-def test_every_catalog_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, catalog, data_qubits, strict):
+@given(
+    catalog=_CATALOG_DOCUMENTS,
+    data_qubits=st.sampled_from([2, 29, 10**400]),
+    iterations=st.sampled_from([1, 10, 10**400]),
+    parallel_shots=st.sampled_from([1, 10**12]),
+    strict=st.booleans(),
+)
+@example(catalog=_huge_catalog(10**400, {"unit_power_w": 2.5, "per_qubit": True}), data_qubits=29,
+         iterations=1, parallel_shots=1, strict=True)
+@example(catalog=_huge_catalog(50, {"unit_power_w": 0.0, "count": 10**400}), data_qubits=2,
+         iterations=1, parallel_shots=1, strict=True)
+@example(catalog=_huge_catalog(50, {"unit_power_w": -0.0, "count": 10**400}, id="two\r\nlines", x=1), data_qubits=2,
+         iterations=1, parallel_shots=1, strict=False)
+# an unbounded draw over a runtime that underflows to 0 s, over 10 and over 10^400 iterations
+@example(catalog=_UNDERFLOW, data_qubits=29, iterations=10, parallel_shots=10**12, strict=True)
+@example(catalog=_UNDERFLOW, data_qubits=29, iterations=10**400, parallel_shots=10**12, strict=True)
+def test_every_catalog_ends_in_an_exit_code_and_at_most_one_error_line(
+    tmp_path_factory, catalog, data_qubits, iterations, parallel_shots, strict
+):
     work = tmp_path_factory.mktemp("catalog-totality")
-    workload = {"family": "generic", "data_qubits": data_qubits, "depth": 3, "target_epsilon": 0.01, "ansatz_iterations": 1}
-    (work / "c.json").write_text(json.dumps(catalog), encoding="utf-8")
+    workload = {
+        "family": "generic", "data_qubits": data_qubits, "depth": 3, "target_epsilon": 0.01,
+        "ansatz_iterations": iterations,
+    }
+    catalog_text = json.dumps(catalog)
+    (work / "c.json").write_text(catalog_text, encoding="utf-8")
     (work / "w.json").write_text(json.dumps(workload), encoding="utf-8")
     (work / "p.json").write_text(json.dumps({"runtime_s": 10.0, "energy_j": 1e6, "classical_ref": "r"}), encoding="utf-8")
     qpu_id = catalog["qpus"][0]["id"] if isinstance(catalog, dict) else None
-    qpu = ["--qpu", qpu_id if isinstance(qpu_id, str) else "q"]
+    qpu = ["--qpu", qpu_id if isinstance(qpu_id, str) else "q", "--parallel-shots", str(parallel_shots)]
     inputs = ["--catalog", str(work / "c.json"), *(["--strict"] if strict else [])]
     workload_inputs = [*inputs, "--workload", str(work / "w.json")]
     for argv in (
@@ -1215,7 +1250,33 @@ def test_every_catalog_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_
         ["compare", *workload_inputs, *qpu, "--classical", str(work / "p.json")],
         ["scatter", *inputs, "--out", str(work / "landscape.svg")],
     ):
-        _assert_total(argv)
+        _assert_total(argv, nan_in_input="NaN" in catalog_text)
+
+
+@pytest.mark.parametrize("iterations", [10, 10**400], ids=["10", "1e400"])
+def test_compare_names_the_quantum_side_whose_runtime_underflows_to_zero(capsys, workload_file, iterations):
+    workload = {"id": "w", "family": "generic", "data_qubits": 29, "depth": 8, "target_epsilon": 0.01,
+                "ansatz_iterations": iterations}
+    argv = ["--catalog", workload_file(_UNDERFLOW, "catalog.json"), "--workload", workload_file(workload),
+            "--qpu", "q", "--parallel-shots", str(10**12)]
+    code, out, err = run(capsys, "estimate", *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert "- total: 0 s\n" in out and out.endswith("- power draw: inf kW\n  - c: inf kW\n- job energy: 0 J\n")
+    classical = workload_file({"runtime_s": 1.0}, "classical.json")
+    code, out, err = run(capsys, "compare", *argv, "--classical", classical)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: quantum side: w on q: runtime must be > 0 s, got 0 s\n"
+
+
+def test_a_qpu_that_draws_zero_watts_reads_unreported_in_every_report(capsys, workload_file):
+    catalog = workload_file(_huge_catalog(50, {"unit_power_w": 0.0, "count": 10**400}), "catalog.json")
+    argv = ["--catalog", catalog, "--workload", workload_file(WORKLOAD_53x8), "--qpu", "q"]
+    _, out, _ = run(capsys, "catalog", "--catalog", catalog)
+    assert "| available | unreported |" in out
+    _, out, _ = run(capsys, "estimate", *argv)
+    assert out.endswith("- job energy: 0 J\n  (no power data reported for this qpu)\n")
+    _, out, _ = run(capsys, "compare", *argv, "--classical", workload_file({"runtime_s": 1.0}, "classical.json"))
+    assert "note: power draw unreported for 'q'; energetic axis not evaluated\n" in out
 
 
 @contextlib.contextmanager

@@ -70,6 +70,13 @@ class TestJobEnergy:
         assert job_energy(0.0, 1000.0) == 0.0
         assert job_energy(0.0, math.inf) == 0.0
 
+    def test_unbounded_power_over_zero_seconds_is_zero_joules(self):
+        assert job_energy(math.inf, 0.0) == 0.0
+        huge = qpu_with(gate=5e-324, power_components=(PowerComponent("amplifiers", 1.0, count=10**400),))
+        spec = make_spec(ansatz_iterations=10**400, classical_prep_time=0.0)
+        energy = estimate_energy(huge, estimate_runtime(huge, spec, shot_plan(spec, 0.001), parallel_shots=10**20))
+        assert (energy.power_draw, energy.job_energy) == (math.inf, 0.0)
+
     def test_kilowatt_hours(self):
         assert job_energy(50_000.0, 3600.0) == pytest.approx(1.8e8, rel=1e-12)
 

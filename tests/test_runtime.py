@@ -100,6 +100,15 @@ class TestEstimateRuntime:
             classical = dict(estimate.breakdown)["classical preparation and post-processing"]
             assert classical == (as_float(spec.ansatz_iterations) * prep if prep else 0.0)
 
+    @pytest.mark.parametrize("iterations", [10, 10**400], ids=["10", "1e400"])
+    def test_a_shot_time_that_underflows_gives_zero_seconds_over_any_iterations(self, iterations):
+        spec = make_spec(family=AlgorithmFamily.GENERIC, data_qubits=29, depth=8, target_epsilon=0.01,
+                         ansatz_iterations=iterations, classical_prep_time=0.0)
+        qpu = qpu_with(gate=5e-324)
+        estimate = estimate_runtime(qpu, spec, shot_plan(spec, 0.001), parallel_shots=10**12)
+        assert estimate.quantum_time_per_iteration == 0.0 and estimate.total_time == 0.0
+        assert [seconds for _, seconds in estimate.breakdown] == [0.0, 0.0]
+
     def test_parallel_shots_divide_quantum_term(self):
         spec = make_spec(classical_prep_time=0.0)
         qpu = qpu_with()

@@ -20,6 +20,7 @@ from nisq_gonogo.units import (
     format_seconds,
     format_watts,
     sci,
+    times,
 )
 
 
@@ -137,6 +138,18 @@ def test_as_float_reads_ints_beyond_float_range_as_signed_infinity():
     assert as_float(10**400) == math.inf
     assert as_float(-(10**400)) == -math.inf
     assert math.isnan(as_float(math.nan))
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("unbounded", [math.inf, -math.inf])
+def test_times_gives_a_zero_factor_against_an_unbounded_one_in_either_order(zero, unbounded):
+    for product in (times(zero, unbounded), times(unbounded, zero)):
+        assert product == 0.0 and math.copysign(1.0, product) == math.copysign(1.0, zero)
+
+
+@pytest.mark.parametrize("x, y", [(3.0, 0.25), (-2.5, 1e300), (1e300, 1e300), (5e-324, 0.5), (7, 1e-7), (math.inf, 2.0)])
+def test_times_is_the_product_of_nonzero_factors(x, y):
+    assert times(x, y) == x * y and times(y, x) == y * x
 
 
 def test_csv_text_quotes_fields_and_reads_rows_lazily():
