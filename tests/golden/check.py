@@ -66,6 +66,10 @@ CASES = [
      ["estimate", "--workload", "qaoa.json", "--qpu", "quantinuum-h1", "--qaoa-aggregate", "--parallel-shots", "4"], {}),
     # a string count above 2**53, from a float coefficient: printed with 6 digits, not the float's noise
     ("estimate-vqe-noise-digits", ["estimate", "--workload", "vqe-noise-digits.json", "--qpu", "ibm-osprey"], {}),
+    # the mitigated 72x72 VQE: a total of 57 digits, every one of them printed
+    ("estimate-vqe-mitigated", ["estimate", "--workload", "vqe-72x72-mitigated.json", "--qpu", "ibm-osprey"], {}),
+    # 10^400 data qubits: the counts of the workload line and of the capacity miss
+    ("estimate-1e400", ["estimate", "--workload", "q1e400.json", "--qpu", "ibm-flamingo"], {}),
     ("estimate-edge-catalog", ["estimate", "--workload", "edge-ids.json", "--qpu", "lab\rfour",
                                "--catalog", "edge-catalog.json"], {}),
     # compare at 29 (8 GiB statevector), 1,100, 10^12 and 10^400 qubits
