@@ -9,7 +9,7 @@
 Reports are deterministic: identical inputs and flags produce byte-identical
 text and CSV (the SVG can differ only in its version comment line).  Exit
 codes: 0 success (feasibility: at least one go), 2 feasibility ran but no
-pair reached go, 1 input or I/O error.
+pair reached go, 1 usage, input or I/O error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import argparse
 import atexit
 import functools
 import gc
-import math
 import os
 import sys
 import warnings
@@ -36,7 +35,7 @@ from .feasibility import VerdictRow, build_feasibility_bundle
 from .fields import InputWarning
 from .scatter import scatter_csv, scatter_svg
 from .units import (
-    as_float,
+    count_text,
     csv_field,
     format_bytes,
     format_fidelity_percent,
@@ -45,6 +44,7 @@ from .units import (
     format_seconds,
     format_watts,
     sci,
+    total_text,
 )
 
 ENV_CATALOG = "NISQ_GONOGO_CATALOG"
@@ -202,8 +202,8 @@ def _estimate_qpu_lines(qpu: QpuSpec) -> tuple[str, str, str, str]:
     """
     error = qpu.two_qubit_error_median
     qpu_line = (
-        f"qpu: {qpu.id} ({qpu.modality.value}, {qpu.qubit_count} qubits, two-qubit error {error} = fidelity "
-        f"{format_fidelity_percent(error, 2)}, {qpu.status.value})"
+        f"qpu: {qpu.id} ({qpu.modality.value}, {count_text(qpu.qubit_count, 'qubits')}, "
+        f"two-qubit error {error} = fidelity {format_fidelity_percent(error, 2)}, {qpu.status.value})"
     )
     draw = energy_mod.power_draw(qpu)
     power = [f"- power draw: {format_watts(draw)}"]
@@ -225,15 +225,6 @@ def build_estimate_record(
     return tuple.__new__(ResourceRecord, (plan, rt, en))
 
 
-def _count_text(count: int | float, unit: str) -> str:
-    """A string or shot count: an int in full, a float (a count above 2**53) by :func:`sci`;
-    a count beyond float range reads unbounded."""
-    value = as_float(count)
-    if value == math.inf:
-        return f"inf {unit} (unbounded)"
-    return f"{count} {unit}" if type(count) is int else f"{sci(value)} {unit}"
-
-
 def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.WorkloadSpec) -> str:
     """The markdown estimate of ``spec`` on ``qpu``; ``record`` is :func:`build_estimate_record`'s for the pair."""
     plan, rt, en = record
@@ -244,21 +235,19 @@ def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.
     else:
         required, _, _, verdict, _ = fit
         feasibility = f"{verdict._value_} (required error rate {sci(required)}, available {available})"
-    total_shots = _count_text(plan.total_shots, "shots")
-    if type(plan.total_shots) is int and as_float(plan.total_shots) < math.inf:  # an int count also reads in sci
-        total_shots += f" ({sci(plan.total_shots)})"
     breakdown = "".join([f"  - {label}: {format_seconds(seconds)}\n" for label, seconds in rt.breakdown])
     # one f-string: a report is made per record, and a list of its lines costs a join
     return (
         f"# Resource estimate: {spec.id} on {qpu.id}\n\n"
-        f"workload: {spec.family._value_}, {spec.data_qubits} data qubits, depth {spec.depth} cycles, "
-        f"target epsilon {spec.target_epsilon}, {spec.ansatz_iterations} iterations\n"
+        f"workload: {spec.family._value_}, {count_text(spec.data_qubits, 'data qubits')}, "
+        f"depth {count_text(spec.depth, 'cycles')}, target epsilon {spec.target_epsilon}, "
+        f"{count_text(spec.ansatz_iterations, 'iterations')}\n"
         f"{qpu_line}\nfeasibility: {feasibility}\n\n"
         f"shot plan ({plan.model} accounting):\n"
-        f"- measurement strings: {_count_text(plan.pauli_strings, 'strings')}\n"
-        f"- shots per string: {_count_text(plan.shots_per_string, 'shots')}\n"
+        f"- measurement strings: {count_text(plan.pauli_strings, 'strings')}\n"
+        f"- shots per string: {count_text(plan.shots_per_string, 'shots')}\n"
         f"- mitigation multiplier: {sci(plan.mitigation_multiplier)} x\n"
-        f"- total shots per iteration: {total_shots}\n\n"
+        f"- total shots per iteration: {total_text(plan.total_shots, 'shots')}\n\n"
         f"runtime:\n- single shot: {format_seconds(rt.single_shot_time)}\n"
         f"- quantum per iteration: {format_seconds(rt.quantum_time_per_iteration)}\n"
         f"- classical per iteration: {format_seconds(spec.classical_prep_time)}\n"
@@ -290,7 +279,7 @@ def render_catalog_md(catalog: Catalog) -> str:
         power = energy_mod.power_draw(qpu)
         power_text = format_watts(power) if power > 0 else "unreported"
         lines.append(
-            f"| {qpu.id} | {qpu.modality.value} | {qpu.qubit_count} "
+            f"| {qpu.id} | {qpu.modality.value} | {count_text(qpu.qubit_count)} "
             f"| {qpu.two_qubit_error_median} ({format_fidelity_percent(qpu.two_qubit_error_median, 2)}) "
             f"| {qpu.status.value} | {power_text} |"
         )
@@ -376,7 +365,7 @@ def cmd_compare(args: argparse.Namespace, catalog: Catalog) -> int:
     header = (
         f"quantum side: {spec.id} on {qpu.id}: runtime {format_seconds(runtime)}, "
         f"state space {format_power_of_two_bytes(spec.data_qubits + feas.AMPLITUDE_BYTES_LOG2)} "
-        f"({spec.data_qubits} qubits)\n"
+        f"({count_text(spec.data_qubits, 'qubits')})\n"
         f"classical side: runtime {format_seconds(classical.runtime_s)}"
         + (f", energy {format_joules(classical.energy_j)}" if classical.energy_j is not None else "")
         + (f", memory {format_bytes(classical.memory_bytes)}" if classical.memory_bytes is not None else "")
@@ -391,8 +380,16 @@ def cmd_catalog(args: argparse.Namespace, catalog: Catalog) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error raises ``ValueError``: it ends in the
+    one ``error:`` line and exit 1, as any other bad input does, not in exit 2."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nisq-gonogo",
         description="Feasibility and resource estimates for noisy gate-model quantum workloads.",
     )
@@ -465,13 +462,13 @@ def _run(argv: list[str] | None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
         # Each lenient-mode input warning prints as it is raised, whatever
         # filters the interpreter was started with.
         with warnings.catch_warnings():
             warnings.simplefilter("always", InputWarning)
             warnings.showwarning = _show_warning
             try:
+                args = build_parser().parse_args(argv)
                 return args.func(args, load_catalog(args.catalog, strict=args.strict))
             except (ValueError, OSError) as exc:
                 sys.stderr.write(f"error: {_one_line(exc)}\n")
@@ -515,9 +512,10 @@ def main(argv: list[str] | None = None) -> int:
     With ``argv`` given, the command runs on it and ``main`` returns the
     code; the process carries on.  With ``argv=None`` the command runs on
     ``sys.argv[1:]`` and ``main`` then ends the process with the code by
-    :func:`_end_process`, without the interpreter's teardown.  argparse's
-    ``SystemExit`` (usage errors, ``--help``) and uncaught exceptions
-    propagate either way.
+    :func:`_end_process`, without the interpreter's teardown.  A usage error
+    ends in the one ``error:`` line and code 1, as any bad input does;
+    ``--help`` prints its text and raises ``SystemExit(0)``, and uncaught
+    exceptions propagate, either way.
     """
     code = _run(argv)
     return code if argv is not None else _end_process(code)

@@ -17,7 +17,7 @@ import operator
 import sys
 from collections import namedtuple
 
-from .units import as_float
+from .units import as_float, count_text
 
 #: Error rate above which compressed (tensor-network) emulation of large
 #: circuits is considered tractable: noise at sub-99.9% fidelity keeps the
@@ -40,7 +40,7 @@ class CapacityError(ValueError):
 
 def capacity_message(breadth: int, qpu: QpuSpec) -> str:
     """Why a workload of ``breadth`` qubits does not fit ``qpu``; the text of :class:`CapacityError`."""
-    return f"workload breadth {breadth} exceeds qpu '{qpu.id}' qubit count {qpu.qubit_count}"
+    return f"workload breadth {count_text(breadth)} exceeds qpu '{qpu.id}' qubit count {count_text(qpu.qubit_count)}"
 
 
 _CircuitShapeFields = namedtuple("_CircuitShapeFields", ("breadth", "depth"))
@@ -319,7 +319,9 @@ def build_feasibility_bundle(
                 out.append(new(VerdictRow, (qpu_id, workload_id, record, note)))
     # The capacity test of :func:`fit_verdict`, made here once per pair; each
     # note is formatted once per (breadth, qubit count).
-    capacity_note = functools.cache(lambda breadth, qubits: f"insufficient qubits: needs {breadth}, has {qubits}")
+    capacity_note = functools.cache(
+        lambda breadth, qubits: f"insufficient qubits: needs {count_text(breadth)}, has {count_text(qubits)}"
+    )
     by_id = sorted([(spec.id, shape.breadth) for spec, shape in zip(workloads, shapes)], key=_FIRST)
     misses = [
         new(VerdictRow, (qpu_id, workload_id, None, capacity_note(breadth, qubits)))

@@ -6,6 +6,7 @@ Shots run sequentially on one QPU unless a parallelism divisor is given.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .catalog import QpuSpec
@@ -47,13 +48,15 @@ def estimate_runtime(
 
     The full shot budget is spent every iteration (conservative: no shot
     reduction early in convergence).  ``parallel_shots`` divides the quantum
-    term for hardware that can run shots concurrently.
+    term for hardware that can run shots concurrently; a divisor beyond float
+    range takes a bounded quantum term to 0 s and leaves an unbounded one unbounded.
     """
     if parallel_shots < 1:
         raise ValueError(f"parallel_shots must be >= 1, got {parallel_shots}")
     shot_time = single_shot_time(qpu, spec.depth)
     # Counts beyond float range read as inf, so their runtimes are unbounded; a 0 s factor gives 0 s.
-    quantum_per_iteration = times(as_float(plan.total_shots), shot_time) / parallel_shots
+    quantum = times(as_float(plan.total_shots), shot_time)
+    quantum_per_iteration = quantum / as_float(parallel_shots) if quantum < math.inf else quantum
     prep = spec.classical_prep_time
     iteration = prep + quantum_per_iteration
     iterations = as_float(spec.ansatz_iterations)

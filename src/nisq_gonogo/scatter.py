@@ -13,7 +13,7 @@ import math
 
 from .catalog import Catalog, QpuStatus
 from .feasibility import DEFAULT_SHALLOW_DEPTH, STATEVECTOR_TIERS, TENSOR_NETWORK_ERROR_THRESHOLD
-from .units import csv_text
+from .units import count_text, csv_text
 
 #: Comment line identifying the layout revision; the only line allowed to
 #: change between releases without being considered a rendering change.
@@ -173,7 +173,7 @@ def scatter_svg(catalog: Catalog) -> str:
         stroke_attr = f' stroke="{stroke}" stroke-width="1.5"' if stroke != "none" else ""
         parts.append(
             f'<circle cx="{_fmt(_x(n))}" cy="{_fmt(_y(e))}" r="5" fill="{fill}"{stroke_attr}>'
-            f"<title>{_escape(qpu.id)}: {qpu.qubit_count} qubits, error {qpu.two_qubit_error_median}</title></circle>"
+            f"<title>{_escape(qpu.id)}: {count_text(qpu.qubit_count, 'qubits')}, error {qpu.two_qubit_error_median}</title></circle>"
         )
 
     # legend

@@ -20,6 +20,9 @@ YEAR = 365.25 * DAY
 # alongside the humanized value in reports.
 _UNIT_SWITCH = 120.0
 
+#: A count computed in floats is an exact int up to 2**53 and the float above it.
+EXACT_COUNT_LIMIT = 2**53
+
 _BYTE_UNITS = ("B", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB", "ZiB", "YiB")
 #: 2**90 = 1024 YiB, the first byte count :func:`format_bytes` writes as a power of two.
 _ASTRONOMICAL_EXPONENT = 10 * len(_BYTE_UNITS)
@@ -80,6 +83,36 @@ def format_fidelity_percent(error_rate: float, decimals: int = 1) -> str:
     return f"{fidelity_percent(error_rate):.{decimals}f}%"
 
 
+def unbounded(unit: str = "") -> str:
+    """The one text of a value beyond float range, e.g. ``inf J (unbounded)``."""
+    return f"inf {unit} (unbounded)" if unit else "inf (unbounded)"
+
+
+def count_number(count: int | float) -> str:
+    """A count's number: an int up to :data:`EXACT_COUNT_LIMIT` in full, a count
+    above it by :func:`sci`, and ``inf`` beyond float range (no space, so a name can hold it)."""
+    return str(count) if type(count) is int and count <= EXACT_COUNT_LIMIT else sci(as_float(count))
+
+
+def count_text(count: int | float, unit: str = "") -> str:
+    """A count and its unit: :func:`count_number`, and a count beyond float range unbounded.
+
+    Without a unit the number stands alone (a table's header names it).
+    """
+    number = count_number(count)
+    if number == "inf":
+        return unbounded(unit)
+    return f"{number} {unit}" if unit else number
+
+
+def total_text(count: int | float, unit: str) -> str:
+    """:func:`count_text`, except that an int in float range is written in full with its
+    :func:`sci` text beside: an estimate's shot total, whose digits the benchmark's reference pins."""
+    if type(count) is int and as_float(count) < math.inf:
+        return f"{count} {unit} ({sci(count)})"
+    return count_text(count, unit)
+
+
 def sci(value: float) -> str:
     """Compact scientific/positional rendering, e.g. ``3.30816e11``.
 
@@ -124,7 +157,7 @@ def format_bytes(n: int | float) -> str:
     if not n >= 0:
         raise ValueError(f"byte count must be non-negative, got {n}")
     if n == math.inf:  # only a float is equal to inf; an int beyond float range is astronomical
-        return "inf B (unbounded)"
+        return unbounded("B")
     value = as_float(n)
     for unit in _BYTE_UNITS:
         if value < 1024.0:
@@ -147,11 +180,11 @@ def format_power_of_two_bytes(exponent: int) -> str:
 
 def format_watts(watts: float) -> str:
     if watts >= 1000.0:
-        return f"{watts / 1000.0:.4g} kW"
+        return f"{watts / 1000.0:.4g} kW" if watts < math.inf else unbounded("W")
     return f"{watts:.4g} W"
 
 
 def format_joules(joules: float) -> str:
     if joules >= 3.6e6:
-        return f"{sci(joules)} J ({sci(joules / 3.6e6)} kWh)"
+        return f"{sci(joules)} J ({sci(joules / 3.6e6)} kWh)" if joules < math.inf else unbounded("J")
     return f"{sci(joules)} J"

@@ -26,15 +26,12 @@ from collections import namedtuple
 
 from .feasibility import CircuitShape, _snap_to_int, check_error_rate
 from .fields import Record, decode
-from .units import as_float, times
+from .units import EXACT_COUNT_LIMIT, as_float, count_number, times
 
 #: Quartic-scaling coefficient for ungrouped VQE measurement bases,
 #: calibrated so a 72-qubit electronic-structure instance needs exactly
 #: 330,816 measurement strings.  Overridable per workload.
 VQE_PAULI_COEFF = 330816 / 72**4
-
-#: A count computed in floats is an exact int up to 2**53 and the float above it.
-_EXACT_FLOAT_LIMIT = 2**53
 
 
 class WorkloadError(ValueError):
@@ -103,8 +100,8 @@ shots-per-string) or ``qaoa-aggregate`` (total n^2/eps budget).
 
 def _snap_ceil(value: float) -> int | float:
     """Ceiling with a relative-1e-9 snap so decimal inputs hit exact counts; a value
-    above :data:`_EXACT_FLOAT_LIMIT` (``math.inf`` too) is returned as the float it is."""
-    if value > _EXACT_FLOAT_LIMIT:
+    above :data:`~nisq_gonogo.units.EXACT_COUNT_LIMIT` (``math.inf`` too) is returned as the float it is."""
+    if value > EXACT_COUNT_LIMIT:
         return value
     snapped = _snap_to_int(value)
     return math.ceil(value) if snapped is None else snapped
@@ -131,7 +128,7 @@ def pauli_string_count(spec: WorkloadSpec) -> int | float:
     if spec.family is _VQE and spec.pauli_grouping is _UNGROUPED:
         coeff = VQE_PAULI_COEFF if spec.c_vqe_override is None else spec.c_vqe_override
         strings = coeff * as_float(spec.data_qubits**4)
-        return max(1, round(strings)) if strings <= _EXACT_FLOAT_LIMIT else strings
+        return max(1, round(strings)) if strings <= EXACT_COUNT_LIMIT else strings
     return spec.data_qubits
 
 
@@ -225,7 +222,7 @@ def _parse_one(raw: object, index: int, strict: bool) -> WorkloadSpec:
     override = fields.number("c_vqe_override", None, gt=0)
     workload_id = fields.text("id", None, nonempty=True)
     if workload_id is None:
-        workload_id = f"{family.value}-{data_qubits}q-d{depth}"
+        workload_id = f"{family.value}-{count_number(data_qubits)}q-d{count_number(depth)}"
     # positional: a named tuple's keyword call costs about a quarter of the parse
     return WorkloadSpec(
         workload_id, family, data_qubits, depth, epsilon, iterations, prep, layers, grouping, mitigation, override

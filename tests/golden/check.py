@@ -11,8 +11,8 @@ library only, so it runs on an interpreter without pytest::
     python tests/golden/check.py            # compare; exit 1 on any difference
     python tests/golden/check.py --record   # rewrite digests.json from this tree
 
-argparse usage errors (exit 2 from the parser) are left out: their text
-differs between Python versions.
+argparse usage errors are left out: their text differs between Python
+versions.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ CASES = [
     ("scatter", ["scatter", "--out", "landscape.svg"], {}),
     ("scatter-edge", ["scatter", "--out", "edge", "--catalog", "edge-catalog.json"], {}),
     # a power draw beyond float range, from a per-qubit component on a huge register or a huge
-    # count, prints as inf; a zero-watt unit draws 0 W whatever its count
+    # count, prints as inf W (unbounded); a zero-watt unit draws 0 W whatever its count
     ("catalog-huge-power", ["catalog", "--catalog", "huge-power-catalog.json"], {}),
     ("estimate-huge-per-qubit-power", ["estimate", "--workload", "q29.json", "--qpu", "huge-per-qubit",
                                        "--catalog", "huge-power-catalog.json"], {}),

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nisq_gonogo.units import (
+    EXACT_COUNT_LIMIT,
     as_float,
+    count_number,
+    count_text,
     csv_field,
     csv_text,
     fidelity_percent,
@@ -21,6 +24,8 @@ from nisq_gonogo.units import (
     format_watts,
     sci,
     times,
+    total_text,
+    unbounded,
 )
 
 
@@ -130,6 +135,44 @@ def test_format_watts_and_joules():
     assert format_watts(130720) == "130.7 kW"
     assert format_watts(65) == "65 W"
     assert format_joules(1.8e8) == "1.8e8 J (50 kWh)"
+    assert format_watts(sys.float_info.max) == f"{sys.float_info.max / 1000:.4g} kW"
+    assert format_joules(sys.float_info.max) == "1.79769e308 J (4.99359e301 kWh)"
+
+
+def test_every_unbounded_value_reads_one_way():
+    assert unbounded("J") == "inf J (unbounded)" and unbounded() == "inf (unbounded)"
+    assert format_watts(math.inf) == "inf W (unbounded)"
+    assert format_joules(math.inf) == "inf J (unbounded)"
+    assert format_seconds(math.inf) == "inf s (unbounded)"
+    assert format_bytes(math.inf) == "inf B (unbounded)"
+    for count in (math.inf, 10**400):
+        assert count_text(count, "qubits") == "inf qubits (unbounded)"
+        assert total_text(count, "shots") == "inf shots (unbounded)"
+        assert count_text(count) == "inf (unbounded)" and count_number(count) == "inf"
+
+
+@pytest.mark.parametrize(
+    "count, text",
+    [
+        (0, "0"),
+        (72, "72"),
+        (EXACT_COUNT_LIMIT, "9007199254740992"),
+        (EXACT_COUNT_LIMIT + 1, "9.0072e15"),
+        (10**300, "1e300"),
+        (1.2e18, "1.2e18"),
+        (3.0, "3"),
+    ],
+)
+def test_a_count_is_exact_up_to_2_53_and_sci_above(count, text):
+    assert count_number(count) == count_text(count) == text
+    assert count_text(count, "strings") == f"{text} strings"
+
+
+def test_the_total_keeps_every_digit_of_an_int_in_float_range():
+    total = 352564345084730722935118409770291831788438043332330913792
+    assert total_text(total, "shots") == f"{total} shots (3.52564e56)"
+    assert total_text(10**6, "shots") == "1000000 shots (1e6)"
+    assert total_text(1.2e18, "shots") == "1.2e18 shots"
 
 
 def test_as_float_reads_ints_beyond_float_range_as_signed_infinity():

@@ -213,6 +213,11 @@ class TestParsing:
         assert specs[0].id == "vqe-72q-d72"
         assert specs[0].mitigation == MitigationSpec()
 
+    def test_default_id_writes_counts_by_the_count_rule(self):
+        doc = {"family": "generic", "data_qubits": 10**400, "depth": 2**60,
+               "target_epsilon": 0.01, "ansatz_iterations": 1}
+        assert parse_workloads(json.dumps(doc))[0].id == "generic-infq-d1.15292e18"
+
     def test_list_of_objects(self):
         doc = json.dumps(
             [
