@@ -23,16 +23,13 @@ Fields: ``power_draw`` (float, watts); ``job_energy`` (float, joules);
 """
 
 
-@functools.lru_cache(maxsize=256)
 def power_breakdown(qpu: QpuSpec) -> tuple[tuple[str, float], ...]:
     """Per-component steady-state draw in watts.
 
     A per-qubit component's effective count is the QPU's qubit count; a count
     beyond float range reads as ``inf``, and a zero-watt unit draws 0 W at any
-    count.  The result depends on the QPU alone, so it is computed once per
-    distinct (immutable) QPU value and shared.  :func:`power_draw` and
-    :func:`estimate_energy` read it, with its total, from a second cache per
-    QPU value, so they call this function only when that cache misses.
+    count.  :func:`power_draw` and :func:`estimate_energy` read it, with its
+    total, from a cache per distinct (immutable) QPU value.
     """
     rows = []
     for label, watts, count, per_qubit in qpu.power_components:

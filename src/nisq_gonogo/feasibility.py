@@ -150,27 +150,27 @@ def success_probability(error_rate: float, shape: CircuitShape) -> float:
     return (1.0 - error_rate) ** as_float(shape.volume)
 
 
-def _snap_to_int(value: float) -> int | None:
-    """Nearest integer when ``value`` sits within relative 1e-9 of it."""
-    nearest = round(value)
-    if nearest >= 1 and abs(value - nearest) <= 1e-9 * nearest:
-        return int(nearest)
-    return None
-
-
 def simple_quantum_volume(error_rate: float) -> int:
-    """Total tolerable circuit volume (qubits x cycles): floor(1/error_rate).
+    """Total tolerable circuit volume (qubits x cycles): the largest int V for which
+    :func:`rate_verdict` calls 1/V go, so ``error_rate`` is strictly below 1/V
+    (1e-4 gives 9,999, not 10,000).
 
-    Values within 1e-9 relative of an integer are snapped before flooring so
-    that decimal inputs like 1e-4 land on their intended exact volume.
+    Found over ints by doubling, then bisection: int true division rounds
+    correctly, so 1/V never rises with V.
     """
     if not 0.0 < error_rate < 1.0:
         raise ValueError(f"error_rate must be in (0, 1), got {error_rate}")
-    value = 1.0 / error_rate
-    snapped = _snap_to_int(value)
-    if snapped is not None:
-        return snapped
-    return math.floor(value)
+
+    def go(volume: int) -> bool:
+        return rate_verdict(required_error_rate(CircuitShape(volume, 1)), error_rate) is _GO
+
+    low, high = 1, 2  # 1/1 is go at any error rate below 1
+    while go(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if go(middle) else (low, middle)
+    return low
 
 
 def feasible_square_side(error_rate: float) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .catalog import Catalog, QpuStatus
-from .feasibility import DEFAULT_SHALLOW_DEPTH, STATEVECTOR_TIERS, TENSOR_NETWORK_ERROR_THRESHOLD
+from .feasibility import DEFAULT_SHALLOW_DEPTH, STATEVECTOR_TIERS, TENSOR_NETWORK_ERROR_THRESHOLD, CircuitShape, required_error_rate
 from .units import count_text, csv_text
 
 #: Comment line identifying the layout revision; the only line allowed to
@@ -52,10 +52,10 @@ _STATUS_STYLE = {
 
 
 def frontier_error(qubits: int | float) -> float:
-    """Feasibility frontier at a given qubit count: error = 1/(depth * n) at the frontier depth."""
+    """Feasibility frontier at a given qubit count: the required error rate of 1 qubit at the frontier depth, over n."""
     if qubits <= 0:
         raise ValueError(f"qubits must be > 0, got {qubits}")
-    return 1.0 / (DEFAULT_FRONTIER_DEPTH * qubits)
+    return required_error_rate(CircuitShape(1, DEFAULT_FRONTIER_DEPTH)) / qubits
 
 
 def scatter_csv(catalog: Catalog) -> str:

@@ -23,6 +23,8 @@ _UNIT_SWITCH = 120.0
 #: A count computed in floats is an exact int up to 2**53 and the float above it.
 EXACT_COUNT_LIMIT = 2**53
 
+_UNBOUNDED = "unbounded"
+
 _BYTE_UNITS = ("B", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB", "ZiB", "YiB")
 #: 2**90 = 1024 YiB, the first byte count :func:`format_bytes` writes as a power of two.
 _ASTRONOMICAL_EXPONENT = 10 * len(_BYTE_UNITS)
@@ -85,7 +87,7 @@ def format_fidelity_percent(error_rate: float, decimals: int = 1) -> str:
 
 def unbounded(unit: str = "") -> str:
     """The one text of a value beyond float range, e.g. ``inf J (unbounded)``."""
-    return f"inf {unit} (unbounded)" if unit else "inf (unbounded)"
+    return f"inf {unit} ({_UNBOUNDED})" if unit else f"inf ({_UNBOUNDED})"
 
 
 def count_number(count: int | float) -> str:
@@ -126,7 +128,7 @@ def format_duration(seconds: float) -> str:
     """Humanize a duration per the 120-of-the-smaller-unit rule."""
     s = float(seconds)
     if not math.isfinite(s):
-        return "unbounded"
+        return _UNBOUNDED
     if s < _UNIT_SWITCH:
         return f"{s:.3g} s"
     if s < _UNIT_SWITCH * MINUTE:

@@ -24,7 +24,7 @@ import enum
 import math
 from collections import namedtuple
 
-from .feasibility import CircuitShape, _snap_to_int, check_error_rate
+from .feasibility import CircuitShape, check_error_rate
 from .fields import Record, decode
 from .units import EXACT_COUNT_LIMIT, as_float, count_number, times
 
@@ -103,8 +103,8 @@ def _snap_ceil(value: float) -> int | float:
     above :data:`~nisq_gonogo.units.EXACT_COUNT_LIMIT` (``math.inf`` too) is returned as the float it is."""
     if value > EXACT_COUNT_LIMIT:
         return value
-    snapped = _snap_to_int(value)
-    return math.ceil(value) if snapped is None else snapped
+    nearest = round(value)
+    return nearest if nearest >= 1 and abs(value - nearest) <= 1e-9 * nearest else math.ceil(value)
 
 
 def _check_epsilon(epsilon: float) -> None:

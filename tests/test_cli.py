@@ -943,8 +943,6 @@ def test_estimate_caches_are_keyed_on_the_qpu_value(qpu_id):
     assert varied_energy.job_energy == 91000.0 * build_estimate_record(varied, spec).runtime.total_time
     assert build_estimate_record(qpu, spec).energy.power_draw == flamingo_watts
     assert report(qpu) == first
-    # an equal qpu value shares the cached breakdown
-    assert energy.power_breakdown(qpu._replace()) is energy.power_breakdown(qpu)
 
 
 def _render_estimate_md_by_lines(record, qpu, spec):

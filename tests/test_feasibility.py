@@ -16,6 +16,7 @@ from nisq_gonogo.feasibility import (
     emulation_tier,
     fit_verdict,
     feasible_square_side,
+    rate_verdict,
     required_error_rate,
     simple_quantum_volume,
     statevector_memory,
@@ -120,16 +121,50 @@ def test_fit_verdict_checks_the_band_before_the_capacity(band):
 
 class TestSquareVolume:
     def test_exact_square(self):
-        assert simple_quantum_volume(1e-4) == 10_000
-        assert feasible_square_side(1e-4) == 100
+        # the rule is strict: 10,000 x 1e-4 is not below 1, so the volume stops one short
+        assert simple_quantum_volume(1e-4) == 9_999
+        assert feasible_square_side(1e-4) == 99
 
     def test_non_square(self):
-        assert simple_quantum_volume(1e-3) == 1000
-        assert feasible_square_side(1e-3) == 31  # 31^2 = 961 < 1000 <= 32^2
+        assert simple_quantum_volume(1e-3) == 999
+        assert feasible_square_side(1e-3) == 31  # 31^2 = 961 <= 999 < 32^2
 
     def test_floor_behavior(self):
         assert feasible_square_side(0.5) == 1
         assert simple_quantum_volume(0.3) == 3
+
+
+def _is_go(shape, error_rate):
+    return rate_verdict(required_error_rate(shape), error_rate) is Verdict.GO
+
+
+def _assert_on_boundary(error_rate):
+    """The volume and the square side sit on :func:`rate_verdict`'s go boundary at ``error_rate``."""
+    volume, side = simple_quantum_volume(error_rate), feasible_square_side(error_rate)
+    assert _is_go(CircuitShape(volume, 1), error_rate) and not _is_go(CircuitShape(volume + 1, 1), error_rate)
+    assert _is_go(CircuitShape(side, side), error_rate) and not _is_go(CircuitShape(side + 1, side + 1), error_rate)
+
+
+class TestFidelityBoundary:
+    """:func:`simple_quantum_volume` and :func:`feasible_square_side` take the go rule from :func:`rate_verdict`."""
+
+    @pytest.mark.parametrize(
+        "error_rate",
+        sorted({*(qpu.two_qubit_error_median for qpu in bundled_catalog().qpus), 1e-4, 1e-3, 2.5e-3, 0.05, 5e-324}),
+    )
+    def test_named_rates(self, error_rate):
+        _assert_on_boundary(error_rate)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(min_value=2, max_value=10**30).map(lambda k: 1 / k),  # exact reciprocals
+            st.floats(min_value=5e-324, max_value=sys.float_info.min, exclude_max=True),  # subnormals
+            st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+        )
+    )
+    def test_generated_rates(self, error_rate):
+        _assert_on_boundary(error_rate)
 
 
 class TestAssess:

@@ -25,6 +25,9 @@ def test_csv_one_row_per_qpu():
 def test_frontier_matches_feasibility_rule():
     assert frontier_error(53) == pytest.approx(required_error_rate(CircuitShape(53, 8)), rel=1e-12)
     assert frontier_error(53) == pytest.approx(2.358e-3, abs=1e-6)
+    # the same float as 1/(8n) written out, at every int to 10^4 and at the plot's sample points
+    for n in (*range(1, 10_001), *(10.0 ** (4 * i / 120) for i in range(121))):
+        assert frontier_error(n) == 1.0 / (8 * n)
     with pytest.raises(ValueError):
         frontier_error(0)
 
