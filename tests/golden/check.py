@@ -91,6 +91,9 @@ CASES = [
     ("catalog-lenient", ["catalog", "--catalog", "lenient-catalog.json"], {}),
     ("scatter", ["scatter", "--out", "landscape.svg"], {}),
     ("scatter-edge", ["scatter", "--out", "edge", "--catalog", "edge-catalog.json"], {}),
+    # the bundled catalog of schema version 1 verbatim, and the same document marked version 2
+    ("catalog-v1", ["catalog", "--catalog", "v1-catalog.json"], {}),
+    ("catalog-v2-old-fields", ["catalog", "--catalog", "v2-old-fields-catalog.json"], {}),
     # a power draw beyond float range, from a per-qubit component on a huge register or a huge
     # count, prints as inf W (unbounded); a zero-watt unit draws 0 W whatever its count
     ("catalog-huge-power", ["catalog", "--catalog", "huge-power-catalog.json"], {}),
