@@ -4,7 +4,7 @@ validation, and the bundled dataset.
 Catalog files are UTF-8 JSON documents::
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "qpus": [
         {
           "id": "example-qpu",
@@ -15,7 +15,6 @@ Catalog files are UTF-8 JSON documents::
           "two_qubit_gate_time": 1e-7,            # seconds
           "readout_time": 1e-6,                   # seconds
           "reset_time": 1e-6,                     # seconds
-          "connectivity": "grid-4",
           "power_components": [
             {"label": "pulse tubes", "unit_power_w": 10000, "count": 9, "per_qubit": false}
           ],
@@ -25,7 +24,7 @@ Catalog files are UTF-8 JSON documents::
       ],
       "classical_refs": [
         {"id": "dgx-rack", "description": "...", "power_draw": 30000,
-         "memory_capacity": 2199023255552, "tier_hint": "hpc"}
+         "memory_capacity": 2199023255552}
       ]
     }
 
@@ -41,18 +40,11 @@ import enum
 import functools
 import json
 import os
-import re
 from collections import namedtuple
 
-from .feasibility import EmulationTier
 from .fields import Record, decode, json_of
 
-SCHEMA_VERSION = 1
-
-_CONNECTIVITY_CLASSES = ("all-to-all", "grid-4", "heavy-hex", "linear")
-_CLUSTER_RE = re.compile(r"^cluster-[1-9][0-9]*$")
-
-_TIER_LABELS = tuple(tier.label for tier in EmulationTier)
+SCHEMA_VERSION = 2
 
 
 class CatalogError(ValueError):
@@ -94,7 +86,7 @@ QpuSpec = namedtuple(
     "QpuSpec",
     (
         "id", "modality", "qubit_count", "two_qubit_error_median", "two_qubit_gate_time", "readout_time",
-        "reset_time", "connectivity", "status", "source_note", "two_qubit_error_stddev", "power_components",
+        "reset_time", "status", "source_note", "two_qubit_error_stddev", "power_components",
     ),
     defaults=(None, ()),
 )
@@ -103,19 +95,16 @@ QpuSpec.__doc__ = """One hardware platform, as transcribed from public figures.
 Fields: ``id`` (str); ``modality`` (:class:`Modality`); ``qubit_count``
 (int); ``two_qubit_error_median`` (float, an error probability, not a
 percentage); ``two_qubit_gate_time``, ``readout_time`` and ``reset_time``
-(float, seconds); ``connectivity`` (str); ``status`` (:class:`QpuStatus`);
-``source_note`` (str); ``two_qubit_error_stddev`` (float, or None when
-unreported); ``power_components`` (tuple of :class:`PowerComponent`).
+(float, seconds); ``status`` (:class:`QpuStatus`); ``source_note`` (str);
+``two_qubit_error_stddev`` (float, or None when unreported);
+``power_components`` (tuple of :class:`PowerComponent`).
 """
 
-ClassicalRefSpec = namedtuple(
-    "ClassicalRefSpec", ("id", "description", "power_draw", "memory_capacity", "tier_hint"), defaults=(None,)
-)
+ClassicalRefSpec = namedtuple("ClassicalRefSpec", ("id", "description", "power_draw", "memory_capacity"))
 ClassicalRefSpec.__doc__ = """A classical machine used as the comparison side of estimates.
 
 Fields: ``id`` and ``description`` (str); ``power_draw`` (float, watts);
-``memory_capacity`` (int, bytes); ``tier_hint`` (str, an emulation tier
-label, or None).
+``memory_capacity`` (int, bytes).
 """
 
 _CatalogFields = namedtuple("_CatalogFields", ("qpus", "classical_refs"), defaults=((),))
@@ -198,13 +187,6 @@ def _parse_qpu(raw: object, strict: bool) -> QpuSpec:
     readout_time = fields.number("readout_time", ge=0)
     reset_time = fields.number("reset_time", ge=0)
 
-    connectivity = fields.text("connectivity")
-    if connectivity not in _CONNECTIVITY_CLASSES and not _CLUSTER_RE.match(connectivity):
-        fields.fail(
-            "connectivity",
-            f"must be one of {list(_CONNECTIVITY_CLASSES)} or 'cluster-<k>', got {connectivity!r}",
-        )
-
     components = tuple(
         _parse_power_component(item, f"{record} power component #{i}", strict)
         for i, item in enumerate(fields.items("power_components", None) or ())
@@ -219,7 +201,6 @@ def _parse_qpu(raw: object, strict: bool) -> QpuSpec:
         two_qubit_gate_time=gate_time,
         readout_time=readout_time,
         reset_time=reset_time,
-        connectivity=connectivity,
         power_components=components,
         status=fields.choice("status", QpuStatus),
         source_note=fields.text("source_note"),
@@ -233,10 +214,7 @@ def _parse_classical_ref(raw: object, strict: bool) -> ClassicalRefSpec:
     description = fields.text("description")
     power = fields.number("power_draw", gt=0)
     memory = fields.integer("memory_capacity", minimum=1, floats=True)
-    tier = fields.text("tier_hint", None)
-    if tier is not None and tier not in _TIER_LABELS:
-        fields.fail("tier_hint", f"must be one of {list(_TIER_LABELS)}, got {tier!r}")
-    return ClassicalRefSpec(id=ref_id, description=description, power_draw=power, memory_capacity=memory, tier_hint=tier)
+    return ClassicalRefSpec(id=ref_id, description=description, power_draw=power, memory_capacity=memory)
 
 
 def parse_catalog(document: str, *, strict: bool = True) -> Catalog:

@@ -105,10 +105,6 @@ class EmulationTier(enum.IntEnum):
     TENSOR_NETWORK = 4
     BEYOND_CLASSICAL = 5
 
-    @property
-    def label(self) -> str:
-        return self.name.lower().replace("_", "-")
-
 
 #: (tier, largest qubit count) for the statevector emulation tiers, cheapest
 #: first.  Bounds are upper-inclusive: the boundary qubit count belongs to the

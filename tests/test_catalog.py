@@ -9,16 +9,14 @@ from nisq_gonogo.catalog import (
     Catalog,
     CatalogSyntaxError,
     CatalogValidationError,
-    _TIER_LABELS,
     bundled_catalog,
     parse_catalog,
     serialize_catalog,
 )
 from nisq_gonogo.energy import power_draw
-from nisq_gonogo.feasibility import EmulationTier
 
 MINIMAL = {
-    "schema_version": 1,
+    "schema_version": 2,
     "qpus": [
         {
             "id": "x",
@@ -28,7 +26,6 @@ MINIMAL = {
             "two_qubit_gate_time": 1e-7,
             "readout_time": 0,
             "reset_time": 0,
-            "connectivity": "linear",
             "power_components": [],
             "status": "available",
             "source_note": "test fixture",
@@ -98,21 +95,24 @@ def test_missing_field_named():
 
 
 def test_unknown_field_strict_vs_lenient():
-    doc = minimal_doc(surprise=42)
-    with pytest.raises(CatalogValidationError, match="unknown field 'surprise'"):
-        parse_catalog(doc, strict=True)
-    with pytest.warns(InputWarning) as warned:
-        catalog = parse_catalog(doc, strict=False)
-    assert [str(w.message) for w in warned] == ["qpu 'x': ignoring unknown field 'surprise'"]
-    # recognized fields are never dropped in lenient mode
-    assert catalog.qpus[0].two_qubit_error_median == 0.01
-
-
-def test_cluster_connectivity_accepted():
-    catalog = parse_catalog(minimal_doc(connectivity="cluster-15"))
-    assert catalog.qpus[0].connectivity == "cluster-15"
-    with pytest.raises(CatalogValidationError, match="connectivity"):
-        parse_catalog(minimal_doc(connectivity="cluster-"))
+    # the fields that schema version 1 had and version 2 dropped are unknown like any other
+    with_ref = json.loads(minimal_doc())
+    with_ref["classical_refs"] = [
+        {"id": "r", "description": "d", "power_draw": 100, "memory_capacity": 1024, "tier_hint": "hpc"}
+    ]
+    cases = [
+        (minimal_doc(surprise=42), "surprise", "qpu 'x'"),
+        (minimal_doc(connectivity="grid-4"), "connectivity", "qpu 'x'"),
+        (json.dumps(with_ref), "tier_hint", "classical ref 'r'"),
+    ]
+    for doc, field, record in cases:
+        with pytest.raises(CatalogValidationError, match=f"^{record}: unknown field '{field}'"):
+            parse_catalog(doc, strict=True)
+        with pytest.warns(InputWarning) as warned:
+            catalog = parse_catalog(doc, strict=False)
+        assert [str(w.message) for w in warned] == [f"{record}: ignoring unknown field '{field}'"]
+        # recognized fields are never dropped in lenient mode
+        assert catalog.qpus[0].two_qubit_error_median == 0.01
 
 
 def test_gate_time_must_be_positive():
@@ -165,10 +165,6 @@ def test_unknown_qpu_id_lists_known():
         bundled_catalog().get_qpu("does-not-exist")
 
 
-def test_tier_hint_labels_match_emulation_tiers():
-    assert _TIER_LABELS == tuple(t.label for t in EmulationTier)
-
-
 # random catalog generation for the round-trip property
 
 _ids = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=12)
@@ -186,7 +182,6 @@ def _qpu_dicts(qpu_id):
             "two_qubit_gate_time": st.floats(min_value=1e-9, max_value=1.0, allow_nan=False),
             "readout_time": st.floats(min_value=0, max_value=1.0, allow_nan=False),
             "reset_time": st.floats(min_value=0, max_value=1.0, allow_nan=False),
-            "connectivity": st.sampled_from(["all-to-all", "grid-4", "heavy-hex", "linear", "cluster-15"]),
             "power_components": st.lists(
                 st.fixed_dictionaries(
                     {
@@ -208,7 +203,7 @@ def _qpu_dicts(qpu_id):
 def catalog_documents(draw):
     ids = draw(st.lists(_ids, min_size=0, max_size=4, unique=True))
     qpus = [draw(_qpu_dicts(i)) for i in ids]
-    return json.dumps({"schema_version": 1, "qpus": qpus, "classical_refs": []})
+    return json.dumps({"schema_version": 2, "qpus": qpus, "classical_refs": []})
 
 
 @settings(max_examples=100, deadline=None)

@@ -91,7 +91,7 @@ class TestFeasibilityCommand:
 
     def test_all_no_go_exit_code(self, capsys, workload_file, tmp_path):
         doc = {
-            "schema_version": 1,
+            "schema_version": 2,
             "qpus": [
                 {
                     "id": "noisy",
@@ -101,7 +101,6 @@ class TestFeasibilityCommand:
                     "two_qubit_gate_time": 1e-7,
                     "readout_time": 0,
                     "reset_time": 0,
-                    "connectivity": "grid-4",
                     "power_components": [],
                     "status": "available",
                     "source_note": "fixture",
@@ -119,7 +118,7 @@ class TestFeasibilityCommand:
 
     def test_perfect_projected_qpu_reaches_go(self, capsys, workload_file, tmp_path):
         doc = {
-            "schema_version": 1,
+            "schema_version": 2,
             "qpus": [
                 {
                     "id": "dream",
@@ -129,7 +128,6 @@ class TestFeasibilityCommand:
                     "two_qubit_gate_time": 1e-7,
                     "readout_time": 0,
                     "reset_time": 0,
-                    "connectivity": "all-to-all",
                     "power_components": [],
                     "status": "projected",
                     "source_note": "fixture",
@@ -158,7 +156,7 @@ class TestFeasibilityCommand:
 
     def test_malformed_catalog_reports_position(self, capsys, workload_file, tmp_path):
         catalog_path = tmp_path / "broken.json"
-        catalog_path.write_text('{"schema_version": 1, "qpus": [', encoding="utf-8")
+        catalog_path.write_text('{"schema_version": 2, "qpus": [', encoding="utf-8")
         code, _, err = run(
             capsys, "feasibility", "--catalog", str(catalog_path), "--workload", workload_file(WORKLOAD_53x8)
         )
@@ -186,7 +184,7 @@ class TestFeasibilityCommand:
             pytest.param("-3", None, id="-3"),
             pytest.param("1", None, id="1"),
             pytest.param("nan", None, id="nan"),
-            pytest.param("-3", {"schema_version": 1, "qpus": []}, id="-3-empty-catalog"),
+            pytest.param("-3", {"schema_version": 2, "qpus": []}, id="-3-empty-catalog"),
         ],
     )
     def test_marginal_band_must_be_finite_and_above_one(self, capsys, workload_file, band, catalog):
@@ -466,7 +464,7 @@ class TestCatalogCommand:
         assert "9 qpus, 3 classical refs." in out
 
     def test_rejects_invalid_catalog_file(self, capsys, tmp_path):
-        bad = {"schema_version": 1, "qpus": [{"id": "x"}], "classical_refs": []}
+        bad = {"schema_version": 2, "qpus": [{"id": "x"}], "classical_refs": []}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad), encoding="utf-8")
         code, _, err = run(capsys, "catalog", "--catalog", str(path))
@@ -804,7 +802,7 @@ def test_bundled_catalog_renderings_are_pinned():
         "render_catalog_md": "74d276f2cd24c0fe157e33314451498147ddc0af8b1709f660b8984f7704bcc3",
         "scatter_csv": "97f038fe7ba926a99c4d3fd24a846f24ce3500db58ea3f7c21b52dfc8bbfe8ff",
         "scatter_svg": "85c933e18a8025a75aa65da90f3b8c0f64752908efe9a4c4328c47f54bdf42f9",
-        "serialize_catalog": "95353e8f941407064a55b964b817a1f44c14293a5dd074390e0227fbab64445f",
+        "serialize_catalog": "4301e1eb1326b8c9f3333aab37b5b206bf232bdac7be325e2099006d8a1c8a58",
     }
 
 
@@ -817,7 +815,6 @@ def _fixture_qpu(qpu_id, qubits, error, status, stddev=None):
         "two_qubit_gate_time": 1e-7,
         "readout_time": 0,
         "reset_time": 0,
-        "connectivity": "grid-4",
         "power_components": [],
         "status": status,
         "source_note": "fixture",
@@ -831,7 +828,7 @@ def test_feasibility_reports_are_pinned(capsys, workload_file, tmp_path):
     """Every verdict, both notes and capacity misses; the two ``dup`` rows of
     lab-a have equal sort keys and keep their input order."""
     catalog = {
-        "schema_version": 1,
+        "schema_version": 2,
         "qpus": [
             _fixture_qpu("lab-a", 30, 1e-4, "available", stddev=2e-5),
             _fixture_qpu("lab-b", 60, 2e-3, "announced"),
@@ -1219,7 +1216,6 @@ _QPU = _documents(
         "two_qubit_gate_time": st.floats(min_value=1e-9, max_value=1e-3),
         "readout_time": st.floats(min_value=0.0, max_value=1e-3),
         "reset_time": st.floats(min_value=0.0, max_value=1e-3),
-        "connectivity": st.sampled_from(["all-to-all", "cluster-3"]),
         "status": st.sampled_from(["available", "projected"]),
         "source_note": st.one_of(st.just("n"), _TEXTS),
         "power_components": st.lists(_COMPONENT, min_size=1, max_size=3),
@@ -1233,11 +1229,11 @@ _REF = _documents(
         "power_draw": st.floats(min_value=1e-3, max_value=1e300),
         "memory_capacity": st.one_of(st.integers(min_value=1, max_value=2**80), st.just(10**400)),
     },
-    {"tier_hint": st.sampled_from(["hpc", "laptop", "nope"])},
+    {},
 )
 _CATALOG_DOCUMENTS = st.one_of(
     st.fixed_dictionaries(
-        {"schema_version": st.just(1), "qpus": st.lists(_QPU, min_size=1, max_size=2)},
+        {"schema_version": st.just(2), "qpus": st.lists(_QPU, min_size=1, max_size=2)},
         optional={"classical_refs": st.lists(_REF, max_size=2)},
     ),
     st.sampled_from([None, [], "", 10**400]),  # one branch, so that most documents are catalogs
@@ -1248,10 +1244,10 @@ def _huge_catalog(qubit_count, component, **odd):
     """A catalog of one qpu ``q`` whose one power component is ``component``, with ``odd`` fields."""
     qpu = {
         "id": "q", "modality": "superconducting", "qubit_count": qubit_count, "two_qubit_error_median": 0.01,
-        "two_qubit_gate_time": 1e-7, "readout_time": 0.0, "reset_time": 0.0, "connectivity": "all-to-all",
+        "two_qubit_gate_time": 1e-7, "readout_time": 0.0, "reset_time": 0.0,
         "status": "available", "source_note": "n", "power_components": [{"label": "c", **component}], **odd,
     }
-    return {"schema_version": 1, "qpus": [qpu]}
+    return {"schema_version": 2, "qpus": [qpu]}
 
 
 _UNDERFLOW = _huge_catalog(50, {"unit_power_w": 1.0, "count": 10**400}, two_qubit_gate_time=5e-324)

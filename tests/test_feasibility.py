@@ -244,10 +244,6 @@ class TestEmulationTier:
         assert emulation_tier(127, DEFAULT_SHALLOW_DEPTH, 1e-4) is EmulationTier.TENSOR_NETWORK
         assert emulation_tier(127, DEFAULT_SHALLOW_DEPTH + 1, 1e-4) is EmulationTier.BEYOND_CLASSICAL
 
-    def test_labels(self):
-        assert EmulationTier.TENSOR_NETWORK.label == "tensor-network"
-        assert EmulationTier.BEYOND_CLASSICAL.label == "beyond-classical"
-
 
 @settings(max_examples=200, deadline=None)
 @given(

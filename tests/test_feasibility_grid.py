@@ -109,7 +109,7 @@ def read_csv(text):
 
 def _qpu(qpu_id, qubits, error_rate, status=QpuStatus.AVAILABLE, stddev=None):
     return QpuSpec(
-        qpu_id, Modality.OTHER, qubits, error_rate, 1e-7, 0.0, 0.0, "grid-4", status, "test",
+        qpu_id, Modality.OTHER, qubits, error_rate, 1e-7, 0.0, 0.0, status, "test",
         two_qubit_error_stddev=stddev,
     )
 

@@ -116,11 +116,6 @@ def _text(*, nonempty=False, optional=False, strings=None):
     return _table("must be a string", special=special)
 
 
-def _one_of(message):
-    """``message, got <value>`` for each plain string: a string field with a closed set of values."""
-    return {label: f"{message}, got {GOT[label]}" for label in _STRINGS}
-
-
 EXPECTED = {
     # the optional non-empty id: null reads as absent
     "id": _text(nonempty=True, optional=True),
@@ -236,13 +231,12 @@ VALID_QPU = {
     "two_qubit_gate_time": 1e-7,
     "readout_time": 1e-6,
     "reset_time": 1e-6,
-    "connectivity": "grid-4",
     "power_components": [{"label": "fridge", "unit_power_w": 10.0, "count": 2, "per_qubit": False}],
     "status": "available",
     "source_note": "n",
 }
-VALID_REF = {"id": "r", "description": "d", "power_draw": 100.0, "memory_capacity": 1024, "tier_hint": "hpc"}
-VALID_CATALOG = {"schema_version": 1, "qpus": [VALID_QPU], "classical_refs": [VALID_REF]}
+VALID_REF = {"id": "r", "description": "d", "power_draw": 100.0, "memory_capacity": 1024}
+VALID_CATALOG = {"schema_version": 2, "qpus": [VALID_QPU], "classical_refs": [VALID_REF]}
 VALID_PROFILE = {"runtime_s": 10.0, "energy_j": 5.0, "cost": 1.0, "quality": 1.0, "memory_bytes": 1024, "classical_ref": "r"}
 
 
@@ -259,14 +253,11 @@ def _not_an_object(record):
 
 
 def _version():
-    """``schema_version``: an int other than 1 is an unsupported version, anything else not an integer."""
+    """``schema_version``: an int other than 2 is an unsupported version, anything else not an integer."""
     table = _integer(minimum=-1)
-    table.update({label: Whole(f"catalog: unsupported schema_version {GOT[label]} (expected 1)") for label in ("zero", "negative", "huge")})
+    table.update({label: Whole(f"catalog: unsupported schema_version {GOT[label]} (expected 2)") for label in ("zero", "negative", "huge")})
     return table
 
-
-CONNECTIVITY = "must be one of ['all-to-all', 'grid-4', 'heavy-hex', 'linear'] or 'cluster-<k>'"
-TIERS = "must be one of ['laptop', 'server', 'cluster', 'hpc', 'tensor-network', 'beyond-classical']"
 
 CATALOG_EXPECTED = {
     "schema_version": _version(),
@@ -280,7 +271,6 @@ CATALOG_EXPECTED = {
     "qpus[].two_qubit_gate_time": _number("> 0", accepts=("half",)),
     "qpus[].readout_time": _number(">= 0", accepts=("zero", "half")),
     "qpus[].reset_time": _number(">= 0", accepts=("zero", "half")),
-    "qpus[].connectivity": _text(strings=_one_of(CONNECTIVITY)),
     "qpus[].power_components": {**_not_an_object("qpu 'q' power component #0"), "null": None},
     "qpus[].status": _choice(["available", "announced", "projected"]),
     "qpus[].source_note": _text(),
@@ -292,7 +282,6 @@ CATALOG_EXPECTED = {
     "classical_refs[].description": _text(),
     "classical_refs[].power_draw": _number("> 0", accepts=("half",)),
     "classical_refs[].memory_capacity": _integer(floats=True),
-    "classical_refs[].tier_hint": _text(optional=True, strings=_one_of(TIERS)),
 }
 
 PROFILE_EXPECTED = {

@@ -1,8 +1,10 @@
 """The package's records are immutable named tuples with the fields and signatures the parsers write."""
 
+import ast
 import copy
 import json
 import math
+import pathlib
 import pickle
 import re
 
@@ -17,10 +19,10 @@ from nisq_gonogo.feasibility import CircuitShape, FeasibilityVerdict, assess, fi
 from nisq_gonogo.fields import json_of
 from nisq_gonogo.workload import AlgorithmFamily, MitigationSpec, PauliGrouping, parse_workloads
 
-#: QpuSpec's fields, the order ``serialize_catalog`` writes: the ten required ones, then the two optional.
+#: QpuSpec's fields, the order ``serialize_catalog`` writes: the nine required ones, then the two optional.
 QPU_LAYOUT = (
     "id", "modality", "qubit_count", "two_qubit_error_median", "two_qubit_gate_time", "readout_time",
-    "reset_time", "connectivity", "status", "source_note", "two_qubit_error_stddev", "power_components",
+    "reset_time", "status", "source_note", "two_qubit_error_stddev", "power_components",
 )
 
 
@@ -68,6 +70,24 @@ def test_qpu_spec_fields_follow_the_catalog_layout():
     assert QpuSpec._fields == QPU_LAYOUT
 
 
+def test_every_input_field_is_read_outside_its_parser():
+    """Each field a catalog or workload document carries is read as an attribute by some model or report."""
+    from nisq_gonogo.catalog import ClassicalRefSpec
+    from nisq_gonogo.workload import WorkloadSpec
+
+    package = pathlib.Path(workload.__file__).parent
+    read = {
+        node.attr
+        for path in package.glob("*.py")
+        if path.name not in ("catalog.py", "__init__.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = {*QpuSpec._fields, *ClassicalRefSpec._fields, *WorkloadSpec._fields, *MitigationSpec._fields}
+    # source_note is parsed for the provenance block of the JSON reports (ROADMAP item 4)
+    assert sorted(fields - read - {"source_note"}) == []
+
+
 def test_qpu_spec_takes_stddev_and_power_components_by_keyword_only():
     qpu = _powered_qpu()
     required = [getattr(qpu, name) for name in QpuSpec._fields if name not in ("two_qubit_error_stddev", "power_components")]
@@ -98,7 +118,7 @@ def test_json_of_round_trips_a_qpu_with_power_components():
     doc = json_of(qpu)
     assert list(doc) == [name for name in QpuSpec._fields if getattr(qpu, name) is not None]
     assert doc["power_components"] == [json_of(component) for component in qpu.power_components]
-    parsed = parse_catalog(json.dumps({"schema_version": 1, "qpus": [doc]}))
+    parsed = parse_catalog(json.dumps({"schema_version": 2, "qpus": [doc]}))
     assert parsed.qpus == (qpu,)
 
 
@@ -138,17 +158,17 @@ def _record_table():
     component = PowerComponent("pulse tubes", 10000.0, 9)
     component_repr = "PowerComponent(label='pulse tubes', unit_power_w=10000.0, count=9, per_qubit=False)"
     qpu = QpuSpec(
-        "q", Modality.SPIN, 4, 0.01, 1e-07, 1e-06, 0.0, "linear", QpuStatus.PROJECTED, "note",
+        "q", Modality.SPIN, 4, 0.01, 1e-07, 1e-06, 0.0, QpuStatus.PROJECTED, "note",
         power_components=(component,),
     )
     qpu_repr = (
         "QpuSpec(id='q', modality=<Modality.SPIN: 'spin'>, qubit_count=4, two_qubit_error_median=0.01, "
-        "two_qubit_gate_time=1e-07, readout_time=1e-06, reset_time=0.0, connectivity='linear', "
+        "two_qubit_gate_time=1e-07, readout_time=1e-06, reset_time=0.0, "
         "status=<QpuStatus.PROJECTED: 'projected'>, source_note='note', two_qubit_error_stddev=None, "
         f"power_components=({component_repr},))"
     )
     ref = ClassicalRefSpec("dgx", "a rack", 30000.0, 2**41)
-    ref_repr = "ClassicalRefSpec(id='dgx', description='a rack', power_draw=30000.0, memory_capacity=2199023255552, tier_hint=None)"
+    ref_repr = "ClassicalRefSpec(id='dgx', description='a rack', power_draw=30000.0, memory_capacity=2199023255552)"
     mitigation = MitigationSpec(True)
     mitigation_repr = "MitigationSpec(enabled=True, exponent_coefficient=1.0)"
     plan = ShotPlan(10, 100, 1.5, 1500)
@@ -175,8 +195,7 @@ def _record_table():
             QpuSpec, QPU_LAYOUT, {"two_qubit_error_stddev": None, "power_components": ()}, qpu, qpu_repr,
         ),
         "ClassicalRefSpec": (
-            ClassicalRefSpec, ("id", "description", "power_draw", "memory_capacity", "tier_hint"),
-            {"tier_hint": None}, ref, ref_repr,
+            ClassicalRefSpec, ("id", "description", "power_draw", "memory_capacity"), {}, ref, ref_repr,
         ),
         "Catalog": (
             Catalog, ("qpus", "classical_refs"), {"classical_refs": ()}, Catalog((qpu,), (ref,)),
