@@ -348,6 +348,24 @@ def test_each_bad_catalog_or_profile_value_gets_its_exact_message(kind, field, l
     assert str(info.value) == expected
 
 
+#: The fields that schema version 1 had and version 2 dropped, each with a value version 1 accepted.
+DROPPED = {"qpus[].connectivity": '"grid-4"', "classical_refs[].tier_hint": '"hpc"'}
+DROPPED_CASES = [(field, label) for field in DROPPED for label in ("schema-1", *BAD_VALUES)]
+
+
+@pytest.mark.parametrize(("field", "label"), DROPPED_CASES, ids=[f"catalog:{f}={v}" for f, v in DROPPED_CASES])
+def test_a_dropped_schema_1_field_is_unknown_whatever_its_value(field, label):
+    document = _document(field, DROPPED[field] if label == "schema-1" else BAD_VALUES[label], VALID_CATALOG)
+    path, _, name = field.rpartition(".")
+    record = RECORDS[path].format(VALID_CATALOG[path[:-2]][0]["id"])
+    with pytest.raises(CatalogError) as info:
+        parse_catalog(document)
+    assert str(info.value) == f"{record}: unknown field '{name}'"
+    with pytest.warns(InputWarning) as warned:
+        catalog = parse_catalog(document, strict=False)
+    assert [str(w.message) for w in warned] == [f"{record}: ignoring unknown field '{name}'"]
+    assert catalog == parse_catalog(json.dumps(VALID_CATALOG))
+
 def test_accepted_catalog_and_profile_values_keep_their_type():
     catalog = parse_catalog(_document("qpus[].qubit_count", str(HUGE), VALID_CATALOG))
     assert type(catalog.qpus[0].qubit_count) is int and catalog.qpus[0].qubit_count == HUGE

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from nisq_gonogo.catalog import Catalog, bundled_catalog
-from nisq_gonogo.feasibility import CircuitShape, required_error_rate
+from nisq_gonogo.feasibility import STATEVECTOR_TIERS, CircuitShape, required_error_rate
 from nisq_gonogo.scatter import SVG_VERSION_COMMENT, frontier_error, scatter_csv, scatter_svg
 
 
@@ -55,6 +55,13 @@ def test_empty_catalog_svg_still_has_axes_and_zones():
     assert "polyline" in svg  # frontier curve
     assert "laptop" in svg  # tier band labels survive
 
+
+def test_every_emulation_tier_band_is_drawn():
+    # one band per statevector tier, then one for everything above the largest
+    root = ET.fromstring(scatter_svg(Catalog(qpus=(), classical_refs=())).encode("utf-8"))
+    bands = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text") if el.get("fill") == "#666666"]
+    assert bands == ["laptop", "server", "cluster", "HPC", "tensor network / beyond classical"]
+    assert len(bands) == len(STATEVECTOR_TIERS) + 1
 
 def test_deterministic_output():
     catalog = bundled_catalog()
