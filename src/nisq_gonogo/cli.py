@@ -17,7 +17,6 @@ from __future__ import annotations
 import _thread
 import argparse
 import atexit
-import functools
 import gc
 import os
 import sys
@@ -43,6 +42,7 @@ from .units import (
     format_power_of_two_bytes,
     format_seconds,
     format_watts,
+    per_object,
     sci,
     total_text,
 )
@@ -190,15 +190,14 @@ def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
     return "".join(lines)
 
 
-@functools.lru_cache(maxsize=256)
+@per_object
 def _estimate_qpu_lines(qpu: QpuSpec) -> tuple[str, str, str, str]:
-    """The parts of an estimate report that depend on the qpu alone, made once per distinct qpu value.
+    """The parts of an estimate report that depend on the qpu alone, made once per qpu object.
 
     They are the ``qpu:`` line, the error rate's :func:`sci` text, the power
     draw with its component lines, and the no-power-data note (empty when the
     qpu draws more than 0 W, as in the catalog and compare reports).  The
-    power figures come from the energy module's own per-value caches of the
-    breakdown and its total.
+    power total comes from the energy module's own memo per qpu object.
     """
     error = qpu.two_qubit_error_median
     qpu_line = (
@@ -210,6 +209,19 @@ def _estimate_qpu_lines(qpu: QpuSpec) -> tuple[str, str, str, str]:
     power.extend(f"  - {label}: {format_watts(watts)}" for label, watts in energy_mod.power_breakdown(qpu))
     note = "" if draw > 0 else "\n  (no power data reported for this qpu)"
     return qpu_line, sci(error), "\n".join(power), note
+
+
+@per_object
+def _estimate_workload_texts(spec: workload_mod.WorkloadSpec) -> tuple[feas.CircuitShape, str, str, str]:
+    """The shape, the ``workload:`` line, the required error rate's :func:`sci` text and the
+    classical time per iteration: the parts of an estimate report made once per workload object."""
+    shape = spec.shape
+    header = (
+        f"workload: {spec.family._value_}, {count_text(spec.data_qubits, 'data qubits')}, "
+        f"depth {count_text(spec.depth, 'cycles')}, target epsilon {spec.target_epsilon}, "
+        f"{count_text(spec.ansatz_iterations, 'iterations')}"
+    )
+    return shape, header, sci(feas.required_error_rate(shape)), format_seconds(spec.classical_prep_time)
 
 
 def build_estimate_record(
@@ -229,19 +241,16 @@ def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.
     """The markdown estimate of ``spec`` on ``qpu``; ``record`` is :func:`build_estimate_record`'s for the pair."""
     plan, rt, en = record
     qpu_line, available, power_lines, power_note = _estimate_qpu_lines(qpu)
-    fit = feas.fit_verdict(qpu, spec.shape)  # None on a capacity miss, which raises nothing
+    shape, workload_line, required, classical = _estimate_workload_texts(spec)
+    fit = feas.fit_verdict(qpu, shape)  # None on a capacity miss, which raises nothing
     if fit is None:
         feasibility = f"no-go ({feas.capacity_message(spec.data_qubits, qpu)})"
     else:
-        required, _, _, verdict, _ = fit
-        feasibility = f"{verdict._value_} (required error rate {sci(required)}, available {available})"
+        feasibility = f"{fit.verdict._value_} (required error rate {required}, available {available})"
     breakdown = "".join([f"  - {label}: {format_seconds(seconds)}\n" for label, seconds in rt.breakdown])
     # one f-string: a report is made per record, and a list of its lines costs a join
     return (
-        f"# Resource estimate: {spec.id} on {qpu.id}\n\n"
-        f"workload: {spec.family._value_}, {count_text(spec.data_qubits, 'data qubits')}, "
-        f"depth {count_text(spec.depth, 'cycles')}, target epsilon {spec.target_epsilon}, "
-        f"{count_text(spec.ansatz_iterations, 'iterations')}\n"
+        f"# Resource estimate: {spec.id} on {qpu.id}\n\n{workload_line}\n"
         f"{qpu_line}\nfeasibility: {feasibility}\n\n"
         f"shot plan ({plan.model} accounting):\n"
         f"- measurement strings: {count_text(plan.pauli_strings, 'strings')}\n"
@@ -250,7 +259,7 @@ def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.
         f"- total shots per iteration: {total_text(plan.total_shots, 'shots')}\n\n"
         f"runtime:\n- single shot: {format_seconds(rt.single_shot_time)}\n"
         f"- quantum per iteration: {format_seconds(rt.quantum_time_per_iteration)}\n"
-        f"- classical per iteration: {format_seconds(spec.classical_prep_time)}\n"
+        f"- classical per iteration: {classical}\n"
         f"- iteration: {format_seconds(rt.iteration_time)}\n"
         f"- total: {format_seconds(rt.total_time)}\n{breakdown}\n"
         f"energy:\n{power_lines}\n- job energy: {format_joules(en.job_energy)}{power_note}\n"

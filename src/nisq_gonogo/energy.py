@@ -7,12 +7,11 @@ never an inferred one.
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 
 from .catalog import QpuSpec
 from .runtime import RuntimeEstimate
-from .units import as_float, times
+from .units import as_float, per_object, times
 
 
 EnergyEstimate = namedtuple("EnergyEstimate", ("power_draw", "job_energy", "breakdown"))
@@ -29,7 +28,7 @@ def power_breakdown(qpu: QpuSpec) -> tuple[tuple[str, float], ...]:
     A per-qubit component's effective count is the QPU's qubit count; a count
     beyond float range reads as ``inf``, and a zero-watt unit draws 0 W at any
     count.  :func:`power_draw` and :func:`estimate_energy` read it, with its
-    total, from a cache per distinct (immutable) QPU value.
+    total, from a memo per QPU object.
     """
     rows = []
     for label, watts, count, per_qubit in qpu.power_components:
@@ -38,9 +37,9 @@ def power_breakdown(qpu: QpuSpec) -> tuple[tuple[str, float], ...]:
     return tuple(rows)
 
 
-@functools.lru_cache(maxsize=256)
+@per_object
 def _power(qpu: QpuSpec) -> tuple[tuple[tuple[str, float], ...], float]:
-    """(:func:`power_breakdown`, its total in watts), made once per distinct QPU value."""
+    """(:func:`power_breakdown`, its total in watts), made once per QPU object."""
     breakdown = power_breakdown(qpu)
     return breakdown, sum(watts for _, watts in breakdown)
 
@@ -48,8 +47,7 @@ def _power(qpu: QpuSpec) -> tuple[tuple[tuple[str, float], ...], float]:
 def power_draw(qpu: QpuSpec) -> float:
     """Total steady-state draw in watts (0 for QPUs with no reported data).
 
-    The total is summed once per distinct (immutable) QPU value and kept
-    beside its breakdown.
+    The total is summed once per QPU object and kept beside its breakdown.
     """
     return _power(qpu)[1]
 

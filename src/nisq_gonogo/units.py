@@ -6,6 +6,7 @@ percent fidelities exist only at the formatting boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections.abc import Iterable
@@ -41,6 +42,30 @@ def as_float(x: int | float) -> float:
 def times(x: float, y: float) -> float:
     """``x * y``, except that a zero factor gives that zero (sign kept), even against ``inf``."""
     return x * y if x and y else (y if x else x)
+
+
+def per_object(make):
+    """``make(obj)``, kept per object: a later call with the same object (``is``, not
+    ``==``, so ``0.0`` and ``-0.0`` keep their own texts) returns the kept value.
+
+    ``entries`` maps ``id(obj)`` to ``(obj, value)``; holding the object keeps its
+    id from reuse.  A call that raises keeps nothing; 256 entries empty the memo.
+    """
+    entries = {}
+
+    @functools.wraps(make)
+    def memo(obj):
+        entry = entries.get(id(obj))
+        if entry is not None and entry[0] is obj:
+            return entry[1]
+        value = make(obj)
+        if len(entries) >= 256:
+            entries.clear()
+        entries[id(obj)] = (obj, value)
+        return value
+
+    memo.entries = entries
+    return memo
 
 
 def csv_field(value: object) -> str:

@@ -26,7 +26,7 @@ from collections import namedtuple
 
 from .feasibility import CircuitShape, check_error_rate
 from .fields import Record, decode
-from .units import EXACT_COUNT_LIMIT, as_float, count_number, times
+from .units import EXACT_COUNT_LIMIT, as_float, count_number, per_object, times
 
 #: Quartic-scaling coefficient for ungrouped VQE measurement bases,
 #: calibrated so a 72-qubit electronic-structure instance needs exactly
@@ -169,6 +169,12 @@ def mitigation_multiplier(spec: MitigationSpec, error_rate: float, shape: Circui
         return math.inf
 
 
+@per_object
+def _per_string_counts(spec: WorkloadSpec) -> tuple[int | float, int | float]:
+    """(:func:`pauli_string_count`, :func:`shots_per_string`) of ``spec``, made once per workload object."""
+    return pauli_string_count(spec), shots_per_string(spec.target_epsilon)
+
+
 def shot_plan(spec: WorkloadSpec, error_rate: float, *, qaoa_aggregate: bool = False) -> ShotPlan:
     """Full per-iteration shot budget for ``spec`` on hardware with ``error_rate``."""
     if spec.mitigation.enabled:
@@ -183,8 +189,7 @@ def shot_plan(spec: WorkloadSpec, error_rate: float, *, qaoa_aggregate: bool = F
         per_string = qaoa_aggregate_shots(spec.target_epsilon, spec.data_qubits)
         model = "qaoa-aggregate"
     else:
-        strings = pauli_string_count(spec)
-        per_string = shots_per_string(spec.target_epsilon)
+        strings, per_string = _per_string_counts(spec)
         model = "per-string"
     # two int counts multiply exactly; a float count (above 2**53) makes the product a float
     base = strings * per_string if type(per_string) is int else as_float(strings) * per_string

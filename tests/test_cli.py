@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import nisq_gonogo
 from helpers import make_spec
 from nisq_gonogo import cli, energy
+from nisq_gonogo import workload as workload_mod
 from nisq_gonogo import feasibility as feas
 from nisq_gonogo.advantage import Outcome, SolutionProfile, classify, quantum_profile
 from nisq_gonogo.catalog import PowerComponent, bundled_catalog, serialize_catalog
@@ -37,8 +39,10 @@ from nisq_gonogo.units import (
     EXACT_COUNT_LIMIT,
     count_text,
     format_bytes,
+    format_fidelity_percent,
     format_joules,
     format_seconds,
+    format_watts,
     sci,
     total_text,
 )
@@ -932,7 +936,7 @@ def test_estimate_caches_are_keyed_on_the_qpu_value(qpu_id):
     assert "feasibility: go (" in first and "control electronics" in first and "extra cooling" not in first
     assert energy.power_breakdown(varied) == (("pulse tubes with compressors", 90000), ("extra cooling", 1000.0))
     assert len(energy.power_breakdown(qpu)) == 4
-    # the power total is cached per qpu value beside its breakdown, for the report and the record alike
+    # the power total is kept per qpu object beside its breakdown, for the report and the record alike
     flamingo_watts = sum(watts for _, watts in energy.power_breakdown(qpu))
     assert (energy.power_draw(varied), energy.power_draw(qpu)) == (91000.0, flamingo_watts)
     varied_energy = build_estimate_record(varied, spec).energy
@@ -942,16 +946,116 @@ def test_estimate_caches_are_keyed_on_the_qpu_value(qpu_id):
     assert report(qpu) == first
 
 
+# Every memo of the estimate path: each maps id(obj) to (obj, value).
+_ESTIMATE_MEMOS = (
+    cli._estimate_qpu_lines, cli._estimate_workload_texts, energy._power, workload_mod._per_string_counts
+)
+
+
+def _estimate_report(qpu, spec):
+    return render_estimate_md(build_estimate_record(qpu, spec), qpu, spec)
+
+
+def _fresh_estimate_report(qpu, spec):
+    """The report made with every memo of the estimate path empty, as in a fresh process."""
+    for memo in _ESTIMATE_MEMOS:
+        memo.entries.clear()
+    return _estimate_report(qpu, spec)
+
+
+_FLAMINGO = bundled_catalog().get_qpu("ibm-flamingo")
+_SURFACE_SCAN = parse_workloads(json.dumps(WORKLOAD_53x8))[0]
+
+
+def _signed_zero_pair(zero):
+    """(qpu, workload) pairs that differ only in one field: 0.0 against -0.0."""
+    pulse_tubes, *others = _FLAMINGO.power_components
+    return {
+        "power": (_FLAMINGO._replace(power_components=(pulse_tubes._replace(unit_power_w=zero), *others)), _SURFACE_SCAN),
+        "error": (_FLAMINGO._replace(two_qubit_error_median=zero), _SURFACE_SCAN),
+        "prep": (_FLAMINGO, parse_workloads(json.dumps({**WORKLOAD_53x8, "classical_prep_time": zero}))[0]),
+    }
+
+
+@pytest.mark.parametrize("field", ["power", "error", "prep"])
+@pytest.mark.parametrize("negative_first", [False, True])
+def test_equal_objects_that_print_differently_keep_their_own_texts(field, negative_first):
+    """``0.0`` and ``-0.0`` are equal but print ``0`` and ``-0``: the memos are kept per
+    object, so each report is the one a fresh process makes, whichever comes first."""
+    pairs = [_signed_zero_pair(zero)[field] for zero in ((-0.0, 0.0) if negative_first else (0.0, -0.0))]
+    expected = [_fresh_estimate_report(qpu, spec) for qpu, spec in pairs]
+    assert expected[0] != expected[1]
+    assert [_estimate_report(qpu, spec) for qpu, spec in pairs] == expected
+    breakdowns = [energy.estimate_energy(qpu, build_estimate_record(qpu, spec).runtime).breakdown for qpu, spec in pairs]
+    assert [repr(b) for b in breakdowns] == [repr(energy.power_breakdown(qpu)) for qpu, _ in pairs]
+    if field == "power":
+        assert ["  - pulse tubes with compressors: -0 W\n" in report for report in expected] == [negative_first, not negative_first]
+
+
+def _300_qpus_and_workloads():
+    """300 distinct qpu objects and 300 distinct workload objects: more than a memo holds."""
+    qpus = [_FLAMINGO._replace(two_qubit_error_median=i * 1e-5) for i in range(300)]
+    specs = [make_spec(ansatz_iterations=i + 1, mitigation=MitigationSpec(enabled=i % 2 == 1)) for i in range(300)]
+    return qpus, specs
+
+
+def test_each_memo_holds_at_most_256_objects_and_an_emptied_one_makes_the_same_bytes():
+    qpus, specs = _300_qpus_and_workloads()
+    first = [_estimate_report(qpu, spec) for qpu, spec in zip(qpus, specs)]
+    for memo in _ESTIMATE_MEMOS:
+        assert 0 < len(memo.entries) <= 256, memo.__name__
+        assert all(entry[0] is not qpus[0] and entry[0] is not specs[0] for entry in memo.entries.values())
+    assert [_estimate_report(qpu, spec) for qpu, spec in zip(qpus, specs)] == first
+    assert first == [_fresh_estimate_report(qpu, spec) for qpu, spec in zip(qpus, specs)]
+
+
+def test_threads_that_share_the_memos_each_get_the_fresh_reports():
+    # each thread's objects empty every memo while the other threads read it
+    qpus, specs = _300_qpus_and_workloads()
+    expected = [_fresh_estimate_report(qpu, spec) for qpu, spec in zip(qpus, specs)]
+    results = {}
+
+    def work(offset):
+        order = [(i + offset) % 300 for i in range(300)]
+        results[offset] = [(i, _estimate_report(qpus[i], specs[i])) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in (0, 75, 150, 225)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 75, 150, 225]
+    for reports in results.values():
+        assert all(report == expected[i] for i, report in reports)
+
+
 def _render_estimate_md_by_lines(record, qpu, spec):
-    """The earlier definition of ``render_estimate_md``: a list of lines, extended and joined."""
+    """The earlier definition of ``render_estimate_md``: a list of lines, extended and joined.
+
+    It makes every text itself, so that it shares no memo with the renderer."""
     plan, rt, en = record
-    qpu_line, available, power_lines, power_note = cli._estimate_qpu_lines(qpu)
+    error = qpu.two_qubit_error_median
+    qpu_line = (
+        f"qpu: {qpu.id} ({qpu.modality.value}, {count_text(qpu.qubit_count, 'qubits')}, "
+        f"two-qubit error {error} = fidelity {format_fidelity_percent(error, 2)}, {qpu.status.value})"
+    )
+    components = energy.power_breakdown(qpu)
+    draw = sum(watts for _, watts in components)
+    power_lines = [f"- power draw: {format_watts(draw)}"]
+    power_lines += [f"  - {label}: {format_watts(watts)}" for label, watts in components]
+    power_note = "" if draw > 0 else "\n  (no power data reported for this qpu)"
     fit = feas.fit_verdict(qpu, spec.shape)
     if fit is None:
         feasibility = f"no-go ({feas.capacity_message(spec.data_qubits, qpu)})"
     else:
         required, _, _, verdict, _ = fit
-        feasibility = f"{verdict.value} (required error rate {sci(required)}, available {available})"
+        feasibility = f"{verdict.value} (required error rate {sci(required)}, available {sci(error)})"
     lines = [
         f"# Resource estimate: {spec.id} on {qpu.id}",
         "",
@@ -975,7 +1079,7 @@ def _render_estimate_md_by_lines(record, qpu, spec):
         f"- total: {format_seconds(rt.total_time)}",
     ]
     lines.extend(f"  - {label}: {format_seconds(seconds)}" for label, seconds in rt.breakdown)
-    lines += ["", "energy:", power_lines, f"- job energy: {format_joules(en.job_energy)}{power_note}"]
+    lines += ["", "energy:", *power_lines, f"- job energy: {format_joules(en.job_energy)}{power_note}"]
     return "\n".join(lines) + "\n"
 
 

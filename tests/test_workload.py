@@ -186,6 +186,23 @@ class TestShotPlan:
         with pytest.raises(ValueError, match=r"^error_rate must be in \[0, 1\), got "):
             shot_plan(spec, error_rate=rate)
 
+    def test_checks_keep_their_order_and_run_again_on_the_same_object(self):
+        # a mitigated shape first, then the error rate, then the accounting; a check that raised kept nothing
+        vqe, layerless = make_spec(), make_spec(family=AlgorithmFamily.QAOA)
+        shapeless = make_spec(data_qubits=0, mitigation=MitigationSpec(enabled=True))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^breadth must be a positive integer, got 0$"):
+                shot_plan(shapeless, error_rate=1.0)
+            with pytest.raises(ValueError, match=r"^error_rate must be in \[0, 1\), got 1.0$"):
+                shot_plan(vqe, error_rate=1.0, qaoa_aggregate=True)
+            with pytest.raises(WorkloadError, match="aggregate accounting applies only to the qaoa family$"):
+                shot_plan(vqe, error_rate=0.001, qaoa_aggregate=True)
+            with pytest.raises(WorkloadError, match="qaoa_layers is required for the qaoa family$"):
+                shot_plan(layerless, error_rate=0.001)
+            with pytest.raises(WorkloadError, match=r"^target_epsilon must be in \(0, 1\], got 2.0$"):
+                shot_plan(make_spec(target_epsilon=2.0), error_rate=0.001)
+        assert shot_plan(layerless, error_rate=0.001, qaoa_aggregate=True).model == "qaoa-aggregate"
+
     def test_mitigated_budget_beyond_float_range_is_unbounded(self):
         spec = make_spec(data_qubits=400, depth=400, mitigation=MitigationSpec(enabled=True))
         plan = shot_plan(spec, error_rate=0.02)
