@@ -197,31 +197,50 @@ def _estimate_qpu_lines(qpu: QpuSpec) -> tuple[str, str, str, str]:
     They are the ``qpu:`` line, the error rate's :func:`sci` text, the power
     draw with its component lines, and the no-power-data note (empty when the
     qpu draws more than 0 W, as in the catalog and compare reports).  The
-    power total comes from the energy module's own memo per qpu object.
+    breakdown and its total come from the energy module's own memo per qpu object.
     """
     error = qpu.two_qubit_error_median
     qpu_line = (
         f"qpu: {qpu.id} ({qpu.modality.value}, {count_text(qpu.qubit_count, 'qubits')}, "
         f"two-qubit error {error} = fidelity {format_fidelity_percent(error, 2)}, {qpu.status.value})"
     )
-    draw = energy_mod.power_draw(qpu)
+    breakdown, draw = energy_mod._power(qpu)
     power = [f"- power draw: {format_watts(draw)}"]
-    power.extend(f"  - {label}: {format_watts(watts)}" for label, watts in energy_mod.power_breakdown(qpu))
+    power.extend(f"  - {label}: {format_watts(watts)}" for label, watts in breakdown)
     note = "" if draw > 0 else "\n  (no power data reported for this qpu)"
     return qpu_line, sci(error), "\n".join(power), note
 
 
 @per_object
-def _estimate_workload_texts(spec: workload_mod.WorkloadSpec) -> tuple[feas.CircuitShape, str, str, str]:
-    """The shape, the ``workload:`` line, the required error rate's :func:`sci` text and the
-    classical time per iteration: the parts of an estimate report made once per workload object."""
+def _estimate_workload_texts(
+    spec: workload_mod.WorkloadSpec, strings: int | float, shots: int | float, prep: float
+) -> tuple:
+    """The parts of an estimate report made once per workload object.
+
+    They are the shape, the ``workload:`` line, the required error rate and
+    its :func:`sci` text, and the classical time per iteration.  Beside them
+    come the texts of the string count, the shots per string and the classical
+    term of the runtime breakdown, each kept beside the value it was made
+    from, which the first record rendered for ``spec`` carried.  A later
+    record reuses one only where :func:`_prints_as` holds for its own value.
+    """
     shape = spec.shape
     header = (
         f"workload: {spec.family._value_}, {count_text(spec.data_qubits, 'data qubits')}, "
         f"depth {count_text(spec.depth, 'cycles')}, target epsilon {spec.target_epsilon}, "
         f"{count_text(spec.ansatz_iterations, 'iterations')}"
     )
-    return shape, header, sci(feas.required_error_rate(shape)), format_seconds(spec.classical_prep_time)
+    required = feas.required_error_rate(shape)
+    return (
+        shape, header, required, sci(required), format_seconds(spec.classical_prep_time),
+        strings, count_text(strings, "strings"), shots, count_text(shots, "shots"), prep, format_seconds(prep),
+    )
+
+
+def _prints_as(kept, value) -> bool:
+    """Whether ``value`` has the text ``kept`` has: the same object, or a nonzero number of the
+    same type and value (``1234567`` and ``1234567.0`` print differently, as ``0.0`` and ``-0.0`` do)."""
+    return kept is value or (type(kept) is type(value) and kept == value and value != 0)
 
 
 def build_estimate_record(
@@ -238,30 +257,48 @@ def build_estimate_record(
 
 
 def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.WorkloadSpec) -> str:
-    """The markdown estimate of ``spec`` on ``qpu``; ``record`` is :func:`build_estimate_record`'s for the pair."""
+    """The markdown estimate of ``spec`` on ``qpu``; ``record`` is :func:`build_estimate_record`'s for the pair.
+
+    The record's numbers are printed as they are, also for a record built
+    another way; its runtime breakdown holds the classical and the quantum term.
+    """
     plan, rt, en = record
-    qpu_line, available, power_lines, power_note = _estimate_qpu_lines(qpu)
-    shape, workload_line, required, classical = _estimate_workload_texts(spec)
-    fit = feas.fit_verdict(qpu, shape)  # None on a capacity miss, which raises nothing
-    if fit is None:
+    strings, shots, multiplier = plan.pauli_strings, plan.shots_per_string, plan.mitigation_multiplier
+    (prep_label, prep), (quantum_label, quantum) = rt.breakdown
+    qpu_line, available_text, power_lines, power_note = _estimate_qpu_lines(qpu)
+    (
+        shape, workload_line, required, required_text, classical,
+        kept_strings, strings_text, kept_shots, shots_text, kept_prep, prep_text,
+    ) = _estimate_workload_texts(spec, strings, shots, prep)
+    # fit_verdict's tests in its order: capacity, then the error rate on a fit
+    if shape.breadth > qpu.qubit_count:
         feasibility = f"no-go ({feas.capacity_message(spec.data_qubits, qpu)})"
     else:
-        feasibility = f"{fit.verdict._value_} (required error rate {required}, available {available})"
-    breakdown = "".join([f"  - {label}: {format_seconds(seconds)}\n" for label, seconds in rt.breakdown])
+        available = qpu.two_qubit_error_median
+        feas.check_error_rate(available)
+        verdict = feas.rate_verdict(required, available)._value_
+        feasibility = f"{verdict} (required error rate {required_text}, available {available_text})"
+    if not _prints_as(kept_strings, strings):
+        strings_text = count_text(strings, "strings")
+    if not _prints_as(kept_shots, shots):
+        shots_text = count_text(shots, "shots")
+    if not _prints_as(kept_prep, prep):
+        prep_text = format_seconds(prep)
     # one f-string: a report is made per record, and a list of its lines costs a join
     return (
         f"# Resource estimate: {spec.id} on {qpu.id}\n\n{workload_line}\n"
         f"{qpu_line}\nfeasibility: {feasibility}\n\n"
         f"shot plan ({plan.model} accounting):\n"
-        f"- measurement strings: {count_text(plan.pauli_strings, 'strings')}\n"
-        f"- shots per string: {count_text(plan.shots_per_string, 'shots')}\n"
-        f"- mitigation multiplier: {sci(plan.mitigation_multiplier)} x\n"
+        f"- measurement strings: {strings_text}\n"
+        f"- shots per string: {shots_text}\n"
+        f"- mitigation multiplier: {'1' if multiplier == 1.0 else sci(multiplier)} x\n"
         f"- total shots per iteration: {total_text(plan.total_shots, 'shots')}\n\n"
         f"runtime:\n- single shot: {format_seconds(rt.single_shot_time)}\n"
         f"- quantum per iteration: {format_seconds(rt.quantum_time_per_iteration)}\n"
         f"- classical per iteration: {classical}\n"
         f"- iteration: {format_seconds(rt.iteration_time)}\n"
-        f"- total: {format_seconds(rt.total_time)}\n{breakdown}\n"
+        f"- total: {format_seconds(rt.total_time)}\n"
+        f"  - {prep_label}: {prep_text}\n  - {quantum_label}: {format_seconds(quantum)}\n\n"
         f"energy:\n{power_lines}\n- job energy: {format_joules(en.job_energy)}{power_note}\n"
     )
 

@@ -45,8 +45,9 @@ def times(x: float, y: float) -> float:
 
 
 def per_object(make):
-    """``make(obj)``, kept per object: a later call with the same object (``is``, not
-    ``==``, so ``0.0`` and ``-0.0`` keep their own texts) returns the kept value.
+    """``make(obj, *args)``, kept per object: a later call with the same object (``is``,
+    not ``==``, so ``0.0`` and ``-0.0`` keep their own texts) returns the kept value,
+    whatever its other arguments.
 
     ``entries`` maps ``id(obj)`` to ``(obj, value)``; holding the object keeps its
     id from reuse.  A call that raises keeps nothing; 256 entries empty the memo.
@@ -54,11 +55,11 @@ def per_object(make):
     entries = {}
 
     @functools.wraps(make)
-    def memo(obj):
+    def memo(obj, *args):
         entry = entries.get(id(obj))
         if entry is not None and entry[0] is obj:
             return entry[1]
-        value = make(obj)
+        value = make(obj, *args)
         if len(entries) >= 256:
             entries.clear()
         entries[id(obj)] = (obj, value)

@@ -4,6 +4,7 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -1119,6 +1120,81 @@ def test_the_estimate_report_is_its_line_list_definition(case):
     for qpu in bundled_catalog().qpus:
         record = build_estimate_record(qpu, spec, parallel_shots=parallel_shots, qaoa_aggregate=aggregate)
         assert render_estimate_md(record, qpu, spec) == _render_estimate_md_by_lines(record, qpu, spec)
+
+
+_HERON = bundled_catalog().get_qpu("ibm-heron")
+_QAOA_SPEC = make_spec(**_QAOA_16, classical_prep_time=1.5)
+_QAOA_RECORD = build_estimate_record(_HERON, _QAOA_SPEC)
+
+
+def _classical_term(zero):
+    rt = _QAOA_RECORD.runtime
+    return _QAOA_RECORD._replace(runtime=rt._replace(breakdown=((rt.breakdown[0][0], zero), rt.breakdown[1])))
+
+
+def _counts(count):
+    return _QAOA_RECORD._replace(plan=_QAOA_RECORD.plan._replace(pauli_strings=count, shots_per_string=count))
+
+
+# Records of one (qpu, workload) pair that the plain record's memo texts do not fit.
+_OTHER_RECORDS = {
+    "qaoa-aggregate": [build_estimate_record(_HERON, _QAOA_SPEC, qaoa_aggregate=True)],
+    "parallel-shots": [build_estimate_record(_HERON, _QAOA_SPEC, parallel_shots=3)],
+    "int-against-float": [_counts(1234567), _counts(1234567.0)],
+    "signed-zero": [_classical_term(0.0), _classical_term(-0.0)],
+}
+
+
+@pytest.mark.parametrize("case", list(_OTHER_RECORDS))
+def test_each_record_prints_its_own_numbers_whichever_record_made_the_memo(case):
+    """The memos keep texts per workload object, each beside the value it was made from:
+    a record that carries another value prints its own text, in every order."""
+    records = [_QAOA_RECORD, *_OTHER_RECORDS[case]]
+    expected = [_render_estimate_md_by_lines(record, _HERON, _QAOA_SPEC) for record in records]
+    assert len(set(expected)) == len(records)
+    for order in itertools.permutations(range(len(records))):
+        for memo in _ESTIMATE_MEMOS:
+            memo.entries.clear()
+        for i in order:
+            assert render_estimate_md(records[i], _HERON, _QAOA_SPEC) == expected[i], (order, i)
+
+
+def test_a_qaoa_workload_without_layers_renders_from_its_aggregate_plan():
+    # its string count cannot be made, and the aggregate plan does not need it
+    spec = _QAOA_SPEC._replace(qaoa_layers=None)
+    record = build_estimate_record(_HERON, spec, qaoa_aggregate=True)
+    assert render_estimate_md(record, _HERON, spec) == _render_estimate_md_by_lines(record, _HERON, spec)
+
+
+def test_the_report_verdict_raises_and_misses_capacity_as_fit_verdict_does():
+    """An error rate out of range raises fit_verdict's error where the shape fits the
+    qpu, and is never read where it does not: that pair renders the capacity no-go."""
+    broken = _HERON._replace(two_qubit_error_median=1.0)
+    fits = _SURFACE_SCAN
+    with pytest.raises(ValueError) as expected:
+        feas.fit_verdict(broken, fits.shape)
+    with pytest.raises(ValueError) as raised:
+        render_estimate_md(build_estimate_record(_HERON, fits), broken, fits)
+    assert str(raised.value) == str(expected.value) == "error_rate must be in [0, 1), got 1.0"
+    misses = make_spec(family=AlgorithmFamily.GENERIC, data_qubits=_HERON.qubit_count + 1, depth=8)
+    assert feas.fit_verdict(broken, misses.shape) is None
+    record = build_estimate_record(_HERON, misses)
+    report = render_estimate_md(record, broken, misses)
+    assert "\nfeasibility: no-go (workload breadth 134 exceeds qpu 'ibm-heron' qubit count 133)\n" in report
+    assert report == _render_estimate_md_by_lines(record, broken, misses)
+
+
+def test_each_qpu_objects_power_breakdown_is_made_once(monkeypatch):
+    calls = []
+    breakdown = energy.power_breakdown
+    monkeypatch.setattr(energy, "power_breakdown", lambda qpu: calls.append(qpu.id) or breakdown(qpu))
+    for memo in _ESTIMATE_MEMOS:
+        memo.entries.clear()
+    qpus = bundled_catalog().qpus
+    for spec in (_SURFACE_SCAN, _QAOA_SPEC):
+        for qpu in qpus:
+            _estimate_report(qpu, spec)
+    assert calls == [qpu.id for qpu in qpus]
 
 
 def test_cli_import_leaves_out_the_heavy_stdlib_modules():
