@@ -217,22 +217,21 @@ def _estimate_workload_texts(
 ) -> tuple:
     """The parts of an estimate report made once per workload object.
 
-    They are the shape, the ``workload:`` line, the required error rate and
-    its :func:`sci` text, and the classical time per iteration.  Beside them
+    They are the ``workload:`` line, the required error rate and its
+    :func:`sci` text, and the classical time per iteration.  Beside them
     come the texts of the string count, the shots per string and the classical
     term of the runtime breakdown, each kept beside the value it was made
     from, which the first record rendered for ``spec`` carried.  A later
     record reuses one only where :func:`_prints_as` holds for its own value.
     """
-    shape = spec.shape
     header = (
         f"workload: {spec.family._value_}, {count_text(spec.data_qubits, 'data qubits')}, "
         f"depth {count_text(spec.depth, 'cycles')}, target epsilon {spec.target_epsilon}, "
         f"{count_text(spec.ansatz_iterations, 'iterations')}"
     )
-    required = feas.required_error_rate(shape)
+    required = feas.required_error_rate(spec.shape)
     return (
-        shape, header, required, sci(required), format_seconds(spec.classical_prep_time),
+        header, required, sci(required), format_seconds(spec.classical_prep_time),
         strings, count_text(strings, "strings"), shots, count_text(shots, "shots"), prep, format_seconds(prep),
     )
 
@@ -267,17 +266,14 @@ def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.
     (prep_label, prep), (quantum_label, quantum) = rt.breakdown
     qpu_line, available_text, power_lines, power_note = _estimate_qpu_lines(qpu)
     (
-        shape, workload_line, required, required_text, classical,
+        workload_line, required, required_text, classical,
         kept_strings, strings_text, kept_shots, shots_text, kept_prep, prep_text,
     ) = _estimate_workload_texts(spec, strings, shots, prep)
-    # fit_verdict's tests in its order: capacity, then the error rate on a fit
-    if shape.breadth > qpu.qubit_count:
+    verdict = feas.pair_verdict(spec.data_qubits, qpu.qubit_count, required, qpu.two_qubit_error_median)
+    if verdict is None:
         feasibility = f"no-go ({feas.capacity_message(spec.data_qubits, qpu)})"
     else:
-        available = qpu.two_qubit_error_median
-        feas.check_error_rate(available)
-        verdict = feas.rate_verdict(required, available)._value_
-        feasibility = f"{verdict} (required error rate {required_text}, available {available_text})"
+        feasibility = f"{verdict._value_} (required error rate {required_text}, available {available_text})"
     if not _prints_as(kept_strings, strings):
         strings_text = count_text(strings, "strings")
     if not _prints_as(kept_shots, shots):

@@ -187,27 +187,33 @@ def rate_verdict(required: float, available: float, marginal_band: float = DEFAU
     return _NO_GO
 
 
+def pair_verdict(
+    breadth: int, qubits: int, required: float, available: float, marginal_band: float = DEFAULT_MARGINAL_BAND
+) -> Verdict | None:
+    """The ordered test of one (qpu, workload) pair: None when ``breadth`` exceeds ``qubits``; on a fit,
+    :func:`check_error_rate` on ``available``, then :func:`rate_verdict`, whose band is not checked here.
+    :func:`fit_verdict`, the grid and the estimate report all take their verdict from it.
+    """
+    if breadth > qubits:
+        return None
+    check_error_rate(available)
+    return rate_verdict(required, available, marginal_band)
+
+
 def fit_verdict(
     qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = DEFAULT_MARGINAL_BAND
 ) -> FeasibilityVerdict | None:
-    """Compare ``qpu`` against ``shape`` and classify with :func:`rate_verdict`,
-    or None when the shape needs more qubits than the QPU has.
+    """The record of :func:`pair_verdict` on ``qpu`` and ``shape``, or None where it gives None.
 
-    Raises ``ValueError`` when ``marginal_band`` is not finite and above 1,
-    or when the shape fits and the QPU's error rate is outside [0, 1).
+    Raises ``ValueError`` where :func:`pair_verdict` raises, or when ``marginal_band`` is not finite and above 1.
     """
     check_marginal_band(marginal_band)
-    if shape.breadth > qpu.qubit_count:
+    required, available = required_error_rate(shape), qpu.two_qubit_error_median
+    verdict = pair_verdict(shape.breadth, qpu.qubit_count, required, available, marginal_band)
+    if verdict is None:
         return None
-    required = required_error_rate(shape)
-    available = qpu.two_qubit_error_median
-    return tuple.__new__(FeasibilityVerdict, (
-        required,
-        available,
-        success_probability(available, shape),
-        rate_verdict(required, available, marginal_band),
-        qpu.two_qubit_error_stddev is None,
-    ))
+    success = success_probability(available, shape)
+    return tuple.__new__(FeasibilityVerdict, (required, available, success, verdict, qpu.two_qubit_error_stddev is None))
 
 
 def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = DEFAULT_MARGINAL_BAND) -> FeasibilityVerdict:
@@ -244,11 +250,10 @@ def _grid_qpus(qpus: Sequence[QpuSpec]) -> list[tuple]:
 
 
 def _checked_shapes(workloads: Sequence[WorkloadSpec], qpus: Sequence[QpuSpec]) -> list[CircuitShape]:
-    """Each workload's shape, raising where :func:`assess` would raise on a pair, in pair order.
+    """Each workload's shape, raising where :func:`pair_verdict` would on the first pair, in input order.
 
-    ``assess`` rejects an error rate out of range only on a pair that fits
-    the qpu, so a qpu whose rate fails its check is set apart once, and the
-    first workload that fits it raises that check's error.
+    Only a qpu whose error rate fails :func:`check_error_rate` can raise, so
+    each such qpu is set apart once and the test runs on its pairs alone.
     """
     rejected = []
     for qpu in qpus:
@@ -260,8 +265,7 @@ def _checked_shapes(workloads: Sequence[WorkloadSpec], qpus: Sequence[QpuSpec]) 
     for spec in workloads:
         shape = spec.shape
         for qpu in rejected:
-            if shape.breadth <= qpu.qubit_count:
-                check_error_rate(qpu.two_qubit_error_median)
+            pair_verdict(shape.breadth, qpu.qubit_count, required_error_rate(shape), qpu.two_qubit_error_median)
         shapes.append(shape)
     return shapes
 
@@ -282,9 +286,10 @@ def build_feasibility_bundle(
     order takes the run's workloads in (id, file) order.  A verdict depends
     on the qpu and the workload's exact volume alone, so a record is built on
     the first row that fits and shared by the rows after it until the exact
-    volume changes (two volumes can share one 1/V float).  Raises
-    ``ValueError`` as :func:`assess` would on the first pair, in input order,
-    that it rejects.
+    volume changes (two volumes can share one 1/V float).  Each verdict comes
+    from :func:`pair_verdict`, which raises ``ValueError`` on the first pair in
+    input order that it rejects; the capacity misses, in id order, are picked
+    out again by breadth alone, which picks rows and decides no verdict.
     """
     check_marginal_band(marginal_band)  # also when the catalog has no qpus to assess
     shapes = _checked_shapes(workloads, catalog.qpus)
@@ -302,19 +307,16 @@ def build_feasibility_bundle(
         for qpu_id, qubits, available, optimistic, note in qpus:
             last_volume = None
             for workload_id, breadth, volume, shape in members:
-                if breadth > qubits:
+                verdict = pair_verdict(breadth, qubits, rate, available, marginal_band)
+                if verdict is None:
                     continue  # a capacity miss: its row is made below
                 if volume != last_volume:
                     last_volume = volume
-                    verdict = rate_verdict(rate, available, marginal_band)
-                    record = new(
-                        FeasibilityVerdict,
-                        (rate, available, success_probability(available, shape), verdict, optimistic),
-                    )
+                    success = success_probability(available, shape)
+                    record = new(FeasibilityVerdict, (rate, available, success, verdict, optimistic))
                     out = lists[verdict]
                 out.append(new(VerdictRow, (qpu_id, workload_id, record, note)))
-    # The capacity test of :func:`fit_verdict`, made here once per pair; each
-    # note is formatted once per (breadth, qubit count).
+    # each note is formatted once per (breadth, qubit count)
     capacity_note = functools.cache(
         lambda breadth, qubits: f"insufficient qubits: needs {count_text(breadth)}, has {count_text(qubits)}"
     )

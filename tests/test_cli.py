@@ -15,7 +15,7 @@ import threading
 import warnings
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nisq_gonogo
@@ -24,13 +24,15 @@ from nisq_gonogo import cli, energy
 from nisq_gonogo import workload as workload_mod
 from nisq_gonogo import feasibility as feas
 from nisq_gonogo.advantage import Outcome, SolutionProfile, classify, quantum_profile
-from nisq_gonogo.catalog import PowerComponent, bundled_catalog, serialize_catalog
+from nisq_gonogo.catalog import Catalog, PowerComponent, bundled_catalog, serialize_catalog
 from nisq_gonogo.cli import (
     EXIT_ERROR,
     EXIT_NO_GO,
     EXIT_OK,
     ENV_CATALOG,
+    VerdictRow,
     build_estimate_record,
+    build_feasibility_bundle,
     main,
     render_catalog_md,
     render_estimate_md,
@@ -1168,20 +1170,85 @@ def test_a_qaoa_workload_without_layers_renders_from_its_aggregate_plan():
 
 def test_the_report_verdict_raises_and_misses_capacity_as_fit_verdict_does():
     """An error rate out of range raises fit_verdict's error where the shape fits the
-    qpu, and is never read where it does not: that pair renders the capacity no-go."""
+    qpu, and is never read where it does not: that pair renders the capacity no-go,
+    in the estimate report and in the grid alike."""
     broken = _HERON._replace(two_qubit_error_median=1.0)
     fits = _SURFACE_SCAN
     with pytest.raises(ValueError) as expected:
         feas.fit_verdict(broken, fits.shape)
     with pytest.raises(ValueError) as raised:
         render_estimate_md(build_estimate_record(_HERON, fits), broken, fits)
-    assert str(raised.value) == str(expected.value) == "error_rate must be in [0, 1), got 1.0"
+    with pytest.raises(ValueError) as grid_raised:
+        build_feasibility_bundle(Catalog((broken,)), (fits,))
+    assert str(raised.value) == str(grid_raised.value) == str(expected.value) == "error_rate must be in [0, 1), got 1.0"
     misses = make_spec(family=AlgorithmFamily.GENERIC, data_qubits=_HERON.qubit_count + 1, depth=8)
     assert feas.fit_verdict(broken, misses.shape) is None
+    assert build_feasibility_bundle(Catalog((broken,)), (misses,)) == (
+        VerdictRow("ibm-heron", misses.id, None, "insufficient qubits: needs 134, has 133"),
+    )
     record = build_estimate_record(_HERON, misses)
     report = render_estimate_md(record, broken, misses)
     assert "\nfeasibility: no-go (workload breadth 134 exceeds qpu 'ibm-heron' qubit count 133)\n" in report
     assert report == _render_estimate_md_by_lines(record, broken, misses)
+
+
+def _workload_document(spec):
+    """``spec`` as a workload JSON object."""
+    document = {field: value for field, value in spec._asdict().items() if value is not None}
+    document.update(family=spec.family.value, pauli_grouping=spec.pauli_grouping.value)
+    document["mitigation"] = spec.mitigation._asdict()
+    return document
+
+
+def _stdout(argv):
+    """What ``main(argv)`` prints, which must end in a report and no error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_NO_GO) and err.getvalue() == "", (argv, err.getvalue())
+    return out.getvalue()
+
+
+def _after(lines, start):
+    """The text after ``start`` on the one line of ``lines`` that starts with it."""
+    (line,) = [line for line in lines if line.startswith(start)]
+    return line[len(start):]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_estimate_cases(), qpu=st.sampled_from(bundled_catalog().qpus))
+def test_one_pair_gives_one_answer_in_every_report(tmp_path_factory, case, qpu):
+    """For one (qpu, workload) pair, ``estimate`` agrees with the grid on the verdict, with
+    ``catalog`` on the power draw, and with ``compare`` on the total runtime."""
+    spec, parallel_shots, aggregate = case
+    work = tmp_path_factory.mktemp("one-pair")
+    (work / "w.json").write_text(json.dumps(_workload_document(spec)), encoding="utf-8")
+    (work / "c.json").write_text(json.dumps({"runtime_s": 1.0}), encoding="utf-8")
+    assert parse_workloads((work / "w.json").read_text(encoding="utf-8")) == (spec,)
+    pair = ["--workload", str(work / "w.json"), "--qpu", qpu.id, "--parallel-shots", str(parallel_shots)]
+    pair += ["--qaoa-aggregate"] if aggregate else []
+    # The ids open the estimate report's title; no line after it holds the workload's id.
+    title = f"# Resource estimate: {spec.id} on {qpu.id}\n"
+    estimate = _stdout(["estimate", *pair])
+    assert estimate.startswith(title)
+    estimate = estimate[len(title):].split("\n")
+
+    feasibility = _after(estimate, "feasibility: ")
+    grid = _stdout(["feasibility", "--workload", str(work / "w.json"), "--format", "csv"])
+    (cell,) = [row[0] for row in csv.reader(io.StringIO(grid, newline="")) if row[1:3] == [qpu.id, spec.id]]
+    capacity = cell == "no-go (capacity)"
+    assert feasibility.split(" ")[0] == ("no-go" if capacity else cell)
+    assert (" exceeds qpu " in feasibility) is capacity, (feasibility, cell)
+
+    power = _after(_stdout(["catalog"]).split("\n"), f"| {qpu.id} |").rsplit(" | ", 1)[1].removesuffix(" |")
+    assert power == (_after(estimate, "- power draw: ") if energy.power_draw(qpu) > 0 else "unreported")
+
+    record = build_estimate_record(qpu, spec, parallel_shots=parallel_shots, qaoa_aggregate=aggregate)
+    assume(record.runtime.total_time > 0.0)  # compare refuses a runtime of 0 s; an unbounded one it prints
+    header = f"quantum side: {spec.id} on {qpu.id}: runtime "
+    compare = _stdout(["compare", *pair, "--classical", str(work / "c.json")])
+    assert compare.startswith(header)
+    assert compare[len(header):].split(", state space ", 1)[0] == _after(estimate, "- total: ")
 
 
 def test_each_qpu_objects_power_breakdown_is_made_once(monkeypatch):

@@ -16,6 +16,7 @@ from nisq_gonogo.feasibility import (
     emulation_tier,
     fit_verdict,
     feasible_square_side,
+    pair_verdict,
     rate_verdict,
     required_error_rate,
     simple_quantum_volume,
@@ -94,13 +95,16 @@ def test_error_rate_range_is_checked_alike(check, rate):
         check(rate)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+_FIT_CASES = given(
     qpu=st.sampled_from(bundled_catalog().qpus),
     breadth=st.integers(min_value=1, max_value=2000),
     depth=st.integers(min_value=1, max_value=10**6),
     band=st.floats(min_value=1.001, max_value=1e6),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@_FIT_CASES
 def test_fit_verdict_is_assess_without_the_capacity_error(qpu, breadth, depth, band):
     shape = CircuitShape(breadth, depth)
     verdict = fit_verdict(qpu, shape, marginal_band=band)
@@ -110,6 +114,42 @@ def test_fit_verdict_is_assess_without_the_capacity_error(qpu, breadth, depth, b
             assess(qpu, shape, marginal_band=band)
     else:
         assert verdict == assess(qpu, shape, marginal_band=band)
+
+
+@settings(max_examples=200, deadline=None)
+@_FIT_CASES
+def test_pair_verdict_is_fit_verdicts_verdict(qpu, breadth, depth, band):
+    shape = CircuitShape(breadth, depth)
+    record = fit_verdict(qpu, shape, marginal_band=band)
+    verdict = pair_verdict(breadth, qpu.qubit_count, required_error_rate(shape), qpu.two_qubit_error_median, band)
+    assert verdict is (None if record is None else record.verdict)
+
+
+@pytest.mark.parametrize("rate", [1.0, -0.25, math.nan])
+def test_pair_verdict_reads_no_error_rate_on_a_pair_that_does_not_fit(rate):
+    assert pair_verdict(5, 4, 0.05, rate) is None
+
+
+@pytest.mark.parametrize("rate", [1.0, -0.25, math.nan])
+def test_pair_verdict_checks_the_error_rate_on_a_fit(rate):
+    with pytest.raises(ValueError, match=rf"^error_rate must be in \[0, 1\), got {rate}$"):
+        pair_verdict(4, 4, 0.05, rate)
+
+
+@pytest.mark.parametrize(
+    ("available", "band", "verdict"),
+    [
+        (0.0, 10.0, Verdict.GO),
+        (0.049, 10.0, Verdict.GO),
+        (0.05, 10.0, Verdict.MARGINAL),  # available == required
+        (0.4, 10.0, Verdict.MARGINAL),
+        (0.5, 10.0, Verdict.NO_GO),  # available == band * required
+        (0.1, 2.0, Verdict.NO_GO),
+        (0.0999, 2.0, Verdict.MARGINAL),
+    ],
+)
+def test_pair_verdict_on_a_fit(available, band, verdict):
+    assert pair_verdict(4, 4, 0.05, available, band) is verdict
 
 
 @pytest.mark.parametrize("band", [1.0, math.inf, math.nan])
