@@ -271,7 +271,7 @@ def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.
     ) = _estimate_workload_texts(spec, strings, shots, prep)
     verdict = feas.pair_verdict(spec.data_qubits, qpu.qubit_count, required, qpu.two_qubit_error_median)
     if verdict is None:
-        feasibility = f"no-go ({feas.capacity_message(spec.data_qubits, qpu)})"
+        feasibility = f"no-go ({feas.capacity_message(spec.data_qubits, qpu.qubit_count)})"
     else:
         feasibility = f"{verdict._value_} (required error rate {required_text}, available {available_text})"
     if not _prints_as(kept_strings, strings):

@@ -38,9 +38,10 @@ class CapacityError(ValueError):
     """Workload breadth exceeds the QPU's qubit count."""
 
 
-def capacity_message(breadth: int, qpu: QpuSpec) -> str:
-    """Why a workload of ``breadth`` qubits does not fit ``qpu``; the text of :class:`CapacityError`."""
-    return f"workload breadth {count_text(breadth)} exceeds qpu '{qpu.id}' qubit count {count_text(qpu.qubit_count)}"
+def capacity_message(breadth: int, qubits: int) -> str:
+    """Why a workload of ``breadth`` qubits does not fit a qpu of ``qubits``: the grid's note, the
+    estimate report's no-go reason and the text of :class:`CapacityError`."""
+    return f"insufficient qubits: needs {count_text(breadth)}, has {count_text(qubits)}"
 
 
 _CircuitShapeFields = namedtuple("_CircuitShapeFields", ("breadth", "depth"))
@@ -192,7 +193,7 @@ def pair_verdict(
 ) -> Verdict | None:
     """The ordered test of one (qpu, workload) pair: None when ``breadth`` exceeds ``qubits``; on a fit,
     :func:`check_error_rate` on ``available``, then :func:`rate_verdict`, whose band is not checked here.
-    :func:`fit_verdict`, the grid and the estimate report all take their verdict from it.
+    :func:`assess`, the grid and the estimate report all take their verdict from it.
     """
     if breadth > qubits:
         return None
@@ -200,28 +201,19 @@ def pair_verdict(
     return rate_verdict(required, available, marginal_band)
 
 
-def fit_verdict(
-    qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = DEFAULT_MARGINAL_BAND
-) -> FeasibilityVerdict | None:
-    """The record of :func:`pair_verdict` on ``qpu`` and ``shape``, or None where it gives None.
+def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = DEFAULT_MARGINAL_BAND) -> FeasibilityVerdict:
+    """The record of :func:`pair_verdict` on ``qpu`` and ``shape``.
 
-    Raises ``ValueError`` where :func:`pair_verdict` raises, or when ``marginal_band`` is not finite and above 1.
+    Raises :class:`CapacityError` where :func:`pair_verdict` gives None, and ``ValueError`` where
+    it raises or when ``marginal_band`` is not finite and above 1, which is checked first.
     """
     check_marginal_band(marginal_band)
     required, available = required_error_rate(shape), qpu.two_qubit_error_median
     verdict = pair_verdict(shape.breadth, qpu.qubit_count, required, available, marginal_band)
     if verdict is None:
-        return None
+        raise CapacityError(capacity_message(shape.breadth, qpu.qubit_count))
     success = success_probability(available, shape)
     return tuple.__new__(FeasibilityVerdict, (required, available, success, verdict, qpu.two_qubit_error_stddev is None))
-
-
-def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = DEFAULT_MARGINAL_BAND) -> FeasibilityVerdict:
-    """:func:`fit_verdict`, raising :class:`CapacityError` where it gives None."""
-    verdict = fit_verdict(qpu, shape, marginal_band=marginal_band)
-    if verdict is None:
-        raise CapacityError(capacity_message(shape.breadth, qpu))
-    return verdict
 
 
 VerdictRow = namedtuple("VerdictRow", ("qpu_id", "workload_id", "verdict", "note"), defaults=("",))
@@ -316,10 +308,7 @@ def build_feasibility_bundle(
                     record = new(FeasibilityVerdict, (rate, available, success, verdict, optimistic))
                     out = lists[verdict]
                 out.append(new(VerdictRow, (qpu_id, workload_id, record, note)))
-    # each note is formatted once per (breadth, qubit count)
-    capacity_note = functools.cache(
-        lambda breadth, qubits: f"insufficient qubits: needs {count_text(breadth)}, has {count_text(qubits)}"
-    )
+    capacity_note = functools.cache(capacity_message)  # each note is formatted once per (breadth, qubit count)
     by_id = sorted([(spec.id, shape.breadth) for spec, shape in zip(workloads, shapes)], key=_FIRST)
     misses = [
         new(VerdictRow, (qpu_id, workload_id, None, capacity_note(breadth, qubits)))

@@ -285,8 +285,7 @@ class TestEstimateCommand:
         )
         assert code == EXIT_OK and err == ""
         assert (
-            "feasibility: no-go (workload breadth 53 exceeds qpu 'ibm-prague-egret' qubit count 33)"
-            in out.splitlines()
+            "feasibility: no-go (insufficient qubits: needs 53, has 33)" in out.splitlines()
         )
 
     def test_unknown_qpu_id(self, capsys, workload_file):
@@ -894,7 +893,7 @@ def test_estimate_reports_are_pinned(capsys, workload_file):
             digests[qpu, name] = (code, hashlib.sha256(out.encode("utf-8")).hexdigest())
             text += out
     for part in ("feasibility: go", "feasibility: marginal", "feasibility: no-go (required",
-                 "feasibility: no-go (workload breadth 30 exceeds qpu 'quantinuum-h1' qubit count 20)",
+                 "feasibility: no-go (insufficient qubits: needs 30, has 20)",
                  "- total: 12.88 s\n", "years)", "- total shots per iteration: inf shots (unbounded)",
                  "- total: inf s (unbounded)", "qaoa-aggregate accounting", "  - control electronics: 27.72 kW",
                  "depth inf cycles (unbounded),", "- job energy: inf J (unbounded)",
@@ -907,8 +906,8 @@ def test_estimate_reports_are_pinned(capsys, workload_file):
         ("google-sycamore-2022", "plain"): (EXIT_OK, "964a7c45f7d95173785a509e63ba01539f95239ab6395e7a3bcd5e7a0cad5444"),
         ("google-sycamore-2022", "parallel-shots"): (EXIT_OK, "58c5c3bd20389f8a2ff197342980562185fe80320234e84e3a1fd34bcd85a8a1"),
         ("google-sycamore-2022", "qaoa-aggregate"): (EXIT_OK, "79fdece2316ff0309d063fe5fbb323efe626c37d7fe8698115fe7b2aca73c718"),
-        ("quantinuum-h1", "plain"): (EXIT_OK, "5ab5ba22f71462cdb06a8779e87478fbcf4cfe1911ac25137a746dbb903f0a1a"),
-        ("quantinuum-h1", "parallel-shots"): (EXIT_OK, "2f85d6efc96a3aee5ef9e3bc2fd6f867447346ca6fceb1d827abf9cbd0e7a156"),
+        ("quantinuum-h1", "plain"): (EXIT_OK, "177aec2a65d3734c4bf281529230abaad2145ca9918491bd462c6b350107dae0"),
+        ("quantinuum-h1", "parallel-shots"): (EXIT_OK, "9681d82929d629d3dd908d26b97a7033affa202697711f65857bb4310c02e491"),
         ("quantinuum-h1", "qaoa-aggregate"): (EXIT_OK, "a869f007aca10862290886632786e0ede1154612972b11d5337eda738ba4449e"),
     }
 
@@ -1053,11 +1052,12 @@ def _render_estimate_md_by_lines(record, qpu, spec):
     power_lines = [f"- power draw: {format_watts(draw)}"]
     power_lines += [f"  - {label}: {format_watts(watts)}" for label, watts in components]
     power_note = "" if draw > 0 else "\n  (no power data reported for this qpu)"
-    fit = feas.fit_verdict(qpu, spec.shape)
-    if fit is None:
-        feasibility = f"no-go ({feas.capacity_message(spec.data_qubits, qpu)})"
+    if spec.data_qubits > qpu.qubit_count:
+        feasibility = (
+            f"no-go (insufficient qubits: needs {count_text(spec.data_qubits)}, has {count_text(qpu.qubit_count)})"
+        )
     else:
-        required, _, _, verdict, _ = fit
+        required, _, _, verdict, _ = feas.assess(qpu, spec.shape)
         feasibility = f"{verdict.value} (required error rate {sci(required)}, available {sci(error)})"
     lines = [
         f"# Resource estimate: {spec.id} on {qpu.id}",
@@ -1168,27 +1168,29 @@ def test_a_qaoa_workload_without_layers_renders_from_its_aggregate_plan():
     assert render_estimate_md(record, _HERON, spec) == _render_estimate_md_by_lines(record, _HERON, spec)
 
 
-def test_the_report_verdict_raises_and_misses_capacity_as_fit_verdict_does():
-    """An error rate out of range raises fit_verdict's error where the shape fits the
-    qpu, and is never read where it does not: that pair renders the capacity no-go,
-    in the estimate report and in the grid alike."""
+def test_the_report_verdict_raises_and_misses_capacity_as_assess_does():
+    """An error rate out of range raises assess's error where the shape fits the qpu,
+    and is never read where it does not: that pair renders the one capacity text, in
+    the estimate report, in the grid and in assess's CapacityError alike."""
     broken = _HERON._replace(two_qubit_error_median=1.0)
     fits = _SURFACE_SCAN
     with pytest.raises(ValueError) as expected:
-        feas.fit_verdict(broken, fits.shape)
+        feas.assess(broken, fits.shape)
     with pytest.raises(ValueError) as raised:
         render_estimate_md(build_estimate_record(_HERON, fits), broken, fits)
     with pytest.raises(ValueError) as grid_raised:
         build_feasibility_bundle(Catalog((broken,)), (fits,))
     assert str(raised.value) == str(grid_raised.value) == str(expected.value) == "error_rate must be in [0, 1), got 1.0"
     misses = make_spec(family=AlgorithmFamily.GENERIC, data_qubits=_HERON.qubit_count + 1, depth=8)
-    assert feas.fit_verdict(broken, misses.shape) is None
+    assert feas.pair_verdict(134, 133, feas.required_error_rate(misses.shape), 1.0) is None
+    with pytest.raises(feas.CapacityError, match=r"^insufficient qubits: needs 134, has 133$"):
+        feas.assess(broken, misses.shape)
     assert build_feasibility_bundle(Catalog((broken,)), (misses,)) == (
         VerdictRow("ibm-heron", misses.id, None, "insufficient qubits: needs 134, has 133"),
     )
     record = build_estimate_record(_HERON, misses)
     report = render_estimate_md(record, broken, misses)
-    assert "\nfeasibility: no-go (workload breadth 134 exceeds qpu 'ibm-heron' qubit count 133)\n" in report
+    assert "\nfeasibility: no-go (insufficient qubits: needs 134, has 133)\n" in report
     assert report == _render_estimate_md_by_lines(record, broken, misses)
 
 
@@ -1218,8 +1220,9 @@ def _after(lines, start):
 @settings(max_examples=60, deadline=None)
 @given(case=_estimate_cases(), qpu=st.sampled_from(bundled_catalog().qpus))
 def test_one_pair_gives_one_answer_in_every_report(tmp_path_factory, case, qpu):
-    """For one (qpu, workload) pair, ``estimate`` agrees with the grid on the verdict, with
-    ``catalog`` on the power draw, and with ``compare`` on the total runtime."""
+    """For one (qpu, workload) pair, ``estimate`` agrees with the grid on the verdict and on a
+    miss's capacity text, with ``catalog`` on the power draw, and with ``compare`` on the
+    total runtime."""
     spec, parallel_shots, aggregate = case
     work = tmp_path_factory.mktemp("one-pair")
     (work / "w.json").write_text(json.dumps(_workload_document(spec)), encoding="utf-8")
@@ -1235,10 +1238,12 @@ def test_one_pair_gives_one_answer_in_every_report(tmp_path_factory, case, qpu):
 
     feasibility = _after(estimate, "feasibility: ")
     grid = _stdout(["feasibility", "--workload", str(work / "w.json"), "--format", "csv"])
-    (cell,) = [row[0] for row in csv.reader(io.StringIO(grid, newline="")) if row[1:3] == [qpu.id, spec.id]]
-    capacity = cell == "no-go (capacity)"
-    assert feasibility.split(" ")[0] == ("no-go" if capacity else cell)
-    assert (" exceeds qpu " in feasibility) is capacity, (feasibility, cell)
+    (row,) = [row for row in csv.reader(io.StringIO(grid, newline="")) if row[1:3] == [qpu.id, spec.id]]
+    if row[0] == "no-go (capacity)":  # the grid's note, the row's last cell, is estimate's reason
+        assert feasibility == f"no-go ({row[-1]})", (feasibility, row)
+    else:
+        assert feasibility.split(" ")[0] == row[0]
+        assert "insufficient qubits" not in feasibility, (feasibility, row)
 
     power = _after(_stdout(["catalog"]).split("\n"), f"| {qpu.id} |").rsplit(" | ", 1)[1].removesuffix(" |")
     assert power == (_after(estimate, "- power draw: ") if energy.power_draw(qpu) > 0 else "unreported")

@@ -14,7 +14,6 @@ from nisq_gonogo.feasibility import (
     Verdict,
     assess,
     emulation_tier,
-    fit_verdict,
     feasible_square_side,
     pair_verdict,
     rate_verdict,
@@ -105,24 +104,15 @@ _FIT_CASES = given(
 
 @settings(max_examples=200, deadline=None)
 @_FIT_CASES
-def test_fit_verdict_is_assess_without_the_capacity_error(qpu, breadth, depth, band):
+def test_assess_raises_the_capacity_error_where_pair_verdict_gives_none(qpu, breadth, depth, band):
     shape = CircuitShape(breadth, depth)
-    verdict = fit_verdict(qpu, shape, marginal_band=band)
-    if breadth > qpu.qubit_count:
-        assert verdict is None
-        with pytest.raises(CapacityError, match=f"^workload breadth {breadth} exceeds qpu '{qpu.id}' qubit count "):
+    verdict = pair_verdict(breadth, qpu.qubit_count, required_error_rate(shape), qpu.two_qubit_error_median, band)
+    assert (verdict is None) is (breadth > qpu.qubit_count)
+    if verdict is None:
+        with pytest.raises(CapacityError, match=f"^insufficient qubits: needs {breadth}, has {qpu.qubit_count}$"):
             assess(qpu, shape, marginal_band=band)
     else:
-        assert verdict == assess(qpu, shape, marginal_band=band)
-
-
-@settings(max_examples=200, deadline=None)
-@_FIT_CASES
-def test_pair_verdict_is_fit_verdicts_verdict(qpu, breadth, depth, band):
-    shape = CircuitShape(breadth, depth)
-    record = fit_verdict(qpu, shape, marginal_band=band)
-    verdict = pair_verdict(breadth, qpu.qubit_count, required_error_rate(shape), qpu.two_qubit_error_median, band)
-    assert verdict is (None if record is None else record.verdict)
+        assert assess(qpu, shape, marginal_band=band).verdict is verdict
 
 
 @pytest.mark.parametrize("rate", [1.0, -0.25, math.nan])
@@ -153,10 +143,11 @@ def test_pair_verdict_on_a_fit(available, band, verdict):
 
 
 @pytest.mark.parametrize("band", [1.0, math.inf, math.nan])
-def test_fit_verdict_checks_the_band_before_the_capacity(band):
+def test_assess_checks_the_band_before_the_capacity(band):
     qpu = bundled_catalog().get_qpu("ibm-heron")
-    with pytest.raises(ValueError, match="^marginal_band must be finite and > 1"):
-        fit_verdict(qpu, CircuitShape(qpu.qubit_count + 1, 1), marginal_band=band)
+    with pytest.raises(ValueError, match="^marginal_band must be finite and > 1") as raised:
+        assess(qpu, CircuitShape(qpu.qubit_count + 1, 1), marginal_band=band)
+    assert not isinstance(raised.value, CapacityError)
 
 
 class TestSquareVolume:

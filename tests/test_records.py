@@ -15,7 +15,7 @@ from nisq_gonogo import energy, feasibility, runtime, workload
 from nisq_gonogo.advantage import AdvantageReport, Outcome, SolutionProfile, classify, quantum_profile
 from nisq_gonogo.catalog import Catalog, QpuSpec, bundled_catalog, parse_catalog
 from nisq_gonogo.cli import ResourceRecord, build_estimate_record, build_feasibility_bundle
-from nisq_gonogo.feasibility import CircuitShape, FeasibilityVerdict, assess, fit_verdict
+from nisq_gonogo.feasibility import CapacityError, CircuitShape, FeasibilityVerdict, assess
 from nisq_gonogo.fields import json_of
 from nisq_gonogo.workload import AlgorithmFamily, MitigationSpec, PauliGrouping, parse_workloads
 
@@ -341,10 +341,11 @@ def test_records_from_the_fast_paths_equal_their_keyword_built_records(qpu, spec
     assert record == ResourceRecord(plan=plan, runtime=timing, energy=estimate)
     assert [type(made) for made in (record, *record)] == [ResourceRecord, *map(type, (plan, timing, estimate))]
 
-    verdict = fit_verdict(qpu, shape)
     if shape.breadth > qpu.qubit_count:
-        assert verdict is None
+        with pytest.raises(CapacityError):
+            assess(qpu, shape)
     else:
+        verdict = assess(qpu, shape)
         required = feasibility.required_error_rate(shape)
         available = qpu.two_qubit_error_median
         assert type(verdict) is FeasibilityVerdict
