@@ -111,7 +111,14 @@ def test_assess_raises_the_capacity_error_where_pair_verdict_gives_none(qpu, bre
     if verdict is None:
         with pytest.raises(CapacityError, match=f"^insufficient qubits: needs {breadth}, has {qpu.qubit_count}$"):
             assess(qpu, shape, marginal_band=band)
-    else:
+
+
+@settings(max_examples=200, deadline=None)
+@_FIT_CASES
+def test_assess_carries_pair_verdicts_verdict_on_a_fit(qpu, breadth, depth, band):
+    shape = CircuitShape(breadth, depth)
+    verdict = pair_verdict(breadth, qpu.qubit_count, required_error_rate(shape), qpu.two_qubit_error_median, band)
+    if verdict is not None:
         assert assess(qpu, shape, marginal_band=band).verdict is verdict
 
 
