@@ -228,38 +228,23 @@ _FIRST = _RATE = operator.itemgetter(0)
 _RATE_AND_ID = operator.itemgetter(0, 1)
 
 
-def _grid_qpus(qpus: Sequence[QpuSpec]) -> list[tuple]:
+def _grid_qpus(qpus: Sequence[QpuSpec], narrowest: int | float) -> list[tuple]:
     """Each qpu's id, qubit count, error rate, ``optimistic`` (no error-rate spread) and the note
-    of every row in which it fits the workload, ids ascending; a catalog holds each id once."""
+    of every row in which it fits the workload, ids ascending; a catalog holds each id once.
+
+    :func:`check_error_rate` runs, in catalog order, on each qpu that fits the ``narrowest``
+    breadth (``math.inf`` when there is no workload), so a qpu that no workload fits is never checked.
+    """
     fields = []
     for qpu in qpus:
+        if narrowest <= qpu.qubit_count:
+            check_error_rate(qpu.two_qubit_error_median)
         optimistic = qpu.two_qubit_error_stddev is None
         notes = [f"{qpu.status.value} hardware"] if qpu.status.value != "available" else []
         if optimistic:
             notes.append("optimistic: error-rate spread unreported")
         fields.append((qpu.id, qpu.qubit_count, qpu.two_qubit_error_median, optimistic, "; ".join(notes)))
     return sorted(fields, key=_FIRST)
-
-
-def _checked_shapes(workloads: Sequence[WorkloadSpec], qpus: Sequence[QpuSpec]) -> list[CircuitShape]:
-    """Each workload's shape, raising where :func:`pair_verdict` would on the first pair, in input order.
-
-    Only a qpu whose error rate fails :func:`check_error_rate` can raise, so
-    each such qpu is set apart once and the test runs on its pairs alone.
-    """
-    rejected = []
-    for qpu in qpus:
-        try:
-            check_error_rate(qpu.two_qubit_error_median)
-        except ValueError:
-            rejected.append(qpu)
-    shapes = []
-    for spec in workloads:
-        shape = spec.shape
-        for qpu in rejected:
-            pair_verdict(shape.breadth, qpu.qubit_count, required_error_rate(shape), qpu.two_qubit_error_median)
-        shapes.append(shape)
-    return shapes
 
 
 def build_feasibility_bundle(
@@ -276,16 +261,17 @@ def build_feasibility_bundle(
     are built in that order, so only the workloads and the qpu ids are
     sorted: for each run of workloads of one required rate, each qpu in id
     order takes the run's workloads in (id, file) order.  A verdict depends
-    on the qpu and the workload's exact volume alone, so a record is built on
-    the first row that fits and shared by the rows after it until the exact
-    volume changes (two volumes can share one 1/V float).  Each verdict comes
-    from :func:`pair_verdict`, which raises ``ValueError`` on the first pair in
-    input order that it rejects; the capacity misses, in id order, are picked
-    out again by breadth alone, which picks rows and decides no verdict.
+    on the qpu and the required rate alone, so :func:`pair_verdict` decides it
+    once per (rate, qpu), on the run's first row that fits; a record is built
+    on that row and shared by the rows after it until the exact volume
+    changes (two volumes can share one 1/V float).  Each qpu that a workload
+    fits has its error rate checked first, in catalog order, so the
+    ``ValueError`` names the first such qpu out of range; the capacity misses,
+    in id order, are picked out by breadth alone.
     """
     check_marginal_band(marginal_band)  # also when the catalog has no qpus to assess
-    shapes = _checked_shapes(workloads, catalog.qpus)
-    qpus = _grid_qpus(catalog.qpus)
+    shapes = [spec.shape for spec in workloads]
+    qpus = _grid_qpus(catalog.qpus, min([shape.breadth for shape in shapes], default=math.inf))
     rated = sorted(
         [(required_error_rate(shape), spec.id, shape) for spec, shape in zip(workloads, shapes)],
         key=_RATE_AND_ID,
@@ -297,16 +283,17 @@ def build_feasibility_bundle(
     for rate, tied in itertools.groupby(rated, key=_RATE):
         members = [(workload_id, shape.breadth, shape.volume, shape) for _, workload_id, shape in tied]
         for qpu_id, qubits, available, optimistic, note in qpus:
-            last_volume = None
+            verdict = last_volume = None
             for workload_id, breadth, volume, shape in members:
-                verdict = pair_verdict(breadth, qubits, rate, available, marginal_band)
-                if verdict is None:
+                if breadth > qubits:
                     continue  # a capacity miss: its row is made below
                 if volume != last_volume:
+                    if verdict is None:  # the run's first row that fits
+                        verdict = pair_verdict(breadth, qubits, rate, available, marginal_band)
+                        out = lists[verdict]
                     last_volume = volume
                     success = success_probability(available, shape)
                     record = new(FeasibilityVerdict, (rate, available, success, verdict, optimistic))
-                    out = lists[verdict]
                 out.append(new(VerdictRow, (qpu_id, workload_id, record, note)))
     capacity_note = functools.cache(capacity_message)  # each note is formatted once per (breadth, qubit count)
     by_id = sorted([(spec.id, shape.breadth) for spec, shape in zip(workloads, shapes)], key=_FIRST)

@@ -43,9 +43,9 @@ def _reference_key(row):
 def reference_bundle(catalog, workloads, marginal_band=10.0):
     feas.check_marginal_band(marginal_band)
     rows = []
-    for spec in workloads:
-        shape = spec.shape
-        for qpu in catalog.qpus:
+    for qpu in catalog.qpus:  # qpu-major: the first qpu in catalog order that raises on a pair names the error
+        for spec in workloads:
+            shape = spec.shape
             try:
                 verdict = feas.assess(qpu, shape, marginal_band=marginal_band)
             except feas.CapacityError:
@@ -173,6 +173,9 @@ _BANDS = st.one_of(st.sampled_from([1.0000001, 2.0, 10.0, 1e6]), st.floats(min_v
     tuple(make_spec(id=wid, data_qubits=1, depth=2**53 - k) for wid, k in (("a", 1), ("b", 2), ("c", 1))),
     10.0,
 )
+# two rates out of range: the error names the first qpu in catalog order that a workload fits,
+# not the first met in workload order ("b", which the wider first workload fits)
+@example((_qpu("a", 2, 1.0), _qpu("b", 8, -0.25)), tuple(make_spec(data_qubits=n, depth=1) for n in (5, 1)), 10.0)
 def test_grid_equals_the_reference(qpus, workloads, band):
     catalog = Catalog(qpus)
     renders = (render_feasibility_csv, render_feasibility_md)
@@ -223,6 +226,35 @@ def test_an_error_rate_out_of_range_raises_as_assess_does(rate):
     assert str(info.value) == _assess_message(bad) == f"error_rate must be in [0, 1), got {rate}"
     # as with assess, a qpu that no workload fits is never checked
     assert build_feasibility_bundle(Catalog((good, _qpu("bad", 1, rate))), workloads)
+
+
+def test_an_out_of_range_error_names_the_first_fitting_qpu_in_catalog_order():
+    catalog = Catalog((_qpu("a", 2, 1.0), _qpu("b", 8, -0.25)))
+    workloads = tuple(make_spec(id=f"w{n}", data_qubits=n, depth=1) for n in (5, 1))
+    with pytest.raises(ValueError, match=r"^error_rate must be in \[0, 1\), got 1\.0$"):
+        build_feasibility_bundle(catalog, workloads)
+    # no workload: no pair, so no qpu is checked
+    assert build_feasibility_bundle(catalog, ()) == reference_bundle(catalog, ()) == ()
+
+
+def test_one_verdict_per_rate_and_qpu(monkeypatch):
+    # rates 1/12 (three shapes), 1/4 (two) and 1/20; a 6-qubit qpu misses the 12-qubit and 10-qubit rows
+    shapes = {"a": (2, 6), "b": (3, 4), "c": (12, 1), "d": (2, 2), "e": (4, 1), "f": (10, 2)}
+    workloads = tuple(make_spec(id=wid, data_qubits=n, depth=d) for wid, (n, d) in shapes.items())
+    qpus = (_qpu("small", 6, 1e-3), _qpu("large", 16, 0.2), _qpu("tiny", 1, 1e-3))
+    catalog = Catalog(qpus)
+    want = reference_bundle(catalog, workloads)
+    calls = []
+    pair_verdict = feas.pair_verdict
+    monkeypatch.setattr(feas, "pair_verdict", lambda *args: calls.append(args) or pair_verdict(*args))
+    assert build_feasibility_bundle(catalog, workloads) == want
+    fitting = {
+        (feas.required_error_rate(spec.shape), qpu.id)
+        for spec in workloads
+        for qpu in qpus
+        if spec.shape.breadth <= qpu.qubit_count
+    }
+    assert len(calls) == len(fitting) == 5
 
 
 @pytest.mark.parametrize("qpus", [(), (_qpu("lab", 8, 1e-3),)], ids=["empty-catalog", "one-qpu"])
