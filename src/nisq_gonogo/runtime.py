@@ -1,7 +1,8 @@
 """Wall-clock model for the variational loop.
 
 Total time = iterations x (classical prep + shots x single-shot time).
-Shots run sequentially on one QPU unless a parallelism divisor is given.
+Shots run sequentially on one QPU unless parallel lanes are given; a lane
+runs whole shots, so K lanes take ceil(shots / K) single-shot times.
 """
 
 from __future__ import annotations
@@ -47,16 +48,19 @@ def estimate_runtime(
     """End-to-end wall clock for ``spec`` on ``qpu`` given its shot plan.
 
     The full shot budget is spent every iteration (conservative: no shot
-    reduction early in convergence).  ``parallel_shots`` divides the quantum
-    term for hardware that can run shots concurrently; a divisor beyond float
-    range takes a bounded quantum term to 0 s and leaves an unbounded one unbounded.
+    reduction early in convergence).  ``parallel_shots`` lanes run the shots
+    concurrently, each whole shots, so the quantum term is ``ceil(total_shots /
+    parallel_shots)`` single-shot times: divided exactly, never below one shot
+    time when there is a shot, and unbounded when the total is beyond float range.
     """
     if parallel_shots < 1:
         raise ValueError(f"parallel_shots must be >= 1, got {parallel_shots}")
     shot_time = single_shot_time(qpu, spec.depth)
     # Counts beyond float range read as inf, so their runtimes are unbounded; a 0 s factor gives 0 s.
-    quantum = times(as_float(plan.total_shots), shot_time)
-    quantum_per_iteration = quantum / as_float(parallel_shots) if quantum < math.inf else quantum
+    shots = as_float(plan.total_shots)
+    if parallel_shots != 1 and shots < math.inf:  # an int total is divided exactly; a float one above 2**53 is an int
+        shots = as_float(-(-int(plan.total_shots) // parallel_shots))
+    quantum_per_iteration = times(shots, shot_time)
     prep = spec.classical_prep_time
     iteration = prep + quantum_per_iteration
     iterations = as_float(spec.ansatz_iterations)

@@ -107,8 +107,9 @@ CASES = [
                             "--classical", "classical-plain.json", "--catalog", "huge-power-catalog.json"], {}),
     ("estimate-zero-watts", ["estimate", "--workload", "q29.json", "--qpu", "zero-watts",
                              "--catalog", "huge-power-catalog.json"], {}),
-    # a per-shot time that underflows to 0 s beside a draw beyond float range, over 10 and
-    # 10^400 iterations: a product of 0 and an unbounded value reads 0
+    # a per-shot time of 4e-323 s beside a draw beyond float range, over 10 and 10^400
+    # iterations on 10^12 lanes: each lane runs one shot, and over 10^400 iterations the
+    # 0 s classical term reads 0 s, a product of 0 and an unbounded value
     ("estimate-underflow-runtime", ["estimate", "--workload", "q29.json", "--qpu", "tiny-time",
                                     "--catalog", "underflow-catalog.json", "--parallel-shots", "1000000000000"], {}),
     ("estimate-underflow-unbounded-iterations",

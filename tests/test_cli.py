@@ -1452,8 +1452,8 @@ def test_every_input_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_fa
 # draw beyond float range), zero and negative-zero unit powers, and ids that
 # CSV, JSON or UTF-8 treat specially, with the odd fields above.  An id holding
 # a line break is named in messages, which still print as one line each.  The
-# workload runs 1, 10 or 10^400 iterations, with or without 10^12-fold shot
-# parallelism, which takes a 5e-324 s gate's runtime down to 0 s.
+# workload runs 1, 10 or 10^400 iterations, with or without 10^12 shot lanes,
+# each of which runs at least one shot, of 4e-323 s for a 5e-324 s gate.
 _WATTS = st.sampled_from([0.0, -0.0, 2.5, 1e4, 1e300])
 _COMPONENT = st.fixed_dictionaries(
     {"label": st.one_of(st.just("c"), _TEXTS), "unit_power_w": _WATTS},
@@ -1519,7 +1519,7 @@ _UNDERFLOW = _huge_catalog(50, {"unit_power_w": 1.0, "count": 10**400}, two_qubi
          iterations=1, parallel_shots=1, strict=True)
 @example(catalog=_huge_catalog(50, {"unit_power_w": -0.0, "count": 10**400}, id="two\r\nlines", x=1), data_qubits=2,
          iterations=1, parallel_shots=1, strict=False)
-# an unbounded draw over a runtime that underflows to 0 s, over 10 and over 10^400 iterations
+# an unbounded draw over one subnormal shot time per iteration, over 10 and over 10^400 iterations
 @example(catalog=_UNDERFLOW, data_qubits=29, iterations=10, parallel_shots=10**12, strict=True)
 @example(catalog=_UNDERFLOW, data_qubits=29, iterations=10**400, parallel_shots=10**12, strict=True)
 def test_every_catalog_ends_in_an_exit_code_and_at_most_one_error_line(
@@ -1624,21 +1624,18 @@ def test_every_command_line_ends_in_an_exit_code_and_at_most_one_error_line(tmp_
     _assert_total([out if arg == "OUT" else arg for arg in argv], nan_in_input=nan_in_input)
 
 
-_UNDERFLOW_ENERGY = "- power draw: inf W (unbounded)\n  - c: inf W (unbounded)\n- job energy: 0 J\n"
-
-
 @pytest.mark.parametrize(
-    "catalog, qpu, iterations, parallel_shots, energy",
+    "catalog, qpu, iterations, parallel_shots, shot, total, energy",
     [
-        (_UNDERFLOW, "q", 10, 10**12, _UNDERFLOW_ENERGY),
-        (_UNDERFLOW, "q", 10**400, 10**12, _UNDERFLOW_ENERGY),
-        # a divisor beyond float range takes a bounded quantum term to 0 s
-        (None, "ibm-heron", 10, 10**400, "- job energy: 0 J\n  (no power data reported for this qpu)\n"),
+        # a 5e-324 s gate over 8 cycles: one shot of 4e-323 s, over 10 and over 10^400 iterations
+        (_UNDERFLOW, "q", 10, 10**12, "3.95253e-323 s", "3.95253e-322 s", "inf J (unbounded)"),
+        (_UNDERFLOW, "q", 10**400, 10**12, "3.95253e-323 s", "inf s (unbounded)", "inf J (unbounded)"),
+        (None, "ibm-heron", 10, 10**400, "2.8e-6 s", "2.8e-5 s", "0 J\n  (no power data reported for this qpu)"),
     ],
     ids=["10", "1e400", "parallel-shots-1e400"],
 )
-def test_compare_names_the_quantum_side_whose_runtime_underflows_to_zero(
-    capsys, workload_file, catalog, qpu, iterations, parallel_shots, energy
+def test_each_lane_runs_at_least_one_shot_in_estimate_and_compare(
+    capsys, workload_file, catalog, qpu, iterations, parallel_shots, shot, total, energy
 ):
     workload = {"id": "w", "family": "generic", "data_qubits": 29, "depth": 8, "target_epsilon": 0.01,
                 "ansatz_iterations": iterations}
@@ -1647,11 +1644,12 @@ def test_compare_names_the_quantum_side_whose_runtime_underflows_to_zero(
         argv += ["--catalog", workload_file(catalog, "catalog.json")]
     code, out, err = run(capsys, "estimate", *argv)
     assert (code, err) == (EXIT_OK, "")
-    assert "- total: 0 s\n" in out and out.endswith(energy)
+    assert f"- single shot: {shot}\n- quantum per iteration: {shot}\n" in out
+    assert f"- total: {total}\n" in out and out.endswith(f"- job energy: {energy}\n")
     classical = workload_file({"runtime_s": 1.0}, "classical.json")
     code, out, err = run(capsys, "compare", *argv, "--classical", classical)
-    assert (code, out) == (EXIT_ERROR, "")
-    assert err == f"error: quantum side: w on {qpu}: runtime must be > 0 s, got 0 s\n"
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith(f"quantum side: w on {qpu}: runtime {total}, state space 8 GiB (29 qubits)\n")
 
 
 def test_a_qpu_that_draws_zero_watts_reads_unreported_in_every_report(capsys, workload_file):

@@ -2,6 +2,8 @@ import math
 
 import pytest
 from helpers import make_spec, qpu_with
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nisq_gonogo.runtime import estimate_runtime, single_shot_time
 from nisq_gonogo.units import as_float
@@ -101,13 +103,28 @@ class TestEstimateRuntime:
             assert classical == (as_float(spec.ansatz_iterations) * prep if prep else 0.0)
 
     @pytest.mark.parametrize("iterations", [10, 10**400], ids=["10", "1e400"])
-    def test_a_shot_time_that_underflows_gives_zero_seconds_over_any_iterations(self, iterations):
+    def test_a_lane_runs_one_shot_of_a_subnormal_shot_time_over_any_iterations(self, iterations):
         spec = make_spec(family=AlgorithmFamily.GENERIC, data_qubits=29, depth=8, target_epsilon=0.01,
                          ansatz_iterations=iterations, classical_prep_time=0.0)
         qpu = qpu_with(gate=5e-324)
+        # 290,000 shots over 10^12 lanes: each lane runs one shot of 8 x 5e-324 s, not 0 s
         estimate = estimate_runtime(qpu, spec, shot_plan(spec, 0.001), parallel_shots=10**12)
-        assert estimate.quantum_time_per_iteration == 0.0 and estimate.total_time == 0.0
-        assert [seconds for _, seconds in estimate.breakdown] == [0.0, 0.0]
+        assert estimate.quantum_time_per_iteration == estimate.single_shot_time == 8 * 5e-324 > 0.0
+        # over 10^400 iterations the quantum term is unbounded and the 0 s classical term stays 0 s
+        quantum = 10 * 8 * 5e-324 if iterations == 10 else math.inf
+        assert [seconds for _, seconds in estimate.breakdown] == [0.0, quantum] and estimate.total_time == quantum
+
+    @pytest.mark.parametrize(
+        "lanes, shots", [(3, 333_334), (10**6, 1), (10**400, 1), (999_999, 2)], ids=["3", "1e6", "1e400", "999999"]
+    )
+    def test_a_lane_runs_whole_shots(self, lanes, shots):
+        spec = make_spec(family=AlgorithmFamily.GENERIC, data_qubits=1, depth=10, target_epsilon=1e-3,
+                         ansatz_iterations=1, classical_prep_time=0.0)
+        plan = shot_plan(spec, 0.0)
+        assert plan.total_shots == 1_000_000
+        qpu = qpu_with(gate=1e-7)
+        estimate = estimate_runtime(qpu, spec, plan, parallel_shots=lanes)
+        assert estimate.quantum_time_per_iteration == shots * estimate.single_shot_time
 
     def test_parallel_shots_divide_quantum_term(self):
         spec = make_spec(classical_prep_time=0.0)
@@ -118,3 +135,30 @@ class TestEstimateRuntime:
         assert serial.total_time / parallel.total_time == pytest.approx(10, rel=1e-12)
         with pytest.raises(ValueError):
             estimate_runtime(qpu, spec, plan, parallel_shots=0)
+
+
+_PLAN = shot_plan(make_spec(), 0.006)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total=st.one_of(
+        st.integers(min_value=1, max_value=10**20),
+        st.floats(min_value=2.0**53, max_value=1e300),
+        st.sampled_from([10**400, math.inf]),
+    ),
+    lanes=st.one_of(st.integers(min_value=1, max_value=10**20), st.just(10**400)),
+    gate=st.one_of(st.floats(min_value=5e-324, max_value=1e-3), st.just(5e-324)),
+    depth=st.sampled_from([1, 8, 10**400]),
+)
+@example(total=290_000, lanes=10**12, gate=5e-324, depth=8)
+def test_a_lane_runs_whole_shots_and_never_less_than_one(total, lanes, gate, depth):
+    qpu = qpu_with(gate=gate)
+    spec = make_spec(depth=depth)
+    estimate = estimate_runtime(qpu, spec, _PLAN._replace(total_shots=total), parallel_shots=lanes)
+    shot = estimate.single_shot_time
+    assert estimate.quantum_time_per_iteration >= shot > 0.0
+    if as_float(total) == math.inf:  # an unbounded total stays unbounded
+        assert estimate.quantum_time_per_iteration == math.inf
+    else:  # ceil(total / lanes) single shots, the count exact
+        assert estimate.quantum_time_per_iteration == as_float((int(total) + lanes - 1) // lanes) * shot
