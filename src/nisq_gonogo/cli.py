@@ -444,7 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--workload", metavar="PATH", required=True, help="workload file (object or list)")
         if qpu:  # the commands on one qpu estimate its resources
             p.add_argument("--qpu", metavar="ID", required=True, help="catalog id of the target qpu")
-            p.add_argument("--parallel-shots", type=int, default=1, metavar="K", help="parallel shot lanes, each running whole shots (default 1)")
+            p.add_argument(
+                "--parallel-shots", type=int, default=1, metavar="K",
+                help="parallel shot lanes, each running whole shots (default 1)",
+            )
             p.add_argument(
                 "--qaoa-aggregate",
                 action="store_true",

@@ -439,7 +439,7 @@ class TestCompareCommand:
             ({"ansatz_iterations": 10**400}, "4 strings", ()),
             ({"family": "qaoa", "qaoa_layers": 10**400}, "inf strings (unbounded)", ()),
             ({"family": "vqe", "target_epsilon": 1e-200}, "3 strings", ()),
-            # an unbounded total over a divisor beyond float range stays unbounded
+            # an unbounded total over 10^400 lanes stays unbounded
             ({"data_qubits": 10**400, "depth": 3}, "inf strings (unbounded)", ("--parallel-shots", str(10**400))),
         ],
         ids=["budget", "iterations", "qaoa-layers", "epsilon", "budget-over-parallel-shots"],

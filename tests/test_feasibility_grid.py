@@ -176,6 +176,8 @@ _BANDS = st.one_of(st.sampled_from([1.0000001, 2.0, 10.0, 1e6]), st.floats(min_v
 # two rates out of range: the error names the first qpu in catalog order that a workload fits,
 # not the first met in workload order ("b", which the wider first workload fits)
 @example((_qpu("a", 2, 1.0), _qpu("b", 8, -0.25)), tuple(make_spec(data_qubits=n, depth=1) for n in (5, 1)), 10.0)
+# no workload beside the same qpus: no pair, so no qpu is checked and the grid is empty
+@example((_qpu("a", 2, 1.0), _qpu("b", 8, -0.25)), (), 10.0)
 def test_grid_equals_the_reference(qpus, workloads, band):
     catalog = Catalog(qpus)
     renders = (render_feasibility_csv, render_feasibility_md)
@@ -226,15 +228,6 @@ def test_an_error_rate_out_of_range_raises_as_assess_does(rate):
     assert str(info.value) == _assess_message(bad) == f"error_rate must be in [0, 1), got {rate}"
     # as with assess, a qpu that no workload fits is never checked
     assert build_feasibility_bundle(Catalog((good, _qpu("bad", 1, rate))), workloads)
-
-
-def test_an_out_of_range_error_names_the_first_fitting_qpu_in_catalog_order():
-    catalog = Catalog((_qpu("a", 2, 1.0), _qpu("b", 8, -0.25)))
-    workloads = tuple(make_spec(id=f"w{n}", data_qubits=n, depth=1) for n in (5, 1))
-    with pytest.raises(ValueError, match=r"^error_rate must be in \[0, 1\), got 1\.0$"):
-        build_feasibility_bundle(catalog, workloads)
-    # no workload: no pair, so no qpu is checked
-    assert build_feasibility_bundle(catalog, ()) == reference_bundle(catalog, ()) == ()
 
 
 def test_one_verdict_per_rate_and_qpu(monkeypatch):
