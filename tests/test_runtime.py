@@ -114,18 +114,6 @@ class TestEstimateRuntime:
         quantum = 10 * 8 * 5e-324 if iterations == 10 else math.inf
         assert [seconds for _, seconds in estimate.breakdown] == [0.0, quantum] and estimate.total_time == quantum
 
-    @pytest.mark.parametrize(
-        "lanes, shots", [(3, 333_334), (10**6, 1), (10**400, 1), (999_999, 2)], ids=["3", "1e6", "1e400", "999999"]
-    )
-    def test_a_lane_runs_whole_shots(self, lanes, shots):
-        spec = make_spec(family=AlgorithmFamily.GENERIC, data_qubits=1, depth=10, target_epsilon=1e-3,
-                         ansatz_iterations=1, classical_prep_time=0.0)
-        plan = shot_plan(spec, 0.0)
-        assert plan.total_shots == 1_000_000
-        qpu = qpu_with(gate=1e-7)
-        estimate = estimate_runtime(qpu, spec, plan, parallel_shots=lanes)
-        assert estimate.quantum_time_per_iteration == shots * estimate.single_shot_time
-
     def test_parallel_shots_divide_quantum_term(self):
         spec = make_spec(classical_prep_time=0.0)
         qpu = qpu_with()
@@ -152,6 +140,11 @@ _PLAN = shot_plan(make_spec(), 0.006)
     depth=st.sampled_from([1, 8, 10**400]),
 )
 @example(total=290_000, lanes=10**12, gate=5e-324, depth=8)
+# 10^6 shots: 333,334 a lane on 3 lanes, 2 on 999,999, 1 on 10^6 or 10^400
+@example(total=10**6, lanes=3, gate=1e-7, depth=10)
+@example(total=10**6, lanes=999_999, gate=1e-7, depth=10)
+@example(total=10**6, lanes=10**6, gate=1e-7, depth=10)
+@example(total=10**6, lanes=10**400, gate=1e-7, depth=10)
 def test_a_lane_runs_whole_shots_and_never_less_than_one(total, lanes, gate, depth):
     qpu = qpu_with(gate=gate)
     spec = make_spec(depth=depth)
