@@ -56,6 +56,10 @@ CASES = [
     # 900 rows, about 109 KiB of CSV: more than a 64 KiB pipe buffer holds, so every byte
     # must be flushed to the pipe before the process ends
     ("feasibility-grid-100-csv", ["feasibility", "--workload", "grid-100.json", "--format", "csv"], {}),
+    ("feasibility-grid-100-md", ["feasibility", "--workload", "grid-100.json"], {}),
+    # volumes 2^53 - 1 and 2^53 - 2 share one 1/V float but not their success probability
+    ("feasibility-shared-rate-csv", ["feasibility", "--workload", "shared-rate.json",
+                                     "--catalog", "tiny-error-catalog.json", "--format", "csv"], {}),
     # estimate: plain, grouped VQE, QAOA per string and aggregate, shot parallelism, --out
     ("estimate-vqe-heron", ["estimate", "--workload", "vqe-72x72.json", "--qpu", "ibm-heron"], {}),
     ("estimate-anchors-sycamore", ["estimate", "--workload", "anchors.json", "--qpu", "google-sycamore-2022"], {}),
