@@ -144,7 +144,12 @@ def success_probability(error_rate: float, shape: CircuitShape) -> float:
     dominant two-qubit gate count; a volume beyond float range gives the limit.
     """
     check_error_rate(error_rate)
-    return (1.0 - error_rate) ** as_float(shape.volume)
+    return _success(error_rate, shape.volume)
+
+
+def _success(error_rate: float, volume: int) -> float:
+    """:func:`success_probability` of a checked ``error_rate`` and a volume: the one home of its formula."""
+    return (1.0 - error_rate) ** as_float(volume)
 
 
 def simple_quantum_volume(error_rate: float) -> int:
@@ -193,7 +198,7 @@ def pair_verdict(
 ) -> Verdict | None:
     """The ordered test of one (qpu, workload) pair: None when ``breadth`` exceeds ``qubits``; on a fit,
     :func:`check_error_rate` on ``available``, then :func:`rate_verdict`, whose band is not checked here.
-    :func:`assess`, the grid and the estimate report all take their verdict from it.
+    :func:`assess` and the estimate report take their verdict from it.
     """
     if breadth > qubits:
         return None
@@ -212,7 +217,7 @@ def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = DEFAULT_
     verdict = pair_verdict(shape.breadth, qpu.qubit_count, required, available, marginal_band)
     if verdict is None:
         raise CapacityError(capacity_message(shape.breadth, qpu.qubit_count))
-    success = success_probability(available, shape)
+    success = _success(available, shape.volume)  # the rate is checked by pair_verdict
     return tuple.__new__(FeasibilityVerdict, (required, available, success, verdict, qpu.two_qubit_error_stddev is None))
 
 
@@ -232,8 +237,8 @@ def _grid_qpus(qpus: Sequence[QpuSpec], narrowest: int | float) -> list[tuple]:
     """Each qpu's id, qubit count, error rate, ``optimistic`` (no error-rate spread) and the note
     of every row in which it fits the workload, ids ascending; a catalog holds each id once.
 
-    :func:`check_error_rate` runs, in catalog order, on each qpu that fits the ``narrowest``
-    breadth (``math.inf`` when there is no workload), so a qpu that no workload fits is never checked.
+    This is the grid's one :func:`check_error_rate`: it runs, in catalog order, on each qpu that fits the
+    ``narrowest`` breadth (``math.inf`` when there is no workload), so a qpu that no workload fits is never checked.
     """
     fields = []
     for qpu in qpus:
@@ -255,25 +260,22 @@ def build_feasibility_bundle(
 ) -> tuple[VerdictRow, ...]:
     """One row per (qpu, workload) pair, in report order: the whole grid in one call.
 
-    Rows run by verdict (go, marginal, no-go, then capacity misses), then by
-    required error rate ascending, then by qpu id, then by workload id; rows
-    equal on every key differ only by workload and keep file order.  The rows
-    are built in that order, so only the workloads and the qpu ids are
-    sorted: for each run of workloads of one required rate, each qpu in id
-    order takes the run's workloads in (id, file) order.  A verdict depends
-    on the qpu and the required rate alone, so :func:`pair_verdict` decides it
-    once per (rate, qpu), on the run's first row that fits; a record is built
-    on that row and shared by the rows after it until the exact volume
-    changes (two volumes can share one 1/V float).  Each qpu that a workload
-    fits has its error rate checked first, in catalog order, so the
-    ``ValueError`` names the first such qpu out of range; the capacity misses,
-    in id order, are picked out by breadth alone.
+    Rows run by verdict (go, marginal, no-go, then capacity misses), then by required error rate
+    ascending, then by qpu id, then by workload id; rows equal on every key differ only by workload
+    and keep file order.  The rows are built in that order, so only the workloads and the qpu ids
+    are sorted: for each run of workloads of one required rate, each qpu in id order takes the run's
+    workloads in (id, file) order.  Each qpu that a workload fits has its error rate checked once,
+    first, in catalog order, so the ``ValueError`` names the first such qpu out of range.  A verdict
+    depends on the qpu and the required rate alone, so :func:`rate_verdict` decides it once per
+    (rate, qpu), on the run's first row that fits; a record is built on that row and shared by the
+    rows after it until the exact volume changes (two volumes can share one 1/V float).  The
+    capacity misses, in id order, are picked out by breadth alone.
     """
     check_marginal_band(marginal_band)  # also when the catalog has no qpus to assess
     shapes = [spec.shape for spec in workloads]
     qpus = _grid_qpus(catalog.qpus, min([shape.breadth for shape in shapes], default=math.inf))
     rated = sorted(
-        [(required_error_rate(shape), spec.id, shape) for spec, shape in zip(workloads, shapes)],
+        [(required_error_rate(shape), spec.id, shape.breadth, shape.volume) for spec, shape in zip(workloads, shapes)],
         key=_RATE_AND_ID,
     )
     # Rows and records are made with ``tuple.__new__``, not the named tuples'
@@ -281,19 +283,18 @@ def build_feasibility_bundle(
     new = tuple.__new__
     lists = {verdict: [] for verdict in Verdict}
     for rate, tied in itertools.groupby(rated, key=_RATE):
-        members = [(workload_id, shape.breadth, shape.volume, shape) for _, workload_id, shape in tied]
+        members = [member[1:] for member in tied]  # (id, breadth, volume)
         for qpu_id, qubits, available, optimistic, note in qpus:
             verdict = last_volume = None
-            for workload_id, breadth, volume, shape in members:
+            for workload_id, breadth, volume in members:
                 if breadth > qubits:
                     continue  # a capacity miss: its row is made below
                 if volume != last_volume:
-                    if verdict is None:  # the run's first row that fits
-                        verdict = pair_verdict(breadth, qubits, rate, available, marginal_band)
+                    if verdict is None:  # the run's first row that fits; its rate was checked in _grid_qpus
+                        verdict = rate_verdict(rate, available, marginal_band)
                         out = lists[verdict]
                     last_volume = volume
-                    success = success_probability(available, shape)
-                    record = new(FeasibilityVerdict, (rate, available, success, verdict, optimistic))
+                    record = new(FeasibilityVerdict, (rate, available, _success(available, volume), verdict, optimistic))
                 out.append(new(VerdictRow, (qpu_id, workload_id, record, note)))
     capacity_note = functools.cache(capacity_message)  # each note is formatted once per (breadth, qubit count)
     by_id = sorted([(spec.id, shape.breadth) for spec, shape in zip(workloads, shapes)], key=_FIRST)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nisq_gonogo import feasibility
 from nisq_gonogo.catalog import bundled_catalog
 from nisq_gonogo.feasibility import (
     DEFAULT_SHALLOW_DEPTH,
@@ -13,6 +14,7 @@ from nisq_gonogo.feasibility import (
     EmulationTier,
     Verdict,
     assess,
+    check_error_rate,
     emulation_tier,
     feasible_square_side,
     pair_verdict,
@@ -120,6 +122,24 @@ def test_assess_carries_pair_verdicts_verdict_on_a_fit(qpu, breadth, depth, band
     verdict = pair_verdict(breadth, qpu.qubit_count, required_error_rate(shape), qpu.two_qubit_error_median, band)
     if verdict is not None:
         assert assess(qpu, shape, marginal_band=band).verdict is verdict
+
+
+@pytest.mark.parametrize("rate", [1e-3, 1.0, -0.25, math.nan])
+def test_assess_checks_its_error_rate_once(monkeypatch, rate):
+    qpu = bundled_catalog().get_qpu("ibm-heron")._replace(two_qubit_error_median=rate)
+    calls = []
+    monkeypatch.setattr(feasibility, "check_error_rate", lambda *args: calls.append(args) or check_error_rate(*args))
+    if rate == 1e-3:
+        assess(qpu, CircuitShape(2, 2))
+    else:
+        with pytest.raises(ValueError, match=rf"^error_rate must be in \[0, 1\), got {rate}$") as raised:
+            assess(qpu, CircuitShape(2, 2))
+        assert not isinstance(raised.value, CapacityError)
+    assert calls == [(rate,)]
+    # a miss raises the capacity error and reads no error rate
+    with pytest.raises(CapacityError, match=f"^insufficient qubits: needs {qpu.qubit_count + 1}, "):
+        assess(qpu, CircuitShape(qpu.qubit_count + 1, 1))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("rate", [1.0, -0.25, math.nan])

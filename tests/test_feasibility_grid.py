@@ -237,9 +237,10 @@ def test_one_verdict_per_rate_and_qpu(monkeypatch):
     qpus = (_qpu("small", 6, 1e-3), _qpu("large", 16, 0.2), _qpu("tiny", 1, 1e-3))
     catalog = Catalog(qpus)
     want = reference_bundle(catalog, workloads)
-    calls = []
-    pair_verdict = feas.pair_verdict
-    monkeypatch.setattr(feas, "pair_verdict", lambda *args: calls.append(args) or pair_verdict(*args))
+    calls = {"rate_verdict": [], "check_error_rate": []}
+    for name, log in calls.items():
+        real = getattr(feas, name)
+        monkeypatch.setattr(feas, name, lambda *args, log=log, real=real: log.append(args) or real(*args))
     assert build_feasibility_bundle(catalog, workloads) == want
     fitting = {
         (feas.required_error_rate(spec.shape), qpu.id)
@@ -247,7 +248,9 @@ def test_one_verdict_per_rate_and_qpu(monkeypatch):
         for qpu in qpus
         if spec.shape.breadth <= qpu.qubit_count
     }
-    assert len(calls) == len(fitting) == 5
+    assert len(calls["rate_verdict"]) == len(fitting) == 5
+    # one range check per qpu that a workload fits, in catalog order: "tiny" fits none
+    assert calls["check_error_rate"] == [(1e-3,), (0.2,)]
 
 
 @pytest.mark.parametrize("qpus", [(), (_qpu("lab", 8, 1e-3),)], ids=["empty-catalog", "one-qpu"])
