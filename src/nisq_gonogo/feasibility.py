@@ -229,7 +229,7 @@ Fields: ``qpu_id`` and ``workload_id`` (str); ``verdict``
 than the qpu has); ``note`` (str, default empty).
 """
 
-_FIRST = _RATE = operator.itemgetter(0)
+_FIRST = operator.itemgetter(0)
 _RATE_AND_ID = operator.itemgetter(0, 1)
 
 
@@ -282,7 +282,7 @@ def build_feasibility_bundle(
     # keyword ``__new__``: a grid call makes tens of thousands of them.
     new = tuple.__new__
     lists = {verdict: [] for verdict in Verdict}
-    for rate, tied in itertools.groupby(rated, key=_RATE):
+    for rate, tied in itertools.groupby(rated, key=_FIRST):
         members = [member[1:] for member in tied]  # (id, breadth, volume)
         for qpu_id, qubits, available, optimistic, note in qpus:
             verdict = last_volume = None

@@ -13,7 +13,7 @@ import math
 
 from .catalog import Catalog, QpuStatus
 from .feasibility import DEFAULT_SHALLOW_DEPTH, STATEVECTOR_TIERS, TENSOR_NETWORK_ERROR_THRESHOLD, CircuitShape, required_error_rate
-from .units import count_text, csv_text
+from .units import count_text, csv_field
 
 #: Comment line identifying the layout revision; the only line allowed to
 #: change between releases without being considered a rendering change.
@@ -58,20 +58,19 @@ def frontier_error(qubits: int | float) -> float:
     return required_error_rate(CircuitShape(1, DEFAULT_FRONTIER_DEPTH)) / qubits
 
 
+_CSV_HEADER = "qpu_id,qubit_count,two_qubit_error_median,status,modality\n"
+
+
 def scatter_csv(catalog: Catalog) -> str:
-    """RFC-4180 CSV of the catalog scatter data, LF line endings."""
-    rows = [["qpu_id", "qubit_count", "two_qubit_error_median", "status", "modality"]]
-    for qpu in catalog.qpus:
-        rows.append(
-            [
-                qpu.id,
-                qpu.qubit_count,
-                str(qpu.two_qubit_error_median),
-                qpu.status.value,
-                qpu.modality.value,
-            ]
-        )
-    return csv_text(rows)
+    """RFC-4180 CSV of the catalog scatter data, LF line endings.
+
+    Only the id can hold a character CSV quotes: status and modality are enum
+    values, and the numbers print through ``str``.
+    """
+    return _CSV_HEADER + "".join(
+        f"{csv_field(qpu.id)},{qpu.qubit_count},{qpu.two_qubit_error_median},{qpu.status.value},{qpu.modality.value}\n"
+        for qpu in catalog.qpus
+    )
 
 
 def _x(qubits: float) -> float:

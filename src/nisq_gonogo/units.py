@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from collections.abc import Iterable
 
 MINUTE = 60.0
 HOUR = 3600.0
@@ -85,20 +84,6 @@ def csv_field(value: object) -> str:
     if "," in value or '"' in value or "\n" in value or "\r" in value:
         return '"' + value.replace('"', '""') + '"'
     return value
-
-
-def csv_text(rows: Iterable[Iterable[object]]) -> str:
-    """RFC 4180 CSV of ``rows`` with LF line endings, the same bytes on every Python.
-
-    Each field is :func:`csv_field`'s; as ``csv.writer`` does, a row of one
-    empty field is written ``""`` so that it is not read back as an empty line.
-    """
-    lines = []
-    for row in rows:
-        fields = [csv_field(value) for value in row]
-        line = ",".join(fields)
-        lines.append(f"{line}\n" if line or not fields else '""\n')
-    return "".join(lines)
 
 
 def fidelity_percent(error_rate: float) -> float:

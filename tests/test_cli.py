@@ -3,11 +3,13 @@ import contextlib
 import csv
 import gc
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -15,7 +17,7 @@ import threading
 import warnings
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import nisq_gonogo
@@ -40,6 +42,7 @@ from nisq_gonogo.cli import (
 from nisq_gonogo.scatter import scatter_csv, scatter_svg
 from nisq_gonogo.units import (
     EXACT_COUNT_LIMIT,
+    count_number,
     count_text,
     format_bytes,
     format_fidelity_percent,
@@ -1202,13 +1205,19 @@ def _workload_document(spec):
     return document
 
 
-def _stdout(argv):
-    """What ``main(argv)`` prints, which must end in a report and no error."""
+def _call(argv):
+    """``main(argv)``'s exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (EXIT_OK, EXIT_NO_GO) and err.getvalue() == "", (argv, err.getvalue())
-    return out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _stdout(argv):
+    """What ``main(argv)`` prints, which must end in a report and no error."""
+    code, out, err = _call(argv)
+    assert code in (EXIT_OK, EXIT_NO_GO) and err == "", (argv, err)
+    return out
 
 
 def _after(lines, start):
@@ -1414,19 +1423,17 @@ def _assert_total(argv, nan_in_input=False):
     No printed number reads ``nan``, except in a message that echoes a NaN of the input (``nan_in_input``).
     An unbounded value reads ``inf <unit> (unbounded)``, and each count follows the one count text.
     """
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, out, err = _call(argv)
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_NO_GO), argv
     assert code != EXIT_NO_GO or argv[0] == "feasibility", argv
-    assert not _NAN.search(out.getvalue()), (argv, out.getvalue())
-    assert not _OLD_UNBOUNDED.search(out.getvalue()), (argv, out.getvalue())
-    _assert_counts_follow_the_count_text(out.getvalue())
-    assert nan_in_input or not _NAN.search(err.getvalue()), (argv, err.getvalue())
-    lines = err.getvalue().split("\n")
+    assert not _NAN.search(out), (argv, out)
+    assert not _OLD_UNBOUNDED.search(out), (argv, out)
+    _assert_counts_follow_the_count_text(out)
+    assert nan_in_input or not _NAN.search(err), (argv, err)
+    lines = err.split("\n")
     assert lines.pop() == "", argv  # every line ends in a newline
     if code == EXIT_ERROR:
-        assert out.getvalue() == "" and lines[-1].startswith("error: "), argv
+        assert out == "" and lines[-1].startswith("error: "), argv
         lines.pop()
     assert all(line.startswith("warning: ") for line in lines), argv
 
@@ -1547,6 +1554,68 @@ def test_every_catalog_ends_in_an_exit_code_and_at_most_one_error_line(
         ["scatter", *inputs, "--out", str(work / "landscape.svg")],
     ):
         _assert_total(argv, nan_in_input="NaN" in catalog_text)
+
+
+# The benchmark's own reference (``bench/reference.py``, read, never changed here) checks
+# both CSV reports: the feasibility grid of any workload document on the bundled catalog,
+# and the scatter files of any catalog document.  Each ``assume`` names an input the
+# reference cannot model; an input the program refuses (exit 1) checks nothing.
+def _bench_reference(root):
+    spec = importlib.util.spec_from_file_location("bench_reference", root / "bench" / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_BENCH_REFERENCE = _bench_reference(_ROOT)
+_BUNDLED_REFERENCE = _BENCH_REFERENCE.Reference.from_root(_ROOT)
+
+
+# Most drawn documents are refused; each example that counts reaches the reference.
+_REFERENCE_SETTINGS = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+
+
+@_REFERENCE_SETTINGS
+@given(workload=_WORKLOAD_DOCUMENTS, strict=st.booleans())
+def test_the_feasibility_csv_passes_the_benchmark_reference(tmp_path_factory, workload, strict):
+    path = tmp_path_factory.mktemp("grid-reference") / "w.json"
+    path.write_text(json.dumps(workload), encoding="utf-8")
+    code, report, _ = _call(["feasibility", "--workload", str(path), "--format", "csv", *(["--strict"] if strict else [])])
+    assume(code != EXIT_ERROR)
+    # Each record is a valid workload; one without an id is named from its counts, as the README says.
+    records = [
+        {"id": f"{record['family']}-{count_number(record['data_qubits'])}q-d{count_number(record['depth'])}", **record}
+        for record in (workload if isinstance(workload, list) else [workload])
+    ]
+    ids = [record["id"] for record in records]
+    assume(len(set(ids)) == len(ids))  # the reference keys rows on ids, so each id must name one workload
+    # the reference's 1/(N*d) raises OverflowError for a volume past float range on a qpu that N fits
+    widest = max(qpu["qubit_count"] for qpu in _BUNDLED_REFERENCE.qpus)
+    assume(all(r["data_qubits"] > widest or r["data_qubits"] * r["depth"] < 2**1024 for r in records))
+    grid = _BENCH_REFERENCE.GridReference(_BUNDLED_REFERENCE, records)
+    assert code == grid.exit_code
+    assert _BENCH_REFERENCE.check_feasibility_csv(report, grid) == (0, [])
+
+
+@_REFERENCE_SETTINGS
+@given(catalog=_CATALOG_DOCUMENTS, strict=st.booleans())
+def test_the_scatter_files_pass_the_benchmark_reference(tmp_path_factory, catalog, strict):
+    work = tmp_path_factory.mktemp("scatter-reference")
+    (work / "c.json").write_text(json.dumps(catalog), encoding="utf-8")
+    code, stdout, _ = _call(
+        ["scatter", "--catalog", str(work / "c.json"), "--out", str(work / "landscape.svg"), *(["--strict"] if strict else [])]
+    )
+    assume(code != EXIT_ERROR)
+    assert code == EXIT_OK
+    # the reference reads the csv with universal newlines, and XML reads a CR as LF, so an id's CR reads as LF
+    assume(not any("\r" in qpu["id"] for qpu in catalog["qpus"]))
+    # an id's NUL is written into the SVG as it is, which no XML parser reads (see CHANGES.md)
+    assume(not any("\0" in qpu["id"] for qpu in catalog["qpus"]))
+    problems = _BENCH_REFERENCE.check_scatter(
+        stdout, work / "landscape.csv", work / "landscape.svg", _BENCH_REFERENCE.Reference(catalog)
+    )
+    assert problems == []
 
 
 # Totality over the command line itself: a command and its flags drawn over the

@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 import sys
 
@@ -7,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import CSV_CHARACTERS, csv_writer_is_the_oracle, csv_written
 from nisq_gonogo.units import (
     EXACT_COUNT_LIMIT,
     as_float,
     count_number,
     count_text,
     csv_field,
-    csv_text,
     fidelity_percent,
     format_bytes,
     format_duration,
@@ -195,16 +193,7 @@ def test_times_is_the_product_of_nonzero_factors(x, y):
     assert times(x, y) == x * y and times(y, x) == y * x
 
 
-def test_csv_text_quotes_fields_and_reads_rows_lazily():
-    rows = (row for row in (["a", "b,c"], [1, 'say "hi"']))
-    assert csv_text(rows) == 'a,"b,c"\n1,"say ""hi"""\n'
-    assert csv_text([]) == ""
-
-
-# Every character CSV treats specially, a space, non-ASCII text and a NUL (which 3.10's writer rejects).
-_csv_strings = st.text(
-    alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "b", "Z", "é", "漢", "\u2028", "\0"]), max_size=6
-)
+_csv_strings = st.text(alphabet=st.sampled_from(CSV_CHARACTERS), max_size=6)
 _csv_rows = st.one_of(
     st.lists(_csv_strings, max_size=5),
     st.lists(st.one_of(_csv_strings, st.integers(), st.floats(), st.none(), st.booleans()), max_size=5),
@@ -213,60 +202,15 @@ _csv_rows = st.one_of(
 )
 
 
-def _written(rows):
-    """``csv.writer``'s text of ``rows``; ``None`` where it rejects a NUL, as 3.10's writer does."""
-    out = io.StringIO()
-    try:
-        csv.writer(out, lineterminator="\n").writerows(rows)
-    except csv.Error:
-        assert any("\0" in str(value) for row in rows for value in row)
-        return None
-    return out.getvalue()
-
-
-def _writer_is_the_oracle(rows):
-    """Whether ``csv.writer`` writes ``rows`` by the one rule: on 3.13+ always; before that, unless a CR shows."""
-    return sys.version_info >= (3, 13) or not any("\r" in str(value) for row in rows for value in row)
-
-
-def _text(value):
-    """The text a CSV field of ``value`` reads back as."""
-    if value is None:
-        return ""
-    return str.__str__(value) if isinstance(value, str) else str(value)
-
-
-@settings(max_examples=400)
-@given(st.lists(_csv_rows, max_size=6))
-def test_csv_text_equals_the_csv_writer(rows):
-    """Quoting, a NUL and a row of one empty field come out as the writer's (a CR as 3.13's writer's)."""
-    written = _written(rows)
-    if _writer_is_the_oracle(rows):
-        assert csv_text(rows) == written or written is None
-
-
 @settings(max_examples=400)
 @given(_csv_rows)
 def test_csv_fields_joined_equal_the_csv_writer(row):
     joined = ",".join([csv_field(value) for value in row]) + "\n"
-    written = _written([row])
+    written = csv_written([row])
     if row in ([""], [None]):  # the writer marks a row of one empty field as ``""``; the field itself is empty
         assert joined == "\n" and written == '""\n'
-    elif _writer_is_the_oracle([row]):
+    elif csv_writer_is_the_oracle([row]):
         assert joined == written or written is None
-
-
-@settings(max_examples=400)
-@given(st.lists(_csv_rows, max_size=6))
-def test_csv_text_reads_back_as_its_rows(rows):
-    """On every Python, ``csv.reader`` reads each row back field for field; a CR or LF stays inside its field."""
-    reader = csv.reader(io.StringIO(csv_text(rows), newline=""))
-    want = [[_text(value) for value in row] for row in rows]
-    if sys.version_info < (3, 11) and any("\0" in field for row in want for field in row):
-        with pytest.raises(csv.Error, match="NUL"):  # 3.10's reader refuses a NUL
-            list(reader)
-    else:
-        assert list(reader) == want
 
 
 def test_csv_field_of_each_special_character():
