@@ -134,7 +134,7 @@ def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
     # Rates and success probabilities repeat across rows: each distinct value is
     # formatted once, and a run of rows that share a verdict record shares its text.
     number_text = _Texts(sci)
-    available_text = _Texts(lambda rate: f"{sci(rate)} ({format_fidelity_percent(rate, 2)})")
+    available_text = _Texts(lambda rate: f"{sci(rate)} ({format_fidelity_percent(rate)})")
     lines = ["# Feasibility report", ""]
     lines.append(
         "| verdict | qpu | workload | required error rate | available error rate (fidelity) | success probability | note |"
@@ -155,8 +155,8 @@ def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
         go += is_go
         lines.append(f"| {verdict} | {qpu_id} | {workload_id} | {numbers} | {note} |")
     lines.append("")
-    lines.append(f"{go} of {len(bundle)} (qpu, workload) pairs reach go.")
-    return "\n".join(lines) + "\n"
+    lines.append(f"{go} of {len(bundle)} (qpu, workload) pairs reach go.\n")
+    return "\n".join(lines)
 
 
 # The header names the columns after the row's and the verdict record's fields.
@@ -202,7 +202,7 @@ def _estimate_qpu_lines(qpu: QpuSpec) -> tuple[str, str, str, str]:
     error = qpu.two_qubit_error_median
     qpu_line = (
         f"qpu: {qpu.id} ({qpu.modality.value}, {count_text(qpu.qubit_count, 'qubits')}, "
-        f"two-qubit error {error} = fidelity {format_fidelity_percent(error, 2)}, {qpu.status.value})"
+        f"two-qubit error {error} = fidelity {format_fidelity_percent(error)}, {qpu.status.value})"
     )
     breakdown, draw = energy_mod._power(qpu)
     power = [f"- power draw: {format_watts(draw)}"]
@@ -322,7 +322,7 @@ def render_catalog_md(catalog: Catalog) -> str:
         power_text = format_watts(power) if power > 0 else "unreported"
         lines.append(
             f"| {qpu.id} | {qpu.modality.value} | {count_text(qpu.qubit_count)} "
-            f"| {qpu.two_qubit_error_median} ({format_fidelity_percent(qpu.two_qubit_error_median, 2)}) "
+            f"| {qpu.two_qubit_error_median} ({format_fidelity_percent(qpu.two_qubit_error_median)}) "
             f"| {qpu.status.value} | {power_text} |"
         )
     lines.append("")

@@ -68,22 +68,15 @@ def per_object(make):
     return memo
 
 
-def csv_field(value: object) -> str:
+def csv_field(text: str) -> str:
     """One field of an RFC 4180 row, as Python 3.13's ``csv.writer`` writes it.
 
-    ``None`` is empty, a string is its own text (a ``str`` subclass too) and any
-    other value is ``str(value)``.  A text holding a comma, ``"``, LF or CR is
-    quoted with each ``"`` doubled, on every Python version.  A NUL is written
-    as it is (3.10's writer rejects it).
+    A text holding a comma, ``"``, LF or CR is quoted with each ``"`` doubled, on
+    every Python version.  A NUL is written as it is (3.10's writer rejects it).
     """
-    if value is None:
-        value = ""
-    elif type(value) is not str:
-        # a str subclass (a str enum, say) is its text, as the writer takes it
-        value = str.__str__(value) if isinstance(value, str) else str(value)
-    if "," in value or '"' in value or "\n" in value or "\r" in value:
-        return '"' + value.replace('"', '""') + '"'
-    return value
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def fidelity_percent(error_rate: float) -> float:
@@ -91,9 +84,9 @@ def fidelity_percent(error_rate: float) -> float:
     return 100.0 * (1.0 - error_rate)
 
 
-def format_fidelity_percent(error_rate: float, decimals: int = 1) -> str:
-    """Render an error rate as a percent-fidelity string, e.g. ``99.7%``."""
-    return f"{fidelity_percent(error_rate):.{decimals}f}%"
+def format_fidelity_percent(error_rate: float) -> str:
+    """Render an error rate as a percent-fidelity string to two decimals, e.g. ``99.75%``."""
+    return f"{fidelity_percent(error_rate):.2f}%"
 
 
 def unbounded(unit: str = "") -> str:

@@ -1048,7 +1048,7 @@ def _render_estimate_md_by_lines(record, qpu, spec):
     error = qpu.two_qubit_error_median
     qpu_line = (
         f"qpu: {qpu.id} ({qpu.modality.value}, {count_text(qpu.qubit_count, 'qubits')}, "
-        f"two-qubit error {error} = fidelity {format_fidelity_percent(error, 2)}, {qpu.status.value})"
+        f"two-qubit error {error} = fidelity {format_fidelity_percent(error)}, {qpu.status.value})"
     )
     components = energy.power_breakdown(qpu)
     draw = sum(watts for _, watts in components)
@@ -1576,18 +1576,26 @@ _BUNDLED_REFERENCE = _BENCH_REFERENCE.Reference.from_root(_ROOT)
 _REFERENCE_SETTINGS = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 
 
+def _named(record):
+    """A valid workload record with its id: an absent or null one is named from its counts, as the README says."""
+    if record.get("id") is None:
+        counts = f"{count_number(record['data_qubits'])}q-d{count_number(record['depth'])}"
+        return {**record, "id": f"{record['family']}-{counts}"}
+    return record
+
+
 @_REFERENCE_SETTINGS
 @given(workload=_WORKLOAD_DOCUMENTS, strict=st.booleans())
+@example(
+    workload={"id": None, "family": "vqe", "data_qubits": 4, "depth": 3, "target_epsilon": 0.01, "ansatz_iterations": 1},
+    strict=False,
+)
 def test_the_feasibility_csv_passes_the_benchmark_reference(tmp_path_factory, workload, strict):
     path = tmp_path_factory.mktemp("grid-reference") / "w.json"
     path.write_text(json.dumps(workload), encoding="utf-8")
     code, report, _ = _call(["feasibility", "--workload", str(path), "--format", "csv", *(["--strict"] if strict else [])])
     assume(code != EXIT_ERROR)
-    # Each record is a valid workload; one without an id is named from its counts, as the README says.
-    records = [
-        {"id": f"{record['family']}-{count_number(record['data_qubits'])}q-d{count_number(record['depth'])}", **record}
-        for record in (workload if isinstance(workload, list) else [workload])
-    ]
+    records = [_named(record) for record in (workload if isinstance(workload, list) else [workload])]
     ids = [record["id"] for record in records]
     assume(len(set(ids)) == len(ids))  # the reference keys rows on ids, so each id must name one workload
     # the reference's 1/(N*d) raises OverflowError for a volume past float range on a qpu that N fits

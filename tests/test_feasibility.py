@@ -9,6 +9,7 @@ from nisq_gonogo import feasibility
 from nisq_gonogo.catalog import bundled_catalog
 from nisq_gonogo.feasibility import (
     DEFAULT_SHALLOW_DEPTH,
+    TENSOR_NETWORK_ERROR_THRESHOLD,
     CapacityError,
     CircuitShape,
     EmulationTier,
@@ -24,7 +25,7 @@ from nisq_gonogo.feasibility import (
     statevector_memory,
     success_probability,
 )
-from nisq_gonogo.units import format_fidelity_percent
+from nisq_gonogo.units import fidelity_percent
 from nisq_gonogo.workload import MitigationSpec, mitigation_multiplier
 
 
@@ -48,7 +49,7 @@ class TestRequiredErrorRate:
         # 372 qubits x 1490 cycles: needs ~1.8e-6 error, i.e. 99.99982% fidelity
         rate = required_error_rate(CircuitShape(372, 1490))
         assert rate == pytest.approx(1.804e-6, abs=1e-9)
-        assert format_fidelity_percent(rate, 5) == "99.99982%"
+        assert f"{fidelity_percent(rate):.5f}%" == "99.99982%"
 
     def test_unit_circuit(self):
         assert required_error_rate(CircuitShape(1, 1)) == 1.0
@@ -191,6 +192,11 @@ class TestSquareVolume:
         assert feasible_square_side(0.5) == 1
         assert simple_quantum_volume(0.3) == 3
 
+    @pytest.mark.parametrize("error_rate", [0.0, 1.0])
+    def test_an_end_of_the_open_interval_raises(self, error_rate):
+        with pytest.raises(ValueError, match=r"^error_rate must be in \(0, 1\)"):
+            simple_quantum_volume(error_rate)
+
 
 def _is_go(shape, error_rate):
     return rate_verdict(required_error_rate(shape), error_rate) is Verdict.GO
@@ -297,6 +303,9 @@ class TestEmulationTier:
         assert emulation_tier(127, 1000, 0.006) is EmulationTier.TENSOR_NETWORK  # noisy
         assert emulation_tier(127, 8, 1e-4) is EmulationTier.TENSOR_NETWORK  # shallow
         assert emulation_tier(127, 1000, 1e-4) is EmulationTier.BEYOND_CLASSICAL
+        # a rate at the noise threshold is not noisy; the next float above it is
+        assert emulation_tier(56, 100, TENSOR_NETWORK_ERROR_THRESHOLD) is EmulationTier.BEYOND_CLASSICAL
+        assert emulation_tier(56, 100, math.nextafter(TENSOR_NETWORK_ERROR_THRESHOLD, 1)) is EmulationTier.TENSOR_NETWORK
 
     def test_shallow_threshold_is_inclusive(self):
         assert emulation_tier(127, DEFAULT_SHALLOW_DEPTH, 1e-4) is EmulationTier.TENSOR_NETWORK

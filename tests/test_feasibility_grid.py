@@ -69,7 +69,7 @@ def reference_md(bundle):
             continue
         lines.append(
             f"| {v.verdict.value} | {row.qpu_id} | {row.workload_id} | {sci(v.required_error_rate)} "
-            f"| {sci(v.available_error_rate)} ({format_fidelity_percent(v.available_error_rate, 2)}) "
+            f"| {sci(v.available_error_rate)} ({format_fidelity_percent(v.available_error_rate)}) "
             f"| {sci(v.success_probability)} | {row.note} |"
         )
     go = sum(1 for row in bundle if row.verdict is not None and row.verdict.verdict is feas.Verdict.GO)

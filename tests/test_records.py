@@ -400,4 +400,5 @@ def test_circuit_shape_accepts_an_int_subclass_other_than_bool():
     shape = CircuitShape(_Count(3), _Count(4))
     assert type(shape) is CircuitShape and shape == CircuitShape(3, 4) and shape.volume == 12
     assert CircuitShape(3, 4)._replace(depth=_Count(5)) == (3, 5)
+    assert CircuitShape(_Count(1), _Count(1)) == (1, 1)  # the least breadth and depth
     assert make_spec(family=AlgorithmFamily.GENERIC, data_qubits=2**70).shape == (2**70, 72)
