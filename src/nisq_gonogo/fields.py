@@ -26,11 +26,18 @@ REQUIRED = object()
 
 
 def decode(document: str, name: str, error: type[ValueError]) -> object:
-    """The JSON value of ``document``; a syntax error raises ``error`` naming ``name`` and the position."""
+    """The JSON value of ``document``; a syntax error raises ``error`` naming ``name`` and the position.
+
+    Nesting past the recursion limit, or an integer of more digits than ``int``
+    converts, raises ``error`` with one text on every Python version."""
     try:
         return json.loads(document)
     except json.JSONDecodeError as exc:
         raise error(f"{name}: {exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
+    except RecursionError as exc:
+        raise error(f"{name}: nested too deeply to read") from exc
+    except ValueError as exc:  # json.loads raises no other plain ValueError
+        raise error(f"{name}: an integer has too many digits to read") from exc
 
 
 class InputWarning(UserWarning):

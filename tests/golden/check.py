@@ -13,6 +13,13 @@ library only, so it runs on an interpreter without pytest::
 
 argparse usage errors are left out: their text differs between Python
 versions.
+
+``digests.json`` is the only home of the CLI's expected bytes: no test pins
+a report by its digest.  A deliberate output change takes two commits.  The
+first pins the old output: it adds a case for each output to change that no
+case runs yet, recorded from the old program.  The second changes the
+program and runs ``--record``, which re-records only the cases the change
+names; the ``git diff`` of ``digests.json`` shows which cases changed.
 """
 
 from __future__ import annotations
@@ -60,6 +67,12 @@ CASES = [
     # volumes 2^53 - 1 and 2^53 - 2 share one 1/V float but not their success probability
     ("feasibility-shared-rate-csv", ["feasibility", "--workload", "shared-rate.json",
                                      "--catalog", "tiny-error-catalog.json", "--format", "csv"], {}),
+    # seven shapes on three fixture qpus (available, announced, projected): every verdict, both
+    # notes and capacity misses; the two `dup` rows of lab-a have equal sort keys and keep their
+    # input order, and the id a,b"c is quoted in the CSV
+    ("feasibility-lab-csv", ["feasibility", "--workload", "lab-shapes.json", "--catalog", "lab-catalog.json",
+                             "--format", "csv"], {}),
+    ("feasibility-lab-md", ["feasibility", "--workload", "lab-shapes.json", "--catalog", "lab-catalog.json"], {}),
     # estimate: plain, grouped VQE, QAOA per string and aggregate, shot parallelism, --out
     ("estimate-vqe-heron", ["estimate", "--workload", "vqe-72x72.json", "--qpu", "ibm-heron"], {}),
     ("estimate-anchors-sycamore", ["estimate", "--workload", "anchors.json", "--qpu", "google-sycamore-2022"], {}),
@@ -76,6 +89,26 @@ CASES = [
     ("estimate-1e400", ["estimate", "--workload", "q1e400.json", "--qpu", "ibm-flamingo"], {}),
     ("estimate-edge-catalog", ["estimate", "--workload", "edge-ids.json", "--qpu", "lab\rfour",
                                "--catalog", "edge-catalog.json"], {}),
+    # six workloads on three qpus, plain and on 4 shot lanes, and the unmitigated 16-qubit maxcut
+    # under qaoa-aggregate accounting: every verdict, capacity misses (needs 30, has 20 on the
+    # 20-qubit quantinuum-h1), totals either side of 120 s (12.88 s, years), and an unbounded
+    # mitigated budget and depth (inf shots, inf s, inf J, each "(unbounded)"); ibm-flamingo
+    # lists four power components (control electronics 27.72 kW), the other two no power data
+    ("estimate-set-flamingo", ["estimate", "--workload", "estimate-set.json", "--qpu", "ibm-flamingo"], {}),
+    ("estimate-set-flamingo-parallel", ["estimate", "--workload", "estimate-set.json", "--qpu", "ibm-flamingo",
+                                        "--parallel-shots", "4"], {}),
+    ("estimate-maxcut-aggregate-flamingo", ["estimate", "--workload", "maxcut.json", "--qpu", "ibm-flamingo",
+                                            "--qaoa-aggregate"], {}),
+    ("estimate-set-sycamore", ["estimate", "--workload", "estimate-set.json", "--qpu", "google-sycamore-2022"], {}),
+    ("estimate-set-sycamore-parallel", ["estimate", "--workload", "estimate-set.json", "--qpu", "google-sycamore-2022",
+                                        "--parallel-shots", "4"], {}),
+    ("estimate-maxcut-aggregate-sycamore", ["estimate", "--workload", "maxcut.json", "--qpu", "google-sycamore-2022",
+                                            "--qaoa-aggregate"], {}),
+    ("estimate-set-h1", ["estimate", "--workload", "estimate-set.json", "--qpu", "quantinuum-h1"], {}),
+    ("estimate-set-h1-parallel", ["estimate", "--workload", "estimate-set.json", "--qpu", "quantinuum-h1",
+                                  "--parallel-shots", "4"], {}),
+    ("estimate-maxcut-aggregate-h1", ["estimate", "--workload", "maxcut.json", "--qpu", "quantinuum-h1",
+                                      "--qaoa-aggregate"], {}),
     # compare at 29 (8 GiB statevector), 1,100, 10^12 and 10^400 qubits
     ("compare-29", ["compare", "--workload", "q29.json", "--qpu", "ibm-heron", "--classical", "classical-ref.json"], {}),
     ("compare-1100", ["compare", "--workload", "q1100.json", "--qpu", "ibm-flamingo",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -158,6 +159,14 @@ def test_bundled_round_trips():
     catalog = bundled_catalog()
     again = parse_catalog(serialize_catalog(catalog))
     assert again == catalog
+
+
+def test_bundled_serialization_is_pinned():
+    """The one report with no CLI path, so no golden case: the bundled catalog's JSON document."""
+    text = serialize_catalog(bundled_catalog())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "4301e1eb1326b8c9f3333aab37b5b206bf232bdac7be325e2099006d8a1c8a58"
+    )
 
 
 def test_unknown_qpu_id_lists_known():

@@ -1,5 +1,5 @@
 """The exact message of every workload, catalog and classical-profile field
-check, and the order of lenient-mode warnings.
+check, of a document Python cannot read, and the order of lenient-mode warnings.
 
 Each field of a valid document is replaced in turn by each bad JSON value
 below; the table gives the one error text expected, or ``None`` where the
@@ -13,6 +13,7 @@ import pytest
 
 from nisq_gonogo.advantage import parse_classical_profile
 from nisq_gonogo.catalog import CatalogError, parse_catalog
+from nisq_gonogo.cli import EXIT_ERROR, main
 from nisq_gonogo.fields import InputWarning
 from nisq_gonogo.workload import WorkloadError, parse_workloads
 
@@ -399,3 +400,27 @@ def test_lenient_catalog_warnings_keep_their_order():
     with pytest.warns(InputWarning) as warned:
         parse_classical_profile(json.dumps(dict(VALID_PROFILE, note="n")), parse_catalog(json.dumps(VALID_CATALOG)), strict=False)
     assert [str(w.message) for w in warned] == ["classical profile: ignoring unknown field 'note'"]
+
+
+#: Fault -> a document Python cannot read: nested past the recursion limit of every
+#: version from 3.10 (which differ in where it sits), and an integer of more digits
+#: than ``int`` converts by default (4,300).
+UNREADABLE = {
+    "nested too deeply to read": "[" * 100_000 + "]" * 100_000,
+    "an integer has too many digits to read": "1" * 5_000,
+}
+
+
+@pytest.mark.parametrize("fault", UNREADABLE)
+@pytest.mark.parametrize("document", ["catalog", "workload document", "classical profile"])
+def test_an_unreadable_document_ends_in_one_error_line_naming_it(capsys, tmp_path, document, fault):
+    bad, workload = tmp_path / "bad.json", tmp_path / "w.json"
+    bad.write_text(UNREADABLE[fault], encoding="utf-8")
+    workload.write_text(json.dumps(VALID), encoding="utf-8")
+    argv = {
+        "catalog": ["catalog", "--catalog", str(bad)],
+        "workload document": ["feasibility", "--workload", str(bad)],
+        "classical profile": ["compare", "--workload", str(workload), "--qpu", "ibm-heron", "--classical", str(bad)],
+    }[document]
+    code = main(argv)
+    assert (code, *capsys.readouterr()) == (EXIT_ERROR, "", f"error: {document}: {fault}\n")

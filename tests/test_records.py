@@ -11,6 +11,7 @@ import re
 import pytest
 from helpers import make_spec
 
+import nisq_gonogo
 from nisq_gonogo import energy, feasibility, runtime, workload
 from nisq_gonogo.advantage import AdvantageReport, Outcome, SolutionProfile, classify, quantum_profile
 from nisq_gonogo.catalog import Catalog, QpuSpec, bundled_catalog, parse_catalog
@@ -86,6 +87,12 @@ def test_every_input_field_is_read_outside_its_parser():
     fields = {*QpuSpec._fields, *ClassicalRefSpec._fields, *WorkloadSpec._fields, *MitigationSpec._fields}
     # source_note is parsed for the provenance block of the JSON reports (ROADMAP item 4)
     assert sorted(fields - read - {"source_note"}) == []
+
+
+def test_every_exported_name_is_named_in_the_readme_library_section():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    assert sorted(set(nisq_gonogo.__all__) - set(re.findall(r"\w+", section))) == []
 
 
 def test_qpu_spec_takes_stddev_and_power_components_by_keyword_only():
