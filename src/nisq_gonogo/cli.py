@@ -22,7 +22,6 @@ import os
 import sys
 import warnings
 from collections import namedtuple
-from collections.abc import Sequence
 
 from . import advantage as adv
 from . import energy as energy_mod
@@ -30,7 +29,7 @@ from . import feasibility as feas
 from . import runtime as runtime_mod
 from . import workload as workload_mod
 from .catalog import Catalog, QpuSpec, bundled_catalog, parse_catalog
-from .feasibility import VerdictRow, build_feasibility_bundle
+from .feasibility import build_feasibility_bundle
 from .fields import InputWarning
 from .scatter import scatter_csv, scatter_svg
 from .units import (
@@ -130,64 +129,56 @@ class _Texts(dict):
         return text
 
 
-def render_feasibility_md(bundle: Sequence[VerdictRow]) -> str:
-    # Rates and success probabilities repeat across rows: each distinct value is
-    # formatted once, and a run of rows that share a verdict record shares its text.
+def render_feasibility_md(bundle: tuple[list[feas.VerdictRun], list[feas.CapacityMiss]]) -> str:
+    # A run's rows differ only in their workload ids, so its head and tail are
+    # made once and the run is one join.  Each distinct rate is formatted once;
+    # success probabilities seldom repeat, so each is formatted where it is met.
+    runs, misses = bundle
     number_text = _Texts(sci)
     available_text = _Texts(lambda rate: f"{sci(rate)} ({format_fidelity_percent(rate)})")
-    lines = ["# Feasibility report", ""]
-    lines.append(
-        "| verdict | qpu | workload | required error rate | available error rate (fidelity) | success probability | note |"
-    )
-    lines.append("|---|---|---|---|---|---|---|")
-    go = 0
-    last = None
-    for qpu_id, workload_id, v, note in bundle:
-        if v is None:
-            lines.append(f"| {_CAPACITY_LABEL} | {qpu_id} | {workload_id} | - | - | - | {note} |")
-            continue
-        if v is not last:
-            last = v
-            required, available, success, verdict, _ = v
-            verdict = verdict._value_
-            is_go = verdict == "go"
-            numbers = f"{number_text[required]} | {available_text[available]} | {number_text[success]}"
-        go += is_go
-        lines.append(f"| {verdict} | {qpu_id} | {workload_id} | {numbers} | {note} |")
-    lines.append("")
-    lines.append(f"{go} of {len(bundle)} (qpu, workload) pairs reach go.\n")
-    return "\n".join(lines)
+    parts = [
+        "# Feasibility report\n\n"
+        "| verdict | qpu | workload | required error rate | available error rate (fidelity) | success probability | note |\n"
+        "|---|---|---|---|---|---|---|\n"
+    ]
+    go = pairs = 0
+    for qpu_id, ids, (required, available, success, verdict, _), note in runs:
+        verdict = verdict._value_
+        head = f"| {verdict} | {qpu_id} | "
+        tail = f" | {number_text[required]} | {available_text[available]} | {sci(success)} | {note} |\n"
+        parts.append(f"{head}{(tail + head).join(ids)}{tail}")
+        pairs += len(ids)
+        if verdict == "go":
+            go += len(ids)
+    parts += [f"| {_CAPACITY_LABEL} | {qpu_id} | {workload_id} | - | - | - | {note} |\n"
+              for qpu_id, workload_id, note in misses]
+    parts.append(f"\n{go} of {pairs + len(misses)} (qpu, workload) pairs reach go.\n")
+    return "".join(parts)
 
 
-# The header names the columns after the row's and the verdict record's fields.
+# The header names the columns after the miss's and the verdict record's fields.
 _FEASIBILITY_CSV_HEADER = (
-    ",".join(("verdict", *VerdictRow._fields[:2], *feas.FeasibilityVerdict._fields[:3], "optimistic", "note")) + "\n"
+    ",".join(("verdict", *feas.CapacityMiss._fields[:2], *feas.FeasibilityVerdict._fields[:3], "optimistic", "note")) + "\n"
 )
 
 
-def render_feasibility_csv(bundle: Sequence[VerdictRow]) -> str:
-    # Each row is one f-string: ids and notes are quoted once per distinct text,
-    # each distinct number is formatted once, and the number fields are built
-    # once per run of rows that share a verdict record.  Verdict labels, numbers
-    # and "true"/"false" hold nothing that CSV quotes.
+def render_feasibility_csv(bundle: tuple[list[feas.VerdictRun], list[feas.CapacityMiss]]) -> str:
+    # As the markdown, with each id and note quoted once per distinct text.
+    # Verdict labels, numbers and "true"/"false" hold nothing that CSV quotes.
+    runs, misses = bundle
     field = _Texts(csv_field)
     number_text = _Texts(str)
-    lines = [_FEASIBILITY_CSV_HEADER]
-    last = None
-    for qpu_id, workload_id, v, note in bundle:
-        if v is None:
-            lines.append(f"{_CAPACITY_LABEL},{field[qpu_id]},{field[workload_id]},,,,,{field[note]}\n")
-            continue
-        if v is not last:
-            last = v
-            required, available, success, verdict, optimistic = v
-            verdict = verdict._value_
-            numbers = (
-                f"{number_text[required]},{number_text[available]},"
-                f"{number_text[success]},{'true' if optimistic else 'false'}"
-            )
-        lines.append(f"{verdict},{field[qpu_id]},{field[workload_id]},{numbers},{field[note]}\n")
-    return "".join(lines)
+    parts = [_FEASIBILITY_CSV_HEADER]
+    for qpu_id, ids, (required, available, success, verdict, optimistic), note in runs:
+        head = f"{verdict._value_},{field[qpu_id]},"
+        tail = (
+            f",{number_text[required]},{number_text[available]},{success},"
+            f"{'true' if optimistic else 'false'},{field[note]}\n"
+        )
+        parts.append(f"{head}{(tail + head).join(map(field.__getitem__, ids))}{tail}")
+    parts += [f"{_CAPACITY_LABEL},{field[qpu_id]},{field[workload_id]},,,,,{field[note]}\n"
+              for qpu_id, workload_id, note in misses]
+    return "".join(parts)
 
 
 @per_object
@@ -355,8 +346,7 @@ def cmd_feasibility(args: argparse.Namespace, catalog: Catalog) -> int:
         _emit(render_feasibility_csv(bundle), args.out)
     else:
         _emit(render_feasibility_md(bundle), args.out)
-    go = feas.Verdict.GO
-    return EXIT_OK if any(row.verdict is not None and row.verdict.verdict is go for row in bundle) else EXIT_NO_GO
+    return EXIT_OK if any(run.verdict.verdict is feas.Verdict.GO for run in bundle[0]) else EXIT_NO_GO
 
 
 def cmd_estimate(args: argparse.Namespace, catalog: Catalog) -> int:

@@ -221,13 +221,16 @@ def assess(qpu: QpuSpec, shape: CircuitShape, *, marginal_band: float = DEFAULT_
     return tuple.__new__(FeasibilityVerdict, (required, available, success, verdict, qpu.two_qubit_error_stddev is None))
 
 
-VerdictRow = namedtuple("VerdictRow", ("qpu_id", "workload_id", "verdict", "note"), defaults=("",))
-VerdictRow.__doc__ = """One (qpu, workload) row of a feasibility report.
+VerdictRun = namedtuple("VerdictRun", ("qpu_id", "workload_ids", "verdict", "note"))
+VerdictRun.__doc__ = """The rows of a feasibility report that share one verdict record, one row per workload id.
 
-Fields: ``qpu_id`` and ``workload_id`` (str); ``verdict``
-(:class:`FeasibilityVerdict`, or None when the workload needs more qubits
-than the qpu has); ``note`` (str, default empty).
+Fields: ``qpu_id`` and ``note`` (str); ``workload_ids`` (a non-empty sequence
+of str, in report order); ``verdict`` (:class:`FeasibilityVerdict`).
 """
+
+CapacityMiss = namedtuple("CapacityMiss", ("qpu_id", "workload_id", "note"))
+CapacityMiss.__doc__ = """One report row whose workload needs more qubits than the qpu has; ``note`` is the
+:func:`capacity_message`.  Fields: ``qpu_id``, ``workload_id`` and ``note`` (str)."""
 
 _FIRST = operator.itemgetter(0)
 _RATE_AND_ID = operator.itemgetter(0, 1)
@@ -257,19 +260,20 @@ def build_feasibility_bundle(
     workloads: tuple[WorkloadSpec, ...],
     *,
     marginal_band: float = DEFAULT_MARGINAL_BAND,
-) -> tuple[VerdictRow, ...]:
-    """One row per (qpu, workload) pair, in report order: the whole grid in one call.
+) -> tuple[list[VerdictRun], list[CapacityMiss]]:
+    """The whole grid in one call, as ``(runs, misses)``: the report's rows, one per (qpu, workload)
+    pair, are each run's workload ids in turn, then the capacity misses.
 
     Rows run by verdict (go, marginal, no-go, then capacity misses), then by required error rate
     ascending, then by qpu id, then by workload id; rows equal on every key differ only by workload
-    and keep file order.  The rows are built in that order, so only the workloads and the qpu ids
+    and keep file order.  The runs are built in that order, so only the workloads and the qpu ids
     are sorted: for each run of workloads of one required rate, each qpu in id order takes the run's
     workloads in (id, file) order.  Each qpu that a workload fits has its error rate checked once,
     first, in catalog order, so the ``ValueError`` names the first such qpu out of range.  A verdict
     depends on the qpu and the required rate alone, so :func:`rate_verdict` decides it once per
-    (rate, qpu), on the run's first row that fits; a record is built on that row and shared by the
-    rows after it until the exact volume changes (two volumes can share one 1/V float).  The
-    capacity misses, in id order, are picked out by breadth alone.
+    (rate, qpu), on the first workload that fits; a record and its :class:`VerdictRun` are built there,
+    and the workloads after it join that run until the exact volume changes (two volumes can share
+    one 1/V float).  The capacity misses, in id order, are picked out by breadth alone.
     """
     check_marginal_band(marginal_band)  # also when the catalog has no qpus to assess
     shapes = [spec.shape for spec in workloads]
@@ -278,8 +282,8 @@ def build_feasibility_bundle(
         [(required_error_rate(shape), spec.id, shape.breadth, shape.volume) for spec, shape in zip(workloads, shapes)],
         key=_RATE_AND_ID,
     )
-    # Rows and records are made with ``tuple.__new__``, not the named tuples'
-    # keyword ``__new__``: a grid call makes tens of thousands of them.
+    # Runs, records and misses are made with ``tuple.__new__``, not the named
+    # tuples' keyword ``__new__``: a grid call makes thousands of them.
     new = tuple.__new__
     lists = {verdict: [] for verdict in Verdict}
     for rate, tied in itertools.groupby(rated, key=_FIRST):
@@ -290,21 +294,23 @@ def build_feasibility_bundle(
                 if breadth > qubits:
                     continue  # a capacity miss: its row is made below
                 if volume != last_volume:
-                    if verdict is None:  # the run's first row that fits; its rate was checked in _grid_qpus
+                    if verdict is None:  # the first workload that fits; its rate was checked in _grid_qpus
                         verdict = rate_verdict(rate, available, marginal_band)
                         out = lists[verdict]
                     last_volume = volume
+                    ids = []
                     record = new(FeasibilityVerdict, (rate, available, _success(available, volume), verdict, optimistic))
-                out.append(new(VerdictRow, (qpu_id, workload_id, record, note)))
+                    out.append(new(VerdictRun, (qpu_id, ids, record, note)))
+                ids.append(workload_id)
     capacity_note = functools.cache(capacity_message)  # each note is formatted once per (breadth, qubit count)
     by_id = sorted([(spec.id, shape.breadth) for spec, shape in zip(workloads, shapes)], key=_FIRST)
     misses = [
-        new(VerdictRow, (qpu_id, workload_id, None, capacity_note(breadth, qubits)))
+        new(CapacityMiss, (qpu_id, workload_id, capacity_note(breadth, qubits)))
         for qpu_id, qubits, _, _, _ in qpus
         for workload_id, breadth in by_id
         if breadth > qubits
     ]
-    return (*lists[Verdict.GO], *lists[Verdict.MARGINAL], *lists[Verdict.NO_GO], *misses)
+    return lists[Verdict.GO] + lists[Verdict.MARGINAL] + lists[Verdict.NO_GO], misses
 
 
 def statevector_memory(qubits: int) -> int | float:

@@ -226,7 +226,7 @@ def _parse_one(raw: object, index: int, strict: bool) -> WorkloadSpec:
     workload_id = fields.text("id", None, nonempty=True)
     if workload_id is None:
         workload_id = f"{family.value}-{count_number(data_qubits)}q-d{count_number(depth)}"
-    # ``tuple.__new__``, as the grid's rows are: a named tuple's own call takes about twice as long
+    # ``tuple.__new__``, as the grid's runs and records are: a named tuple's own call takes about twice as long
     return tuple.__new__(
         WorkloadSpec,
         (workload_id, family, data_qubits, depth, epsilon, iterations, prep, layers, grouping, mitigation, override),

@@ -31,7 +31,6 @@ from nisq_gonogo.cli import (
     EXIT_NO_GO,
     EXIT_OK,
     ENV_CATALOG,
-    VerdictRow,
     build_estimate_record,
     build_feasibility_bundle,
     main,
@@ -1073,7 +1072,7 @@ def test_the_report_verdict_raises_and_misses_capacity_as_assess_does():
     with pytest.raises(feas.CapacityError, match=r"^insufficient qubits: needs 134, has 133$"):
         feas.assess(broken, misses.shape)
     assert build_feasibility_bundle(Catalog((broken,)), (misses,)) == (
-        VerdictRow("ibm-heron", misses.id, None, "insufficient qubits: needs 134, has 133"),
+        [], [feas.CapacityMiss("ibm-heron", misses.id, "insufficient qubits: needs 134, has 133")]
     )
     record = build_estimate_record(_HERON, misses)
     report = render_estimate_md(record, broken, misses)
@@ -1204,17 +1203,19 @@ def test_an_out_path_is_rewritten_whole_and_may_name_a_device(capsys, tmp_path):
 _ODD = st.sampled_from(
     [math.nan, math.inf, -math.inf, 10**400, -(10**400), 5e-324, 0, -1, -0.0, 1.5, "", None, [], {}]
 )
-_TEXTS = st.lists(
-    st.sampled_from([",", '"', "\r", "\n", "\x00", "\ud800", "a", "\u00e9"]), min_size=1, max_size=5
-).map("".join)
+_CHARACTERS = [",", '"', "\r", "\n", "\x00", "\ud800", "a", "\u00e9"]
+_TEXTS = st.lists(st.sampled_from(_CHARACTERS), min_size=1, max_size=5).map("".join)
+# the texts a parser accepts: no lone surrogate, which UTF-8 cannot encode
+_UTF8_TEXTS = st.lists(st.sampled_from([c for c in _CHARACTERS if c != "\ud800"]), min_size=1, max_size=5).map("".join)
 _NOT_OBJECTS = st.one_of(st.none(), st.booleans(), _ODD, _TEXTS, st.lists(st.integers(), max_size=2))
 
 
 @st.composite
-def _documents(draw, required, optional):
-    """A valid record of the ``required`` and some ``optional`` fields; half of them then get one or two odd fields."""
+def _documents(draw, required, optional, odd=True):
+    """A valid record of the ``required`` and some ``optional`` fields; with ``odd``, half of them then get
+    one or two odd fields."""
     record = draw(st.fixed_dictionaries(required, optional=optional))
-    odd = draw(st.sampled_from([0, 0, 1, 2]))
+    odd = draw(st.sampled_from([0, 0, 1, 2] if odd else [0]))
     keys = st.sampled_from(sorted({*required, *optional}))
     for key in draw(st.lists(keys, min_size=odd, max_size=odd, unique=True)):
         record[key] = draw(_ODD)
@@ -1229,22 +1230,29 @@ _WORKLOAD_FIELDS = {
     "ansatz_iterations": _COUNTS,
 }
 _WORKLOAD_OPTIONAL = {
-    "id": _TEXTS,
     "classical_prep_time": st.floats(min_value=0.0, max_value=1e3),
     "pauli_grouping": st.sampled_from(["none", "grouped"]),
     "mitigation": st.fixed_dictionaries(
         {}, optional={"enabled": st.booleans(), "exponent_coefficient": st.floats(min_value=0.0, max_value=10.0)}
     ),
     "c_vqe_override": st.floats(min_value=1e-3, max_value=1e3),
-    "colour": _TEXTS,  # unknown: a warning, or an error under --strict
 }
-_WORKLOAD = st.one_of(
-    _documents({**_WORKLOAD_FIELDS, "family": st.sampled_from(["vqe", "generic"])}, _WORKLOAD_OPTIONAL),
-    _documents({**_WORKLOAD_FIELDS, "family": st.just("qaoa"), "qaoa_layers": _COUNTS}, _WORKLOAD_OPTIONAL),
-)
-_WORKLOAD_DOCUMENTS = st.one_of(
-    _WORKLOAD, _WORKLOAD.map(lambda record: [record]), st.lists(_WORKLOAD, min_size=2, max_size=3), _NOT_OBJECTS
-)
+
+
+def _workloads(accepted=False, unknown=True):
+    """Workload documents: one record, or a list of one to three.  Unless ``accepted``, a record can hold
+    odd values and lone surrogates; with ``unknown``, it can hold the unknown field ``colour``."""
+    optional = {"id": _UTF8_TEXTS if accepted else _TEXTS, **_WORKLOAD_OPTIONAL}
+    if unknown:
+        optional["colour"] = _TEXTS  # unknown: a warning, or an error under --strict
+    record = st.one_of(
+        _documents({**_WORKLOAD_FIELDS, "family": st.sampled_from(["vqe", "generic"])}, optional, not accepted),
+        _documents({**_WORKLOAD_FIELDS, "family": st.just("qaoa"), "qaoa_layers": _COUNTS}, optional, not accepted),
+    )
+    return st.one_of(record, record.map(lambda record: [record]), st.lists(record, min_size=2, max_size=3))
+
+
+_WORKLOAD_DOCUMENTS = st.one_of(_workloads(), _NOT_OBJECTS)
 _SIZES = st.floats(min_value=5e-324, max_value=1e300)
 _PROFILE = _documents(
     {"runtime_s": _SIZES},
@@ -1346,40 +1354,54 @@ def test_every_input_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_fa
 # workload runs 1, 10 or 10^400 iterations, with or without 10^12 shot lanes,
 # each of which runs at least one shot, of 4e-323 s for a 5e-324 s gate.
 _WATTS = st.sampled_from([0.0, -0.0, 2.5, 1e4, 1e300])
-_COMPONENT = st.fixed_dictionaries(
-    {"label": st.one_of(st.just("c"), _TEXTS), "unit_power_w": _WATTS},
-    optional={"count": st.one_of(st.integers(min_value=0, max_value=9), st.just(10**400)), "per_qubit": st.booleans()},
-)
-_QPU = _documents(
-    {
-        "id": st.one_of(st.just("q"), _TEXTS),
-        "modality": st.sampled_from(["superconducting", "trapped-ion"]),
-        "qubit_count": st.one_of(st.integers(min_value=1, max_value=200), st.just(10**400)),
-        "two_qubit_error_median": st.floats(min_value=1e-6, max_value=0.5),
-        "two_qubit_gate_time": st.floats(min_value=1e-9, max_value=1e-3),
-        "readout_time": st.floats(min_value=0.0, max_value=1e-3),
-        "reset_time": st.floats(min_value=0.0, max_value=1e-3),
-        "status": st.sampled_from(["available", "projected"]),
-        "source_note": st.one_of(st.just("n"), _TEXTS),
-        "power_components": st.lists(_COMPONENT, min_size=1, max_size=3),
-    },
-    {"two_qubit_error_stddev": st.floats(min_value=0.0, max_value=0.1), "colour": _TEXTS},
-)
-_REF = _documents(
-    {
-        "id": st.one_of(st.just("r"), _TEXTS),
-        "description": _TEXTS,
-        "power_draw": st.floats(min_value=1e-3, max_value=1e300),
-        "memory_capacity": st.one_of(st.integers(min_value=1, max_value=2**80), st.just(10**400)),
-    },
-    {},
-)
+def _catalogs(accepted=False, unknown=True):
+    """Catalog documents of one or two qpus.  Unless ``accepted``, a record can hold odd values, lone
+    surrogates and a memory past float range, and two records can share an id; with ``unknown``, a qpu
+    can hold the unknown field ``colour``."""
+    texts = _UTF8_TEXTS if accepted else _TEXTS
+    component = st.fixed_dictionaries(
+        {"label": st.one_of(st.just("c"), texts), "unit_power_w": _WATTS},
+        optional={
+            "count": st.one_of(st.integers(min_value=0, max_value=9), st.just(10**400)), "per_qubit": st.booleans()
+        },
+    )
+    qpu = _documents(
+        {
+            "id": st.one_of(st.just("q"), texts),
+            "modality": st.sampled_from(["superconducting", "trapped-ion"]),
+            "qubit_count": st.one_of(st.integers(min_value=1, max_value=200), st.just(10**400)),
+            "two_qubit_error_median": st.floats(min_value=1e-6, max_value=0.5),
+            "two_qubit_gate_time": st.floats(min_value=1e-9, max_value=1e-3),
+            "readout_time": st.floats(min_value=0.0, max_value=1e-3),
+            "reset_time": st.floats(min_value=0.0, max_value=1e-3),
+            "status": st.sampled_from(["available", "projected"]),
+            "source_note": st.one_of(st.just("n"), texts),
+            "power_components": st.lists(component, min_size=1, max_size=3),
+        },
+        {"two_qubit_error_stddev": st.floats(min_value=0.0, max_value=0.1), **({"colour": _TEXTS} if unknown else {})},
+        not accepted,
+    )
+    ref = _documents(
+        {
+            "id": st.one_of(st.just("r"), texts),
+            "description": texts,
+            "power_draw": st.floats(min_value=1e-3, max_value=1e300),
+            # a memory past float range is refused
+            "memory_capacity": st.integers(min_value=1, max_value=2**80)
+            | (st.nothing() if accepted else st.just(10**400)),
+        },
+        {},
+        not accepted,
+    )
+    unique = (lambda record: record["id"]) if accepted else None
+    return st.fixed_dictionaries(
+        {"schema_version": st.just(2), "qpus": st.lists(qpu, min_size=1, max_size=2, unique_by=unique)},
+        optional={"classical_refs": st.lists(ref, max_size=2, unique_by=unique)},
+    )
+
+
 _CATALOG_DOCUMENTS = st.one_of(
-    st.fixed_dictionaries(
-        {"schema_version": st.just(2), "qpus": st.lists(_QPU, min_size=1, max_size=2)},
-        optional={"classical_refs": st.lists(_REF, max_size=2)},
-    ),
-    st.sampled_from([None, [], "", 10**400]),  # one branch, so that most documents are catalogs
+    _catalogs(), st.sampled_from([None, [], "", 10**400])  # one branch, so that most documents are catalogs
 )
 
 
@@ -1456,7 +1478,7 @@ _BENCH_REFERENCE = _bench_reference(_ROOT)
 _BUNDLED_REFERENCE = _BENCH_REFERENCE.Reference.from_root(_ROOT)
 
 
-# Most drawn documents are refused; each example that counts reaches the reference.
+# Each example that counts reaches the reference.
 _REFERENCE_SETTINGS = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 
 
@@ -1468,13 +1490,23 @@ def _named(record):
     return record
 
 
-@_REFERENCE_SETTINGS
-@given(workload=_WORKLOAD_DOCUMENTS, strict=st.booleans())
-@example(
-    workload={"id": None, "family": "vqe", "data_qubits": 4, "depth": 3, "target_epsilon": 0.01, "ansatz_iterations": 1},
-    strict=False,
+# (a document the parser accepts, --strict): no odd value or lone surrogate, and the
+# unknown field only without --strict, so that few draws are refused
+_ACCEPTED_WORKLOADS = st.one_of(
+    st.tuples(_workloads(accepted=True), st.just(False)), st.tuples(_workloads(accepted=True, unknown=False), st.just(True))
 )
-def test_the_feasibility_csv_passes_the_benchmark_reference(tmp_path_factory, workload, strict):
+_ACCEPTED_CATALOGS = st.one_of(
+    st.tuples(_catalogs(accepted=True), st.just(False)), st.tuples(_catalogs(accepted=True, unknown=False), st.just(True))
+)
+
+
+@_REFERENCE_SETTINGS
+@given(call=_ACCEPTED_WORKLOADS)
+@example(
+    call=({"id": None, "family": "vqe", "data_qubits": 4, "depth": 3, "target_epsilon": 0.01, "ansatz_iterations": 1}, False)
+)
+def test_the_feasibility_csv_passes_the_benchmark_reference(tmp_path_factory, call):
+    workload, strict = call
     path = tmp_path_factory.mktemp("grid-reference") / "w.json"
     path.write_text(json.dumps(workload), encoding="utf-8")
     code, report, _ = _call(["feasibility", "--workload", str(path), "--format", "csv", *(["--strict"] if strict else [])])
@@ -1491,8 +1523,9 @@ def test_the_feasibility_csv_passes_the_benchmark_reference(tmp_path_factory, wo
 
 
 @_REFERENCE_SETTINGS
-@given(catalog=_CATALOG_DOCUMENTS, strict=st.booleans())
-def test_the_scatter_files_pass_the_benchmark_reference(tmp_path_factory, catalog, strict):
+@given(call=_ACCEPTED_CATALOGS)
+def test_the_scatter_files_pass_the_benchmark_reference(tmp_path_factory, call):
+    catalog, strict = call
     work = tmp_path_factory.mktemp("scatter-reference")
     (work / "c.json").write_text(json.dumps(catalog), encoding="utf-8")
     code, stdout, _ = _call(

@@ -1,28 +1,43 @@
 """The feasibility grid against its reference: ``assess`` on every pair, one sort, plain per-row rendering
 (the CSV read back through ``csv.reader``, and equal to ``csv.writer``'s text wherever that writer quotes a CR).
 
-``build_feasibility_bundle`` builds its rows in report order and shares one
-verdict record per run of rows of one qpu and one exact volume; the reference
-below is the plain way, kept here so that every row, tie and formatted number
-of the grid can be checked against it.
+``build_feasibility_bundle`` gives the grid as runs and capacity misses, in
+report order: a run holds the workload ids of the rows that share one verdict
+record, of one qpu and one exact volume.  The reference below is the plain way,
+one row per (qpu, workload) pair, kept here so that every row, tie and
+formatted number of the grid can be checked against the runs expanded into rows.
 """
 
+import argparse
 import csv
 import io
 import math
 import sys
+from collections import namedtuple
+from unittest import mock
 
 import pytest
 from helpers import make_spec
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nisq_gonogo import cli
 from nisq_gonogo import feasibility as feas
 from nisq_gonogo.catalog import Catalog, Modality, QpuSpec, QpuStatus
-from nisq_gonogo.cli import VerdictRow, build_feasibility_bundle, render_feasibility_csv, render_feasibility_md
+from nisq_gonogo.cli import build_feasibility_bundle, render_feasibility_csv, render_feasibility_md
 from nisq_gonogo.units import format_fidelity_percent, sci
 
 _RANK = {verdict: rank for rank, verdict in enumerate(feas.Verdict)}
+
+#: One (qpu, workload) row of the report; ``verdict`` is None for a capacity miss.
+Row = namedtuple("Row", ("qpu_id", "workload_id", "verdict", "note"))
+
+
+def expand(bundle):
+    """The rows of a ``(runs, misses)`` bundle, in report order: each run's ids in turn, then the misses."""
+    runs, misses = bundle
+    rows = [Row(run.qpu_id, workload_id, run.verdict, run.note) for run in runs for workload_id in run.workload_ids]
+    return (*rows, *(Row(miss.qpu_id, miss.workload_id, None, miss.note) for miss in misses))
 
 
 def _reference_note(qpu):
@@ -40,7 +55,8 @@ def _reference_key(row):
     return (_RANK[row.verdict.verdict], row.verdict.required_error_rate, row.qpu_id, row.workload_id)
 
 
-def reference_bundle(catalog, workloads, marginal_band=10.0):
+def reference_volumes(catalog, workloads, marginal_band=10.0):
+    """Each row of the report with its workload's exact volume, in report order."""
     feas.check_marginal_band(marginal_band)
     rows = []
     for qpu in catalog.qpus:  # qpu-major: the first qpu in catalog order that raises on a pair names the error
@@ -50,10 +66,14 @@ def reference_bundle(catalog, workloads, marginal_band=10.0):
                 verdict = feas.assess(qpu, shape, marginal_band=marginal_band)
             except feas.CapacityError:
                 note = f"insufficient qubits: needs {shape.breadth}, has {qpu.qubit_count}"
-                rows.append(VerdictRow(qpu.id, spec.id, None, note))
+                rows.append((Row(qpu.id, spec.id, None, note), shape.volume))
             else:
-                rows.append(VerdictRow(qpu.id, spec.id, verdict, _reference_note(qpu)))
-    return tuple(sorted(rows, key=_reference_key))
+                rows.append((Row(qpu.id, spec.id, verdict, _reference_note(qpu)), shape.volume))
+    return sorted(rows, key=lambda pair: _reference_key(pair[0]))
+
+
+def reference_bundle(catalog, workloads, marginal_band=10.0):
+    return tuple(row for row, _ in reference_volumes(catalog, workloads, marginal_band))
 
 
 def reference_md(bundle):
@@ -189,8 +209,35 @@ def test_grid_equals_the_reference(qpus, workloads, band):
         assert read_csv(text) == rows
         written = reference_csv(rows)
         assert written is None or text == written
-        got, want = (bundle, md), (want_bundle, want_md)
+        assert expand(bundle) == want_bundle
+        _assert_runs_share_their_records(bundle, catalog, workloads, band)
+        go = any(row.verdict is not None and row.verdict.verdict is feas.Verdict.GO for row in want_bundle)
+        assert _exit_code(catalog, workloads, band) == (cli.EXIT_OK if go else cli.EXIT_NO_GO)
+        got, want = md, want_md
     assert got == want
+
+
+def _assert_runs_share_their_records(bundle, catalog, workloads, band):
+    """Each run is non-empty and its rows, which share its record, share one exact volume; adjacent runs of
+    one qpu and one required rate differ in exact volume; rows and misses make one row per (qpu, workload)."""
+    runs, misses = bundle
+    volumes = iter([volume for _, volume in reference_volumes(catalog, workloads, band)])  # in report order
+    last = None
+    for run in runs:
+        assert run.workload_ids
+        (volume,) = {next(volumes) for _ in run.workload_ids}
+        key = (run.qpu_id, run.verdict.required_error_rate)
+        assert last != (key, volume)
+        last = key, volume
+    assert sum(len(run.workload_ids) for run in runs) + len(misses) == len(catalog.qpus) * len(workloads)
+
+
+def _exit_code(catalog, workloads, band):
+    """The exit code of ``feasibility`` on ``workloads``, its report discarded."""
+    args = argparse.Namespace(workload=None, strict=True, marginal_band=band, format="md", out=None)
+    with mock.patch.object(cli, "load_workloads", lambda path, strict: workloads):
+        with mock.patch.object(cli, "_emit", lambda text, out: None):
+            return cli.cmd_feasibility(args, catalog)
 
 
 @pytest.mark.parametrize("volumes", [(2**53 - 1, 2**53 - 2), (2**53 - 2, 2**53 - 1)])
@@ -199,18 +246,20 @@ def test_volumes_sharing_a_rate_keep_their_own_success_probability(volumes):
     assert 1 / volumes[0] == 1 / volumes[1]
     workloads = tuple(make_spec(id="w", data_qubits=1, depth=volume) for volume in volumes)
     catalog = Catalog((_qpu("lab", 4, 1e-16),))
-    bundle = build_feasibility_bundle(catalog, workloads)
-    assert bundle == reference_bundle(catalog, workloads)
-    probabilities = [row.verdict.success_probability for row in bundle]
+    rows = expand(build_feasibility_bundle(catalog, workloads))
+    assert rows == reference_bundle(catalog, workloads)
+    probabilities = [row.verdict.success_probability for row in rows]
     assert probabilities == [feas.success_probability(1e-16, spec.shape) for spec in workloads]
     assert probabilities[0] != probabilities[1]
 
 
 def test_rows_of_one_volume_share_one_verdict_record():
     workloads = tuple(make_spec(id=wid, data_qubits=n, depth=d) for wid, n, d in (("x", 2, 6), ("y", 3, 4), ("z", 12, 1)))
-    bundle = build_feasibility_bundle(Catalog((_qpu("lab", 16, 1e-3),)), workloads)
-    assert [row.workload_id for row in bundle] == ["x", "y", "z"]
-    assert len({id(row.verdict) for row in bundle}) == 1
+    catalog = Catalog((_qpu("lab", 16, 1e-3),))
+    runs, misses = build_feasibility_bundle(catalog, workloads)
+    assert [(run.qpu_id, list(run.workload_ids)) for run in runs] == [("lab", ["x", "y", "z"])]
+    assert misses == []
+    assert expand((runs, misses)) == reference_bundle(catalog, workloads)
 
 
 def _assess_message(qpu, band=10.0):
@@ -227,7 +276,7 @@ def test_an_error_rate_out_of_range_raises_as_assess_does(rate):
         build_feasibility_bundle(Catalog((good, bad)), workloads)
     assert str(info.value) == _assess_message(bad) == f"error_rate must be in [0, 1), got {rate}"
     # as with assess, a qpu that no workload fits is never checked
-    assert build_feasibility_bundle(Catalog((good, _qpu("bad", 1, rate))), workloads)
+    assert expand(build_feasibility_bundle(Catalog((good, _qpu("bad", 1, rate))), workloads))
 
 
 def test_one_verdict_per_rate_and_qpu(monkeypatch):
@@ -241,7 +290,7 @@ def test_one_verdict_per_rate_and_qpu(monkeypatch):
     for name, log in calls.items():
         real = getattr(feas, name)
         monkeypatch.setattr(feas, name, lambda *args, log=log, real=real: log.append(args) or real(*args))
-    assert build_feasibility_bundle(catalog, workloads) == want
+    assert expand(build_feasibility_bundle(catalog, workloads)) == want
     fitting = {
         (feas.required_error_rate(spec.shape), qpu.id)
         for spec in workloads

@@ -52,7 +52,8 @@ def _public_records():
         "EnergyEstimate": record.energy,
         "ResourceRecord": record,
         "FeasibilityVerdict": assess(qpu, spec.shape),
-        "VerdictRow": build_feasibility_bundle(catalog, (spec,))[0],
+        "VerdictRun": build_feasibility_bundle(catalog, (spec,))[0][0],
+        "CapacityMiss": build_feasibility_bundle(catalog, (make_spec(data_qubits=10**6),))[1][0],
     }
 
 
@@ -156,9 +157,9 @@ def test_replace_runs_the_checks_of_the_constructor():
 def _record_table():
     from nisq_gonogo.advantage import AdvantageReport, Outcome
     from nisq_gonogo.catalog import ClassicalRefSpec, Modality, PowerComponent, QpuStatus
-    from nisq_gonogo.cli import ResourceRecord, VerdictRow
+    from nisq_gonogo.cli import ResourceRecord
     from nisq_gonogo.energy import EnergyEstimate
-    from nisq_gonogo.feasibility import FeasibilityVerdict, Verdict
+    from nisq_gonogo.feasibility import CapacityMiss, FeasibilityVerdict, Verdict, VerdictRun
     from nisq_gonogo.runtime import RuntimeEstimate
     from nisq_gonogo.workload import AlgorithmFamily, MitigationSpec, ShotPlan, WorkloadSpec
 
@@ -252,10 +253,15 @@ def _record_table():
             {}, runtime, runtime_repr,
         ),
         "EnergyEstimate": (EnergyEstimate, ("power_draw", "job_energy", "breakdown"), {}, energy, energy_repr),
-        "VerdictRow": (
-            VerdictRow, ("qpu_id", "workload_id", "verdict", "note"), {"note": ""},
-            VerdictRow("q", "w", verdict),
-            f"VerdictRow(qpu_id='q', workload_id='w', verdict={verdict_repr}, note='')",
+        "VerdictRun": (
+            VerdictRun, ("qpu_id", "workload_ids", "verdict", "note"), {},
+            VerdictRun("q", ("v", "w"), verdict, ""),
+            f"VerdictRun(qpu_id='q', workload_ids=('v', 'w'), verdict={verdict_repr}, note='')",
+        ),
+        "CapacityMiss": (
+            CapacityMiss, ("qpu_id", "workload_id", "note"), {},
+            CapacityMiss("q", "w", "insufficient qubits: needs 5, has 4"),
+            "CapacityMiss(qpu_id='q', workload_id='w', note='insufficient qubits: needs 5, has 4')",
         ),
         "ResourceRecord": (
             ResourceRecord, ("plan", "runtime", "energy"), {}, ResourceRecord(plan, runtime, energy),
