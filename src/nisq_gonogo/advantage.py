@@ -14,6 +14,7 @@ import enum
 import math
 from collections import namedtuple
 
+from .catalog import Catalog
 from .feasibility import statevector_memory
 from .fields import Record, decode
 

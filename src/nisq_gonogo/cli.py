@@ -203,34 +203,16 @@ def _estimate_qpu_lines(qpu: QpuSpec) -> tuple[str, str, str, str]:
 
 
 @per_object
-def _estimate_workload_texts(
-    spec: workload_mod.WorkloadSpec, strings: int | float, shots: int | float, prep: float
-) -> tuple:
-    """The parts of an estimate report made once per workload object.
-
-    They are the ``workload:`` line, the required error rate and its
-    :func:`sci` text, and the classical time per iteration.  Beside them
-    come the texts of the string count, the shots per string and the classical
-    term of the runtime breakdown, each kept beside the value it was made
-    from, which the first record rendered for ``spec`` carried.  A later
-    record reuses one only where :func:`_prints_as` holds for its own value.
-    """
+def _estimate_workload_texts(spec: workload_mod.WorkloadSpec) -> tuple[str, float, str, str]:
+    """The parts of an estimate report that depend on the workload alone, made once per workload object: the
+    ``workload:`` line, the required error rate and its :func:`sci` text, and the classical time per iteration."""
     header = (
         f"workload: {spec.family._value_}, {count_text(spec.data_qubits, 'data qubits')}, "
         f"depth {count_text(spec.depth, 'cycles')}, target epsilon {spec.target_epsilon}, "
         f"{count_text(spec.ansatz_iterations, 'iterations')}"
     )
     required = feas.required_error_rate(spec.shape)
-    return (
-        header, required, sci(required), format_seconds(spec.classical_prep_time),
-        strings, count_text(strings, "strings"), shots, count_text(shots, "shots"), prep, format_seconds(prep),
-    )
-
-
-def _prints_as(kept, value) -> bool:
-    """Whether ``value`` has the text ``kept`` has: the same object, or a nonzero number of the
-    same type and value (``1234567`` and ``1234567.0`` print differently, as ``0.0`` and ``-0.0`` do)."""
-    return kept is value or (type(kept) is type(value) and kept == value and value != 0)
+    return header, required, sci(required), format_seconds(spec.classical_prep_time)
 
 
 def build_estimate_record(
@@ -249,43 +231,33 @@ def build_estimate_record(
 def render_estimate_md(record: ResourceRecord, qpu: QpuSpec, spec: workload_mod.WorkloadSpec) -> str:
     """The markdown estimate of ``spec`` on ``qpu``; ``record`` is :func:`build_estimate_record`'s for the pair.
 
-    The record's numbers are printed as they are, also for a record built
-    another way; its runtime breakdown holds the classical and the quantum term.
+    The ``qpu:`` and power lines are the qpu's; the ``workload:`` line, required rate and classical time per iteration
+    the workload's.  Every other number, the two runtime terms among them, is the record's, however it was built.
     """
     plan, rt, en = record
-    strings, shots, multiplier = plan.pauli_strings, plan.shots_per_string, plan.mitigation_multiplier
     (prep_label, prep), (quantum_label, quantum) = rt.breakdown
     qpu_line, available_text, power_lines, power_note = _estimate_qpu_lines(qpu)
-    (
-        workload_line, required, required_text, classical,
-        kept_strings, strings_text, kept_shots, shots_text, kept_prep, prep_text,
-    ) = _estimate_workload_texts(spec, strings, shots, prep)
+    workload_line, required, required_text, classical = _estimate_workload_texts(spec)
     verdict = feas.pair_verdict(spec.data_qubits, qpu.qubit_count, required, qpu.two_qubit_error_median)
     if verdict is None:
         feasibility = f"no-go ({feas.capacity_message(spec.data_qubits, qpu.qubit_count)})"
     else:
         feasibility = f"{verdict._value_} (required error rate {required_text}, available {available_text})"
-    if not _prints_as(kept_strings, strings):
-        strings_text = count_text(strings, "strings")
-    if not _prints_as(kept_shots, shots):
-        shots_text = count_text(shots, "shots")
-    if not _prints_as(kept_prep, prep):
-        prep_text = format_seconds(prep)
     # one f-string: a report is made per record, and a list of its lines costs a join
     return (
         f"# Resource estimate: {spec.id} on {qpu.id}\n\n{workload_line}\n"
         f"{qpu_line}\nfeasibility: {feasibility}\n\n"
         f"shot plan ({plan.model} accounting):\n"
-        f"- measurement strings: {strings_text}\n"
-        f"- shots per string: {shots_text}\n"
-        f"- mitigation multiplier: {'1' if multiplier == 1.0 else sci(multiplier)} x\n"
+        f"- measurement strings: {count_text(plan.pauli_strings, 'strings')}\n"
+        f"- shots per string: {count_text(plan.shots_per_string, 'shots')}\n"
+        f"- mitigation multiplier: {'1' if plan.mitigation_multiplier == 1.0 else sci(plan.mitigation_multiplier)} x\n"
         f"- total shots per iteration: {total_text(plan.total_shots, 'shots')}\n\n"
         f"runtime:\n- single shot: {format_seconds(rt.single_shot_time)}\n"
         f"- quantum per iteration: {format_seconds(rt.quantum_time_per_iteration)}\n"
         f"- classical per iteration: {classical}\n"
         f"- iteration: {format_seconds(rt.iteration_time)}\n"
         f"- total: {format_seconds(rt.total_time)}\n"
-        f"  - {prep_label}: {prep_text}\n  - {quantum_label}: {format_seconds(quantum)}\n\n"
+        f"  - {prep_label}: {format_seconds(prep)}\n  - {quantum_label}: {format_seconds(quantum)}\n\n"
         f"energy:\n{power_lines}\n- job energy: {format_joules(en.job_energy)}{power_note}\n"
     )
 

@@ -16,7 +16,9 @@ import math
 import operator
 import sys
 from collections import namedtuple
+from collections.abc import Sequence
 
+from .catalog import Catalog, QpuSpec
 from .units import as_float, count_text
 
 #: Error rate above which compressed (tensor-network) emulation of large
@@ -257,12 +259,12 @@ def _grid_qpus(qpus: Sequence[QpuSpec], narrowest: int | float) -> list[tuple]:
 
 def build_feasibility_bundle(
     catalog: Catalog,
-    workloads: tuple[WorkloadSpec, ...],
+    workloads: tuple,
     *,
     marginal_band: float = DEFAULT_MARGINAL_BAND,
 ) -> tuple[list[VerdictRun], list[CapacityMiss]]:
-    """The whole grid in one call, as ``(runs, misses)``: the report's rows, one per (qpu, workload)
-    pair, are each run's workload ids in turn, then the capacity misses.
+    """The whole grid of ``workloads``, a tuple of :class:`~nisq_gonogo.workload.WorkloadSpec`, as ``(runs, misses)``:
+    the report's rows, one per (qpu, workload) pair, are each run's workload ids in turn, then the capacity misses.
 
     Rows run by verdict (go, marginal, no-go, then capacity misses), then by required error rate
     ascending, then by qpu id, then by workload id; rows equal on every key differ only by workload

@@ -66,7 +66,7 @@ class Record:
         self.strict = strict
         self.prefix = prefix
 
-    def fail(self, key: str, message: str) -> NoReturn:
+    def fail(self, key: str, message: str):
         raise self.error(f"{self.name}: field '{self.prefix}{key}' {message}")
 
     def _default(self, key: str, default: object) -> object:

@@ -44,9 +44,8 @@ def times(x: float, y: float) -> float:
 
 
 def per_object(make):
-    """``make(obj, *args)``, kept per object: a later call with the same object (``is``,
-    not ``==``, so ``0.0`` and ``-0.0`` keep their own texts) returns the kept value,
-    whatever its other arguments.
+    """``make(obj)``, kept per object: a later call with the same object (``is``, not
+    ``==``, so ``0.0`` and ``-0.0`` keep their own values) returns the kept value.
 
     ``entries`` maps ``id(obj)`` to ``(obj, value)``; holding the object keeps its
     id from reuse.  A call that raises keeps nothing; 256 entries empty the memo.
@@ -54,11 +53,11 @@ def per_object(make):
     entries = {}
 
     @functools.wraps(make)
-    def memo(obj, *args):
+    def memo(obj):
         entry = entries.get(id(obj))
         if entry is not None and entry[0] is obj:
             return entry[1]
-        value = make(obj, *args)
+        value = make(obj)
         if len(entries) >= 256:
             entries.clear()
         entries[id(obj)] = (obj, value)

@@ -2,11 +2,14 @@
 
 import ast
 import copy
+import importlib
+import inspect
 import json
 import math
 import pathlib
 import pickle
 import re
+import typing
 
 import pytest
 from helpers import make_spec
@@ -94,6 +97,31 @@ def test_every_exported_name_is_named_in_the_readme_library_section():
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     assert sorted(set(nisq_gonogo.__all__) - set(re.findall(r"\w+", section))) == []
+
+
+def _package_functions():
+    """Every function and method that the package's modules define at their top level or in their classes."""
+    for path in sorted(pathlib.Path(workload.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"nisq_gonogo.{path.stem}" if path.stem != "__init__" else "nisq_gonogo")
+        for obj in vars(module).values():
+            for member in (obj, *(vars(obj).values() if inspect.isclass(obj) else ())):
+                function = getattr(member, "fget", getattr(member, "__func__", member))  # property, classmethod
+                if inspect.isfunction(function) and function.__module__ == module.__name__:
+                    yield function
+
+
+def test_every_annotation_names_what_its_module_holds():
+    """Each annotation resolves under ``typing.get_type_hints``: no annotation names a type its module
+    does not import."""
+    functions = list(_package_functions())
+    assert len(functions) > 100
+    unresolved = []
+    for function in functions:
+        try:
+            typing.get_type_hints(function)
+        except NameError as error:
+            unresolved.append(f"{function.__module__}.{function.__qualname__}: {error}")
+    assert unresolved == []
 
 
 def test_qpu_spec_takes_stddev_and_power_components_by_keyword_only():
