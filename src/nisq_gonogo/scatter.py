@@ -103,10 +103,10 @@ def scatter_svg(catalog: Catalog) -> str:
     )
     parts.append(f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="#ffffff"/>')
 
-    # emulation-tier bands (clamped to the x domain)
+    # emulation-tier bands
     for lo, hi, label, fill in _TIER_BANDS:
-        x_lo = _x(max(lo, 1))
-        x_hi = _x(min(hi, 10**4))
+        x_lo = _x(lo)
+        x_hi = _x(hi)
         parts.append(
             f'<rect x="{_fmt(x_lo)}" y="{_fmt(_PY0)}" width="{_fmt(x_hi - x_lo)}" '
             f'height="{_fmt(_PY1 - _PY0)}" fill="{fill}"/>'

@@ -11,6 +11,10 @@ library only, so it runs on an interpreter without pytest::
     python tests/golden/check.py            # compare; exit 1 on any difference
     python tests/golden/check.py --record   # rewrite digests.json from this tree
 
+A copy of this directory outside a checkout has no ``../../src``, so its
+cases check whichever ``nisq_gonogo`` the interpreter imports, such as an
+installed wheel.
+
 argparse usage errors are left out: their text differs between Python
 versions.
 
@@ -177,6 +181,8 @@ CASES = [
     ("error-non-finite", ["feasibility", "--workload", "non-finite.json"], {}),
     ("error-surrogate-id", ["feasibility", "--workload", "surrogate-id.json", "--format", "csv"], {}),
     ("error-bad-band", ["feasibility", "--workload", "anchors.json", "--marginal-band", "0.5"], {}),
+    ("error-bad-parity-band", ["compare", "--workload", "q29.json", "--qpu", "ibm-heron",
+                               "--classical", "classical-ref.json", "--parity-band", "1"], {}),
     # a file that is not UTF-8, read as each of the three documents
     ("error-not-utf8-catalog", ["catalog", "--catalog", "not-utf8.json"], {}),
     ("error-not-utf8-workload", ["feasibility", "--workload", "not-utf8.json"], {}),
@@ -210,7 +216,9 @@ def run_case(argv: list[str], extra_env: dict[str, str]) -> dict:
     # the digests also prove that the CLI flushes every byte before it exits.
     env = {key: value for key, value in os.environ.items()
            if key not in ("NISQ_GONOGO_CATALOG", "PYTHONUNBUFFERED")}
-    env.update(PYTHONPATH=SRC, PYTHONIOENCODING="utf-8", **extra_env)
+    if os.path.isdir(SRC):
+        env["PYTHONPATH"] = SRC
+    env.update(PYTHONIOENCODING="utf-8", **extra_env)
     with tempfile.TemporaryDirectory() as tmp:
         work = os.path.join(tmp, "case")
         shutil.copytree(INPUTS, work)

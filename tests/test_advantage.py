@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -103,6 +104,15 @@ def test_differences_inside_band_are_parity():
     b = SolutionProfile(runtime_s=103.0)  # 3% apart, inside the 5% band
     assert classify(a, b).speed is Outcome.PARITY
     assert classify(a, b, parity_band=0.01).speed is Outcome.ADVANTAGE
+
+
+def test_the_parity_band_lies_in_zero_to_one():
+    same = SolutionProfile(runtime_s=1.0)
+    for band in (0.0, math.nextafter(1.0, 0.0)):
+        assert classify(same, same, parity_band=band).speed is Outcome.PARITY
+    for band in (1.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="^" + re.escape(f"parity_band must be in [0, 1), got {band}") + "$"):
+            classify(same, same, parity_band=band)
 
 
 def test_supremacy_note_when_space_and_energy_co_occur():

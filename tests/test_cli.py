@@ -1173,9 +1173,11 @@ def test_each_qpu_objects_power_breakdown_is_made_once(monkeypatch):
 
 
 def test_cli_import_leaves_out_the_heavy_stdlib_modules():
-    # -S: no site .pth file may preload any of these before the package does.
+    # Start-up is most of a call's cost, and fractions alone takes about half as
+    # long to import as the whole package.  -S: no site .pth file may preload
+    # any of these before the package does.
     src = os.path.dirname(os.path.dirname(nisq_gonogo.__file__))
-    heavy = ("dataclasses", "inspect", "ast", "pathlib", "importlib.resources", "csv", "typing")
+    heavy = ("dataclasses", "inspect", "ast", "pathlib", "importlib.resources", "csv", "typing", "fractions", "decimal")
     code = f"import sys; sys.path.insert(0, {src!r}); import nisq_gonogo.cli; print([m for m in {heavy!r} if m in sys.modules])"
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"

@@ -307,6 +307,11 @@ class TestEmulationTier:
         assert emulation_tier(56, 100, TENSOR_NETWORK_ERROR_THRESHOLD) is EmulationTier.BEYOND_CLASSICAL
         assert emulation_tier(56, 100, math.nextafter(TENSOR_NETWORK_ERROR_THRESHOLD, 1)) is EmulationTier.TENSOR_NETWORK
 
+    @pytest.mark.parametrize("qubits, depth, name", [(0, 100, "qubits"), (127, 0, "depth")])
+    def test_an_empty_register_or_circuit_raises(self, qubits, depth, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            emulation_tier(qubits, depth, 1e-4)
+
     def test_shallow_threshold_is_inclusive(self):
         assert emulation_tier(127, DEFAULT_SHALLOW_DEPTH, 1e-4) is EmulationTier.TENSOR_NETWORK
         assert emulation_tier(127, DEFAULT_SHALLOW_DEPTH + 1, 1e-4) is EmulationTier.BEYOND_CLASSICAL

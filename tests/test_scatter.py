@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import sys
 import xml.dom.minidom
 import xml.etree.ElementTree as ET
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import CSV_CHARACTERS, csv_writer_is_the_oracle, csv_written
 from nisq_gonogo.catalog import Catalog, QpuStatus, bundled_catalog
+from nisq_gonogo.cli import render_catalog_md
 from nisq_gonogo.feasibility import STATEVECTOR_TIERS, CircuitShape, required_error_rate
 from nisq_gonogo.scatter import SVG_VERSION_COMMENT, frontier_error, scatter_csv, scatter_svg
 
@@ -24,8 +26,14 @@ def test_csv_header_and_reference_row():
 
 
 def test_csv_one_row_per_qpu():
+    """The CSV's ids, read back with the csv module, are the catalog report's qpus in order."""
     catalog = bundled_catalog()
-    assert len(scatter_csv(catalog).splitlines()) == 1 + len(catalog.qpus)
+    ids = [row["qpu_id"] for row in csv.DictReader(io.StringIO(scatter_csv(catalog)))]
+    lines = render_catalog_md(catalog).split("\n")
+    start = lines.index("| qpu | modality | qubits | two-qubit error (fidelity) | status | power |") + 2
+    table = [line.split(" | ")[0][2:] for line in itertools.takewhile(lambda line: line.startswith("| "), lines[start:])]
+    assert len(ids) == len(catalog.qpus)
+    assert ids == table
 
 
 # Catalogs of up to five qpus whose ids hold every character CSV treats specially.

@@ -121,6 +121,10 @@ class TestShotsPerString:
         assert qaoa_aggregate_shots(0.1, 10) == 1000
         assert qaoa_aggregate_shots(1.0, 900) == 810_000
 
+    def test_qaoa_aggregate_of_no_qubits_raises(self):
+        with pytest.raises(WorkloadError, match="^qubits must be >= 1, got 0$"):
+            qaoa_aggregate_shots(0.1, 0)
+
 
 class TestMitigationMultiplier:
     def test_disabled(self):
