@@ -15,13 +15,14 @@ pair reached go, 1 usage, input or I/O error.
 from __future__ import annotations
 
 import _thread
-import argparse
 import atexit
 import gc
 import os
+import re
 import sys
 import warnings
 from collections import namedtuple
+from types import SimpleNamespace
 
 from . import advantage as adv
 from . import energy as energy_mod
@@ -311,7 +312,7 @@ def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.flush()
 
 
-def cmd_feasibility(args: argparse.Namespace, catalog: Catalog) -> int:
+def cmd_feasibility(args: SimpleNamespace, catalog: Catalog) -> int:
     workloads = load_workloads(args.workload, strict=args.strict)
     bundle = build_feasibility_bundle(catalog, workloads, marginal_band=args.marginal_band)
     if args.format == "csv":
@@ -321,7 +322,7 @@ def cmd_feasibility(args: argparse.Namespace, catalog: Catalog) -> int:
     return EXIT_OK if any(run.verdict.verdict is feas.Verdict.GO for run in bundle[0]) else EXIT_NO_GO
 
 
-def cmd_estimate(args: argparse.Namespace, catalog: Catalog) -> int:
+def cmd_estimate(args: SimpleNamespace, catalog: Catalog) -> int:
     workloads = load_workloads(args.workload, strict=args.strict)
     qpu = catalog.get_qpu(args.qpu)
     sections = []
@@ -334,7 +335,7 @@ def cmd_estimate(args: argparse.Namespace, catalog: Catalog) -> int:
     return EXIT_OK
 
 
-def cmd_scatter(args: argparse.Namespace, catalog: Catalog) -> int:
+def cmd_scatter(args: SimpleNamespace, catalog: Catalog) -> int:
     base = os.path.splitext(args.out)[0]  # the path with its suffix, if any, dropped
     if not os.path.basename(base):
         raise ValueError(f"--out {args.out!r} names no file")
@@ -345,7 +346,7 @@ def cmd_scatter(args: argparse.Namespace, catalog: Catalog) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace, catalog: Catalog) -> int:
+def cmd_compare(args: SimpleNamespace, catalog: Catalog) -> int:
     workloads = load_workloads(args.workload, strict=args.strict)
     if len(workloads) != 1:
         raise ValueError(f"compare expects exactly one workload, got {len(workloads)}")
@@ -377,78 +378,166 @@ def cmd_compare(args: argparse.Namespace, catalog: Catalog) -> int:
     return EXIT_OK
 
 
-def cmd_catalog(args: argparse.Namespace, catalog: Catalog) -> int:
+def cmd_catalog(args: SimpleNamespace, catalog: Catalog) -> int:
     _emit(render_catalog_md(catalog), args.out)
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, but a usage error raises ``ValueError``: it ends in the
-    one ``error:`` line and exit 1, as any other bad input does, not in exit 2."""
+# The command line, one table: each command's function, help line and options.
+# An option is (its usage text, kind, default, required, help); kind is str,
+# int or float for a value, bool for a flag that stores True, or the tuple of
+# the values it allows.
+_CATALOG = ("--catalog PATH", str, None, False, f"catalog file (default: ${ENV_CATALOG} or the bundled dataset)")
+_OUT = ("--out PATH", str, None, False, "also write the report to this path")
+_STRICT = ("--strict", bool, False, False, "reject unknown input fields instead of warning")
+_WORKLOAD = ("--workload PATH", str, None, True, "workload file (object or list)")
+_ONE_QPU = (  # the commands on one qpu estimate its resources
+    ("--qpu ID", str, None, True, "catalog id of the target qpu"),
+    ("--parallel-shots K", int, 1, False, "parallel shot lanes, each running whole shots (default 1)"),
+    ("--qaoa-aggregate", bool, False, False, "use the aggregate n^2/eps shot budget for qaoa workloads"),
+)
+_MD = ("--format", ("md",), "md", False, "report format (default md)")
+_COMMANDS = {
+    "feasibility": (cmd_feasibility, "go/no-go verdicts for every (qpu, workload) pair", (
+        _CATALOG, _OUT, _STRICT, _WORKLOAD, ("--format", ("md", "csv"), "md", False, "report format (default md)"),
+        ("--marginal-band X", float, feas.DEFAULT_MARGINAL_BAND, False, "factor above the required error rate "
+         f"still reported as marginal (default {feas.DEFAULT_MARGINAL_BAND:g})"),
+    )),
+    "estimate": (cmd_estimate, "shots, runtime, and energy for a workload on one qpu",
+                 (_CATALOG, _OUT, _STRICT, _WORKLOAD, *_ONE_QPU, _MD)),
+    "scatter": (cmd_scatter, "emit the catalog landscape as CSV + SVG", (  # two files, not a report
+        _CATALOG, _STRICT, ("--out PATH", str, None, True, "base path of the .csv and .svg files to write"),
+    )),
+    "compare": (cmd_compare, "five-axis advantage comparison against a classical profile", (
+        _CATALOG, _OUT, _STRICT, _WORKLOAD, *_ONE_QPU, _MD,
+        ("--classical PATH", str, None, True, "classical solution profile (JSON)"),
+        ("--parity-band FRACTION", float, adv.DEFAULT_PARITY_BAND, False,
+         f"relative difference within which an axis reads parity (default {adv.DEFAULT_PARITY_BAND:g})"),
+    )),
+    "catalog": (cmd_catalog, "validate and summarize a catalog", (_CATALOG, _OUT, _STRICT, _MD)),
+}
+_HELP = ("-h, --help", None, None, False, "show this help message and exit")
 
-    def error(self, message: str):
-        raise ValueError(f"{self.prog}: {message}")
+
+def _shown(option: tuple) -> str:
+    """An option as help shows it; ``--format {md,csv}`` names its choices."""
+    return f"{option[0]} {{{','.join(option[1])}}}" if type(option[1]) is tuple else option[0]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="nisq-gonogo",
-        description="Feasibility and resource estimates for noisy gate-model quantum workloads.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _help(command: str | None, flag: str, explicit: str | None) -> None:
+    """Print the help of ``command``, or of the program, and raise ``SystemExit(0)``.
 
-    def common(p: argparse.ArgumentParser, *, formats: tuple[str, ...] = ("md",), workload: bool = False, qpu: bool = False) -> None:
-        p.add_argument("--catalog", metavar="PATH", default=None, help=f"catalog file (default: ${ENV_CATALOG} or the bundled dataset)")
-        if formats:  # a report command: it also takes --out and --format
-            p.add_argument("--out", metavar="PATH", help="also write the report to this path")
-        p.add_argument("--strict", action="store_true", help="reject unknown input fields instead of warning")
-        if workload:
-            p.add_argument("--workload", metavar="PATH", required=True, help="workload file (object or list)")
-        if qpu:  # the commands on one qpu estimate its resources
-            p.add_argument("--qpu", metavar="ID", required=True, help="catalog id of the target qpu")
-            p.add_argument(
-                "--parallel-shots", type=int, default=1, metavar="K",
-                help="parallel shot lanes, each running whole shots (default 1)",
-            )
-            p.add_argument(
-                "--qaoa-aggregate",
-                action="store_true",
-                help="use the aggregate n^2/eps shot budget for qaoa workloads",
-            )
-        if formats:
-            p.add_argument("--format", choices=formats, default=formats[0])
+    Text after the flag is refused, as argparse refuses it, but ``-hh`` is ``-h -h``.
+    """
+    prog = f"nisq-gonogo {command}" if command else "nisq-gonogo"
+    rest = explicit.lstrip("h") if explicit and flag == "-h" else explicit
+    if rest is not None and (rest or not explicit):
+        raise ValueError(f"{prog}: argument -h/--help: ignored explicit argument {rest!r}")
+    if command:
+        _, about, options = _COMMANDS[command]
+        usage = " ".join(_shown(option) if option[3] else f"[{_shown(option)}]" for option in options)
+        title, rows = "options", [(_shown(option), option[4]) for option in (_HELP, *options)]
+    else:
+        usage = "{" + ",".join(_COMMANDS) + "} ..."
+        about = "Feasibility and resource estimates for noisy gate-model quantum workloads."
+        title, rows = "commands", [(name, line) for name, (_, line, _) in _COMMANDS.items()]
+    width = 2 + max(len(left) for left, _ in rows)
+    table = "".join(f"  {left:<{width}}{right}\n" for left, right in rows)
+    sys.stdout.write(f"usage: {prog} [-h] {usage}\n\n{about}\n\n{title}:\n{table}")
+    raise SystemExit(0)
 
-    p_feas = sub.add_parser("feasibility", help="go/no-go verdicts for every (qpu, workload) pair")
-    common(p_feas, formats=("md", "csv"), workload=True)
-    p_feas.add_argument(
-        "--marginal-band",
-        type=float,
-        default=feas.DEFAULT_MARGINAL_BAND,
-        metavar="X",
-        help=f"factor above the required error rate still reported as marginal (default {feas.DEFAULT_MARGINAL_BAND:g})",
-    )
-    p_feas.set_defaults(func=cmd_feasibility)
 
-    p_est = sub.add_parser("estimate", help="shots, runtime, and energy for a workload on one qpu")
-    common(p_est, workload=True, qpu=True)
-    p_est.set_defaults(func=cmd_estimate)
+def _check_choice(prog: str, name: str, value: str, choices) -> None:
+    if value not in choices:
+        choices = ", ".join(map(repr, choices))
+        raise ValueError(f"{prog}: argument {name}: invalid choice: {value!r} (choose from {choices})")
 
-    p_scat = sub.add_parser("scatter", help="emit the catalog landscape as CSV + SVG")
-    common(p_scat, formats=())  # it writes two files, not a report
-    p_scat.add_argument("--out", metavar="PATH", required=True, help="base path of the .csv and .svg files to write")
-    p_scat.set_defaults(func=cmd_scatter)
 
-    p_cmp = sub.add_parser("compare", help="five-axis advantage comparison against a classical profile")
-    common(p_cmp, workload=True, qpu=True)
-    p_cmp.add_argument("--classical", metavar="PATH", required=True, help="classical solution profile (JSON)")
-    p_cmp.add_argument("--parity-band", type=float, default=adv.DEFAULT_PARITY_BAND, metavar="FRACTION")
-    p_cmp.set_defaults(func=cmd_compare)
+def _classify(arg: str, flags: dict, prog: str) -> tuple | None:
+    """argparse's reading of ``arg`` by ``flags`` (flag -> option): None for a value, else
+    (the option, None if unknown; its flag; the text after ``=`` or ``-h``, or None)."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in flags or arg == "--":  # no command takes a positional, so -- marks nothing
+        return flags.get(arg), arg, None
+    name, equals, value = arg.partition("=")
+    if equals and name in flags:
+        return flags[name], name, value
+    if arg[1] == "-":  # a unique prefix of a long flag stands for it
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            raise ValueError(f"{prog}: ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return flags[matches[0]], matches[0], value if equals else None
+    elif arg[1] == "h":  # -hX is -h given X, the only short flag
+        return flags["-h"], "-h", arg[2:]
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:  # a negative number, or a text with a space
+        return None
+    return None, arg, None
 
-    p_cat = sub.add_parser("catalog", help="validate and summarize a catalog")
-    common(p_cat)
-    p_cat.set_defaults(func=cmd_catalog)
 
-    return parser
+class _Parser:
+    """The command line's reader: it walks argv by :data:`_COMMANDS`, by argparse's rules and
+    in the words of Python 3.11's argparse.  A refusal raises ``ValueError``; help raises ``SystemExit(0)``."""
+
+    def parse_args(self, argv: list[str] | None) -> SimpleNamespace:
+        args = sys.argv[1:] if argv is None else list(argv)
+        flags = {"-h": _HELP, "--help": _HELP}
+        extras = []  # what no option takes, refused once the command's options are read
+        for start, command in enumerate(args, 1):  # the first value names the command
+            found = _classify(command, flags, "nisq-gonogo")
+            if found is None:
+                break
+            if found[0]:
+                _help(None, *found[1:])
+            extras.append(command)
+        else:
+            raise ValueError("nisq-gonogo: the following arguments are required: command")
+        _check_choice("nisq-gonogo", "command", command, _COMMANDS)
+        function, _, options = _COMMANDS[command]
+        prog = f"nisq-gonogo {command}"
+        flags.update((option[0].split()[0], option) for option in options)
+        args = args[start:]
+        found = [_classify(arg, flags, prog) for arg in args]  # argparse reads every argument before it takes any
+        given = {}
+        index = 0
+        while index < len(args):
+            option, flag, value = found[index] or (None, None, None)
+            index += 1
+            if option is None:  # a value that no option takes, or an unknown flag
+                extras.append(args[index - 1])
+                continue
+            if option is _HELP:
+                _help(command, flag, value)
+            name, kind = option[0].split()[0], option[1]
+            if kind is bool:
+                if value is not None:
+                    raise ValueError(f"{prog}: argument {name}: ignored explicit argument {value!r}")
+                value = True
+            elif value is None:
+                if index == len(args) or found[index] is not None:
+                    raise ValueError(f"{prog}: argument {name}: expected one argument")
+                value = args[index]
+                index += 1
+            if type(kind) is tuple:
+                _check_choice(prog, name, value, kind)
+            elif kind in (int, float):
+                try:
+                    value = kind(value)
+                except ValueError:
+                    raise ValueError(f"{prog}: argument {name}: invalid {kind.__name__} value: {value!r}") from None
+            given[name] = value  # the last of a repeated option wins
+        missing = [name for name, option in flags.items() if option[3] and name not in given]
+        if missing:
+            raise ValueError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+        if extras:
+            raise ValueError(f"nisq-gonogo: unrecognized arguments: {' '.join(extras)}")
+        values = {name[2:].replace("-", "_"): given.get(name, option[2]) for name, option in flags.items() if option[1]}
+        return SimpleNamespace(command=command, func=function, **values)
+
+
+def build_parser() -> _Parser:
+    return _Parser()
 
 
 def _one_line(message: object) -> str:
@@ -462,8 +551,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 def _run(argv: list[str] | None) -> int:
     # The cyclic collector is off for the call, then restored: a call's rows,
-    # records and parsed JSON hold no cycles, so collecting would only scan
-    # them, and the few cycles argparse makes do not grow with the input.
+    # records and parsed JSON hold no cycles, so collecting would only scan them.
     enabled = gc.isenabled()
     gc.disable()
     try:

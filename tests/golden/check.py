@@ -15,9 +15,6 @@ A copy of this directory outside a checkout has no ``../../src``, so its
 cases check whichever ``nisq_gonogo`` the interpreter imports, such as an
 installed wheel.
 
-argparse usage errors are left out: their text differs between Python
-versions.
-
 ``digests.json`` is the only home of the CLI's expected bytes: no test pins
 a report by its digest.  A deliberate output change takes two commits.  The
 first pins the old output: it adds a case for each output to change that no
@@ -200,6 +197,19 @@ CASES = [
     # lenient warnings print as they are raised, before the error line
     ("error-lenient-then-unknown-qpu", ["estimate", "--workload", "lenient.json", "--catalog", "lenient-catalog.json",
                                         "--qpu", "no-such"], {}),
+    # usage errors (one `error:` line, exit 1) and help (exit 0), read from the CLI's own table
+    ("usage-no-command", [], {}),
+    ("usage-unknown-command", ["frobnicate"], {}),
+    ("usage-missing-workload", ["feasibility"], {}),
+    ("usage-unknown-flag", ["catalog", "--bogus"], {}),
+    ("usage-bad-format", ["feasibility", "--workload", "anchors.json", "--format", "x"], {}),
+    ("usage-bad-parallel-shots", ["estimate", "--workload", "q29.json", "--qpu", "ibm-heron",
+                                  "--parallel-shots", "x"], {}),
+    ("usage-bad-marginal-band", ["feasibility", "--workload", "anchors.json", "--marginal-band", "x"], {}),
+    ("usage-flag-without-value", ["feasibility", "--workload"], {}),
+    ("usage-ambiguous-prefix", ["compare", "--p", "2"], {}),
+    ("help", ["--help"], {}),
+    ("help-estimate", ["estimate", "--help"], {}),
     # a warnings filter that turns warnings into errors does not reach the CLI's input warnings
     ("feasibility-lenient-pythonwarnings-error", ["feasibility", "--workload", "lenient.json", "--format", "csv"],
      {"PYTHONWARNINGS": "error"}),

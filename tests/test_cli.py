@@ -1,3 +1,4 @@
+import argparse
 import atexit
 import contextlib
 import csv
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import nisq_gonogo
 from helpers import make_spec
-from nisq_gonogo import cli, energy
+from nisq_gonogo import advantage, cli, energy
 from nisq_gonogo import workload as workload_mod
 from nisq_gonogo import feasibility as feas
 from nisq_gonogo.advantage import Outcome, SolutionProfile, classify, quantum_profile
@@ -1606,8 +1607,10 @@ def test_the_compare_report_passes_the_benchmark_reference(tmp_path_factory, cas
 
 # Totality over the command line itself: a command and its flags drawn over the
 # golden inputs, with values from huge ints, 0, negatives, nan, inf, subnormals and
-# non-numbers.  A required flag may be left out and a foreign one added, which
-# argparse reports as a usage error.  ``OUT`` stands for a path in a fresh folder.
+# non-numbers.  A required flag may be left out, a foreign one added or one repeated,
+# a flag spelled as a prefix (unique or ambiguous) or joined to its value by ``=``,
+# and a stray value put anywhere; the reader refuses what is wrong as a usage error.
+# ``OUT`` stands for a path in a fresh folder.
 _GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
 
@@ -1616,7 +1619,7 @@ def _inputs(*names):
 
 
 _VALUES = st.sampled_from(
-    [str(10**400), f"-{10**400}", "0", "-1", "-0.0", "nan", "inf", "-inf", "5e-324", "1e400", "1", "4", "2.5", "x", ""]
+    [str(10**400), f"-{10**400}", "0", "-1", "-0.0", "nan", "inf", "-inf", "5e-324", "1e400", "1", "4", "2.5", "x", "-x", ""]
 )
 _FLAG_VALUES = {
     "--catalog": _inputs("huge-power-catalog.json", "underflow-catalog.json", "edge-catalog.json",
@@ -1657,11 +1660,18 @@ def _command_lines(draw):
     flags += draw(st.lists(st.sampled_from(optional), unique=True))
     if draw(st.integers(0, 9)) == 0:
         flags.append(draw(st.sampled_from(sorted(_FLAG_VALUES))))
+    if flags and draw(st.integers(0, 4)) == 0:  # the last of a repeated flag wins
+        flags.insert(draw(st.integers(0, len(flags))), draw(st.sampled_from(flags)))
     argv = [command]
     for flag in flags:
-        argv.append(flag)
-        if _FLAG_VALUES[flag] is not None:
-            argv.append(draw(_FLAG_VALUES[flag]))
+        spelled = flag[:draw(st.integers(3, len(flag)))] if draw(st.integers(0, 4)) == 0 else flag
+        value = None if _FLAG_VALUES[flag] is None else draw(_FLAG_VALUES[flag])
+        if draw(st.integers(0, 4)) == 0:  # --flag=value; a flag that takes none refuses it
+            argv.append(f"{spelled}={'' if value is None else value}")
+        else:
+            argv += [spelled] if value is None else [spelled, value]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["stray", "-1", "-x", "a b", ""])))
     return argv
 
 
@@ -1675,8 +1685,139 @@ def _command_lines(draw):
           "--classical", os.path.join(_GOLDEN_INPUTS, "classical-ref.json"), "--parallel-shots", str(10**400)])
 def test_every_command_line_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path_factory, argv):
     out = str(tmp_path_factory.mktemp("argv") / "report")
-    nan_in_input = "nan" in argv or os.path.join(_GOLDEN_INPUTS, "non-finite.json") in argv
-    _assert_total([out if arg == "OUT" else arg for arg in argv], nan_in_input=nan_in_input)
+    nan_in_input = any(arg.endswith(("nan", "-finite.json")) for arg in argv)
+    _assert_total([arg.replace("OUT", out) for arg in argv], nan_in_input=nan_in_input)
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error raises ``ValueError``: it ends in the
+    one ``error:`` line and exit 1, as any other bad input does, not in exit 2."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The argparse grammar that the CLI's own reader replaced, kept as it was to test the reader against."""
+    cmd_feasibility, cmd_estimate, cmd_scatter, cmd_compare, cmd_catalog = (
+        cli.cmd_feasibility, cli.cmd_estimate, cli.cmd_scatter, cli.cmd_compare, cli.cmd_catalog)
+    parser = _ReferenceParser(
+        prog="nisq-gonogo",
+        description="Feasibility and resource estimates for noisy gate-model quantum workloads.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser, *, formats: tuple[str, ...] = ("md",), workload: bool = False, qpu: bool = False) -> None:
+        p.add_argument("--catalog", metavar="PATH", default=None, help=f"catalog file (default: ${ENV_CATALOG} or the bundled dataset)")
+        if formats:  # a report command: it also takes --out and --format
+            p.add_argument("--out", metavar="PATH", help="also write the report to this path")
+        p.add_argument("--strict", action="store_true", help="reject unknown input fields instead of warning")
+        if workload:
+            p.add_argument("--workload", metavar="PATH", required=True, help="workload file (object or list)")
+        if qpu:  # the commands on one qpu estimate its resources
+            p.add_argument("--qpu", metavar="ID", required=True, help="catalog id of the target qpu")
+            p.add_argument(
+                "--parallel-shots", type=int, default=1, metavar="K",
+                help="parallel shot lanes, each running whole shots (default 1)",
+            )
+            p.add_argument(
+                "--qaoa-aggregate",
+                action="store_true",
+                help="use the aggregate n^2/eps shot budget for qaoa workloads",
+            )
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+
+    p_feas = sub.add_parser("feasibility", help="go/no-go verdicts for every (qpu, workload) pair")
+    common(p_feas, formats=("md", "csv"), workload=True)
+    p_feas.add_argument(
+        "--marginal-band",
+        type=float,
+        default=feas.DEFAULT_MARGINAL_BAND,
+        metavar="X",
+        help=f"factor above the required error rate still reported as marginal (default {feas.DEFAULT_MARGINAL_BAND:g})",
+    )
+    p_feas.set_defaults(func=cmd_feasibility)
+
+    p_est = sub.add_parser("estimate", help="shots, runtime, and energy for a workload on one qpu")
+    common(p_est, workload=True, qpu=True)
+    p_est.set_defaults(func=cmd_estimate)
+
+    p_scat = sub.add_parser("scatter", help="emit the catalog landscape as CSV + SVG")
+    common(p_scat, formats=())  # it writes two files, not a report
+    p_scat.add_argument("--out", metavar="PATH", required=True, help="base path of the .csv and .svg files to write")
+    p_scat.set_defaults(func=cmd_scatter)
+
+    p_cmp = sub.add_parser("compare", help="five-axis advantage comparison against a classical profile")
+    common(p_cmp, workload=True, qpu=True)
+    p_cmp.add_argument("--classical", metavar="PATH", required=True, help="classical solution profile (JSON)")
+    p_cmp.add_argument("--parity-band", type=float, default=advantage.DEFAULT_PARITY_BAND, metavar="FRACTION")
+    p_cmp.set_defaults(func=cmd_compare)
+
+    p_cat = sub.add_parser("catalog", help="validate and summarize a catalog")
+    common(p_cat)
+    p_cat.set_defaults(func=cmd_catalog)
+
+    return parser
+
+
+def _read_with(parser, argv):
+    """What ``parser`` makes of ``argv``: each attribute's type and ``repr``, or ``None`` for a refusal."""
+    try:
+        args = parser.parse_args(argv)
+    except ValueError:
+        return None
+    return {name: (type(value), repr(value)) for name, value in vars(args).items()}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_command_lines())
+@example(["estimate", "--w=a", "--q", "b"])  # an ambiguous prefix
+@example(["compare", "--work=a", "--qp", "b", "--cl", "c", "--pari", "-0.0", "--par=-1"])  # --par: an ambiguous prefix
+@example(["feasibility", "--workload", "a", "--marginal-band", "-1", "--marginal-band=2", "--format=csv"])
+@example(["feasibility", "--workload", "-x"])
+@example(["catalog", "--strict", "--strict", "--strict="])
+@example(["catalog", "stray"])
+def test_the_reader_reads_each_command_line_as_argparse_does(argv):
+    # Where argparse parses, the reader gives every attribute the same value; where
+    # argparse refuses, ``main`` prints one error line and exits 1.
+    want = _read_with(_reference_parser(), argv)
+    assert _read_with(cli.build_parser(), argv) == want, argv
+    if want is None:
+        code, out, err = _call(argv)
+        assert (code, out) == (EXIT_ERROR, ""), argv
+        assert err.startswith("error: nisq-gonogo") and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he", "-hh"])
+def test_each_commands_help_lists_its_options_and_exits_0(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--strict", flag, "--format", "x"])  # help is taken in order, before the bad format
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith(f"usage: nisq-gonogo {command} [-h] ")
+    _, line, options = cli._COMMANDS[command]
+    assert f"\n\n{line}\n\noptions:\n  -h, --help " in out
+    flags = [row.split()[0] for row in out.split("options:\n")[1].splitlines()[1:]]
+    assert flags == [option[0].split()[0] for option in options]
+
+
+@pytest.mark.parametrize(
+    "argv", [["catalog"], ["feasibility", "--workload", os.path.join(_GOLDEN_INPUTS, "anchors.json")]],
+    ids=["catalog", "feasibility"],
+)
+def test_a_cli_call_imports_neither_argparse_nor_gettext(argv):
+    # The CLI reads its command line from its own table: argparse, with the
+    # gettext it imports, took about 4 ms of every call.
+    src = os.path.dirname(os.path.dirname(nisq_gonogo.__file__))
+    code = (
+        f"import io, sys; sys.path.insert(0, {src!r}); from nisq_gonogo.cli import main; "
+        f"sys.stdout = io.StringIO(); code = main({argv!r}); sys.stdout = sys.__stdout__; "
+        "print(code, [m for m in ('argparse', 'gettext') if m in sys.modules])"
+    )
+    result = subprocess.run([sys.executable, "-E", "-s", "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == f"{EXIT_OK} []\n"
 
 
 @pytest.mark.parametrize(
@@ -1736,7 +1877,7 @@ def _collector(enabled):
         (["catalog"], EXIT_OK, [False]),
         (["feasibility", "--workload", "/does/not/exist.json"], EXIT_ERROR, [False]),
         (["feasibility"], EXIT_ERROR, []),  # a usage error: the one error line, before any catalog is loaded
-        (["catalog", "--help"], None, []),  # argparse's help: SystemExit(0)
+        (["catalog", "--help"], None, []),  # the help: SystemExit(0)
     ],
 )
 def test_main_runs_without_the_collector_and_restores_it(capsys, monkeypatch, enabled, argv, code, loads):

@@ -8,7 +8,6 @@ one row per (qpu, workload) pair, kept here so that every row, tie and
 formatted number of the grid can be checked against the runs expanded into rows.
 """
 
-import argparse
 import csv
 import io
 import math
@@ -234,7 +233,7 @@ def _assert_runs_share_their_records(bundle, catalog, workloads, band):
 
 def _exit_code(catalog, workloads, band):
     """The exit code of ``feasibility`` on ``workloads``, its report discarded."""
-    args = argparse.Namespace(workload=None, strict=True, marginal_band=band, format="md", out=None)
+    args = cli.build_parser().parse_args(["feasibility", "--workload", "unread.json", "--strict", f"--marginal-band={band!r}"])
     with mock.patch.object(cli, "load_workloads", lambda path, strict: workloads):
         with mock.patch.object(cli, "_emit", lambda text, out: None):
             return cli.cmd_feasibility(args, catalog)
