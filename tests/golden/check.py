@@ -74,6 +74,9 @@ CASES = [
     ("feasibility-lab-csv", ["feasibility", "--workload", "lab-shapes.json", "--catalog", "lab-catalog.json",
                              "--format", "csv"], {}),
     ("feasibility-lab-md", ["feasibility", "--workload", "lab-shapes.json", "--catalog", "lab-catalog.json"], {}),
+    # plain ids that fit beside the ids big,one and say "hi" at 5,000 qubits, which fit no bundled
+    # qpu: the two quoted ids appear only in capacity-miss rows
+    ("feasibility-quoted-miss-csv", ["feasibility", "--workload", "quoted-miss.json", "--format", "csv"], {}),
     # estimate: plain, grouped VQE, QAOA per string and aggregate, shot parallelism, --out
     ("estimate-vqe-heron", ["estimate", "--workload", "vqe-72x72.json", "--qpu", "ibm-heron"], {}),
     ("estimate-anchors-sycamore", ["estimate", "--workload", "anchors.json", "--qpu", "google-sycamore-2022"], {}),

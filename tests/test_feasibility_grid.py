@@ -197,6 +197,12 @@ _BANDS = st.one_of(st.sampled_from([1.0000001, 2.0, 10.0, 1e6]), st.floats(min_v
 @example((_qpu("a", 2, 1.0), _qpu("b", 8, -0.25)), tuple(make_spec(data_qubits=n, depth=1) for n in (5, 1)), 10.0)
 # no workload beside the same qpus: no pair, so no qpu is checked and the grid is empty
 @example((_qpu("a", 2, 1.0), _qpu("b", 8, -0.25)), (), 10.0)
+# plain ids that fit beside two ids that need quoting and fit no qpu: those two appear only in misses
+@example(
+    (_qpu("a", 4, 1e-3), _qpu("b", 8, 0.02)),
+    tuple(make_spec(id=wid, data_qubits=n, depth=8) for wid, n in (("w", 2), ("big,one", 5000), ("v", 6), ('say "hi"', 5000))),
+    10.0,
+)
 def test_grid_equals_the_reference(qpus, workloads, band):
     catalog = Catalog(qpus)
     renders = (render_feasibility_csv, render_feasibility_md)
