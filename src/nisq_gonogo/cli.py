@@ -22,6 +22,8 @@ import re
 import sys
 import warnings
 from collections import namedtuple
+from itertools import chain
+from operator import itemgetter
 from types import SimpleNamespace
 
 from . import advantage as adv
@@ -164,20 +166,30 @@ _FEASIBILITY_CSV_HEADER = (
 
 
 def render_feasibility_csv(bundle: tuple[list[feas.VerdictRun], list[feas.CapacityMiss]]) -> str:
-    # As the markdown, with each id and note quoted once per distinct text.
-    # Verdict labels, numbers and "true"/"false" hold nothing that CSV quotes.
+    # As the markdown, with each qpu id and note quoted once per distinct text.  Workload ids,
+    # of runs and misses alike, are written as they are unless one needs csv_field's quoting;
+    # then each distinct id is quoted once.  Verdict labels, numbers and "true"/"false" hold
+    # nothing that CSV quotes.
     runs, misses = bundle
     field = _Texts(csv_field)
     number_text = _Texts(str)
+    every_id = "".join([*chain.from_iterable(map(itemgetter(1), runs)), *map(itemgetter(1), misses)])
+    quote = field.__getitem__ if any(char in every_id for char in ',"\n\r') else None
+    # A qpu's available rate, optimistic flag and note are the same on each of its runs, so its
+    # cells are made once from its last run.  They are keyed by qpu id, not by rate: 0.0 and
+    # -0.0 are one key but two texts.
+    cells = {
+        qpu_id: (f",{field[qpu_id]},", f",{available},", f",{'true' if optimistic else 'false'},{field[note]}\n")
+        for qpu_id, _, (_, available, _, _, optimistic), note in {run.qpu_id: run for run in runs}.values()
+    }
     parts = [_FEASIBILITY_CSV_HEADER]
-    for qpu_id, ids, (required, available, success, verdict, optimistic), note in runs:
-        head = f"{verdict._value_},{field[qpu_id]},"
-        tail = (
-            f",{number_text[required]},{number_text[available]},{success},"
-            f"{'true' if optimistic else 'false'},{field[note]}\n"
-        )
-        parts.append(f"{head}{(tail + head).join(map(field.__getitem__, ids))}{tail}")
-    parts += [f"{_CAPACITY_LABEL},{field[qpu_id]},{field[workload_id]},,,,,{field[note]}\n"
+    for qpu_id, ids, (required, _, success, verdict, _), _ in runs:
+        qpu_cell, available_cell, flag_note = cells[qpu_id]
+        head = f"{verdict._value_}{qpu_cell}"
+        tail = f",{number_text[required]}{available_cell}{success}{flag_note}"
+        parts.append(f"{head}{(tail + head).join(map(quote, ids) if quote else ids)}{tail}")
+    miss_head = _Texts(lambda qpu_id: f"{_CAPACITY_LABEL},{field[qpu_id]},")
+    parts += [f"{miss_head[qpu_id]}{quote(workload_id) if quote else workload_id},,,,,{field[note]}\n"
               for qpu_id, workload_id, note in misses]
     return "".join(parts)
 

@@ -24,7 +24,7 @@ from nisq_gonogo import cli
 from nisq_gonogo import feasibility as feas
 from nisq_gonogo.catalog import Catalog, Modality, QpuSpec, QpuStatus
 from nisq_gonogo.cli import build_feasibility_bundle, render_feasibility_csv, render_feasibility_md
-from nisq_gonogo.units import format_fidelity_percent, sci
+from nisq_gonogo.units import csv_field, format_fidelity_percent, sci
 
 _RANK = {verdict: rank for rank, verdict in enumerate(feas.Verdict)}
 
@@ -220,6 +220,21 @@ def test_grid_equals_the_reference(qpus, workloads, band):
         assert _exit_code(catalog, workloads, band) == (cli.EXIT_OK if go else cli.EXIT_NO_GO)
         got, want = md, want_md
     assert got == want
+
+
+def test_a_grid_of_plain_ids_quotes_no_workload_id(monkeypatch):
+    # ids that hold nothing CSV quotes, in runs of several rows and in capacity misses
+    workloads = tuple(make_spec(id=f"w{k}", data_qubits=n, depth=4) for k, n in enumerate((2, 3, 2, 12, 6, 12)))
+    catalog = Catalog((_qpu("a,b", 16, 1e-3), _qpu("small", 4, 0.02), _qpu("lab", 8, 1e-3, QpuStatus.PROJECTED)))
+    bundle = build_feasibility_bundle(catalog, workloads)
+    assert bundle[1], "the grid has capacity misses"
+    quoted = []
+    monkeypatch.setattr(cli, "csv_field", lambda text: quoted.append(text) or csv_field(text))
+    text = render_feasibility_csv(bundle)
+    assert read_csv(text) == reference_rows(expand(bundle))
+    assert not {spec.id for spec in workloads} & set(quoted)
+    assert len(quoted) == len(set(quoted))  # each qpu id and each note at most once
+    assert {qpu.id for qpu in catalog.qpus} <= set(quoted)
 
 
 def _assert_runs_share_their_records(bundle, catalog, workloads, band):
