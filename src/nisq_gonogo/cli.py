@@ -38,6 +38,7 @@ from .scatter import scatter_csv, scatter_svg
 from .units import (
     count_text,
     csv_field,
+    csv_quotes,
     format_bytes,
     format_fidelity_percent,
     format_joules,
@@ -174,7 +175,7 @@ def render_feasibility_csv(bundle: tuple[list[feas.VerdictRun], list[feas.Capaci
     field = _Texts(csv_field)
     number_text = _Texts(str)
     every_id = "".join([*chain.from_iterable(map(itemgetter(1), runs)), *map(itemgetter(1), misses)])
-    quote = field.__getitem__ if any(char in every_id for char in ',"\n\r') else None
+    quote = field.__getitem__ if csv_quotes(every_id) else None
     # A qpu's available rate, optimistic flag and note are the same on each of its runs, so its
     # cells are made once from its last run.  They are keyed by qpu id, not by rate: 0.0 and
     # -0.0 are one key but two texts.

@@ -67,13 +67,18 @@ def per_object(make):
     return memo
 
 
+def csv_quotes(text: str) -> bool:
+    """Whether :func:`csv_field` quotes ``text``: it holds a comma, ``"``, LF or CR."""
+    return "," in text or '"' in text or "\n" in text or "\r" in text
+
+
 def csv_field(text: str) -> str:
     """One field of an RFC 4180 row, as Python 3.13's ``csv.writer`` writes it.
 
-    A text holding a comma, ``"``, LF or CR is quoted with each ``"`` doubled, on
-    every Python version.  A NUL is written as it is (3.10's writer rejects it).
+    A text for which :func:`csv_quotes` holds is quoted with each ``"`` doubled,
+    on every Python version.  A NUL is written as it is (3.10's writer rejects it).
     """
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
+    if csv_quotes(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 

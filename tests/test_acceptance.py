@@ -11,9 +11,13 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+import test_advantage
+import test_catalog
+import test_feasibility
+import test_workload
 
-from nisq_gonogo.advantage import Outcome, SolutionProfile, classify
-from nisq_gonogo.catalog import bundled_catalog, parse_catalog, serialize_catalog
+from nisq_gonogo.advantage import SolutionProfile
+from nisq_gonogo.catalog import bundled_catalog
 from nisq_gonogo.cli import main
 from nisq_gonogo.feasibility import (
     CircuitShape,
@@ -21,13 +25,11 @@ from nisq_gonogo.feasibility import (
     emulation_tier,
     required_error_rate,
     statevector_memory,
-    success_probability,
 )
 from nisq_gonogo.runtime import estimate_runtime, single_shot_time
 from nisq_gonogo.units import fidelity_percent
 from nisq_gonogo.workload import (
     AlgorithmFamily,
-    MitigationSpec,
     PauliGrouping,
     WorkloadSpec,
     pauli_string_count,
@@ -134,89 +136,46 @@ def test_criterion_08_emulation_tier_table():
 
 
 # --- criterion 9: randomized property suites (>= 1000 cases each) ---
+# Each criterion draws 1,000 fixed cases from its own seed and runs each one
+# through its module's property, the body that Hypothesis searches there.
 
 
 def test_criterion_09a_required_rate_monotone():
     with criterion(9, "property: required error rate strictly decreases with volume (1000 cases)"):
         rng = random.Random(901)
+        check = test_feasibility.test_required_rate_decreases_with_volume.hypothesis.inner_test
         for _ in range(1000):
-            breadth = rng.randint(1, 10_000)
-            depth = rng.randint(1, 10_000)
-            base = required_error_rate(CircuitShape(breadth, depth))
-            assert required_error_rate(CircuitShape(breadth + 1, depth)) < base
-            assert required_error_rate(CircuitShape(breadth, depth + 1)) < base
+            check(breadth=rng.randint(1, 10_000), depth=rng.randint(1, 10_000))
 
 
 def test_criterion_09b_success_probability_range_and_threshold_band():
     with criterion(9, "property: success probability in (0,1]; ~1/e at the rule threshold (1000+ cases)"):
         rng = random.Random(902)
+        check = test_feasibility.test_success_probability_in_unit_interval_and_monotone.hypothesis.inner_test
         for _ in range(1000):
-            error = rng.uniform(1e-6, 0.01)
-            shape = CircuitShape(rng.randint(1, 600), rng.randint(1, 100))
-            p = success_probability(error, shape)
-            assert 0.0 < p <= 1.0
-        # threshold band: at error 1/V the probability sits just under 1/e.
-        # V=10 is the documented boundary below the band; from V=11 up the
-        # probability stays inside (0.35, 0.38).
-        assert success_probability(0.1, CircuitShape(10, 1)) == pytest.approx(0.3486784401, rel=1e-12)
-        for volume in range(11, 1100):
-            p = success_probability(1.0 / volume, CircuitShape(volume, 1))
-            assert 0.35 < p < 0.38, volume
-        for _ in range(200):
-            volume = rng.randint(11, 10**9)
-            p = success_probability(1.0 / volume, CircuitShape(volume, 1))
-            assert 0.35 < p < 0.38, volume
+            check(error=rng.uniform(1e-6, 0.01), breadth=rng.randint(1, 600), depth=rng.randint(1, 100))
+        test_feasibility.test_success_probability_at_the_rule_threshold_sits_just_under_inverse_e()
 
 
 def test_criterion_09c_total_shots_monotonicity():
     with criterion(9, "property: shot totals monotone in epsilon, qubits, layers, mitigation (1000 cases)"):
         rng = random.Random(903)
-
-        def vqe(n, eps, coeff):
-            return WorkloadSpec(
-                id="w",
-                family=AlgorithmFamily.VQE,
-                data_qubits=n,
-                depth=8,
-                target_epsilon=eps,
-                ansatz_iterations=1,
-                mitigation=MitigationSpec(enabled=True, exponent_coefficient=coeff),
-            )
-
-        def qaoa(layers, eps):
-            return WorkloadSpec(
-                id="w",
-                family=AlgorithmFamily.QAOA,
-                data_qubits=20,
-                depth=8,
-                qaoa_layers=layers,
-                target_epsilon=eps,
-                ansatz_iterations=1,
-            )
-
+        check = test_workload.test_total_shots_monotone_in_epsilon_qubits_layers_and_mitigation.hypothesis.inner_test
         for _ in range(1000):
             eps = rng.uniform(1e-3, 1.0)
-            wider_eps = min(1.0, eps * rng.uniform(1.0, 3.0))
+            epsilons = (eps, min(1.0, eps * rng.uniform(1.0, 3.0)))
             n = rng.randint(2, 120)
             coeff = rng.uniform(0.0, 2.0)
             layers = rng.randint(1, 60)
             error = rng.uniform(0.0, 0.02)
-
-            assert shot_plan(vqe(n, wider_eps, coeff), error).total_shots <= shot_plan(vqe(n, eps, coeff), error).total_shots
-            assert shot_plan(vqe(n + 1, eps, coeff), error).total_shots >= shot_plan(vqe(n, eps, coeff), error).total_shots
-            assert shot_plan(vqe(n, eps, coeff + 0.3), error).total_shots >= shot_plan(vqe(n, eps, coeff), error).total_shots
-            assert shot_plan(qaoa(layers + 1, eps), error).total_shots >= shot_plan(qaoa(layers, eps), error).total_shots
+            for mitigated in (True, False):
+                check(epsilons, n, layers, (coeff, coeff + 0.3), error, mitigated)
 
 
 def test_criterion_09d_advantage_antisymmetry_and_scale_invariance():
     with criterion(9, "property: advantage report antisymmetric and scale invariant (1000 cases)"):
         rng = random.Random(904)
-        flip = {
-            Outcome.ADVANTAGE: Outcome.DISADVANTAGE,
-            Outcome.DISADVANTAGE: Outcome.ADVANTAGE,
-            Outcome.PARITY: Outcome.PARITY,
-            Outcome.NOT_EVALUATED: Outcome.NOT_EVALUATED,
-        }
+        check = test_advantage.test_antisymmetry_and_scale_invariance.hypothesis.inner_test
 
         def profile():
             def maybe(v):
@@ -231,30 +190,13 @@ def test_criterion_09d_advantage_antisymmetry_and_scale_invariance():
             )
 
         for _ in range(1000):
-            a, b = profile(), profile()
-            forward, backward = classify(a, b), classify(b, a)
-            for axis, outcome in forward.axes().items():
-                assert backward.axes()[axis] is flip[outcome], axis
-
-            k = rng.uniform(1e-3, 1e3)
-
-            def scaled(p):
-                return SolutionProfile(
-                    runtime_s=p.runtime_s * k,
-                    energy_j=None if p.energy_j is None else p.energy_j * k,
-                    cost=None if p.cost is None else p.cost * k,
-                    quality=None if p.quality is None else p.quality * k,
-                    memory_bytes=p.memory_bytes,
-                )
-
-            rescaled = classify(scaled(a), scaled(b))
-            for axis in ("speed", "quality", "energetic", "cost"):
-                assert rescaled.axes()[axis] is forward.axes()[axis], axis
+            check(profile(), profile(), rng.uniform(1e-3, 1e3))
 
 
 def test_criterion_09e_catalog_round_trip():
     with criterion(9, "property: catalog serialize/parse round-trips structurally (1000 cases)"):
         rng = random.Random(905)
+        check = test_catalog.test_round_trip_property.hypothesis.inner_test
         modalities = ["superconducting", "trapped-ion", "neutral-atom", "photonic", "spin", "other"]
         statuses = ["available", "announced", "projected"]
         for i in range(1000):
@@ -283,13 +225,11 @@ def test_criterion_09e_catalog_round_trip():
                 if rng.random() < 0.5:
                     qpu["two_qubit_error_stddev"] = rng.uniform(0, 0.1)
                 qpus.append(qpu)
-            document = json.dumps({"schema_version": 2, "qpus": qpus, "classical_refs": []})
-            catalog = parse_catalog(document)
-            assert parse_catalog(serialize_catalog(catalog)) == catalog
+            check(qpus)
 
 
 def test_criterion_09f_cli_determinism(tmp_path):
-    with criterion(9, "property: two identical CLI runs emit byte-identical CSV"):
+    with criterion(9, "property: two identical CLI runs emit byte-identical reports"):
         for base in ("a", "b"):
             assert main(["scatter", "--out", str(tmp_path / f"{base}.svg")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -303,12 +243,11 @@ def test_criterion_09f_cli_determinism(tmp_path):
             ),
             encoding="utf-8",
         )
-        for base in ("r1", "r2"):
-            code = main(
-                ["feasibility", "--workload", str(workload), "--format", "csv", "--out", str(tmp_path / f"{base}.csv")]
-            )
-            assert code in (0, 2)
-        assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+        for fmt in ("csv", "md"):
+            for base in ("r1", "r2"):
+                out = tmp_path / f"{base}.{fmt}"
+                assert main(["feasibility", "--workload", str(workload), "--format", fmt, "--out", str(out)]) in (0, 2)
+            assert (tmp_path / f"r1.{fmt}").read_bytes() == (tmp_path / f"r2.{fmt}").read_bytes()
 
 
 def test_criterion_10_end_to_end_chemistry_estimate():

@@ -3,7 +3,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nisq_gonogo.advantage import (
@@ -125,17 +125,16 @@ def test_supremacy_note_when_space_and_energy_co_occur():
 
 _values = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 _optional = st.one_of(st.none(), _values)
-_memories = st.one_of(st.none(), st.integers(min_value=0, max_value=2**80))
 
 
 @st.composite
 def profiles(draw):
     return SolutionProfile(
         runtime_s=draw(_values),
-        energy_j=draw(_optional),
+        energy_j=draw(st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1e9, allow_nan=False))),
         cost=draw(_optional),
         quality=draw(_optional),
-        memory_bytes=draw(_memories),
+        memory_bytes=draw(st.one_of(st.none(), st.integers(min_value=0, max_value=2**80))),
     )
 
 
@@ -145,15 +144,6 @@ _FLIP = {
     Outcome.PARITY: Outcome.PARITY,
     Outcome.NOT_EVALUATED: Outcome.NOT_EVALUATED,
 }
-
-
-@settings(max_examples=300, deadline=None)
-@given(profiles(), profiles())
-def test_antisymmetry(a, b):
-    forward = classify(a, b)
-    backward = classify(b, a)
-    for axis in AXES:
-        assert getattr(backward, axis) is _FLIP[getattr(forward, axis)], axis
 
 
 def _off_band_edge(x: float | None, y: float | None, band: float = 0.05) -> bool:
@@ -166,30 +156,35 @@ def _off_band_edge(x: float | None, y: float | None, band: float = 0.05) -> bool
     )
 
 
+_RATIO_INPUTS = ("runtime_s", "energy_j", "cost", "quality")
+
+
+def _scaled(p: SolutionProfile, k: float) -> SolutionProfile:
+    """``p`` with its ratio inputs times ``k``; memory stays in integer bytes."""
+    return SolutionProfile(
+        runtime_s=p.runtime_s * k,
+        energy_j=None if p.energy_j is None else p.energy_j * k,
+        cost=None if p.cost is None else p.cost * k,
+        quality=None if p.quality is None else p.quality * k,
+        memory_bytes=p.memory_bytes,
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(profiles(), profiles(), st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
-def test_scale_invariance(a, b, k):
-    # a pair sitting exactly on the band edge may legitimately move by one
-    # ulp when rescaled; the property concerns everything else
-    assume(_off_band_edge(a.runtime_s, b.runtime_s))
-    assume(_off_band_edge(a.energy_j, b.energy_j))
-    assume(_off_band_edge(a.cost, b.cost))
-    assume(_off_band_edge(a.quality, b.quality))
-
-    def scaled(p: SolutionProfile) -> SolutionProfile:
-        return SolutionProfile(
-            runtime_s=p.runtime_s * k,
-            energy_j=None if p.energy_j is None else p.energy_j * k,
-            cost=None if p.cost is None else p.cost * k,
-            quality=None if p.quality is None else p.quality * k,
-            memory_bytes=p.memory_bytes,
-        )
-
-    base = classify(a, b)
-    rescaled = classify(scaled(a), scaled(b))
-    # memory is left unscaled (integer bytes); the ratio axes must not move
+def test_antisymmetry_and_scale_invariance(a, b, k):
+    forward = classify(a, b)
+    backward = classify(b, a)
+    for axis in AXES:
+        assert getattr(backward, axis) is _FLIP[getattr(forward, axis)], axis
+    # A pair sitting exactly on a band edge may legitimately move by one ulp when
+    # rescaled; scale invariance concerns everything else.  A plain test, not
+    # assume, so that a fixed draw can run this body outside Hypothesis.
+    if not all(_off_band_edge(getattr(a, name), getattr(b, name)) for name in _RATIO_INPUTS):
+        return
+    rescaled = classify(_scaled(a, k), _scaled(b, k))
     for axis in ("speed", "quality", "energetic", "cost"):
-        assert getattr(base, axis) is getattr(rescaled, axis), axis
+        assert getattr(rescaled, axis) is getattr(forward, axis), axis
 
 
 def test_a_classical_profile_takes_absent_energy_and_memory_from_its_reference():

@@ -204,20 +204,20 @@ def _qpu_dicts(qpu_id):
             ),
             "status": st.sampled_from(["available", "announced", "projected"]),
             "source_note": st.just("generated"),
-        }
+        },
+        optional={"two_qubit_error_stddev": st.floats(min_value=0, max_value=0.1, allow_nan=False)},
     )
 
 
 @st.composite
-def catalog_documents(draw):
+def qpu_lists(draw):
     ids = draw(st.lists(_ids, min_size=0, max_size=4, unique=True))
-    qpus = [draw(_qpu_dicts(i)) for i in ids]
-    return json.dumps({"schema_version": 2, "qpus": qpus, "classical_refs": []})
+    return [draw(_qpu_dicts(i)) for i in ids]
 
 
 @settings(max_examples=100, deadline=None)
-@given(catalog_documents())
-def test_round_trip_property(document):
-    catalog = parse_catalog(document)
+@given(qpu_lists())
+def test_round_trip_property(qpus):
+    catalog = parse_catalog(json.dumps({"schema_version": 2, "qpus": qpus, "classical_refs": []}))
     assert isinstance(catalog, Catalog)
     assert parse_catalog(serialize_catalog(catalog)) == catalog

@@ -513,14 +513,6 @@ def test_a_qpu_id_holding_a_cr_reads_back_from_the_scatter_csv(capsys, tmp_path)
     ]
 
 
-def test_report_determinism_across_runs(capsys, tmp_path):
-    workload_path = tmp_path / "w.json"
-    workload_path.write_text(json.dumps(WORKLOAD_53x8), encoding="utf-8")
-    code1, out1, _ = run(capsys, "feasibility", "--workload", str(workload_path))
-    code2, out2, _ = run(capsys, "feasibility", "--workload", str(workload_path))
-    assert (code1, out1) == (code2, out2)
-
-
 def valid_documents():
     return {
         "workload": dict(BENZENE_LIKE),
@@ -1175,13 +1167,29 @@ def test_each_qpu_objects_power_breakdown_is_made_once(monkeypatch):
 
 def test_cli_import_leaves_out_the_heavy_stdlib_modules():
     # Start-up is most of a call's cost, and fractions alone takes about half as
-    # long to import as the whole package.  -S: no site .pth file may preload
+    # long to import as the whole package.  The CLI reads its command line from
+    # its own table: argparse, with the gettext it imports, took about 4 ms of
+    # every call.  -E -S: no environment setting or site .pth file may preload
     # any of these before the package does.
     src = os.path.dirname(os.path.dirname(nisq_gonogo.__file__))
-    heavy = ("dataclasses", "inspect", "ast", "pathlib", "importlib.resources", "csv", "typing", "fractions", "decimal")
-    code = f"import sys; sys.path.insert(0, {src!r}); import nisq_gonogo.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    heavy = ("dataclasses", "inspect", "ast", "pathlib", "importlib.resources", "csv", "typing", "fractions",
+             "decimal", "argparse", "gettext")
+    anchors, q29, classical = (
+        os.path.join(_GOLDEN_INPUTS, name) for name in ("anchors.json", "q29.json", "classical-ref.json")
+    )
+    calls = [
+        ["catalog"],
+        ["feasibility", "--workload", anchors],
+        ["estimate", "--workload", anchors, "--qpu", "ibm-heron"],
+        ["compare", "--workload", q29, "--qpu", "ibm-heron", "--classical", classical],
+    ]
+    code = (
+        f"import io, sys; sys.path.insert(0, {src!r}); from nisq_gonogo.cli import main; "
+        f"sys.stdout = io.StringIO(); codes = [main(argv) for argv in {calls!r}]; sys.stdout = sys.__stdout__; "
+        f"print(codes, [m for m in {heavy!r} if m in sys.modules])"
+    )
+    result = subprocess.run([sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == f"{[EXIT_OK] * len(calls)} []\n"
 
 
 @pytest.mark.parametrize("command", ["catalog", "feasibility", "estimate", "compare"])
@@ -1801,23 +1809,6 @@ def test_each_commands_help_lists_its_options_and_exits_0(capsys, command, flag)
     assert f"\n\n{line}\n\noptions:\n  -h, --help " in out
     flags = [row.split()[0] for row in out.split("options:\n")[1].splitlines()[1:]]
     assert flags == [option[0].split()[0] for option in options]
-
-
-@pytest.mark.parametrize(
-    "argv", [["catalog"], ["feasibility", "--workload", os.path.join(_GOLDEN_INPUTS, "anchors.json")]],
-    ids=["catalog", "feasibility"],
-)
-def test_a_cli_call_imports_neither_argparse_nor_gettext(argv):
-    # The CLI reads its command line from its own table: argparse, with the
-    # gettext it imports, took about 4 ms of every call.
-    src = os.path.dirname(os.path.dirname(nisq_gonogo.__file__))
-    code = (
-        f"import io, sys; sys.path.insert(0, {src!r}); from nisq_gonogo.cli import main; "
-        f"sys.stdout = io.StringIO(); code = main({argv!r}); sys.stdout = sys.__stdout__; "
-        "print(code, [m for m in ('argparse', 'gettext') if m in sys.modules])"
-    )
-    result = subprocess.run([sys.executable, "-E", "-s", "-c", code], capture_output=True, text=True, check=True)
-    assert result.stdout == f"{EXIT_OK} []\n"
 
 
 @pytest.mark.parametrize(

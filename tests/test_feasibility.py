@@ -331,7 +331,7 @@ def test_required_rate_decreases_with_volume(breadth, depth):
 @settings(max_examples=200, deadline=None)
 @given(
     error=st.floats(min_value=0, max_value=0.999, allow_nan=False),
-    breadth=st.integers(min_value=1, max_value=500),
+    breadth=st.integers(min_value=1, max_value=600),
     depth=st.integers(min_value=1, max_value=500),
 )
 def test_success_probability_in_unit_interval_and_monotone(error, breadth, depth):
@@ -344,6 +344,16 @@ def test_success_probability_in_unit_interval_and_monotone(error, breadth, depth
     assert success_probability(error, CircuitShape(breadth + 1, depth)) <= p
     if error < 0.99:
         assert success_probability(error + 0.001, CircuitShape(breadth, depth)) <= p
+
+
+def test_success_probability_at_the_rule_threshold_sits_just_under_inverse_e():
+    # At error 1/V the probability (1 - 1/V)^V rises toward 1/e.  V=10 is the
+    # documented boundary below the band; from V=11 up, every volume to 1100 and
+    # a 5% geometric ladder to 10^9 stay inside (0.35, 0.38).
+    assert success_probability(0.1, CircuitShape(10, 1)) == pytest.approx(0.3486784401, rel=1e-12)
+    volumes = [*range(11, 1100), *(int(1100 * 1.05**k) for k in range(282)), 10**9]
+    for volume in volumes:
+        assert 0.35 < success_probability(1.0 / volume, CircuitShape(volume, 1)) < 0.38, volume
 
 
 @settings(max_examples=200, deadline=None)

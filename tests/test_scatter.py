@@ -123,8 +123,3 @@ def test_every_emulation_tier_band_is_drawn():
     bands = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text") if el.get("fill") == "#666666"]
     assert bands == ["laptop", "server", "cluster", "HPC", "tensor network / beyond classical"]
     assert len(bands) == len(STATEVECTOR_TIERS) + 1
-
-def test_deterministic_output():
-    catalog = bundled_catalog()
-    assert scatter_csv(catalog) == scatter_csv(catalog)
-    assert scatter_svg(catalog) == scatter_svg(catalog)

@@ -291,42 +291,38 @@ class TestParsing:
             parse_workloads(doc)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    eps=st.floats(min_value=1e-4, max_value=1.0, allow_nan=False),
-    bump=st.floats(min_value=1e-6, max_value=0.5, allow_nan=False),
-)
-def test_total_shots_non_increasing_in_epsilon(eps, bump):
-    small = shot_plan(make_spec(data_qubits=10, target_epsilon=eps), 0.01)
-    larger_eps = min(1.0, eps + bump)
-    big = shot_plan(make_spec(data_qubits=10, target_epsilon=larger_eps), 0.01)
-    assert big.total_shots <= small.total_shots
+def _ordered_pair(low, high):
+    return st.tuples(st.floats(min_value=low, max_value=high), st.floats(min_value=low, max_value=high)).map(sorted)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
+    epsilons=_ordered_pair(1e-4, 1.0),
     n=st.integers(min_value=1, max_value=150),
     layers=st.integers(min_value=1, max_value=100),
-    coeff=st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+    coefficients=_ordered_pair(0.0, 3.5),
+    error=st.floats(min_value=0.0, max_value=0.02),
+    mitigated=st.booleans(),
 )
-def test_total_shots_non_decreasing_in_size_knobs(n, layers, coeff):
-    mit = MitigationSpec(enabled=True, exponent_coefficient=coeff)
+def test_total_shots_monotone_in_epsilon_qubits_layers_and_mitigation(
+    epsilons, n, layers, coefficients, error, mitigated
+):
+    # A looser target needs no more shots; a wider register, one more QAOA layer
+    # or a stronger mitigation coefficient needs no fewer.
+    (eps, wider_eps), (coeff, stronger) = epsilons, coefficients
 
-    vqe = make_spec(data_qubits=n, depth=8, mitigation=mit)
-    vqe_bigger = make_spec(data_qubits=n + 1, depth=8, mitigation=mit)
-    assert shot_plan(vqe_bigger, 1e-3).total_shots >= shot_plan(vqe, 1e-3).total_shots
+    def total(target_epsilon=eps, data_qubits=n, exponent_coefficient=coeff, **fields):
+        mitigation = MitigationSpec(enabled=mitigated, exponent_coefficient=exponent_coefficient)
+        spec = make_spec(data_qubits=data_qubits, depth=8, target_epsilon=target_epsilon, mitigation=mitigation,
+                         **fields)
+        return shot_plan(spec, error).total_shots
 
-    qaoa = make_spec(family=AlgorithmFamily.QAOA, data_qubits=n, depth=8, qaoa_layers=layers, mitigation=mit)
-    qaoa_deeper = make_spec(
-        family=AlgorithmFamily.QAOA, data_qubits=n, depth=8, qaoa_layers=layers + 1, mitigation=mit
-    )
-    assert shot_plan(qaoa_deeper, 1e-3).total_shots >= shot_plan(qaoa, 1e-3).total_shots
-
-    stronger = MitigationSpec(enabled=True, exponent_coefficient=coeff + 0.5)
-    assert (
-        shot_plan(make_spec(data_qubits=n, depth=8, mitigation=stronger), 1e-3).total_shots
-        >= shot_plan(vqe, 1e-3).total_shots
-    )
+    vqe = total()
+    assert total(target_epsilon=wider_eps) <= vqe
+    assert total(data_qubits=n + 1) >= vqe
+    assert total(exponent_coefficient=stronger) >= vqe
+    qaoa = AlgorithmFamily.QAOA
+    assert total(family=qaoa, qaoa_layers=layers + 1) >= total(family=qaoa, qaoa_layers=layers)
 
 
 def test_spec_shape_checks_each_field_type():
