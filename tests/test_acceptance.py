@@ -160,22 +160,25 @@ def test_criterion_09b_success_probability_range_and_threshold_band():
 def test_criterion_09c_total_shots_monotonicity():
     with criterion(9, "property: shot totals monotone in epsilon, qubits, layers, mitigation (1000 cases)"):
         rng = random.Random(903)
-        check = test_workload.test_total_shots_monotone_in_epsilon_qubits_layers_and_mitigation.hypothesis.inner_test
+        by_epsilon = test_workload.test_total_shots_non_increasing_in_epsilon.hypothesis.inner_test
+        by_size = test_workload.test_total_shots_non_decreasing_in_size_knobs.hypothesis.inner_test
         for _ in range(1000):
             eps = rng.uniform(1e-3, 1.0)
-            epsilons = (eps, min(1.0, eps * rng.uniform(1.0, 3.0)))
+            wider_eps = min(1.0, eps * rng.uniform(1.0, 3.0))
             n = rng.randint(2, 120)
             coeff = rng.uniform(0.0, 2.0)
             layers = rng.randint(1, 60)
             error = rng.uniform(0.0, 0.02)
             for mitigated in (True, False):
-                check(epsilons, n, layers, (coeff, coeff + 0.3), error, mitigated)
+                by_epsilon((eps, wider_eps), n, coeff, error, mitigated)
+                by_size(eps, n, layers, (coeff, coeff + 0.3), error, mitigated)
 
 
 def test_criterion_09d_advantage_antisymmetry_and_scale_invariance():
     with criterion(9, "property: advantage report antisymmetric and scale invariant (1000 cases)"):
         rng = random.Random(904)
-        check = test_advantage.test_antisymmetry_and_scale_invariance.hypothesis.inner_test
+        antisymmetry = test_advantage.test_antisymmetry.hypothesis.inner_test
+        scale_invariance = test_advantage.test_scale_invariance.hypothesis.inner_test
 
         def profile():
             def maybe(v):
@@ -190,7 +193,9 @@ def test_criterion_09d_advantage_antisymmetry_and_scale_invariance():
             )
 
         for _ in range(1000):
-            check(profile(), profile(), rng.uniform(1e-3, 1e3))
+            a, b = profile(), profile()
+            antisymmetry(a, b)
+            scale_invariance(a, b, rng.uniform(1e-3, 1e3))
 
 
 def test_criterion_09e_catalog_round_trip():

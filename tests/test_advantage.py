@@ -171,20 +171,27 @@ def _scaled(p: SolutionProfile, k: float) -> SolutionProfile:
 
 
 @settings(max_examples=300, deadline=None)
-@given(profiles(), profiles(), st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
-def test_antisymmetry_and_scale_invariance(a, b, k):
+@given(profiles(), profiles())
+def test_antisymmetry(a, b):
     forward = classify(a, b)
     backward = classify(b, a)
     for axis in AXES:
         assert getattr(backward, axis) is _FLIP[getattr(forward, axis)], axis
+
+
+@settings(max_examples=300, deadline=None)
+@given(profiles(), profiles(), st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
+def test_scale_invariance(a, b, k):
     # A pair sitting exactly on a band edge may legitimately move by one ulp when
     # rescaled; scale invariance concerns everything else.  A plain test, not
     # assume, so that a fixed draw can run this body outside Hypothesis.
     if not all(_off_band_edge(getattr(a, name), getattr(b, name)) for name in _RATIO_INPUTS):
         return
+    base = classify(a, b)
     rescaled = classify(_scaled(a, k), _scaled(b, k))
+    # memory is left unscaled (integer bytes); the ratio axes must not move
     for axis in ("speed", "quality", "energetic", "cost"):
-        assert getattr(rescaled, axis) is getattr(forward, axis), axis
+        assert getattr(rescaled, axis) is getattr(base, axis), axis
 
 
 def test_a_classical_profile_takes_absent_energy_and_memory_from_its_reference():

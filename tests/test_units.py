@@ -12,6 +12,7 @@ from nisq_gonogo.units import (
     count_number,
     count_text,
     csv_field,
+    csv_quotes,
     fidelity_percent,
     format_bytes,
     format_duration,
@@ -218,3 +219,22 @@ def test_csv_field_of_each_special_character():
     assert csv_field("c\rr") == '"c\rr"' and csv_field("\r") == '"\r"'  # on every Python
     assert csv_field(" é ") == " é "
     assert csv_field("a\0b") == "a\0b"  # as 3.11 and later write it; 3.10's writer would raise
+
+
+def test_csv_quotes_each_special_character_and_no_other():
+    assert not csv_quotes("")
+    for code in range(0x800):
+        assert csv_quotes(f"a{chr(code)}b") is (chr(code) in ',"\n\r'), hex(code)
+
+
+@settings(max_examples=400)
+@given(st.text(alphabet=st.sampled_from(CSV_CHARACTERS), max_size=8))
+def test_csv_quotes_holds_exactly_when_csv_field_quotes(text):
+    assert csv_quotes(text) is (csv_field(text) != text)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.text(alphabet=st.sampled_from(CSV_CHARACTERS), max_size=4), max_size=6))
+def test_csv_quotes_a_joined_text_exactly_when_a_part_needs_it(parts):
+    # The grid's CSV asks once, of every workload id joined, whether any id needs quoting.
+    assert csv_quotes("".join(parts)) is any(csv_quotes(part) for part in parts)

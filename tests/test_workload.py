@@ -295,30 +295,48 @@ def _ordered_pair(low, high):
     return st.tuples(st.floats(min_value=low, max_value=high), st.floats(min_value=low, max_value=high)).map(sorted)
 
 
+def _total_shots(error, mitigated, target_epsilon, data_qubits, exponent_coefficient, **fields):
+    mitigation = MitigationSpec(enabled=mitigated, exponent_coefficient=exponent_coefficient)
+    spec = make_spec(data_qubits=data_qubits, depth=8, target_epsilon=target_epsilon, mitigation=mitigation, **fields)
+    return shot_plan(spec, error).total_shots
+
+
+_errors = st.floats(min_value=0.0, max_value=0.02)
+_qubits = st.integers(min_value=1, max_value=150)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     epsilons=_ordered_pair(1e-4, 1.0),
-    n=st.integers(min_value=1, max_value=150),
-    layers=st.integers(min_value=1, max_value=100),
-    coefficients=_ordered_pair(0.0, 3.5),
-    error=st.floats(min_value=0.0, max_value=0.02),
+    n=_qubits,
+    coeff=st.floats(min_value=0.0, max_value=3.0),
+    error=_errors,
     mitigated=st.booleans(),
 )
-def test_total_shots_monotone_in_epsilon_qubits_layers_and_mitigation(
-    epsilons, n, layers, coefficients, error, mitigated
-):
-    # A looser target needs no more shots; a wider register, one more QAOA layer
-    # or a stronger mitigation coefficient needs no fewer.
-    (eps, wider_eps), (coeff, stronger) = epsilons, coefficients
+def test_total_shots_non_increasing_in_epsilon(epsilons, n, coeff, error, mitigated):
+    # A looser target needs no more shots.
+    eps, wider_eps = epsilons
+    assert _total_shots(error, mitigated, wider_eps, n, coeff) <= _total_shots(error, mitigated, eps, n, coeff)
 
-    def total(target_epsilon=eps, data_qubits=n, exponent_coefficient=coeff, **fields):
-        mitigation = MitigationSpec(enabled=mitigated, exponent_coefficient=exponent_coefficient)
-        spec = make_spec(data_qubits=data_qubits, depth=8, target_epsilon=target_epsilon, mitigation=mitigation,
-                         **fields)
-        return shot_plan(spec, error).total_shots
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eps=st.floats(min_value=1e-4, max_value=1.0),
+    n=_qubits,
+    layers=st.integers(min_value=1, max_value=100),
+    coefficients=_ordered_pair(0.0, 3.5),
+    error=_errors,
+    mitigated=st.booleans(),
+)
+def test_total_shots_non_decreasing_in_size_knobs(eps, n, layers, coefficients, error, mitigated):
+    # A wider register, one more QAOA layer or a stronger mitigation
+    # coefficient needs no fewer shots.
+    coeff, stronger = coefficients
+
+    def total(data_qubits=n, exponent_coefficient=coeff, **fields):
+        return _total_shots(error, mitigated, eps, data_qubits, exponent_coefficient, **fields)
 
     vqe = total()
-    assert total(target_epsilon=wider_eps) <= vqe
     assert total(data_qubits=n + 1) >= vqe
     assert total(exponent_coefficient=stronger) >= vqe
     qaoa = AlgorithmFamily.QAOA
